@@ -5,19 +5,18 @@ must come back unchanged: the question is whether P(rho (x) c -> phi (x) c)
 beats P(rho -> phi).  Squared-modulus profiles multiply under tensoring, so
 every test here runs on plain distributions.
 
-Two exact gates are provided: an enhancement gate for raising the optimal
-probability (strict-inequality test on the smallest padded entries), and a
-gate for reaching probability 1 (power-mean and entropy comparisons over a
-sampled exponent grid).  The search enumerates catalyst profiles on a
-simplex grid and evaluates each candidate through the same subspace
-machinery used for plain distillation.
+Two gates are provided.  The enhancement gate for raising the optimal
+probability is exact (strict-inequality test on the smallest padded
+entries).  The gate for reaching probability 1 compares power means and
+entropies on a sampled exponent grid with local refinement, so it is not
+exact: a sign change between grid points goes unseen.  The search
+enumerates catalyst profiles on a simplex grid and evaluates each candidate
+through the same subspace machinery used for plain distillation.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,7 +86,7 @@ class DeterministicGateReport:
     """Existence verdict for a catalyst reaching probability 1."""
 
     verdict: bool
-    members: tuple[UnitGateMemberRecord, ...]
+    members: tuple[DeterministicGateMemberRecord, ...]
     total_weight: float
     weight_complete: bool
     baseline: float
@@ -117,16 +116,6 @@ def _subspace_entries(rho: DensityMatrix) -> list[tuple[tuple[int, ...], float, 
         profile = sorted_descending(s.state.probabilities())[: s.rank]
         out.append((s.indices, s.weight, tuple(float(v) for v in profile)))
     return out
-
-
-def _family_value(entries, target_weights) -> tuple[float, float, tuple[int, ...]]:
-    """(best disjoint value, its total weight, chosen positions)."""
-    scored = [
-        (idx, w, w * min_profile_ratio(np.array(prof), target_weights))
-        for idx, w, prof in entries
-    ]
-    chosen, weight, value = optimize_disjoint_selection(scored)
-    return value, weight, chosen
 
 
 def _padded_profiles(src_profile, tgt_profile) -> tuple[np.ndarray, np.ndarray]:
@@ -382,11 +371,6 @@ def catalyst_candidates(max_dim: int, grid_step: float) -> list[tuple[float, ...
     return out
 
 
-def _evaluate_chunk(args) -> list[float]:
-    entries, target_profile, chunk = args
-    return [_achieved_with_catalyst(entries, target_profile, c) for c in chunk]
-
-
 def search_catalyst(
     rho: DensityMatrix,
     phi: PureStateVector,
@@ -402,32 +386,19 @@ def search_catalyst(
     lexicographically smallest profile.  In "deterministic" mode the first
     candidate (scan order of :func:`catalyst_candidates`) reaching
     probability 1 within 1e-9 is returned; starting from baseline 1 is a
-    precondition violation.  ``workers`` (default: COHDIST_WORKERS or 1)
-    parallelizes candidate evaluation without changing the result.
+    precondition violation.  ``workers`` is accepted for compatibility and
+    ignored: candidates are evaluated in this process.
     """
     if mode not in ("probabilistic", "deterministic"):
         raise ValidationError(f"unknown mode {mode!r}")
     tgt = _target_profile(phi)
     entries = _subspace_entries(rho)
-    baseline, _, _ = _family_value(entries, tgt)
+    baseline = _achieved_with_catalyst(entries, tgt, (1.0,))
     if mode == "deterministic" and baseline >= 1.0 - UNIT_TOL:
         raise PreconditionError("baseline probability is already 1")
 
     candidates = catalyst_candidates(max_dim, grid_step)
-    if workers is None:
-        workers = int(os.environ.get("COHDIST_WORKERS", "1"))
-    if workers > 1 and len(candidates) > 8:
-        chunks = [candidates[i::workers] for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(
-                _evaluate_chunk, [(entries, tgt, ch) for ch in chunks]
-            )
-        achieved_map: dict[tuple[float, ...], float] = {}
-        for chunk, vals in zip(chunks, results):
-            achieved_map.update(zip(chunk, vals))
-        achieved = [achieved_map[c] for c in candidates]
-    else:
-        achieved = [_achieved_with_catalyst(entries, tgt, c) for c in candidates]
+    achieved = [_achieved_with_catalyst(entries, tgt, c) for c in candidates]
 
     if mode == "deterministic":
         for c, v in zip(candidates, achieved):

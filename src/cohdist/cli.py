@@ -61,16 +61,31 @@ def _load_doc(path: str) -> dict:
     return doc
 
 
-def _complex_in(node, path: str) -> complex:
+def _real_in(node, path: str) -> float:
+    # JSON integers may exceed the float range; NaN and Infinity fail the bound
     if isinstance(node, (int, float)) and not isinstance(node, bool):
-        return complex(node)
-    if (
-        isinstance(node, list)
-        and len(node) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in node)
-    ):
-        return complex(node[0], node[1])
-    raise ValidationError(f"{path}: expected a number or [re, im] pair")
+        if abs(node) <= sys.float_info.max:
+            return float(node)
+    raise ValidationError(f"{path}: expected a finite number")
+
+
+def _complex_in(node, path: str) -> complex:
+    """A number, or an [re, im] pair of numbers."""
+    if isinstance(node, list) and len(node) == 2:
+        return complex(_real_in(node[0], path), _real_in(node[1], path))
+    return complex(_real_in(node, path))
+
+
+def _int_in(node, path: str) -> int:
+    if isinstance(node, int) and not isinstance(node, bool):
+        return node
+    raise ValidationError(f"{path}: expected an integer")
+
+
+def _list_in(node, path: str) -> list:
+    if isinstance(node, list):
+        return node
+    raise ValidationError(f"{path}: expected an array")
 
 
 def _complex_out(z: complex) -> list[float]:
@@ -95,7 +110,7 @@ def parse_density(doc: dict, path: str) -> DensityMatrix:
     if "matrix" not in doc:
         raise ValidationError(f"{path}: missing 'matrix'")
     mat = _matrix_in(doc["matrix"], f"{path}.matrix")
-    if "dim" in doc and int(doc["dim"]) != mat.shape[0]:
+    if "dim" in doc and _int_in(doc["dim"], f"{path}.dim") != mat.shape[0]:
         raise ValidationError(
             f"{path}.dim: declared {doc['dim']}, matrix is {mat.shape[0]}x{mat.shape[1]}"
         )
@@ -109,7 +124,7 @@ def parse_pure(doc: dict, path: str) -> PureStateVector:
     if not isinstance(node, list) or not node:
         raise ValidationError(f"{path}.amplitudes: expected a nonempty array")
     amps = [_complex_in(v, f"{path}.amplitudes[{i}]") for i, v in enumerate(node)]
-    if "dim" in doc and int(doc["dim"]) != len(amps):
+    if "dim" in doc and _int_in(doc["dim"], f"{path}.dim") != len(amps):
         raise ValidationError(
             f"{path}.dim: declared {doc['dim']}, amplitudes length {len(amps)}"
         )
@@ -131,10 +146,9 @@ def parse_weights(doc: dict, path: str) -> np.ndarray:
     node = doc["weights"]
     if not isinstance(node, list) or not node:
         raise ValidationError(f"{path}.weights: expected a nonempty array")
-    for i, v in enumerate(node):
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ValidationError(f"{path}.weights[{i}]: expected a number")
-    return as_distribution(np.array(node, dtype=float))
+    return as_distribution(
+        [_real_in(v, f"{path}.weights[{i}]") for i, v in enumerate(node)]
+    )
 
 
 def plan_to_doc(plan: DistillationPlan) -> dict:
@@ -157,10 +171,12 @@ def plan_from_doc(doc: dict, path: str) -> DistillationPlan:
     for key in ("dim", "p_max", "family", "branches"):
         if key not in doc:
             raise ValidationError(f"{path}: missing '{key}'")
-    dim = int(doc["dim"])
+    dim = _int_in(doc["dim"], f"{path}.dim")
     branches = []
-    for i, node in enumerate(doc["branches"]):
+    for i, node in enumerate(_list_in(doc["branches"], f"{path}.branches")):
         bpath = f"{path}.branches[{i}]"
+        if not isinstance(node, dict):
+            raise ValidationError(f"{bpath}: expected an object")
         for key in ("id", "probability", "kraus"):
             if key not in node:
                 raise ValidationError(f"{bpath}: missing '{key}'")
@@ -171,15 +187,17 @@ def plan_from_doc(doc: dict, path: str) -> DistillationPlan:
             PlanBranch(
                 str(node["id"]),
                 StrictlyIncoherentKraus.from_matrix(mat),
-                float(node["probability"]),
+                _real_in(node["probability"], f"{bpath}.probability"),
             )
         )
+    fpath = f"{path}.family"
     family = tuple(
-        tuple(int(i) for i in s) for s in doc["family"]
+        tuple(_int_in(i, fpath) for i in _list_in(s, fpath))
+        for s in _list_in(doc["family"], fpath)
     )
     return DistillationPlan(
         dim=dim,
-        p_max=float(doc["p_max"]),
+        p_max=_real_in(doc["p_max"], f"{path}.p_max"),
         branches=tuple(branches),
         family_index_sets=family,
     )
@@ -316,8 +334,14 @@ def cmd_protocol(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if not 1 <= args.shots < 2**63:
+        raise ValidationError(f"--shots must lie in [1, 2^63), got {args.shots}")
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
     plan = plan_from_doc(_load_doc(args.protocol), args.protocol)
     rho = parse_state(_load_doc(args.state), args.state)
+    if plan.dim != rho.dim:
+        raise ValidationError(f"{args.state}: dimension {rho.dim}, plan has {plan.dim}")
     result = simulate(plan, rho, shots=args.shots, seed=args.seed)
     doc = {
         "shots": result.shots,
@@ -543,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     s.add_argument(
         "--workers", type=int, default=None,
-        help="parallel candidate evaluation (default: COHDIST_WORKERS or 1)",
+        help="accepted for compatibility and ignored; COHDIST_WORKERS is ignored too",
     )
     add_json(s)
     s.set_defaults(func=cmd_catalyst_search)

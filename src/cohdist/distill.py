@@ -36,18 +36,18 @@ from .errors import (
     NotStrictlyIncoherentError,
     ProtocolSynthesisError,
     RankDeficitError,
+    ValidationError,
 )
 from .measures import coherence_rank, min_profile_ratio
-from .states import DensityMatrix, PureStateVector, SUPPORT_TOL
+from .states import DensityMatrix, PureStateVector, require_finite
 from .subspaces import (
     DisjointFamily,
     PureSubspace,
     maximal_pure_subspaces,
-    select_disjoint_family,
+    optimize_disjoint_selection,
 )
 
 ENTRY_TOL = 1e-12        # magnitude below which a matrix entry counts as zero
-DECOMP_TOL = 1e-12       # reconstruction tolerance for K = P_pi K_delta P
 PROB_TOL = 1e-9          # probability bookkeeping tolerance
 
 
@@ -74,6 +74,7 @@ class StrictlyIncoherentKraus:
         mat = np.array(raw, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise NonSquareError(f"Kraus matrix must be square, got {mat.shape}")
+        require_finite(mat, "Kraus matrix")
         d = mat.shape[0]
         used_rows: set[int] = set()
         perm = [-1] * d
@@ -99,15 +100,9 @@ class StrictlyIncoherentKraus:
         for j in range(d):
             if perm[j] < 0:
                 perm[j] = next(free_rows)
-        kraus = cls(mat, tuple(perm), diag, proj)
-        gap = np.abs(kraus.reconstruct() - mat).max()
-        if gap > DECOMP_TOL:
-            raise NotStrictlyIncoherentError(
-                f"decomposition mismatch {gap:.3e}"
-            )
         for arr in (mat, diag, proj):
             arr.flags.writeable = False
-        return kraus
+        return cls(mat, tuple(perm), diag, proj)
 
     @classmethod
     def from_entries(cls, dim: int, entries) -> "StrictlyIncoherentKraus":
@@ -430,27 +425,20 @@ def pmax_mixed(rho: DensityMatrix, phi: PureStateVector) -> MixedPmaxResult:
             "target has coherence rank 1; it is reachable for free"
         )
     subs = maximal_pure_subspaces(rho)
-    family = select_disjoint_family(subs, phi)
     target_w = phi.probabilities()
-    per = tuple(
-        SubspaceYield(
-            s,
-            (r := min_profile_ratio(s.state.probabilities(), target_w)),
-            s.weight * r,
-        )
-        for s in family.members
+    ratios = [min_profile_ratio(s.state.probabilities(), target_w) for s in subs]
+    yields = [SubspaceYield(s, r, s.weight * r) for s, r in zip(subs, ratios)]
+    chosen, weight, value = optimize_disjoint_selection(
+        [(y.subspace.indices, y.subspace.weight, y.achieved) for y in yields]
     )
-    p_max = float(sum(y.achieved for y in per))
-    naive = sum(
-        s.weight * min_profile_ratio(s.state.probabilities(), target_w)
-        for s in subs
-    )
+    per = tuple(yields[i] for i in chosen)
+    naive = sum(y.achieved for y in yields)
     return MixedPmaxResult(
-        p_max=p_max,
-        family=family,
+        p_max=value,
+        family=DisjointFamily(tuple(y.subspace for y in per), weight, value),
         per_subspace=per,
         all_subspaces=tuple(subs),
-        overlap_adjusted=bool(naive > p_max + 1e-12),
+        overlap_adjusted=bool(naive > value + 1e-12),
     )
 
 
@@ -461,6 +449,8 @@ def full_plan(rho: DensityMatrix, phi: PureStateVector) -> DistillationPlan:
     input columns of every branch live inside its own subspace, so the
     combined operator family stays complete.
     """
+    if phi.dim != rho.dim:
+        raise ValidationError(f"target dimension {phi.dim} != source dimension {rho.dim}")
     mixed = pmax_mixed(rho, phi)
     branches: list[PlanBranch] = []
     for mu, y in enumerate(mixed.per_subspace):

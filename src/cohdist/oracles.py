@@ -115,10 +115,9 @@ def simulate(
     """
     if shots < 1:
         raise ValueError("shots must be positive")
-    if plan.completeness_gap() > 1e-9:
-        raise IncompletePlanError(
-            f"sum K†K exceeds identity by {plan.completeness_gap():.3e}"
-        )
+    gap = plan.completeness_gap()
+    if not gap <= 1e-9:     # NaN when the Kraus entries overflow
+        raise IncompletePlanError(f"sum K†K exceeds identity by {gap:.3e}")
     probs = branch_probabilities(plan, rho)
     total = float(probs.sum())
     failure = max(0.0, 1.0 - total)

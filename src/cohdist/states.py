@@ -7,7 +7,7 @@ dephasing map keeps the diagonal and drops every off-diagonal entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,10 +30,17 @@ TRACE_TOL = 1e-10         # |tr(rho) - 1|, |norm(psi) - 1|, |sum(w) - 1|
 SUPPORT_TOL = 1e-12       # squared-modulus threshold for "nonzero amplitude"
 
 
+def require_finite(arr: np.ndarray, what: str) -> None:
+    """Raise ValidationError when ``arr`` holds a NaN or an infinity."""
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{what} has a NaN or infinite entry")
+
+
 def _as_complex_matrix(raw) -> np.ndarray:
     arr = np.array(raw, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NonSquareError(f"expected a square matrix, got shape {arr.shape}")
+    require_finite(arr, "matrix")
     return arr
 
 
@@ -56,7 +63,7 @@ class DensityMatrix:
             )
         arr = 0.5 * (arr + arr.conj().T)   # symmetrize validated input
         eig_min = float(np.linalg.eigvalsh(arr).min())
-        if eig_min < PSD_FLOOR:
+        if not eig_min >= PSD_FLOOR:    # also rejects a NaN from overflow
             raise NotPSDError(
                 f"matrix is not PSD: min eigenvalue = {eig_min:.3e}", eig_min
             )
@@ -89,6 +96,7 @@ class PureStateVector:
         arr = np.array(self.amplitudes, dtype=complex)
         if arr.ndim != 1 or arr.size == 0:
             raise ValidationError(f"expected a nonempty 1-d vector, got shape {arr.shape}")
+        require_finite(arr, "amplitude vector")
         norm = float(np.linalg.norm(arr))
         if abs(norm - 1.0) > TRACE_TOL:
             raise TraceNotOneError(f"vector norm is {norm!r}, expected 1")
@@ -143,7 +151,7 @@ def as_distribution(weights, *, tol: float = TRACE_TOL) -> np.ndarray:
         raise ValidationError(f"negative weight {w.min()!r}")
     w = np.clip(w, 0.0, None)
     total = float(w.sum())
-    if abs(total - 1.0) > tol:
+    if not abs(total - 1.0) <= tol:     # a NaN or infinite entry fails here
         raise TraceNotOneError(f"weights sum to {total!r}, expected 1")
     return w
 

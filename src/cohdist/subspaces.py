@@ -12,7 +12,9 @@ are the maximal cliques of the graph with edges {i, j : A_ij = 1}.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -167,36 +169,35 @@ def optimize_disjoint_selection(
 ) -> tuple[tuple[int, ...], float, float]:
     """Exact maximum-value selection of pairwise-disjoint index sets.
 
-    ``entries`` holds (indices, weight, value) triples.  Returns positions
-    of the chosen entries plus their total weight and value.  Ties on value
-    prefer larger total weight, then the lexicographically smallest tuple
-    of index sets, so the result is deterministic.  Branch and bound with
-    an optimistic tail-sum bound keeps the exact search fast at the
-    dimensions this toolkit targets.
+    ``entries`` holds (indices, weight, value) triples with positive weight
+    and nonnegative value.  Returns positions of the chosen entries, in
+    ascending order of their index sets, plus their total weight and value.
+    Ties on value prefer larger total weight, then the lexicographically
+    smallest tuple of index sets, so the result is deterministic.
+
+    An entry that shares no index with another is always taken.  Unit
+    coherence is transitive, so only entries sharing a level at the
+    tolerance edge go through the branch-and-bound search (tail-sum bound).
     """
     order = sorted(range(len(entries)), key=lambda i: entries[i][0])
-    values = [entries[i][2] for i in order]
-    tail_value = np.concatenate([np.cumsum(values[::-1])[::-1], [0.0]])
+    uses = Counter(j for idx, _, _ in entries for j in idx)
+    shared = [i for i in order if any(uses[j] > 1 for j in entries[i][0])]
+    tail_value = [*accumulate(entries[i][2] for i in reversed(shared))][::-1] + [0.0]
 
     best = {"value": -1.0, "weight": -1.0, "key": None, "chosen": ()}
 
     def consider(chosen: tuple, value: float, weight: float):
         key = tuple(entries[i][0] for i in chosen)
-        if value > best["value"] + _TIE_TOL:
-            pass
-        elif value > best["value"] - _TIE_TOL and weight > best["weight"] + _TIE_TOL:
-            pass
-        elif (
-            value > best["value"] - _TIE_TOL
-            and weight > best["weight"] - _TIE_TOL
-            and (best["key"] is None or key < best["key"])
+        tied = value > best["value"] - _TIE_TOL
+        if (
+            value > best["value"] + _TIE_TOL
+            or (tied and weight > best["weight"] + _TIE_TOL)
+            or (tied and weight > best["weight"] - _TIE_TOL
+                and (best["key"] is None or key < best["key"]))
         ):
-            pass
-        else:
-            return
-        best.update(value=value, weight=weight, key=key, chosen=chosen)
+            best.update(value=value, weight=weight, key=key, chosen=chosen)
 
-    n = len(order)
+    n = len(shared)
 
     def walk(i: int, chosen: tuple, used: frozenset, value: float, weight: float):
         if value + tail_value[i] < best["value"] - _TIE_TOL:
@@ -204,17 +205,20 @@ def optimize_disjoint_selection(
         if i == n:
             consider(chosen, value, weight)
             return
-        idx, w, v = entries[order[i]]
+        idx, w, v = entries[shared[i]]
         if not used & set(idx):
-            walk(i + 1, chosen + (order[i],), used | frozenset(idx), value + v, weight + w)
+            walk(i + 1, chosen + (shared[i],), used | frozenset(idx), value + v, weight + w)
         walk(i + 1, chosen, used, value, weight)
 
     walk(0, (), frozenset(), 0.0, 0.0)
-    return (
-        tuple(best["chosen"]),
-        float(max(best["weight"], 0.0)),
-        float(max(best["value"], 0.0)),
-    )
+    dropped = set(shared) - set(best["chosen"])
+    chosen = tuple(i for i in order if i not in dropped)
+    # left-to-right sums in index-set order, the order a full search adds in
+    weight = value = 0.0
+    for i in chosen:
+        weight += entries[i][1]
+        value += entries[i][2]
+    return chosen, float(weight), float(value)
 
 
 def select_disjoint_family(
@@ -236,5 +240,4 @@ def select_disjoint_family(
         for s in subspaces
     ]
     chosen, weight, value = optimize_disjoint_selection(entries)
-    members = tuple(sorted((subspaces[i] for i in chosen), key=lambda s: s.indices))
-    return DisjointFamily(members, weight, value)
+    return DisjointFamily(tuple(subspaces[i] for i in chosen), weight, value)

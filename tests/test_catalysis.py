@@ -228,11 +228,10 @@ def test_search_deterministic_mode_requires_subunit_baseline():
         )
 
 
-def test_search_parallel_matches_serial(canonical_catalysis_pair):
+def test_search_accepts_and_ignores_workers(canonical_catalysis_pair):
     rho, phi = _canonical(canonical_catalysis_pair)
-    serial = search_catalyst(rho, phi, max_dim=3, grid_step=0.1, workers=1)
-    parallel = search_catalyst(rho, phi, max_dim=3, grid_step=0.1, workers=2)
-    assert serial == parallel
+    default = search_catalyst(rho, phi, max_dim=3, grid_step=0.1)
+    assert search_catalyst(rho, phi, max_dim=3, grid_step=0.1, workers=2) == default
 
 
 def test_search_result_consistent_with_direct_evaluation(

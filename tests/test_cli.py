@@ -1,9 +1,11 @@
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cohdist import full_plan
+from cohdist import PureStateVector, full_plan, validate_density
 from cohdist.cli import main, plan_from_doc, plan_to_doc
 
 
@@ -214,3 +216,164 @@ def test_plan_serialization_roundtrip(block_mixture, uniform_qubit_target):
     for a, b in zip(again.branches, plan.branches):
         assert a.branch_id == b.branch_id
         assert np.allclose(a.kraus.matrix, b.kraus.matrix, atol=1e-15)
+
+
+# ------------------------------------------------ malformed input, exit codes
+
+def test_simulate_rejects_nonpositive_shots(files, tmp_path, capsys):
+    plan_path = str(tmp_path / "plan.json")
+    run(capsys, "protocol", files["rho"], files["phi"], plan_path)
+    for shots in ("0", "-3"):
+        code, _, err = run(capsys, "simulate", plan_path, files["rho"], "--shots", shots)
+        assert code == 2 and "--shots" in err
+
+
+@pytest.mark.parametrize("dim", ["x", None, 1.5, True])
+def test_non_integer_dim_is_a_validation_failure(tmp_path, capsys, dim):
+    for key, body in (("matrix", [[1.0]]), ("amplitudes", [1.0])):
+        path = write(tmp_path / f"{key}.json", {key: body, "dim": dim})
+        code, _, err = run(capsys, "validate", path)
+        assert code == 2 and ".dim" in err
+
+
+def test_nan_entries_are_validation_failures(tmp_path, capsys):
+    for name, text in (
+        ("m.json", '{"matrix": [[NaN, 0], [0, 1]]}'),
+        ("a.json", '{"amplitudes": [NaN, 1]}'),
+        ("w.json", '{"weights": [NaN, 1]}'),
+    ):
+        (tmp_path / name).write_text(text)
+        code, _, _ = run(capsys, "validate", str(tmp_path / name))
+        assert code == 2
+
+
+@pytest.mark.parametrize(
+    "branches", [5, "x", [1], [None], [["id", "probability", "kraus"]]]
+)
+def test_malformed_plan_branches_fail_validation(files, tmp_path, capsys, branches):
+    plan = {"dim": 3, "p_max": 0.1, "family": [[0, 1]], "branches": branches}
+    path = write(tmp_path / "plan.json", plan)
+    code, _, _ = run(capsys, "simulate", path, files["rho"], "--shots", "10")
+    assert code == 2
+
+
+def test_plan_with_nan_kraus_entry_fails_validation(files, tmp_path, capsys):
+    plan_path = str(tmp_path / "plan.json")
+    run(capsys, "protocol", files["rho"], files["phi"], plan_path)
+    text = (tmp_path / "plan.json").read_text()
+    doc = json.loads(text)
+    doc["branches"][0]["kraus"][0][0] = [float("nan"), 0.0]
+    code, _, _ = run(
+        capsys, "simulate", write(tmp_path / "nan.json", doc), files["rho"], "--shots", "10"
+    )
+    assert code == 2
+
+
+def test_plan_and_state_dimensions_must_agree(files, tmp_path, capsys):
+    plan_path = str(tmp_path / "plan.json")
+    run(capsys, "protocol", files["rho"], files["phi"], plan_path)
+    qubit = write(tmp_path / "qubit.json", {"matrix": [[0.5, 0.5], [0.5, 0.5]]})
+    code, _, _ = run(capsys, "simulate", plan_path, qubit, "--shots", "10")
+    assert code == 2
+    code, _, _ = run(capsys, "protocol", qubit, files["phi"], plan_path)
+    assert code == 2
+
+
+# ------------------------------------------------------- fuzzed JSON inputs
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=2)
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=3), st.dictionaries(st.text(max_size=2), kids, max_size=2)
+    ),
+    max_leaves=6,
+)
+
+_STATES = [
+    {"matrix": [[0.45, 0.15, 0.0], [0.15, 0.05, 0.0], [0.0, 0.0, 0.5]]},
+    {"matrix": [[0.5, [0.0, 0.5]], [[0.0, -0.5], 0.5]]},
+    {"amplitudes": [[0.6324555320336759, 0.0], 0.6324555320336759,
+                    0.31622776601683794, 0.31622776601683794]},
+    {"weights": [0.5, 0.3, 0.2]},
+]
+_TARGETS = [
+    {"amplitudes": [0.7071067811865476, 0.7071067811865476, 0]},
+    {"amplitudes": [0.7071067811865476, 0.7071067811865476]},
+    {"amplitudes": [1.0, 0.0, 0.0]},
+]
+_PLAN = plan_to_doc(
+    full_plan(
+        validate_density(_STATES[0]["matrix"]),
+        PureStateVector(np.array(_TARGETS[0]["amplitudes"], dtype=complex)),
+    )
+)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def _mutated(draw, bases):
+    """A valid document with up to two nodes replaced by arbitrary JSON."""
+    doc = copy.deepcopy(draw(st.sampled_from(bases)))
+    for _ in range(draw(st.integers(0, 2))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        value = draw(_JSON)
+        if not path:
+            doc = value
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    if isinstance(doc, dict) and draw(st.booleans()):
+        doc["dim"] = draw(st.one_of(st.integers(0, 5), _SCALARS))
+    return doc
+
+
+_COMMANDS = [
+    ["validate", "S"],
+    ["subspaces", "S"],
+    ["pmax", "S", "T"],
+    ["pmax", "S", "T", "--protocol", "OUT"],
+    ["protocol", "S", "T", "OUT"],
+    ["simulate", "P", "S", "--shots", "N", "--seed", "N"],
+    ["catalyst", "gate", "S", "T", "--alpha-points", "4"],
+    ["catalyst", "search", "S", "T", "--max-dim", "2", "--step", "0.25"],
+    ["majorize", "S", "T"],
+]
+
+
+@settings(
+    max_examples=250,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    command=st.sampled_from(_COMMANDS),
+    state=_mutated(_STATES),
+    target=_mutated(_TARGETS + _STATES[3:]),
+    plan=_mutated([_PLAN]),
+    numbers=st.lists(st.integers(-2, 2**64), min_size=2, max_size=2),
+)
+def test_cli_exit_code_on_fuzzed_json(tmp_path_factory, command, state, target, plan, numbers):
+    where = tmp_path_factory.getbasetemp()
+    files = {
+        "S": write(where / "fuzz_state.json", state),
+        "T": write(where / "fuzz_target.json", target),
+        "P": write(where / "fuzz_plan.json", plan),
+        "OUT": str(where / "fuzz_out.json"),
+    }
+    numbers = iter(numbers)
+    argv = [str(next(numbers)) if a == "N" else files.get(a, a) for a in command]
+    assert main(argv) in {0, 1, 2, 3, 4}

@@ -8,6 +8,7 @@ from cohdist import (
     PureStateVector,
     RankDeficitError,
     StrictlyIncoherentKraus,
+    ValidationError,
     conversion_kraus,
     full_plan,
     majorizes,
@@ -39,6 +40,14 @@ def test_kraus_rejects_two_entries_in_a_row():
 def test_kraus_rejects_two_entries_in_a_column():
     with pytest.raises(NotStrictlyIncoherentError):
         StrictlyIncoherentKraus.from_matrix(np.array([[0.5, 0], [0.5, 0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+def test_kraus_rejects_non_finite_entries(bad):
+    mat = np.array([[0, 0.5], [0.8, 0]], dtype=complex)
+    mat[1, 0] = bad
+    with pytest.raises(ValidationError):
+        StrictlyIncoherentKraus.from_matrix(mat)
 
 
 def test_kraus_decomposition_factors():
@@ -203,6 +212,31 @@ def test_pmax_mixed_flags_overlap(overlapping_state):
     res = pmax_mixed(overlapping_state, phi)
     assert res.overlap_adjusted
     assert res.p_max == pytest.approx(0.7, abs=1e-6)
+
+
+def test_pmax_mixed_pair_plus_forty_levels_is_closed_form():
+    # every maximal pure subspace is disjoint from the others, so all 41 are
+    # taken and only the pair contributes: weight * pure conversion ratio
+    rng = np.random.default_rng(40)
+    dim = 42
+    pair = sorted(rng.choice(dim, 2, replace=False).tolist())
+    levels = [i for i in range(dim) if i not in pair]
+    amps = np.zeros(dim, dtype=complex)
+    amps[pair] = np.sqrt([0.7, 0.3]) * np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
+    mat = 0.55 * np.outer(amps, amps.conj())
+    mat[levels, levels] += 0.45 * rng.dirichlet(np.ones(len(levels)))
+    phi = PureStateVector.from_probabilities(np.r_[0.6, 0.4, np.zeros(dim - 2)])
+    res = pmax_mixed(validate_density(mat), phi)
+    assert res.p_max == pytest.approx(0.55 * 0.3 / 0.4, abs=1e-12)
+    assert len(res.family.members) == 41
+    assert res.family.total_weight == pytest.approx(1.0, abs=1e-12)
+    assert not res.overlap_adjusted
+
+
+def test_full_plan_rejects_dimension_mismatch(block_mixture):
+    phi = PureStateVector(np.array([1, 1], dtype=complex) / np.sqrt(2))
+    with pytest.raises(ValidationError):
+        full_plan(block_mixture, phi)
 
 
 def test_pmax_mixed_is_convex_in_the_state(uniform_qubit_target):

@@ -107,3 +107,23 @@ def test_as_distribution_normalizes_and_validates():
         as_distribution(np.array([0.5, -0.2, 0.7]))
     with pytest.raises(ValidationError):
         as_distribution(np.array([0.5, 0.6]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 0.0)])
+def test_density_rejects_non_finite_entries(bad):
+    mat = np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex)
+    mat[0, 0] = bad
+    with pytest.raises(ValidationError):
+        validate_density(mat)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pure_state_rejects_non_finite_amplitudes(bad):
+    with pytest.raises(ValidationError):
+        PureStateVector(np.array([bad, 1.0], dtype=complex))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_as_distribution_rejects_non_finite_weights(bad):
+    with pytest.raises(ValidationError):
+        as_distribution([bad, 1.0])

@@ -154,3 +154,95 @@ def test_select_disjoint_family_resolves_overlap(overlapping_state):
     # (0,1) carries weight 0.75 and yield 0.7, beating (1,2) at 0.5
     assert fam.index_sets() == ((0, 1),)
     assert fam.total_value == pytest.approx(0.7, abs=1e-6)
+
+
+def _reference_selection(entries):
+    """Global branch and bound over every entry, kept as the reference.
+
+    This is the selection the package used before isolated entries were
+    taken without branching; it visits every subset of every entry.
+    """
+    tie = 1e-12
+    order = sorted(range(len(entries)), key=lambda i: entries[i][0])
+    values = [entries[i][2] for i in order]
+    tail_value = np.concatenate([np.cumsum(values[::-1])[::-1], [0.0]])
+    best = {"value": -1.0, "weight": -1.0, "key": None, "chosen": ()}
+
+    def consider(chosen, value, weight):
+        key = tuple(entries[i][0] for i in chosen)
+        if value > best["value"] + tie:
+            pass
+        elif value > best["value"] - tie and weight > best["weight"] + tie:
+            pass
+        elif (
+            value > best["value"] - tie
+            and weight > best["weight"] - tie
+            and (best["key"] is None or key < best["key"])
+        ):
+            pass
+        else:
+            return
+        best.update(value=value, weight=weight, key=key, chosen=chosen)
+
+    n = len(order)
+
+    def walk(i, chosen, used, value, weight):
+        if value + tail_value[i] < best["value"] - tie:
+            return
+        if i == n:
+            consider(chosen, value, weight)
+            return
+        idx, w, v = entries[order[i]]
+        if not used & set(idx):
+            walk(i + 1, chosen + (order[i],), used | frozenset(idx), value + v, weight + w)
+        walk(i + 1, chosen, used, value, weight)
+
+    walk(0, (), frozenset(), 0.0, 0.0)
+    return (
+        tuple(best["chosen"]),
+        float(max(best["weight"], 0.0)),
+        float(max(best["value"], 0.0)),
+    )
+
+
+def _random_entries(rng):
+    """Entries over a few levels, with overlaps, zero values and ties.
+
+    Every other set draws dyadic weights and ratios, so that equal values
+    and weights (the tie rules) come up often; the rest are continuous.
+    """
+    levels = int(rng.integers(2, 11))
+    dyadic = bool(rng.integers(2))
+    entries = []
+    for _ in range(int(rng.integers(1, 10))):
+        size = int(rng.integers(1, min(3, levels) + 1))
+        idx = tuple(sorted(int(i) for i in rng.choice(levels, size, replace=False)))
+        if dyadic:
+            weight = int(rng.integers(1, 9)) / 16
+            ratio = int(rng.integers(0, 5)) / 4
+        else:
+            weight = float(rng.uniform(0.01, 0.5))
+            ratio = float(rng.choice([0.0, 1.0, rng.uniform()]))
+        entries.append((idx, weight, weight * ratio))
+    return entries
+
+
+def test_disjoint_selection_matches_global_search():
+    rng = np.random.default_rng(20261018)
+    overlapping = 0
+    for _ in range(3000):
+        entries = _random_entries(rng)
+        levels = [j for idx, _, _ in entries for j in idx]
+        overlapping += len(levels) != len(set(levels))
+        assert optimize_disjoint_selection(entries) == _reference_selection(entries)
+    assert overlapping > 1000
+
+
+def test_disjoint_selection_takes_isolated_entries_without_search():
+    # 60 isolated zero-value entries would take 2^60 steps to branch on
+    entries = [((0, 1), 0.4, 0.2), ((1, 2), 0.3, 0.25)]
+    entries += [((k,), 0.005, 0.0) for k in range(3, 63)]
+    chosen, weight, value = optimize_disjoint_selection(entries)
+    assert chosen == (1,) + tuple(range(2, 62))
+    assert value == pytest.approx(0.25)
+    assert weight == pytest.approx(0.6)
