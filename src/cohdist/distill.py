@@ -13,9 +13,11 @@ Protocol synthesis for a pure source runs in three steps:
    source profile p majorized by x, via a running-maximum recursion: the
    cumulative floor is max(previous + P*q_l, prefix_p_l).  The slack both
    conditions leave is exactly 1 - P, so x sums to 1;
-3. p = D x for a doubly stochastic D (T-transform chain), and splitting D
-   into permutations gives the deterministic pre-processing branches; one
-   saturated success operator on the intermediate state finishes the job.
+3. p lies in the permutohedron of x, so it is a convex combination of at
+   most n permuted copies of x (Caratheodory); each copy is one
+   deterministic pre-processing branch, found by walking the tight sets of
+   p against x, and one saturated success operator on the intermediate
+   state finishes the job.
 
 Composing each pre-processing branch with the success operator yields a
 flat branch list whose total success probability equals P exactly.  (A
@@ -49,6 +51,7 @@ from .subspaces import (
 
 ENTRY_TOL = 1e-12        # magnitude below which a matrix entry counts as zero
 PROB_TOL = 1e-9          # probability bookkeeping tolerance
+_SPLIT_TOL = 1e-13       # prefix slack that counts as tight in the permutation split
 
 
 # ===========================================================================
@@ -260,87 +263,75 @@ def _intermediate_profile(p: np.ndarray, q: np.ndarray, prob: float) -> np.ndarr
     return x / total
 
 
-def _doubly_stochastic_bridge(x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Doubly stochastic D with D @ x = p, given p majorized by x.
+def _permutation_split(x: np.ndarray, p: np.ndarray) -> list[tuple[float, tuple[int, ...]]]:
+    """(w, sigma) pairs with p[t] = sum_a w_a * x[sigma_a[t]], at most n of them.
 
-    Chain of two-index averaging transforms; each step pins one more
-    sorted coordinate of the working vector to p.
+    Needs x sorted descending and p majorized by x.  The prefixes of the
+    running point y's descending order whose sums match x's (tight sets)
+    cut the coordinates into blocks; block ``b`` owns x's positions from
+    ``b`` on.  Each step takes the vertex v that gives every block its slice
+    of x in y's order, moves y to y + t(y - v) with the largest t that keeps
+    every block in its permutohedron, and emits v with weight t/(1+t) of
+    what is left.  That makes a new set tight, so after at most n - 1 steps
+    every block is a singleton and y is the last vertex.
     """
     n = x.size
-    d_total = np.eye(n)
-    y = x.astype(float).copy()
-    for _ in range(4 * n * n + 8):
-        order = np.argsort(-y, kind="stable")
-        gap = y[order] - p
-        if np.abs(gap).max() <= 1e-12:
-            sort_perm = np.zeros((n, n))
-            sort_perm[np.arange(n), order] = 1.0
-            return sort_perm @ d_total
-        i = int(np.argmax(gap > 1e-12))
-        if gap[i] <= 1e-12:
-            raise ProtocolSynthesisError("bridge found deficit without surplus")
-        j = -1
-        for t in range(i + 1, n):
-            if gap[t] < -1e-12:
-                j = t
-                break
-        if j < 0:
-            raise ProtocolSynthesisError("bridge lost mass")
-        delta = min(gap[i], -gap[j])
-        u, v = int(order[i]), int(order[j])
-        lam = 1.0 - delta / (y[u] - y[v])
-        t_mat = np.eye(n)
-        t_mat[u, u] = t_mat[v, v] = lam
-        t_mat[u, v] = t_mat[v, u] = 1.0 - lam
-        y = t_mat @ y
-        d_total = t_mat @ d_total
-    raise ProtocolSynthesisError("majorization bridge did not converge")
-
-
-def _positive_matching(mask: np.ndarray) -> list[int] | None:
-    """Perfect matching (row -> column) on a boolean matrix, or None."""
-    n = mask.shape[0]
-    col_owner = [-1] * n
-
-    def try_row(r: int, seen: list[bool]) -> bool:
-        for c in range(n):
-            if mask[r, c] and not seen[c]:
-                seen[c] = True
-                if col_owner[c] < 0 or try_row(col_owner[c], seen):
-                    col_owner[c] = r
-                    return True
-        return False
-
-    for r in range(n):
-        if not try_row(r, [False] * n):
-            return None
-    out = [-1] * n
-    for c, r in enumerate(col_owner):
-        out[r] = c
-    return out
-
-
-def _permutation_mixture(d_mat: np.ndarray) -> list[tuple[float, tuple[int, ...]]]:
-    """Split a doubly stochastic matrix into weighted permutations."""
-    n = d_mat.shape[0]
-    rem = d_mat.astype(float).copy()
+    pos = np.arange(n)
+    x_prefix = np.cumsum(x)
+    block = np.zeros(n, dtype=np.intp)     # per coordinate: first x position of its block
+    cut = pos == 0                         # per position: a block starts here
+    y = p.astype(float)
+    rest, t = 1.0, 0.0
     parts: list[tuple[float, tuple[int, ...]]] = []
-    for _ in range(n * n + n):
-        if rem.sum() <= 1e-10 * n:
-            break
-        perm = _positive_matching(rem > 1e-11)
-        if perm is None:
-            if rem.sum() <= 1e-7 * n:
+
+    def bounds():
+        """Per position: first and last position of its block."""
+        starts = np.flatnonzero(cut)
+        label = np.cumsum(cut) - 1
+        return starts[label], np.r_[starts[1:], n][label] - 1
+
+    def slack(sorted_vals, start):
+        """Per position: x's in-block prefix sum minus that of sorted_vals."""
+        gap = x_prefix - np.cumsum(sorted_vals)
+        return gap - np.where(start > 0, gap[start - 1], 0.0)
+
+    for _ in range(2 * n + 2):
+        order = np.lexsort((-y, block))
+        # y + t(y - v) is rounded to about (1 + t) * eps, hence the scaled tolerance
+        cut[1:] |= slack(y[order], bounds()[0])[:-1] <= _SPLIT_TOL * (1.0 + t)
+        start, end = bounds()
+        block[order] = start
+        # give every block back the exact sum that rounding drifts
+        y_sorted = y[order]
+        y_sorted += slack(y_sorted, start)[end] / (end - start + 1)
+        y[order] = y_sorted
+        sigma = np.argsort(order)
+        step = np.where(start == end, 0.0, y_sorted - x)
+        if not step.any():
+            parts.append((rest, tuple(sigma.tolist())))
+            return parts
+        # singleton bound: every coordinate stays within its block's range of x
+        with np.errstate(divide="ignore", invalid="ignore"):
+            room = np.where(step > 0, x[start] - y_sorted, y_sorted - x[end]) / np.abs(step)
+        t = float(room[step != 0.0].min())
+        direction = step[sigma]
+        # Newton from the right on the concave smallest in-block top-k slack
+        for _ in range(n + 2):
+            z = y + t * direction
+            z_order = np.lexsort((-z, block))
+            gaps = np.where(end != pos, slack(z[z_order], start), np.inf)
+            k = int(np.argmin(gaps))
+            if gaps[k] >= -_SPLIT_TOL * (1.0 + t):
                 break
-            raise ProtocolSynthesisError("no positive matching in mixing matrix")
-        w = float(min(rem[t, perm[t]] for t in range(n)))
-        parts.append((w, tuple(perm)))
-        for t in range(n):
-            rem[t, perm[t]] -= w
-    total = sum(w for w, _ in parts)
-    if abs(total - 1.0) > 1e-6:
-        raise ProtocolSynthesisError(f"permutation weights sum to {total!r}")
-    return [(w / total, s) for w, s in parts]
+            moved = np.cumsum(direction[z_order])
+            t_next = t + gaps[k] / (moved[k] - (moved[start[k] - 1] if start[k] else 0.0))
+            if not 0.0 <= t_next < t:
+                break
+            t = t_next
+        parts.append((rest * t / (1.0 + t), tuple(sigma.tolist())))
+        rest /= 1.0 + t
+        y = y + t * direction
+    raise ProtocolSynthesisError("permutation split did not converge")
 
 
 def optimal_protocol(
@@ -378,7 +369,7 @@ def optimal_protocol(
     if np.abs(x - p).max() <= 1e-13:
         mixture = [(1.0, tuple(range(n)))]
     else:
-        mixture = _permutation_mixture(_doubly_stochastic_bridge(x, p))
+        mixture = _permutation_split(x, p)
 
     branches: list[tuple[StrictlyIncoherentKraus, float]] = []
     amps_s = psi.amplitudes

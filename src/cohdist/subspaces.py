@@ -58,13 +58,13 @@ class CoherenceSupportGraph:
     @classmethod
     def from_state(cls, rho: DensityMatrix) -> "CoherenceSupportGraph":
         verts = positive_diagonal_indices(rho)
-        a = a_matrix(rho)
-        adj: dict[int, frozenset[int]] = {}
-        for i in verts:
-            adj[i] = frozenset(
-                j for j in verts if j != i and abs(a[i, j] - 1.0) <= A_ONE_TOL
-            )
-        return cls(verts, adj)
+        # unpopulated rows and columns of the A-matrix are 0, so never edges
+        rows, cols = np.nonzero(np.abs(a_matrix(rho) - 1.0) <= A_ONE_TOL)
+        nbrs: dict[int, list[int]] = {i: [] for i in verts}
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            if i != j:
+                nbrs[i].append(j)
+        return cls(verts, {i: frozenset(js) for i, js in nbrs.items()})
 
     def maximal_cliques(self) -> list[tuple[int, ...]]:
         """All inclusion-maximal cliques, sorted by size desc then indices."""

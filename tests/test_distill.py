@@ -21,7 +21,7 @@ from cohdist import (
     validate_density,
     verify_branch_outputs,
 )
-from cohdist.distill import PlanBranch
+from cohdist.distill import PlanBranch, _permutation_split
 
 
 # ---------------------------------------------------------------- operators
@@ -163,6 +163,7 @@ def test_optimal_protocol_agrees_with_formula_on_random_pairs():
         ))
         target = pmax_pure(psi, phi)
         branches = optimal_protocol(psi, phi)
+        assert len(branches) <= len(psi.sorted_support())
         total = sum(p for _, p in branches)
         assert total == pytest.approx(target, abs=1e-9)
         # each branch maps the source onto the target ray
@@ -174,6 +175,44 @@ def test_optimal_protocol_agrees_with_formula_on_random_pairs():
             assert norm_sq == pytest.approx(p, abs=1e-9)
             fid = abs(np.vdot(phi.amplitudes, out)) ** 2 / norm_sq
             assert fid >= 1.0 - 1e-9
+
+
+def _majorized_pair(rng, n):
+    """Sorted x and a sorted p it majorizes, with ties, zeros and tight prefixes.
+
+    x gets a zero tail and repeated values in two of three draws; p is a
+    random mixture of permutations of x, and in one draw of three it keeps
+    a prefix of x's sum by mixing the head and the tail of x separately.
+    """
+    x = rng.dirichlet(np.full(n, rng.uniform(0.2, 3.0)))
+    if rng.random() < 2 / 3:
+        x[n - int(rng.integers(0, n)):] = 0.0
+        if rng.random() < 0.5:
+            x = np.where(x > 0, rng.choice([1.0, 2.0, 3.0], size=n), 0.0)
+    x = np.sort(x / x.sum())[::-1]
+
+    def mix(v):
+        return sum(w * v[rng.permutation(v.size)] for w in rng.dirichlet(np.ones(3)))
+
+    cut = int(rng.integers(1, n)) if n > 1 and rng.random() < 1 / 3 else n
+    p = np.sort(np.r_[mix(x[:cut]), mix(x[cut:])])[::-1]
+    return x, p
+
+
+def test_permutation_split_is_a_short_convex_combination():
+    rng = np.random.default_rng(20261018)
+    for _ in range(400):
+        n = int(rng.integers(1, 65))
+        x, p = _majorized_pair(rng, n)
+        parts = _permutation_split(x, p)
+        weights = np.array([w for w, _ in parts])
+        assert len(parts) <= n
+        assert weights.min() >= 0.0
+        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+        for _, sigma in parts:
+            assert sorted(sigma) == list(range(n))
+        rebuilt = sum(w * x[list(sigma)] for w, sigma in parts)
+        assert np.abs(rebuilt - p).max() <= 1e-12
 
 
 def test_optimal_protocol_unit_probability_iff_majorized():
@@ -338,3 +377,47 @@ def test_plan_zero_when_no_coherent_subspace(uniform_qubit_target):
     assert res.p_max == 0.0
     plan = full_plan(rho, uniform_qubit_target)
     assert len(plan.branches) == 0
+
+
+def _rank4_plan(profile, levels, phases, target_levels):
+    """full_plan for a pure source and the (0.4, 0.3, 0.2, 0.1) target."""
+    dim = len(profile)
+    amps = np.zeros(dim, dtype=complex)
+    amps[levels] = np.sqrt(profile) * np.exp(2j * np.pi * phases)
+    tgt = np.zeros(dim, dtype=complex)
+    tgt[target_levels] = np.sqrt([0.4, 0.3, 0.2, 0.1])
+    rho = DensityMatrix.from_pure(PureStateVector(amps))
+    phi = PureStateVector(tgt)
+    return rho, phi, full_plan(rho, phi)
+
+
+def _shaped_profile(dim):
+    mags = 0.15 + np.abs(np.random.default_rng(dim).normal(size=dim))
+    return mags**2 / np.sum(mags**2)
+
+
+def test_full_plan_rank4_target_at_d128_has_at_most_d_branches():
+    rng = np.random.default_rng(128)
+    profile = _shaped_profile(128)
+    rho, phi, plan = _rank4_plan(
+        profile, rng.permutation(128), rng.random(128), rng.choice(128, 4, replace=False)
+    )
+    assert len(plan.branches) <= 128
+    assert sum(b.probability for b in plan.branches) == pytest.approx(plan.p_max, abs=1e-9)
+    assert plan.p_max == pytest.approx(pmax_pure(PureStateVector(np.sqrt(profile)), phi))
+    assert verify_branch_outputs(plan, rho, phi)
+
+
+def test_full_plan_branch_count_does_not_depend_on_level_placement():
+    # the same sorted profiles on other levels with other phases used to give
+    # 391 branches for some placements and 426 for others
+    profile = np.sort(_shaped_profile(32))[::-1]
+    counts = set()
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        _, _, plan = _rank4_plan(
+            profile, rng.permutation(32), rng.random(32), rng.choice(32, 4, replace=False)
+        )
+        counts.add(len(plan.branches))
+    assert len(counts) == 1
+    assert counts.pop() <= 32

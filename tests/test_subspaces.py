@@ -14,6 +14,8 @@ from cohdist import (
     select_disjoint_family,
     validate_density,
 )
+from cohdist.states import positive_diagonal_indices
+from cohdist.subspaces import A_ONE_TOL
 
 
 def test_a_matrix_pure_state_is_all_ones():
@@ -42,6 +44,30 @@ def _graph(n, edges):
         for i in range(n)
     }
     return CoherenceSupportGraph(tuple(range(n)), adj)
+
+
+def _reference_adjacency(rho):
+    """Loop over every index pair, kept as the reference.
+
+    This is how the graph was built before the comparison ran in numpy.
+    """
+    verts = positive_diagonal_indices(rho)
+    a = a_matrix(rho)
+    return {
+        i: frozenset(j for j in verts if j != i and abs(a[i, j] - 1.0) <= A_ONE_TOL)
+        for i in verts
+    }
+
+
+def test_graph_matches_pairwise_loop(overlapping_state):
+    rng = np.random.default_rng(2048)
+    states = [overlapping_state, validate_density(np.diag([0.5, 0.0, 0.5]))]
+    states += [random_mixture_state(rng, int(rng.integers(2, 9))) for _ in range(40)]
+    states += [random_block_state(rng, d)[0] for d in (3, 8, 17, 64, 200)]
+    for rho in states:
+        graph = CoherenceSupportGraph.from_state(rho)
+        assert graph.vertices == positive_diagonal_indices(rho)
+        assert graph.adjacency == _reference_adjacency(rho)
 
 
 def test_maximal_cliques_triangle_plus_isolated():
