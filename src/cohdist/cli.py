@@ -315,10 +315,13 @@ def cmd_protocol(args) -> int:
     check = verify_branch_outputs(plan, rho, phi)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(plan_to_doc(plan), fh, indent=2)
+    gap = plan.completeness_gap()
     doc = {
         "p_max": plan.p_max,
         "branches": len(plan.branches),
         "outputs_verified": bool(check),
+        "completeness_gap": gap,
+        "worst_fidelity": check.worst_fidelity,
         "written": args.out,
     }
     lines = [
@@ -328,6 +331,8 @@ def cmd_protocol(args) -> int:
     for b in plan.branches:
         lines.append(f"  {b.branch_id}: probability {_fmt(b.probability)}")
     lines.append(f"branch outputs verified: {str(bool(check)).lower()}")
+    lines.append(f"completeness gap: {_fmt(gap)}")
+    lines.append(f"worst branch fidelity: {_fmt(check.worst_fidelity)}")
     lines.append(f"written to {args.out}")
     _emit(doc, args.json, lines)
     return EXIT_OK

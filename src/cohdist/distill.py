@@ -2,7 +2,8 @@
 
 A strictly incoherent Kraus operator has at most one nonzero entry per row
 and per column, so it factors as  K = P_pi * K_delta * P  (permutation x
-diagonal x incoherent projector).  A success branch for target |phi> is a
+diagonal x incoherent projector); only these factors are stored, and the
+dense matrix is built on demand.  A success branch for target |phi> is a
 strictly incoherent K with K|psi> proportional to |phi>.
 
 Protocol synthesis for a pure source runs in three steps:
@@ -62,12 +63,13 @@ _SPLIT_TOL = 1e-13       # prefix slack that counts as tight in the permutation 
 class StrictlyIncoherentKraus:
     """Square matrix with at most one nonzero entry per row and per column.
 
-    ``permutation[j]`` is the row fed by column ``j`` (extended to a full
-    permutation), ``diagonal[j]`` the complex coefficient applied there, and
-    ``projector[j]`` marks the columns actually used.
+    Stored in monomial form only: ``permutation[j]`` is the row fed by
+    column ``j`` (extended to a full permutation), ``diagonal[j]`` the
+    complex coefficient applied there (0 on unused columns), and
+    ``projector[j]`` marks the columns actually used.  ``matrix`` is a dense
+    view built from these factors on demand.
     """
 
-    matrix: np.ndarray
     permutation: tuple[int, ...]
     diagonal: np.ndarray
     projector: np.ndarray
@@ -77,66 +79,65 @@ class StrictlyIncoherentKraus:
         mat = np.array(raw, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise NonSquareError(f"Kraus matrix must be square, got {mat.shape}")
-        require_finite(mat, "Kraus matrix")
-        d = mat.shape[0]
-        used_rows: set[int] = set()
-        perm = [-1] * d
-        diag = np.zeros(d, dtype=complex)
-        proj = np.zeros(d)
-        for j in range(d):
-            rows = np.nonzero(np.abs(mat[:, j]) > ENTRY_TOL)[0]
-            if len(rows) > 1:
-                raise NotStrictlyIncoherentError(
-                    f"column {j} has {len(rows)} nonzero entries"
-                )
-            if len(rows) == 1:
-                i = int(rows[0])
-                if i in used_rows:
-                    raise NotStrictlyIncoherentError(
-                        f"row {i} has more than one nonzero entry"
-                    )
-                used_rows.add(i)
-                perm[j] = i
-                diag[j] = mat[i, j]
-                proj[j] = 1.0
-        free_rows = iter(sorted(set(range(d)) - used_rows))
-        for j in range(d):
-            if perm[j] < 0:
-                perm[j] = next(free_rows)
-        for arr in (mat, diag, proj):
-            arr.flags.writeable = False
-        return cls(mat, tuple(perm), diag, proj)
+        rows, cols = np.nonzero(mat)
+        return cls._from_triples(mat.shape[0], rows, cols, mat[rows, cols])
 
     @classmethod
     def from_entries(cls, dim: int, entries) -> "StrictlyIncoherentKraus":
-        """Build from (row, column, value) triples."""
-        mat = np.zeros((dim, dim), dtype=complex)
-        for i, j, v in entries:
-            mat[i, j] = v
-        return cls.from_matrix(mat)
+        """Build from a sequence of (row, column, value) triples."""
+        rows, cols, values = zip(*entries) if entries else ((), (), ())
+        return cls._from_triples(dim, rows, cols, values)
+
+    @classmethod
+    def _from_triples(cls, dim: int, rows, cols, values) -> "StrictlyIncoherentKraus":
+        """Drop entries of modulus <= ENTRY_TOL; the rest need distinct rows and columns."""
+        values = np.asarray(values, dtype=complex)
+        require_finite(values, "Kraus matrix")
+        keep = np.abs(values) > ENTRY_TOL
+        rows = np.asarray(rows, dtype=np.intp)[keep]
+        cols = np.asarray(cols, dtype=np.intp)[keep]
+        row_counts = np.bincount(rows, minlength=dim)
+        col_counts = np.bincount(cols, minlength=dim)
+        for name, counts in (("row", row_counts), ("column", col_counts)):
+            if counts.max(initial=0) > 1:
+                k = int(np.argmax(counts > 1))
+                raise NotStrictlyIncoherentError(f"{name} {k} has {counts[k]} nonzero entries")
+        perm = np.empty(dim, dtype=np.intp)
+        perm[cols] = rows
+        perm[col_counts == 0] = np.flatnonzero(row_counts == 0)
+        diag = np.zeros(dim, dtype=complex)
+        diag[cols] = values[keep]
+        proj = (diag != 0.0).astype(float)
+        for arr in (diag, proj):
+            arr.flags.writeable = False
+        return cls(tuple(perm.tolist()), diag, proj)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.diagonal.shape[0]
 
     def decomposition(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(P_pi, K_delta, P) with matrix = P_pi @ K_delta @ P."""
         d = self.dim
         p_pi = np.zeros((d, d))
-        for j, i in enumerate(self.permutation):
-            p_pi[i, j] = 1.0
+        p_pi[list(self.permutation), np.arange(d)] = 1.0
         return p_pi, np.diag(self.diagonal), np.diag(self.projector)
 
     def reconstruct(self) -> np.ndarray:
-        p_pi, k_delta, proj = self.decomposition()
-        return p_pi @ k_delta @ proj
+        """Dense d x d form, a fresh array scattered from the factors."""
+        mat = np.zeros((self.dim, self.dim), dtype=complex)
+        mat[list(self.permutation), np.arange(self.dim)] = self.diagonal
+        return mat
+
+    matrix = property(reconstruct)
 
     def effect_diagonal(self) -> np.ndarray:
-        """Real diagonal of K†K (K†K is diagonal for this operator class)."""
-        return (np.abs(self.diagonal) ** 2) * self.projector
+        """Real diagonal of K†K, a diagonal matrix here (inf where a square overflows)."""
+        with np.errstate(over="ignore"):
+            return np.abs(self.diagonal) ** 2
 
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
-        return self.matrix @ amplitudes
+        return (self.diagonal * amplitudes)[np.argsort(self.permutation)]
 
 
 # ===========================================================================
@@ -183,11 +184,11 @@ class DistillationPlan:
     per_subspace: tuple[SubspaceYield, ...] | None = None
 
     def completeness_gap(self) -> float:
-        """Largest eigenvalue of sum(K†K) minus 1 (<= 0 for a valid plan)."""
-        total = np.zeros((self.dim, self.dim), dtype=complex)
+        """Largest entry of the diagonal matrix sum(K†K) minus 1 (<= 0 for a valid plan)."""
+        total = np.zeros(self.dim)
         for b in self.branches:
-            total += b.kraus.matrix.conj().T @ b.kraus.matrix
-        return float(np.linalg.eigvalsh(total).max() - 1.0)
+            total += b.kraus.effect_diagonal()
+        return float(total.max() - 1.0)
 
 
 @dataclass(frozen=True)
@@ -472,19 +473,21 @@ def full_plan(rho: DensityMatrix, phi: PureStateVector) -> DistillationPlan:
 def verify_branch_outputs(
     plan: DistillationPlan, rho: DensityMatrix, phi: PureStateVector
 ) -> BranchCheck:
-    """Recompute K rho K† for every branch and compare with the target.
+    """Recompute every branch output K rho K† and compare with the target.
 
     Passes when each branch output, normalized, has fidelity with |phi>
     of at least 1 - 1e-9.  Branches with vanishing probability on this
-    input are skipped.
+    input are skipped.  With c_j the entry in column j, the weight is
+    sum_j |c_j|^2 rho_jj and <phi|K rho K†|phi> = v† rho v for v = K†|phi>.
     """
     worst = 1.0
+    populations = rho.diagonal()
     for b in plan.branches:
-        out = b.kraus.matrix @ rho.matrix @ b.kraus.matrix.conj().T
-        weight = float(np.real(np.trace(out)))
+        weight = float(b.kraus.effect_diagonal() @ populations)
         if weight <= 1e-15:
             continue
-        fid = float(np.real(phi.amplitudes.conj() @ out @ phi.amplitudes) / weight)
+        v = b.kraus.diagonal.conj() * phi.amplitudes[list(b.kraus.permutation)]
+        fid = float(np.real(np.vdot(v, rho.matrix @ v)) / weight)
         if fid < worst:
             worst = fid
         if fid < 1.0 - 1e-9:

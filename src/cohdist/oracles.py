@@ -94,14 +94,10 @@ class SimulationResult:
 
 
 def branch_probabilities(plan: DistillationPlan, rho: DensityMatrix) -> np.ndarray:
-    """Analytic outcome probabilities tr(K rho K†) per success branch."""
-    probs = np.array([
-        max(0.0, float(np.real(np.trace(
-            b.kraus.matrix @ rho.matrix @ b.kraus.matrix.conj().T
-        ))))
-        for b in plan.branches
-    ])
-    return probs
+    """Analytic outcome probabilities tr(K rho K†) = tr(K†K rho) per success branch."""
+    populations = rho.diagonal()
+    return np.array([max(0.0, float(b.kraus.effect_diagonal() @ populations))
+                     for b in plan.branches])
 
 
 def simulate(
@@ -116,7 +112,7 @@ def simulate(
     if shots < 1:
         raise ValueError("shots must be positive")
     gap = plan.completeness_gap()
-    if not gap <= 1e-9:     # NaN when the Kraus entries overflow
+    if not gap <= 1e-9:     # inf when a Kraus entry overflows when squared
         raise IncompletePlanError(f"sum K†K exceeds identity by {gap:.3e}")
     probs = branch_probabilities(plan, rho)
     total = float(probs.sum())

@@ -67,9 +67,26 @@ class CoherenceSupportGraph:
         return cls(verts, {i: frozenset(js) for i, js in nbrs.items()})
 
     def maximal_cliques(self) -> list[tuple[int, ...]]:
-        """All inclusion-maximal cliques, sorted by size desc then indices."""
+        """All inclusion-maximal cliques, sorted by size desc then indices.
+
+        Unit coherence is transitive, so a component is normally a clique:
+        when every member's closed neighbourhood equals the first one's, that
+        neighbourhood is emitted whole.  Bron-Kerbosch runs only on the
+        remaining components, whose edges sit at the tolerance edge.
+        """
         found: list[tuple[int, ...]] = []
         adj = self.adjacency
+        done: set[int] = set()
+        rest: set[int] = set()
+        for v in self.vertices:
+            if v in done:
+                continue
+            nbhd = adj[v] | {v}
+            if all(adj[u] | {u} == nbhd for u in nbhd):
+                found.append(tuple(sorted(nbhd)))
+                done |= nbhd
+            else:
+                rest.add(v)
 
         def expand(clique: set, candidates: set, excluded: set):
             if not candidates and not excluded:
@@ -82,7 +99,8 @@ class CoherenceSupportGraph:
                 candidates = candidates - {v}
                 excluded = excluded | {v}
 
-        expand(set(), set(self.vertices), set())
+        if rest:
+            expand(set(), rest, set())
         found.sort(key=lambda c: (-len(c), c))
         return found
 

@@ -1,5 +1,6 @@
 import copy
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,12 @@ def test_protocol_roundtrip_and_simulate(files, capsys):
     code, out, _ = run(capsys, "protocol", files["rho"], files["phi"], plan_path)
     assert code == 0
     assert "branch outputs verified: true" in out
+    assert "completeness gap: " in out and "worst branch fidelity: " in out
+    code, out, _ = run(capsys, "protocol", files["rho"], files["phi"], plan_path, "--json")
+    doc = json.loads(out)
+    assert doc["outputs_verified"] and doc["branches"] == 1
+    assert -1.0 <= doc["completeness_gap"] <= 1e-9
+    assert doc["worst_fidelity"] == pytest.approx(1.0, abs=1e-9)
 
     stored = json.loads((files["tmp"] / "plan.json").read_text())
     reloaded = plan_from_doc(stored, "plan.json")
@@ -267,6 +274,21 @@ def test_plan_with_nan_kraus_entry_fails_validation(files, tmp_path, capsys):
         capsys, "simulate", write(tmp_path / "nan.json", doc), files["rho"], "--shots", "10"
     )
     assert code == 2
+
+
+def test_plan_with_overflowing_kraus_entry_fails_without_warning(files, tmp_path, capsys):
+    # finite, but its square overflows: the completeness gap is inf, not nan
+    plan_path = str(tmp_path / "plan.json")
+    run(capsys, "protocol", files["rho"], files["phi"], plan_path)
+    doc = json.loads((tmp_path / "plan.json").read_text())
+    doc["branches"][0]["kraus"][0][0] = [1e200, 0.0]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run(
+            capsys, "simulate", write(tmp_path / "big.json", doc), files["rho"], "--shots", "10"
+        )
+    assert code == 2 and "inf" in err
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_plan_and_state_dimensions_must_agree(files, tmp_path, capsys):

@@ -21,7 +21,8 @@ from cohdist import (
     validate_density,
     verify_branch_outputs,
 )
-from cohdist.distill import PlanBranch, _permutation_split
+from cohdist.distill import ENTRY_TOL, DistillationPlan, PlanBranch, _permutation_split
+from cohdist.oracles import branch_probabilities
 
 
 # ---------------------------------------------------------------- operators
@@ -421,3 +422,165 @@ def test_full_plan_branch_count_does_not_depend_on_level_placement():
         counts.add(len(plan.branches))
     assert len(counts) == 1
     assert counts.pop() <= 32
+
+
+# ------------------------------------------- monomial form against dense references
+
+def _reference_factors(mat):
+    """Column scan of a dense matrix, kept as the reference.
+
+    This is how the factors were read before the monomial form became the
+    only one stored: (permutation, diagonal, projector), or a raised
+    NotStrictlyIncoherentError.
+    """
+    d = mat.shape[0]
+    used_rows = set()
+    perm = [-1] * d
+    diag = np.zeros(d, dtype=complex)
+    proj = np.zeros(d)
+    for j in range(d):
+        rows = np.nonzero(np.abs(mat[:, j]) > ENTRY_TOL)[0]
+        if len(rows) > 1 or (len(rows) == 1 and int(rows[0]) in used_rows):
+            raise NotStrictlyIncoherentError(f"column {j}")
+        if len(rows) == 1:
+            i = int(rows[0])
+            used_rows.add(i)
+            perm[j], diag[j], proj[j] = i, mat[i, j], 1.0
+    free_rows = iter(sorted(set(range(d)) - used_rows))
+    perm = [p if p >= 0 else next(free_rows) for p in perm]
+    return tuple(perm), diag, proj
+
+
+def _reference_gap(plan):
+    """Largest eigenvalue of the dense sum of K†K, minus 1."""
+    total = np.zeros((plan.dim, plan.dim), dtype=complex)
+    for b in plan.branches:
+        total += b.kraus.matrix.conj().T @ b.kraus.matrix
+    return float(np.linalg.eigvalsh(total).max() - 1.0)
+
+
+def _reference_outputs(plan, rho, phi):
+    """Dense K rho K† per branch: (weight, fidelity with phi) pairs."""
+    out = []
+    for b in plan.branches:
+        k = b.kraus.matrix
+        state = k @ rho.matrix @ k.conj().T
+        weight = float(np.real(np.trace(state)))
+        out.append((weight, float(np.real(phi.amplitudes.conj() @ state @ phi.amplitudes))))
+    return out
+
+
+def _random_monomial(rng, d):
+    """Dense monomial matrix with zero columns and entries at ENTRY_TOL.
+
+    An entry of modulus exactly ENTRY_TOL counts as zero, even where it
+    shares a row or a column with a real entry; one of twice that size
+    stays.
+    """
+    mat = np.zeros((d, d), dtype=complex)
+    rows = rng.permutation(d)
+    for j in range(d):
+        u = rng.random()
+        if u < 0.2:
+            continue
+        if u < 0.3:
+            mat[rows[j], j] = ENTRY_TOL * rng.choice([1, -1, 1j, -1j])
+        elif u < 0.35:
+            mat[rows[j], j] = 2 * ENTRY_TOL
+        else:
+            mat[rows[j], j] = rng.normal() + 1j * rng.normal()
+    if d > 1 and rng.random() < 0.5:
+        i, j = rng.choice(d, 2, replace=False)
+        mat[rows[j], rows[i]] += ENTRY_TOL * 1j
+    return mat
+
+
+def _entries(mat, rng):
+    rows, cols = np.nonzero(mat)
+    order = rng.permutation(rows.size)
+    return [(int(rows[t]), int(cols[t]), mat[rows[t], cols[t]]) for t in order]
+
+
+def test_kraus_forms_match_the_column_scan():
+    rng = np.random.default_rng(5150)
+    for _ in range(300):
+        d = int(rng.integers(1, 13))
+        mat = _random_monomial(rng, d)
+        perm, diag, proj = _reference_factors(mat)
+        kept = np.where(np.abs(mat) > ENTRY_TOL, mat, 0.0)
+        for k in (
+            StrictlyIncoherentKraus.from_matrix(mat),
+            StrictlyIncoherentKraus.from_entries(d, _entries(mat, rng)),
+        ):
+            assert k.permutation == perm
+            assert np.array_equal(k.diagonal, diag)
+            assert np.array_equal(k.projector, proj)
+            assert np.array_equal(k.matrix, kept)
+            assert np.array_equal(k.reconstruct(), kept)
+            amps = rng.normal(size=d) + 1j * rng.normal(size=d)
+            assert np.allclose(k.apply(amps), kept @ amps, rtol=0, atol=1e-12)
+
+
+def test_kraus_forms_reject_a_repeated_row_or_column():
+    rng = np.random.default_rng(5151)
+    for _ in range(200):
+        d = int(rng.integers(2, 13))
+        mat = _random_monomial(rng, d)
+        i, j = np.nonzero(np.abs(mat) > ENTRY_TOL)
+        if not i.size:
+            continue
+        t = int(rng.integers(i.size))
+        other = int(rng.integers(1, d))
+        if rng.random() < 0.5:
+            mat[i[t], (j[t] + other) % d] = 0.5     # second entry in row i[t]
+        else:
+            mat[(i[t] + other) % d, j[t]] = 0.5     # second entry in column j[t]
+        with pytest.raises(NotStrictlyIncoherentError):
+            _reference_factors(mat)
+        with pytest.raises(NotStrictlyIncoherentError):
+            StrictlyIncoherentKraus.from_matrix(mat)
+        with pytest.raises(NotStrictlyIncoherentError):
+            StrictlyIncoherentKraus.from_entries(d, _entries(mat, rng))
+
+
+def test_from_entries_rejects_a_repeated_position():
+    with pytest.raises(NotStrictlyIncoherentError):
+        StrictlyIncoherentKraus.from_entries(2, [(0, 1, 0.5), (0, 1, 0.25)])
+
+
+def _random_plans(rng):
+    """Plans from full_plan on random inputs, and plans of random monomials."""
+    for _ in range(40):
+        d = int(rng.integers(2, 8))
+        rho = random_mixture_state(rng, d) if rng.random() < 0.5 else random_block_state(rng, d)[0]
+        phi = random_pure_state(rng, d, support=sorted(
+            rng.choice(d, size=int(rng.integers(2, d + 1)), replace=False).tolist()
+        ))
+        yield full_plan(rho, phi), rho, phi
+        branches = tuple(
+            PlanBranch(f"r{a}", StrictlyIncoherentKraus.from_matrix(
+                _random_monomial(rng, d) * rng.uniform(0.1, 1.0)
+            ), 0.0)
+            for a in range(int(rng.integers(1, 5)))
+        )
+        yield DistillationPlan(d, 0.0, branches, ()), rho, phi
+
+
+def test_monomial_checks_match_dense_products():
+    rng = np.random.default_rng(5152)
+    for plan, rho, phi in _random_plans(rng):
+        assert plan.completeness_gap() == pytest.approx(_reference_gap(plan), abs=1e-12)
+        dense = _reference_outputs(plan, rho, phi)
+        probs = branch_probabilities(plan, rho)
+        assert np.allclose(probs, [max(0.0, w) for w, _ in dense], rtol=0, atol=1e-12)
+        # the dense replay: the first branch below 1 - 1e-9 fails the check
+        worst, failed = 1.0, None
+        for b, (weight, overlap) in zip(plan.branches, dense):
+            if weight > 1e-15:
+                worst = min(worst, overlap / weight)
+                if overlap / weight < 1.0 - 1e-9:
+                    failed = b.branch_id
+                    break
+        check = verify_branch_outputs(plan, rho, phi)
+        assert (bool(check), check.failed_branch_id) == (failed is None, failed)
+        assert check.worst_fidelity == pytest.approx(worst, abs=1e-12)

@@ -3,6 +3,7 @@ import pytest
 
 from cohdist import (
     CoherenceSupportGraph,
+    DensityMatrix,
     PureStateVector,
     a_matrix,
     brute_subspaces,
@@ -11,6 +12,7 @@ from cohdist import (
     optimize_disjoint_selection,
     random_block_state,
     random_mixture_state,
+    random_pure_state,
     select_disjoint_family,
     validate_density,
 )
@@ -78,6 +80,51 @@ def test_maximal_cliques_triangle_plus_isolated():
 def test_maximal_cliques_path_graph():
     g = _graph(3, [(0, 1), (1, 2)])
     assert g.maximal_cliques() == [(0, 1), (1, 2)]
+
+
+def _reference_cliques(graph):
+    """Bron-Kerbosch over the whole graph, kept as the reference.
+
+    This is how cliques were found before clique components were emitted
+    without search.
+    """
+    found = []
+    adj = graph.adjacency
+
+    def expand(clique, candidates, excluded):
+        if not candidates and not excluded:
+            found.append(tuple(sorted(clique)))
+            return
+        pivot = max(candidates | excluded, key=lambda u: len(candidates & adj[u]))
+        for v in sorted(candidates - adj[pivot]):
+            expand(clique | {v}, candidates & adj[v], excluded & adj[v])
+            candidates = candidates - {v}
+            excluded = excluded | {v}
+
+    expand(set(), set(graph.vertices), set())
+    return sorted(found, key=lambda c: (-len(c), c))
+
+
+def test_maximal_cliques_match_bron_kerbosch():
+    # disjoint cliques (the exact-arithmetic case) plus random sparse edges,
+    # which join some of them into components that are not cliques
+    rng = np.random.default_rng(1100)
+    for _ in range(300):
+        n = int(rng.integers(1, 16))
+        labels = rng.integers(0, max(1, n // 2), size=n)
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if labels[i] == labels[j]]
+        if n > 1:
+            edges += [tuple(rng.choice(n, 2, replace=False)) for _ in range(rng.integers(0, 3))]
+        g = _graph(n, edges)
+        assert g.maximal_cliques() == _reference_cliques(g)
+
+
+def test_large_pure_state_is_one_subspace_without_recursion():
+    # Bron-Kerbosch recursed once per vertex here and raised RecursionError
+    rho = DensityMatrix.from_pure(random_pure_state(np.random.default_rng(1), 1100))
+    subs = maximal_pure_subspaces(rho)
+    assert len(subs) == 1
+    assert subs[0].indices == tuple(range(1100))
 
 
 def test_subspace_enumeration_on_block_state(block_mixture):
