@@ -10,13 +10,16 @@ probability is exact (strict-inequality test on the smallest padded
 entries).  The gate for reaching probability 1 compares power means and
 entropies on a sampled exponent grid with local refinement, so it is not
 exact: a sign change between grid points goes unseen.  The search
-enumerates catalyst profiles on a simplex grid and evaluates each candidate
-through the same subspace machinery used for plain distillation.
+enumerates catalyst profiles on a simplex grid of at most ``GRID_CEILING``
+points and scores all candidates of one catalyst dimension in one array
+pass over rho's subspace profiles; the values equal a candidate-by-candidate
+evaluation through the plain distillation formulas bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +31,8 @@ from .measures import (
     power_mean,
     shannon_entropy,
     sorted_descending,
-    tensor,
 )
-from .states import DensityMatrix, PureStateVector, SUPPORT_TOL
+from .states import DensityMatrix, PureStateVector, SUPPORT_TOL, as_distribution
 from .subspaces import (
     maximal_pure_subspaces,
     optimize_disjoint_selection,
@@ -39,6 +41,9 @@ from .subspaces import (
 
 STRICT_TOL = 1e-12       # margin above which a strict inequality counts
 UNIT_TOL = 1e-9          # closeness to probability 1 / weight 1
+GRID_CEILING = 1_000_000         # most catalyst candidates one search scans
+ALPHA_POINTS_CEILING = 1000      # most exponents per segment of the probability-1 gate
+ROW_CHUNK_ELEMENTS = 1 << 17     # most entries in one array of the candidate scoring
 
 
 # ===========================================================================
@@ -191,10 +196,15 @@ def default_alpha_grid(points_per_segment: int = 20) -> tuple[tuple[float, ...],
     """Sampled exponents: (below-one family incl. 0 and -inf, above-one incl. +inf).
 
     Each finite segment [-40, -0.01], [0.01, 0.99], [1.01, 40] carries
-    ``points_per_segment`` log-spaced points.
+    ``points_per_segment`` log-spaced points, from 2 to
+    ``ALPHA_POINTS_CEILING``.
     """
     if points_per_segment < 2:
         raise ValidationError("need at least 2 grid points per segment")
+    if points_per_segment > ALPHA_POINTS_CEILING:
+        raise ValidationError(
+            f"at most {ALPHA_POINTS_CEILING} grid points per segment, got {points_per_segment}"
+        )
     neg = -np.logspace(math.log10(0.01), math.log10(40.0), points_per_segment)
     low = np.logspace(math.log10(0.01), math.log10(0.99), points_per_segment)
     high = np.logspace(math.log10(1.01), math.log10(40.0), points_per_segment)
@@ -310,22 +320,71 @@ def deterministic_gate(
 # catalyzed probability and grid search
 # ===========================================================================
 
-def _achieved_with_catalyst(entries, target_profile, catalyst) -> float:
-    """P(rho (x) c -> phi (x) c) from precomputed subspace profiles.
+def _tail_sums(profile: np.ndarray, cat: np.ndarray, width: int) -> np.ndarray:
+    """Tail sums of every row of profile (x) c, zero-padded to ``width``.
+
+    Column j holds the sum of the j + 1 smallest entries, so the row read
+    backwards is :func:`suffix_profile` of that product; ``np.cumsum`` adds
+    in sequence, so the sums are the same bit for bit.
+    """
+    n_rows, k = cat.shape
+    out = np.zeros((n_rows, width))
+    out[:, : profile.size * k] = (profile[None, :, None] * cat[:, None, :]).reshape(n_rows, -1)
+    out.sort(axis=1)
+    np.cumsum(out, axis=1, out=out)
+    out[out < 0.0] = 0.0
+    return out
+
+
+def _min_ratios(src_tails: np.ndarray, tgt_tails: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`min_profile_ratio` on aligned tail sums."""
+    live = tgt_tails > SUPPORT_TOL
+    ratios = np.divide(src_tails, tgt_tails, out=np.full(src_tails.shape, np.inf), where=live)
+    best = np.minimum(ratios.min(axis=1), 1.0)
+    best[np.any(live & (src_tails <= SUPPORT_TOL), axis=1)] = 0.0
+    return np.clip(best, 0.0, 1.0)
+
+
+def _catalyzed_values(entries, target_profile, catalysts: np.ndarray) -> np.ndarray:
+    """P(rho (x) c -> phi (x) c) for every catalyst row c of ``catalysts``.
 
     The maximal pure subspaces of rho (x) |c><c| are exactly the products
     of rho's subspaces with the catalyst block (the catalyst is pure with
-    full support), so the product instance reuses rho's clique structure
-    with tensored profiles.
+    full support), so the product instance keeps rho's clique structure
+    and weights, and only the profiles become p (x) c.  Each subspace is
+    scored for all rows at once, in chunks of at most
+    ``ROW_CHUNK_ELEMENTS`` array entries, with the depth rules of
+    :func:`min_profile_ratio`.  Disjoint subspaces add their scores in
+    index-set order, the order :func:`optimize_disjoint_selection` adds
+    in; subspaces sharing a level (the tolerance edge) go through that
+    selection row by row.
     """
-    cat = np.asarray(catalyst, dtype=float)
-    tgt = tensor(target_profile, cat)
-    scored = [
-        (idx, w, w * min_profile_ratio(tensor(np.array(prof), cat), tgt))
-        for idx, w, prof in entries
-    ]
-    _, _, value = optimize_disjoint_selection(scored)
-    return value
+    tgt = as_distribution(target_profile)
+    entries = sorted((idx, w, as_distribution(prof)) for idx, w, prof in entries)
+    uses = Counter(j for idx, _, _ in entries for j in idx)
+    disjoint = max(uses.values()) == 1
+    k = catalysts.shape[1]
+    widths = [max(prof.size, tgt.size) * k for _, _, prof in entries]
+    rows_per_chunk = max(1, ROW_CHUNK_ELEMENTS // max(widths))
+    out = np.empty(len(catalysts))
+    for start in range(0, len(catalysts), rows_per_chunk):
+        cat = catalysts[start:start + rows_per_chunk]
+        tgt_tails: dict[int, np.ndarray] = {}
+        scores = []
+        for (_, w, prof), width in zip(entries, widths):
+            if width not in tgt_tails:
+                tgt_tails[width] = _tail_sums(tgt, cat, width)
+            scores.append(w * _min_ratios(_tail_sums(prof, cat, width), tgt_tails[width]))
+        if disjoint:
+            total = np.zeros(len(cat))
+            for score in scores:
+                total += score
+            out[start:start + len(cat)] = total
+        else:
+            for row, values in enumerate(np.column_stack(scores).tolist()):
+                scored = [(idx, w, v) for (idx, w, _), v in zip(entries, values)]
+                out[start + row] = optimize_disjoint_selection(scored)[2]
+    return out
 
 
 def catalyzed_pmax(rho: DensityMatrix, phi: PureStateVector, catalyst) -> float:
@@ -336,39 +395,92 @@ def catalyzed_pmax(rho: DensityMatrix, phi: PureStateVector, catalyst) -> float:
     """
     tgt = _target_profile(phi)
     entries = _subspace_entries(rho)
-    return _achieved_with_catalyst(entries, tgt, np.asarray(catalyst, dtype=float))
+    cat = as_distribution(catalyst)
+    return float(_catalyzed_values(entries, tgt, cat[None, :])[0])
 
 
-def _partitions(n: int, k: int, cap: int):
-    """Descending positive integer partitions of n into exactly k parts."""
-    if k == 1:
-        if 1 <= n <= cap:
-            yield (n,)
-        return
-    lo = (n + k - 1) // k
-    for first in range(min(cap, n - (k - 1)), lo - 1, -1):
-        for rest in _partitions(n - first, k - 1, first):
-            yield (first,) + rest
+def _partitions(n: int, k: int) -> np.ndarray:
+    """Descending positive integer partitions of n into k parts, one per row.
+
+    Built from the last part forwards: a part placed with ``left`` parts
+    still to come (itself included) is at least the part after it and
+    leaves room for ``left`` parts of its size.  Rows come back in
+    ascending lexicographic order.
+    """
+    parts = np.arange(1, n // k + 1)[:, None]
+    total = parts[:, 0].copy()
+    for left in range(k - 1, 0, -1):
+        if left == 1:                   # the first part takes what is left
+            lo = hi = n - total
+        else:
+            lo, hi = parts[:, 0], (n - total) // left
+        counts = hi - lo + 1
+        rows = np.repeat(np.arange(len(parts)), counts)
+        offsets = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        first = lo[rows] + offsets
+        parts = np.column_stack([first, parts[rows]])
+        total = total[rows] + first
+    return parts[np.lexsort(parts.T[::-1])]
+
+
+def _grid_size(n: int, max_parts: int) -> int:
+    """Partitions of n into 2..max_parts parts, counted until past GRID_CEILING.
+
+    Row k of the table holds p(m, k) for m = 0..n, the partitions of m into
+    exactly k parts, from p(m, k) = p(m - 1, k - 1) + p(m - k, k): a
+    cumulative sum over each residue class mod k.  p(m, k) grows with m,
+    so no entry exceeds n * GRID_CEILING.
+    """
+    row = np.ones(n + 1, dtype=np.int64)
+    row[0] = 0
+    total = 0
+    for k in range(2, max_parts + 1):
+        shifted = np.zeros_like(row)
+        shifted[1:] = row[:-1]
+        row = np.empty_like(shifted)
+        for r in range(k):
+            row[r::k] = np.cumsum(shifted[r::k])
+        total += int(row[n])
+        if total > GRID_CEILING:
+            break
+    return total
+
+
+def _catalyst_grids(max_dim: int, grid_step: float) -> list[np.ndarray]:
+    """Grid profiles as one N x k array per catalyst dimension k = 2..max_dim.
+
+    Dimensions above 1 / grid_step have no positive grid profile and are
+    skipped; a grid of more than ``GRID_CEILING`` profiles is refused
+    before anything is enumerated.
+    """
+    if max_dim < 2:
+        raise ValidationError("max_dim must be at least 2")
+    if not 0.0 < grid_step <= 0.5:
+        raise ValidationError("grid_step must lie in (0, 0.5]")
+    if grid_step * (2 * GRID_CEILING + 2) < 1.0:
+        raise ValidationError(
+            f"grid_step {grid_step!r} gives more than {GRID_CEILING} candidates"
+        )
+    n = round(1.0 / grid_step)
+    if abs(n * grid_step - 1.0) > 1e-9:
+        raise ValidationError("grid_step must divide 1")
+    max_parts = min(max_dim, n)
+    if _grid_size(n, max_parts) > GRID_CEILING:
+        raise ValidationError(
+            f"max_dim {max_dim} at grid_step {grid_step!r} gives more than"
+            f" {GRID_CEILING} candidates"
+        )
+    return [_partitions(n, k) / n for k in range(2, max_parts + 1)]
 
 
 def catalyst_candidates(max_dim: int, grid_step: float) -> list[tuple[float, ...]]:
     """All sorted-descending positive grid profiles, k = 2..max_dim.
 
     Scan order is dimension-major, then ascending lexicographic, which
-    fixes the meaning of "first hit" in deterministic searches.
+    fixes the meaning of "first hit" in deterministic searches.  A grid of
+    more than ``GRID_CEILING`` profiles raises ValidationError.
     """
-    if max_dim < 2:
-        raise ValidationError("max_dim must be at least 2")
-    if not 0.0 < grid_step <= 0.5:
-        raise ValidationError("grid_step must lie in (0, 0.5]")
-    n = round(1.0 / grid_step)
-    if abs(n * grid_step - 1.0) > 1e-9:
-        raise ValidationError("grid_step must divide 1")
-    out: list[tuple[float, ...]] = []
-    for k in range(2, max_dim + 1):
-        level = sorted(_partitions(n, k, n))
-        out.extend(tuple(part / n for part in parts) for parts in level)
-    return out
+    return [tuple(row) for grid in _catalyst_grids(max_dim, grid_step) for row in grid.tolist()]
 
 
 def search_catalyst(
@@ -386,19 +498,21 @@ def search_catalyst(
     lexicographically smallest profile.  In "deterministic" mode the first
     candidate (scan order of :func:`catalyst_candidates`) reaching
     probability 1 within 1e-9 is returned; starting from baseline 1 is a
-    precondition violation.  ``workers`` is accepted for compatibility and
+    precondition violation.  All candidates of one dimension are scored
+    in one array pass.  ``workers`` is accepted for compatibility and
     ignored: candidates are evaluated in this process.
     """
     if mode not in ("probabilistic", "deterministic"):
         raise ValidationError(f"unknown mode {mode!r}")
     tgt = _target_profile(phi)
     entries = _subspace_entries(rho)
-    baseline = _achieved_with_catalyst(entries, tgt, (1.0,))
+    baseline = float(_catalyzed_values(entries, tgt, np.ones((1, 1)))[0])
     if mode == "deterministic" and baseline >= 1.0 - UNIT_TOL:
         raise PreconditionError("baseline probability is already 1")
 
-    candidates = catalyst_candidates(max_dim, grid_step)
-    achieved = [_achieved_with_catalyst(entries, tgt, c) for c in candidates]
+    grids = _catalyst_grids(max_dim, grid_step)
+    candidates = [tuple(row) for grid in grids for row in grid.tolist()]
+    achieved = [v for grid in grids for v in _catalyzed_values(entries, tgt, grid).tolist()]
 
     if mode == "deterministic":
         for c, v in zip(candidates, achieved):

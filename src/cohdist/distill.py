@@ -372,24 +372,29 @@ def optimal_protocol(
     else:
         mixture = _permutation_split(x, p)
 
-    branches: list[tuple[StrictlyIncoherentKraus, float]] = []
-    amps_s = psi.amplitudes
+    # branch a sends source level src[t] through slot sigma_a[t] to target
+    # level tgt[sigma_a[t]]; slots past the target rank or with x = 0 carry nothing
+    weights = np.array([w for w, _ in mixture])
+    sigmas = np.array([sigma for _, sigma in mixture], dtype=np.intp)
+    branch, t = np.nonzero((sigmas < m) & (x[sigmas] > 0.0))
+    slot = sigmas[branch, t]
+    src_idx, tgt_idx = np.array(src), np.array(tgt)
     sqrt_x = np.sqrt(x)
-    for w, sigma in mixture:
-        entries = []
-        for t in range(n):
-            slot = sigma[t]
-            if slot >= m or x[slot] <= 0.0:
-                continue
-            coeff = (
-                np.sqrt(w)
-                * (sqrt_x[slot] / amps_s[src[t]])
-                * (scale * amps_t[tgt[slot]] / sqrt_x[slot])
-            )
-            entries.append((tgt[slot], src[t], coeff))
-        if not entries:
+    coeffs = (
+        np.sqrt(weights[branch])
+        * (sqrt_x[slot] / psi.amplitudes[src_idx[t]])
+        * (scale * amps_t[tgt_idx[slot]] / sqrt_x[slot])
+    )
+    # np.nonzero lists the entries branch by branch, so cut them at the branch ends
+    counts = np.bincount(branch, minlength=len(mixture))
+    branches: list[tuple[StrictlyIncoherentKraus, float]] = []
+    for w, count, end in zip(weights.tolist(), counts.tolist(), np.cumsum(counts).tolist()):
+        if not count:
             continue
-        kraus = StrictlyIncoherentKraus.from_entries(psi.dim, entries)
+        part = slice(end - count, end)
+        kraus = StrictlyIncoherentKraus._from_triples(
+            psi.dim, tgt_idx[slot[part]], src_idx[t[part]], coeffs[part]
+        )
         branches.append((kraus, w * scale * scale))
 
     total = sum(b for _, b in branches)

@@ -59,12 +59,11 @@ class CoherenceSupportGraph:
     def from_state(cls, rho: DensityMatrix) -> "CoherenceSupportGraph":
         verts = positive_diagonal_indices(rho)
         # unpopulated rows and columns of the A-matrix are 0, so never edges
-        rows, cols = np.nonzero(np.abs(a_matrix(rho) - 1.0) <= A_ONE_TOL)
-        nbrs: dict[int, list[int]] = {i: [] for i in verts}
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            if i != j:
-                nbrs[i].append(j)
-        return cls(verts, {i: frozenset(js) for i, js in nbrs.items()})
+        unit = np.abs(a_matrix(rho) - 1.0) <= A_ONE_TOL
+        np.fill_diagonal(unit, False)
+        # np.nonzero lists the columns row by row, so cut them at the row ends
+        cols = np.split(np.nonzero(unit)[1], np.cumsum(unit.sum(axis=1))[:-1])
+        return cls(verts, {i: frozenset(cols[i].tolist()) for i in verts})
 
     def maximal_cliques(self) -> list[tuple[int, ...]]:
         """All inclusion-maximal cliques, sorted by size desc then indices.

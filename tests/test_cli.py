@@ -1,5 +1,6 @@
 import copy
 import json
+import time
 import warnings
 
 import numpy as np
@@ -146,6 +147,37 @@ def test_catalyst_search_command(files, tmp_path, capsys):
     doc = json.loads(out)
     assert doc["found"] and doc["catalyst"] == [0.6, 0.4]
     assert doc["achieved"] == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        ["--max-dim", "3", "--step", "1e-5"],          # about 8e8 profiles
+        ["--max-dim", "40", "--step", "0.01"],
+        ["--step", "5e-324"],
+    ],
+)
+def test_catalyst_search_refuses_an_oversized_grid_promptly(files, capsys, grid):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "catalyst", "search", files["rho"], files["phi"], *grid)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and "candidates" in err
+
+
+def test_catalyst_search_clamps_the_dimension_at_the_grid(files, capsys):
+    # no positive profile on a step-0.5 grid has more than two entries
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "catalyst", "search", files["rho"], files["phi"],
+                       "--max-dim", "1000000000", "--step", "0.5", "--json")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert json.loads(out)["candidates_evaluated"] == 1
+
+
+def test_catalyst_gate_refuses_too_many_alpha_points(files, capsys):
+    code, _, err = run(capsys, "catalyst", "gate", files["rho"], files["phi"],
+                       "--alpha-points", str(10**12))
+    assert code == 2 and "grid points" in err
 
 
 def test_majorize_command(files, capsys):
@@ -371,6 +403,7 @@ _COMMANDS = [
     ["simulate", "P", "S", "--shots", "N", "--seed", "N"],
     ["catalyst", "gate", "S", "T", "--alpha-points", "4"],
     ["catalyst", "search", "S", "T", "--max-dim", "2", "--step", "0.25"],
+    ["catalyst", "search", "S", "T", "--max-dim", "N", "--step", "0.25"],
     ["majorize", "S", "T"],
 ]
 

@@ -21,7 +21,14 @@ from cohdist import (
     validate_density,
     verify_branch_outputs,
 )
-from cohdist.distill import ENTRY_TOL, DistillationPlan, PlanBranch, _permutation_split
+from cohdist.distill import (
+    ENTRY_TOL,
+    DistillationPlan,
+    PlanBranch,
+    _intermediate_profile,
+    _permutation_split,
+)
+from cohdist.measures import min_profile_ratio
 from cohdist.oracles import branch_probabilities
 
 
@@ -584,3 +591,73 @@ def test_monomial_checks_match_dense_products():
         check = verify_branch_outputs(plan, rho, phi)
         assert (bool(check), check.failed_branch_id) == (failed is None, failed)
         assert check.worst_fidelity == pytest.approx(worst, abs=1e-12)
+
+
+# ------------------------------------------- protocol entries against the slot loop
+
+def _reference_branch_entries(psi, phi):
+    """optimal_protocol's branches built slot by slot, as (weight, entries)."""
+    src, tgt = psi.sorted_support(), phi.sorted_support()
+    n, m = len(src), len(tgt)
+    p = psi.probabilities()[list(src)]
+    q = np.zeros(n)
+    q[:m] = phi.probabilities()[list(tgt)]
+    x = _intermediate_profile(p, q, min_profile_ratio(p, q))
+    scale = float(np.sqrt(np.min(x[:m] / q[:m])))
+    if np.abs(x - p).max() <= 1e-13:
+        mixture = [(1.0, tuple(range(n)))]
+    else:
+        mixture = _permutation_split(x, p)
+    amps_s, amps_t, sqrt_x = psi.amplitudes, phi.amplitudes, np.sqrt(x)
+    out = []
+    for w, sigma in mixture:
+        entries = []
+        for t in range(n):
+            slot = sigma[t]
+            if slot >= m or x[slot] <= 0.0:
+                continue
+            coeff = (
+                np.sqrt(w)
+                * (sqrt_x[slot] / amps_s[src[t]])
+                * (scale * amps_t[tgt[slot]] / sqrt_x[slot])
+            )
+            entries.append((tgt[slot], src[t], coeff))
+        if entries:
+            out.append((w * scale * scale, entries))
+    return out
+
+
+def _protocol_pairs():
+    rng = np.random.default_rng(20260814)
+    for _ in range(60):
+        dim = int(rng.integers(2, 7))
+        m = int(rng.integers(2, dim + 1))
+        psi = random_pure_state(rng, dim)
+        support = sorted(rng.choice(dim, size=m, replace=False).tolist())
+        yield psi, random_pure_state(rng, dim, support=support)
+    for n in (3, 8, 17, 40):
+        x, p = _majorized_pair(rng, n)
+        q = x[x > 0]
+        if q.size >= 2:
+            amps = np.sqrt(p) * np.exp(2j * np.pi * rng.random(n))
+            yield PureStateVector(amps[rng.permutation(n)]), PureStateVector(np.sqrt(q))
+    for dim in (32, 64):
+        levels = np.random.default_rng(dim).permutation(dim)
+        rho, phi, _ = _rank4_plan(_shaped_profile(dim), levels, rng.random(dim), [0, 1, 2, 3])
+        vals, vecs = np.linalg.eigh(rho.matrix)
+        yield PureStateVector(vecs[:, -1]), phi
+
+
+def test_protocol_entries_match_the_slot_loop():
+    for psi, phi in _protocol_pairs():
+        branches = optimal_protocol(psi, phi)
+        reference = _reference_branch_entries(psi, phi)
+        assert len(branches) == len(reference)
+        for (kraus, prob), (want_prob, entries) in zip(branches, reference):
+            want = StrictlyIncoherentKraus.from_entries(psi.dim, entries)
+            assert prob == want_prob
+            assert kraus.permutation == want.permutation
+            scale = np.abs(want.diagonal).max()
+            assert np.abs(kraus.diagonal - want.diagonal).max() <= 1e-15 * scale
+            out, want_out = kraus.apply(psi.amplitudes), want.apply(psi.amplitudes)
+            assert np.abs(out - want_out).max() <= 1e-15 * np.abs(want_out).max()
