@@ -58,6 +58,7 @@ from .measures import (
     majorizes,
     min_profile_ratio,
     power_mean,
+    power_means,
     shannon_entropy,
     sorted_descending,
     suffix_profile,
@@ -109,6 +110,7 @@ __all__ = [
     "majorizes",
     "tensor",
     "power_mean",
+    "power_means",
     "shannon_entropy",
     # subspaces
     "a_matrix",

@@ -9,7 +9,10 @@ Two gates are provided.  The enhancement gate for raising the optimal
 probability is exact (strict-inequality test on the smallest padded
 entries).  The gate for reaching probability 1 compares power means and
 entropies on a sampled exponent grid with local refinement, so it is not
-exact: a sign change between grid points goes unseen.  The search
+exact: a sign change between grid points goes unseen.  Its power means
+come from array passes, one over the whole grid per family member and
+one per refinement step for both sides, with the same values, bit for
+bit, as evaluating one order at a time.  The search
 enumerates catalyst profiles on a simplex grid of at most ``GRID_CEILING``
 points and scores all candidates of one catalyst dimension in one array
 pass over rho's subspace profiles; the values equal a candidate-by-candidate
@@ -19,6 +22,7 @@ evaluation through the plain distillation formulas bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 
@@ -28,7 +32,7 @@ from .errors import IncoherentTargetError, PreconditionError, ValidationError
 from .measures import (
     coherence_rank,
     min_profile_ratio,
-    power_mean,
+    power_means,
     shannon_entropy,
     sorted_descending,
 )
@@ -196,9 +200,13 @@ def default_alpha_grid(points_per_segment: int = 20) -> tuple[tuple[float, ...],
     """Sampled exponents: (below-one family incl. 0 and -inf, above-one incl. +inf).
 
     Each finite segment [-40, -0.01], [0.01, 0.99], [1.01, 40] carries
-    ``points_per_segment`` log-spaced points, from 2 to
+    ``points_per_segment`` log-spaced points, an integer from 2 to
     ``ALPHA_POINTS_CEILING``.
     """
+    if not isinstance(points_per_segment, numbers.Integral):
+        raise ValidationError(
+            f"grid points per segment must be an integer, got {points_per_segment!r}"
+        )
     if points_per_segment < 2:
         raise ValidationError("need at least 2 grid points per segment")
     if points_per_segment > ALPHA_POINTS_CEILING:
@@ -213,28 +221,42 @@ def default_alpha_grid(points_per_segment: int = 20) -> tuple[tuple[float, ...],
     return below, above
 
 
-def _refine_minimum(f, alphas: list[float], values: list[float]) -> tuple[float, float]:
-    """Tighten the sampled minimum by repeated halving between neighbors.
+def _refine_minima(pair: np.ndarray, below, below_vals, above, above_vals):
+    """Tighten both sampled margin minima by repeated halving between neighbors.
 
-    Only finite exponents are refined; the margin function is evaluated as
-    given, so the returned value never exceeds the sampled minimum.
+    ``pair`` stacks the source row p over the target row q; the below-one
+    margin is A(p) - A(q) and the above-one margin A(q) - A(p).  Only
+    finite exponents are refined, each side for at most 40 halvings and
+    until its bracket is narrower than 1e-6, so a returned value never
+    exceeds the sampled minimum.  Each step evaluates the probes of both
+    sides still refining in one :func:`power_means` call.
     """
-    k = int(np.argmin(values))
-    best_a, best_v = alphas[k], values[k]
-    if not math.isfinite(best_a):
-        return best_a, best_v
-    lo = alphas[k - 1] if k > 0 and math.isfinite(alphas[k - 1]) else best_a
-    hi = alphas[k + 1] if k + 1 < len(alphas) and math.isfinite(alphas[k + 1]) else best_a
+    brackets = []               # [lo, best exponent, hi, best value] per side
+    for alphas, values in ((below, below_vals), (above, above_vals)):
+        k = int(np.argmin(values))
+        best_a = alphas[k]
+        lo = alphas[k - 1] if k > 0 and math.isfinite(alphas[k - 1]) else best_a
+        hi = alphas[k + 1] if k + 1 < len(alphas) and math.isfinite(alphas[k + 1]) else best_a
+        brackets.append([lo, best_a, hi, values[k]])
+    active = [side for side in (0, 1) if math.isfinite(brackets[side][1])]
     for _ in range(40):
-        for probe in ((lo + best_a) / 2.0, (best_a + hi) / 2.0):
-            v = f(probe)
-            if v < best_v:
-                best_v, best_a = v, probe
-        lo = (lo + best_a) / 2.0
-        hi = (best_a + hi) / 2.0
-        if hi - lo < 1e-6:
+        if not active:
             break
-    return best_a, best_v
+        # both probes of a side come from its best exponent before the step
+        probes = []
+        for side in active:
+            lo, best_a, hi, _ = brackets[side]
+            probes += [(lo + best_a) / 2.0, (best_a + hi) / 2.0]
+        means = power_means(pair, probes)
+        margins = ((means[0] - means[1]).tolist(), (means[1] - means[0]).tolist())
+        for j, side in enumerate(active):
+            lo, best_a, hi, best_v = brackets[side]
+            for probe, v in zip(probes[2 * j:2 * j + 2], margins[side][2 * j:2 * j + 2]):
+                if v < best_v:
+                    best_v, best_a = v, probe
+            brackets[side] = [(lo + best_a) / 2.0, best_a, (best_a + hi) / 2.0, best_v]
+        active = [side for side in active if brackets[side][2] - brackets[side][0] >= 1e-6]
+    return [(best_a, best_v) for _, best_a, _, best_v in brackets]
 
 
 def deterministic_gate(
@@ -279,16 +301,11 @@ def deterministic_gate(
         p, q = _padded_profiles(profile, tgt)
         zero_entry = bool(p.min() <= SUPPORT_TOL)
 
-        def below_margin(a: float) -> float:
-            return power_mean(p, a) - power_mean(q, a)
-
-        def above_margin(a: float) -> float:
-            return power_mean(q, a) - power_mean(p, a)
-
-        below_vals = [below_margin(a) for a in below]
-        above_vals = [above_margin(a) for a in above]
-        a_lo, m_lo = _refine_minimum(below_margin, list(below), below_vals)
-        a_hi, m_hi = _refine_minimum(above_margin, list(above), above_vals)
+        pair = np.stack([p, q])
+        means = power_means(pair, below + above)
+        below_vals = (means[0, :len(below)] - means[1, :len(below)]).tolist()
+        above_vals = (means[1, len(below):] - means[0, len(below):]).tolist()
+        (a_lo, m_lo), (a_hi, m_hi) = _refine_minima(pair, below, below_vals, above, above_vals)
         s_margin = shannon_entropy(p) - shannon_entropy(q)
         passes = m_lo > 0.0 and m_hi > 0.0 and s_margin > 0.0
         if zero_entry:

@@ -88,6 +88,11 @@ def _list_in(node, path: str) -> list:
     raise ValidationError(f"{path}: expected an array")
 
 
+def _order_out(alpha: float) -> float | str:
+    """An exponent for JSON: infinite orders as the strings "inf" / "-inf"."""
+    return str(alpha) if np.isinf(alpha) else alpha
+
+
 def _complex_out(z: complex) -> list[float]:
     return [float(np.real(z)), float(np.imag(z))]
 
@@ -205,7 +210,7 @@ def plan_from_doc(doc: dict, path: str) -> DistillationPlan:
 
 def _emit(doc: dict, as_json: bool, text_lines: list[str]):
     if as_json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
     else:
         for line in text_lines:
             print(line)
@@ -414,9 +419,9 @@ def cmd_catalyst_gate(args) -> int:
                 {
                     "indices": list(m.indices),
                     "margin_below_one": m.margin_below_one,
-                    "alpha_below_one": m.alpha_below_one,
+                    "alpha_below_one": _order_out(m.alpha_below_one),
                     "margin_above_one": m.margin_above_one,
-                    "alpha_above_one": m.alpha_above_one,
+                    "alpha_above_one": _order_out(m.alpha_above_one),
                     "entropy_margin": m.entropy_margin,
                     "zero_entry_support": m.zero_entry_support,
                     "passes": m.passes,

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .states import PureStateVector, SUPPORT_TOL, as_distribution
+from .states import PureStateVector, SUPPORT_TOL, as_distribution, require_finite
 
 MAJORIZATION_TOL = 1e-10
 
@@ -89,40 +89,77 @@ def tensor(p, q) -> np.ndarray:
     return np.outer(pw, qw).ravel()
 
 
-def power_mean(weights, alpha: float) -> float:
-    """Power mean A_alpha(w) = (mean(w_i^alpha))^(1/alpha).
+def power_means(weights, alphas) -> np.ndarray:
+    """Power means A_alpha(w) = (mean(w_i^alpha))^(1/alpha), all rows by all orders.
 
-    Analytic continuations: alpha=0 is the geometric mean, alpha=+inf the
+    ``weights`` is one vector, giving a result of shape (len(alphas),), or
+    a 2-d stack of rows, giving shape (rows, len(alphas)).  Analytic
+    continuations: |alpha| <= 1e-8 is the geometric mean, alpha=+inf the
     maximum entry, alpha=-inf the minimum entry.  Any zero entry makes
     A_alpha = 0 for every alpha <= 0.  The averaging dimension is the full
-    length of ``weights`` including zero padding.
+    row length including zero padding.  For alpha < 0 a mean of powers
+    that overflows (or underflows to 0) is taken again relative to the
+    smallest entry, w_min * mean((w / w_min)^alpha)^(1/alpha); for
+    alpha > 0 an overflowing mean gives +inf.
+
+    All powers come from one broadcast and the means from one reduction;
+    each root is a scalar float power, so every entry equals a separate
+    evaluation at that order bit for bit.
     """
     w = np.array(weights, dtype=float)
-    if w.ndim != 1 or w.size == 0:
-        raise ValidationError(f"expected a nonempty 1-d vector, got shape {w.shape}")
-    if w.min() < 0.0:
-        raise ValidationError(f"negative weight {w.min()!r}")
-    if math.isinf(alpha):
-        return float(w.max()) if alpha > 0 else float(w.min())
-    # below ~1e-8 the generic formula degenerates to 1.0 in floats; the
-    # geometric-mean limit is the accurate continuation there
-    if abs(alpha) <= 1e-8:
-        if w.min() <= 0.0:
-            return 0.0
-        return float(np.exp(np.mean(np.log(w))))
-    if alpha < 0.0 and w.min() <= 0.0:
-        return 0.0
+    if w.ndim not in (1, 2) or w.size == 0:
+        raise ValidationError(f"expected a nonempty 1-d vector or 2-d stack, got shape {w.shape}")
+    rows = np.atleast_2d(w)
+    require_finite(rows, "weight vector")
+    lows = rows.min(axis=1).tolist()
+    if min(lows) < 0.0:
+        raise ValidationError(f"negative weight {min(lows)!r}")
+    orders = np.array(alphas, dtype=float)
+    if orders.ndim != 1:
+        raise ValidationError(f"expected a 1-d sequence of orders, got shape {orders.shape}")
+    alpha_list = orders.tolist()
+    if any(math.isnan(a) for a in alpha_list):
+        raise ValidationError("power-mean order is NaN")
     with np.errstate(over="ignore", divide="ignore"):
-        m = float(np.mean(w ** alpha))
-        if math.isinf(m):
-            return 0.0 if alpha < 0 else math.inf
-        return float(m ** (1.0 / alpha))
+        means = np.mean(rows[:, None, :] ** orders[:, None], axis=-1).tolist()
+    out = []
+    for row, lo, hi, row_means in zip(rows, lows, rows.max(axis=1).tolist(), means):
+        values = []
+        for alpha, m in zip(alpha_list, row_means):
+            if math.isinf(alpha):
+                values.append(hi if alpha > 0 else lo)
+            # below ~1e-8 the generic formula degenerates to 1.0 in floats;
+            # the geometric-mean limit is the accurate continuation there
+            elif abs(alpha) <= 1e-8:
+                values.append(0.0 if lo <= 0.0 else float(np.exp(np.mean(np.log(row)))))
+            elif alpha < 0.0 and lo <= 0.0:
+                values.append(0.0)
+            elif alpha < 0.0 and (m == 0.0 or math.isinf(m)):
+                # (w / w_min)^alpha lies in (0, 1] with one entry 1, so this
+                # mean lies in [1/n, 1]
+                values.append(lo * float(np.mean((row / lo) ** alpha)) ** (1.0 / alpha))
+            else:
+                values.append(m ** (1.0 / alpha))
+        out.append(values)
+    result = np.array(out)
+    return result if w.ndim == 2 else result[0]
+
+
+def power_mean(weights, alpha: float) -> float:
+    """Power mean A_alpha(w) of one vector: :func:`power_means` at one order."""
+    w = np.array(weights, dtype=float)
+    if w.ndim != 1:
+        raise ValidationError(f"expected a nonempty 1-d vector, got shape {w.shape}")
+    return float(power_means(w, [alpha])[0])
 
 
 def shannon_entropy(weights) -> float:
     """Shannon entropy in nats with the 0*log(0) = 0 convention."""
     w = np.array(weights, dtype=float)
-    if w.ndim != 1 or w.min() < 0.0:
+    if w.ndim != 1 or w.size == 0:
+        raise ValidationError("expected a nonnegative 1-d vector")
+    require_finite(w, "weight vector")
+    if w.min() < 0.0:
         raise ValidationError("expected a nonnegative 1-d vector")
     pos = w[w > 0.0]
     return float(-(pos * np.log(pos)).sum())

@@ -1,5 +1,6 @@
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,8 +23,19 @@ from cohdist import (
     validate_density,
 )
 from cohdist import catalysis
-from cohdist.measures import min_profile_ratio, tensor
-from cohdist.subspaces import optimize_disjoint_selection
+from cohdist.measures import (
+    min_profile_ratio,
+    power_mean,
+    shannon_entropy,
+    sorted_descending,
+    tensor,
+)
+from cohdist.states import SUPPORT_TOL
+from cohdist.subspaces import (
+    maximal_pure_subspaces,
+    optimize_disjoint_selection,
+    select_disjoint_family,
+)
 
 
 def _canonical(canonical_catalysis_pair):
@@ -469,3 +481,159 @@ def test_alpha_grid_has_a_ceiling():
         default_alpha_grid(catalysis.ALPHA_POINTS_CEILING + 1)
     with pytest.raises(ValidationError):
         default_alpha_grid(10**15)
+
+
+def test_alpha_grid_refuses_a_non_integer_point_count():
+    with pytest.raises(ValidationError):
+        default_alpha_grid(2.5)
+
+
+# ------------------------------------ probability-1 gate against the scalar loop
+
+def _reference_refine_minimum(f, alphas, values):
+    """The halving refinement, one side and one order at a time."""
+    k = int(np.argmin(values))
+    best_a, best_v = alphas[k], values[k]
+    if not math.isfinite(best_a):
+        return best_a, best_v
+    lo = alphas[k - 1] if k > 0 and math.isfinite(alphas[k - 1]) else best_a
+    hi = alphas[k + 1] if k + 1 < len(alphas) and math.isfinite(alphas[k + 1]) else best_a
+    for _ in range(40):
+        for probe in ((lo + best_a) / 2.0, (best_a + hi) / 2.0):
+            v = f(probe)
+            if v < best_v:
+                best_v, best_a = v, probe
+        lo = (lo + best_a) / 2.0
+        hi = (best_a + hi) / 2.0
+        if hi - lo < 1e-6:
+            break
+    return best_a, best_v
+
+
+def _reference_deterministic_gate(rho, phi, points_per_segment=20):
+    """The probability-1 gate with one scalar power_mean call per order and profile."""
+    tgt = catalysis._target_profile(phi)
+    subs = maximal_pure_subspaces(rho)
+    family = select_disjoint_family(subs, phi)
+    baseline = family.total_value
+    if baseline >= 1.0 - catalysis.UNIT_TOL:
+        raise PreconditionError("optimal probability is already 1; no catalyst is needed")
+    below, above = default_alpha_grid(points_per_segment)
+    flags = []
+    weight_complete = family.total_weight >= 1.0 - catalysis.UNIT_TOL
+    if not weight_complete:
+        flags.append("family_weight_below_one")
+    members = []
+    for s in family.members:
+        profile = sorted_descending(s.state.probabilities())[: s.rank]
+        p, q = catalysis._padded_profiles(profile, tgt)
+        zero_entry = bool(p.min() <= SUPPORT_TOL)
+
+        def below_margin(a):
+            return power_mean(p, a) - power_mean(q, a)
+
+        def above_margin(a):
+            return power_mean(q, a) - power_mean(p, a)
+
+        below_vals = [below_margin(a) for a in below]
+        above_vals = [above_margin(a) for a in above]
+        a_lo, m_lo = _reference_refine_minimum(below_margin, list(below), below_vals)
+        a_hi, m_hi = _reference_refine_minimum(above_margin, list(above), above_vals)
+        s_margin = shannon_entropy(p) - shannon_entropy(q)
+        if zero_entry:
+            flags.append(f"zero_entry_support:{s.indices}")
+        members.append(catalysis.DeterministicGateMemberRecord(
+            s.indices, float(m_lo), float(a_lo), float(m_hi), float(a_hi), float(s_margin),
+            zero_entry, bool(m_lo > 0.0 and m_hi > 0.0 and s_margin > 0.0),
+        ))
+    verdict = weight_complete and all(m.passes for m in members)
+    return catalysis.DeterministicGateReport(
+        bool(verdict), tuple(members), family.total_weight, weight_complete, baseline, tuple(flags),
+    )
+
+
+def _tail_pair(tail):
+    """Pure pair whose smallest source entry is ``tail``; the gate says yes."""
+    p = [0.4, 0.4, 0.1, 0.1 - tail, tail]
+    q = [0.5, 0.25, 0.25 - tail / 2, tail / 4, tail / 4]
+    return _pure(p), PureStateVector.from_probabilities(np.array(q))
+
+
+def _gate_corpus(overlapping_state, block_mixture, uniform_qubit_target):
+    """(name, rho, phi, points per segment) cases for the probability-1 gate."""
+    rng = np.random.default_rng(3)
+    cases = []
+    for d in range(3, 9):                       # block states with singletons
+        for rank in (2, 3):
+            rho, _ = random_block_state(rng, d)
+            cases.append((f"block{d}r{rank}", rho, _target(rng, rank, d)))
+    for d in (3, 4, 5, 6, 8, 11, 16):           # pure sources with flatter targets
+        p = rng.dirichlet(np.ones(d) * 0.7)
+        q = 0.6 * p + 0.4 / d
+        phi = PureStateVector.from_probabilities(rng.permutation(q))
+        cases.append((f"flatter{d}", _pure(p), phi))
+    for i in range(150):                        # yes verdicts, minima at +-inf
+        n = int(rng.integers(3, 7))
+        p, q = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+        cases.append((f"pair{i}", _pure(p), PureStateVector.from_probabilities(q)))
+    cases.append(("jonathan-plenio", _pure([0.4, 0.4, 0.1, 0.1]),
+                  PureStateVector.from_probabilities(np.array([0.5, 0.25, 0.25, 0.0]))))
+    for i in range(8):                          # yes verdicts near that pair
+        d1, d2, tail = rng.uniform(0.0, 0.02, 3)
+        p = [0.4 + d1, 0.4 - d1, 0.1 + d2, 0.1 - d2]
+        q = np.array([0.5, 0.25, 0.25 - tail, tail])
+        cases.append((f"near-jp{i}", _pure(p), PureStateVector.from_probabilities(q)))
+    phi = PureStateVector(np.array([1, 1, 0], dtype=complex) / np.sqrt(2))
+    cases.append(("overlap", overlapping_state, phi))        # flagged weight
+    cases.append(("zero-entry", block_mixture, uniform_qubit_target))
+    cases += [(f"tail{t}", *_tail_pair(t)) for t in (1e-6, 1e-4)]   # minimum at -inf
+    # equal largest entries: the above-one minimum is exactly 0 at +inf
+    cases.append(("equal-max", _pure([0.5, 0.017, 0.205, 0.278]),
+                  PureStateVector.from_probabilities(np.array([0.5, 0.029, 0.415, 0.056]))))
+    points = [2, 3, 5, 8, 13, 20, 20, 20, 50]
+    return [(name, rho, phi, points[i % len(points)]) for i, (name, rho, phi) in enumerate(cases)]
+
+
+def test_deterministic_gate_equals_the_scalar_loop(
+    overlapping_state, block_mixture, uniform_qubit_target
+):
+    seen = Counter()
+    corpus = _gate_corpus(overlapping_state, block_mixture, uniform_qubit_target)
+    for name, rho, phi, points in corpus:
+        try:
+            want = _reference_deterministic_gate(rho, phi, points)
+        except PreconditionError:
+            with pytest.raises(PreconditionError):
+                deterministic_gate(rho, phi, points)
+            seen["baseline one"] += 1
+            continue
+        got = deterministic_gate(rho, phi, points)
+        assert got == want, name
+        assert repr(got) == repr(want), name          # signed zeros included
+        seen[f"verdict {want.verdict}"] += 1
+        seen["weight flag"] += "family_weight_below_one" in want.flags
+        for m in want.members:
+            seen["zero entry"] += m.zero_entry_support
+            seen["below at -inf"] += m.alpha_below_one == -math.inf
+            seen["above at +inf"] += m.alpha_above_one == math.inf
+            seen["zero margin"] += m.margin_above_one == 0.0
+            seen["below refined"] += math.isfinite(m.alpha_below_one)
+            seen["above refined"] += math.isfinite(m.alpha_above_one)
+            seen["n >= 8"] += len(m.indices) >= 8
+        seen[f"points {points}"] += 1
+    wanted = ["baseline one", "verdict True", "verdict False", "weight flag", "zero entry",
+              "below at -inf", "above at +inf", "zero margin", "below refined",
+              "above refined", "n >= 8",
+              *(f"points {k}" for k in (2, 3, 5, 8, 13, 20, 50))]
+    assert all(seen[key] for key in wanted), seen
+
+
+def test_deterministic_gate_sees_tiny_source_entries():
+    # a 1e-8 source entry overflows its -40th power, yet the means at
+    # alpha = -40 differ and must not both read as 0 (a margin of 0 is a no)
+    for tail in (1e-8, 1e-6):
+        rep = deterministic_gate(*_tail_pair(tail))
+        (member,) = rep.members
+        assert rep.verdict and member.passes, tail
+        assert member.alpha_below_one == -math.inf
+        assert member.margin_below_one == pytest.approx(0.75 * tail, rel=1e-6)

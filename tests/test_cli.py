@@ -1,4 +1,6 @@
+import contextlib
 import copy
+import io
 import json
 import time
 import warnings
@@ -129,6 +131,19 @@ def test_catalyst_gate_command(files, tmp_path, capsys):
     assert doc["baseline"] == pytest.approx(0.8, abs=1e-9)
     assert doc["enhancement"]["verdict"]
     assert doc["deterministic"]["verdict"]
+
+
+def test_catalyst_gate_json_writes_infinite_orders_as_strings(tmp_path, capsys):
+    # minimum of the below-one margin at alpha = -inf
+    psi = write(tmp_path / "psi.json",
+                {"amplitudes": np.sqrt([0.4, 0.4, 0.1, 0.1 - 1e-4, 1e-4]).tolist()})
+    phi = write(tmp_path / "phi.json",
+                {"amplitudes": np.sqrt([0.5, 0.25, 0.25 - 5e-5, 2.5e-5, 2.5e-5]).tolist()})
+    code, out, _ = run(capsys, "catalyst", "gate", psi, phi, "--json")
+    assert code == 0
+    (member,) = json.loads(out, parse_constant=_refuse_constant)["deterministic"]["members"]
+    assert member["alpha_below_one"] == "-inf"
+    assert isinstance(member["alpha_above_one"], float)
 
 
 def test_catalyst_search_command(files, tmp_path, capsys):
@@ -406,6 +421,11 @@ _COMMANDS = [
     ["catalyst", "search", "S", "T", "--max-dim", "N", "--step", "0.25"],
     ["majorize", "S", "T"],
 ]
+_COMMANDS += [command + ["--json"] for command in _COMMANDS]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 @settings(
@@ -431,4 +451,9 @@ def test_cli_exit_code_on_fuzzed_json(tmp_path_factory, command, state, target, 
     }
     numbers = iter(numbers)
     argv = [str(next(numbers)) if a == "N" else files.get(a, a) for a in command]
-    assert main(argv) in {0, 1, 2, 3, 4}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code in {0, 1, 2, 3, 4}
+    if "--json" in argv and code == 0:
+        json.loads(out.getvalue(), parse_constant=_refuse_constant)

@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 
 from cohdist import (
     PureStateVector,
+    ValidationError,
     cl_profile,
     coherence_rank,
+    default_alpha_grid,
     majorizes,
     min_profile_ratio,
     power_mean,
+    power_means,
     shannon_entropy,
     sorted_descending,
     suffix_profile,
@@ -141,6 +144,65 @@ def test_power_mean_zero_entries():
     assert power_mean(w, 2.0) > 0.0
 
 
+def _scalar_power_mean(w, alpha):
+    """One vector at one order: numpy powers and mean, then a float root."""
+    w = np.asarray(w, dtype=float)
+    if math.isinf(alpha):
+        return float(w.max()) if alpha > 0 else float(w.min())
+    if abs(alpha) <= 1e-8:
+        return 0.0 if w.min() <= 0.0 else float(np.exp(np.mean(np.log(w))))
+    if alpha < 0.0 and w.min() <= 0.0:
+        return 0.0
+    with np.errstate(divide="ignore"):
+        m = float(np.mean(w ** alpha))
+    return float(m ** (1.0 / alpha))
+
+
+def test_power_means_equal_the_scalar_evaluation():
+    rng = np.random.default_rng(11)
+    below, above = default_alpha_grid(20)
+    special = [-math.inf, -1e-9, 0.0, 1e-9, 1.0, math.inf]
+    for n in (1, 2, 3, 5, 8, 9, 16, 17, 33, 130):   # sums go pairwise from 8 entries
+        rows = 0.5 * rng.dirichlet(np.ones(n), size=4) + 0.5 / n
+        rows[3, rng.integers(n)] = 0.0                 # a zero entry
+        alphas = [*below, *above, *special, *rng.uniform(-40.0, 40.0, 30)]
+        got = power_means(rows, alphas)
+        assert got.shape == (4, len(alphas))
+        want = [[_scalar_power_mean(row, a) for a in alphas] for row in rows]
+        assert got.tolist() == want, n
+        assert power_means(rows[1], alphas).tolist() == want[1]
+        assert [power_mean(rows[3], a) for a in alphas] == want[3]
+        # numpy squares, roots and inverts a scalar exponent 2, 0.5, -1 by
+        # its own shortcuts, which may differ from the power in the last bit
+        for alpha in (2.0, 0.5, -1.0):
+            for row, value in zip(rows, power_means(rows, [alpha])[:, 0]):
+                scalar = _scalar_power_mean(row, alpha)
+                assert abs(value - scalar) <= np.spacing(scalar), (n, alpha)
+
+
+def test_power_mean_survives_overflowing_powers():
+    w = np.array([0.4, 0.4, 0.1, 0.1 - 1e-8, 1e-8])
+    for alpha in (-40.0, -25.0, -5.0):
+        logs = alpha * np.log(w)
+        top = logs.max()
+        want = math.exp((top + math.log(np.mean(np.exp(logs - top)))) / alpha)
+        assert power_mean(w, alpha) == pytest.approx(want, rel=1e-12)
+    assert power_mean(w, -40.0) > power_mean(w, -math.inf) == 1e-8
+    # powers that underflow to 0 take the same path instead of dividing by 0
+    assert power_mean([1e300, 1e300], -2.0) == pytest.approx(1e300, rel=1e-12)
+
+
+def test_power_means_reject_non_finite_input():
+    with pytest.raises(ValidationError):
+        power_mean([0.5, math.nan], 2.0)
+    with pytest.raises(ValidationError):
+        power_mean([0.5, 0.5], math.nan)
+    with pytest.raises(ValidationError):
+        power_means([[0.5, math.inf]], [1.0])
+    with pytest.raises(ValidationError):
+        power_means([0.5, 0.5], [[1.0]])
+
+
 @given(weight_vectors, st.floats(min_value=-5, max_value=5, allow_nan=False))
 @settings(max_examples=200, deadline=None)
 def test_power_mean_monotone_in_order(w, alpha):
@@ -163,3 +225,8 @@ def test_shannon_entropy_known_values():
 def test_shannon_entropy_bounds(w):
     s = shannon_entropy(w)
     assert -1e-12 <= s <= math.log(w.size) + 1e-12
+
+
+def test_shannon_entropy_rejects_nan():
+    with pytest.raises(ValidationError):
+        shannon_entropy([0.5, math.nan])
