@@ -9,10 +9,12 @@ Two gates are provided.  The enhancement gate for raising the optimal
 probability is exact (strict-inequality test on the smallest padded
 entries).  The gate for reaching probability 1 compares power means and
 entropies on a sampled exponent grid with local refinement, so it is not
-exact: a sign change between grid points goes unseen.  Its power means
-come from array passes, one over the whole grid per family member and
-one per refinement step for both sides, with the same values, bit for
-bit, as evaluating one order at a time.  The search
+exact: a sign change between grid points goes unseen.  Family members
+of one padded length are stacked and checked once; their power means
+come from one kernel pass over the whole grid and then one pass per
+refinement step for all their brackets, each row raised only to its own
+bracket's probes, with the same values, bit for bit, as evaluating one
+member and one order at a time.  The search
 enumerates catalyst profiles on a simplex grid of at most ``GRID_CEILING``
 points and scores all candidates of one catalyst dimension in one array
 pass over rho's subspace profiles; the values equal a candidate-by-candidate
@@ -21,6 +23,7 @@ evaluation through the plain distillation formulas bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from collections import Counter
@@ -30,9 +33,11 @@ import numpy as np
 
 from .errors import IncoherentTargetError, PreconditionError, ValidationError
 from .measures import (
+    _checked_rows,
+    _padded_profiles,
+    _power_means_kernel,
     coherence_rank,
     min_profile_ratio,
-    power_means,
     shannon_entropy,
     sorted_descending,
 )
@@ -127,20 +132,19 @@ def _subspace_entries(rho: DensityMatrix) -> list[tuple[tuple[int, ...], float, 
     return out
 
 
-def _padded_profiles(src_profile, tgt_profile) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-pad both sorted profiles to the larger coherence rank."""
-    p = np.asarray(src_profile, dtype=float)
-    q = np.asarray(tgt_profile, dtype=float)
-    n = max(p.size, q.size)
-    return np.pad(p, (0, n - p.size)), np.pad(q, (0, n - q.size))
-
-
 def _target_profile(phi: PureStateVector) -> np.ndarray:
     if coherence_rank(phi) < 2:
         raise IncoherentTargetError(
             "target has coherence rank 1; catalysis questions are vacuous"
         )
     return sorted_descending(phi.probabilities())[: coherence_rank(phi)]
+
+
+def _gate_inputs(rho: DensityMatrix, phi: PureStateVector):
+    """Target profile, maximal pure subspaces and selected family, as both gates use them."""
+    tgt = _target_profile(phi)
+    subs = maximal_pure_subspaces(rho)
+    return tgt, subs, select_disjoint_family(subs, phi)
 
 
 # ===========================================================================
@@ -161,9 +165,10 @@ def enhancement_gate(rho: DensityMatrix, phi: PureStateVector) -> EnhancementGat
     clique list; the selected disjoint family's existential is reported
     alongside.
     """
-    tgt = _target_profile(phi)
-    subs = maximal_pure_subspaces(rho)
-    family = select_disjoint_family(subs, phi)
+    return _enhancement_report(*_gate_inputs(rho, phi))
+
+
+def _enhancement_report(tgt, subs, family) -> EnhancementGateReport:
     records = []
     for s in subs:
         profile = sorted_descending(s.state.probabilities())[: s.rank]
@@ -213,6 +218,11 @@ def default_alpha_grid(points_per_segment: int = 20) -> tuple[tuple[float, ...],
         raise ValidationError(
             f"at most {ALPHA_POINTS_CEILING} grid points per segment, got {points_per_segment}"
         )
+    return _alpha_grid(int(points_per_segment))
+
+
+@functools.lru_cache(maxsize=16)
+def _alpha_grid(points_per_segment: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     neg = -np.logspace(math.log10(0.01), math.log10(40.0), points_per_segment)
     low = np.logspace(math.log10(0.01), math.log10(0.99), points_per_segment)
     high = np.logspace(math.log10(1.01), math.log10(40.0), points_per_segment)
@@ -221,42 +231,81 @@ def default_alpha_grid(points_per_segment: int = 20) -> tuple[tuple[float, ...],
     return below, above
 
 
-def _refine_minima(pair: np.ndarray, below, below_vals, above, above_vals):
-    """Tighten both sampled margin minima by repeated halving between neighbors.
+def _brackets(alphas, values: np.ndarray, first, second) -> list[list]:
+    """One refinement bracket per row of ``values``, the margins sampled at ``alphas``.
 
-    ``pair`` stacks the source row p over the target row q; the below-one
-    margin is A(p) - A(q) and the above-one margin A(q) - A(p).  Only
-    finite exponents are refined, each side for at most 40 halvings and
-    until its bracket is narrower than 1e-6, so a returned value never
-    exceeds the sampled minimum.  Each step evaluates the probes of both
-    sides still refining in one :func:`power_means` call.
+    A bracket is [lo, best exponent, hi, best margin, first row, second
+    row]: it reaches to the finite neighbours of the row's first minimum
+    (an infinite neighbour leaves that end at the best exponent), and its
+    margin at an order is A(first row) - A(second row).
     """
-    brackets = []               # [lo, best exponent, hi, best value] per side
-    for alphas, values in ((below, below_vals), (above, above_vals)):
-        k = int(np.argmin(values))
+    out = []
+    for k, row, f, s in zip(values.argmin(axis=1).tolist(), values.tolist(), first, second):
         best_a = alphas[k]
         lo = alphas[k - 1] if k > 0 and math.isfinite(alphas[k - 1]) else best_a
         hi = alphas[k + 1] if k + 1 < len(alphas) and math.isfinite(alphas[k + 1]) else best_a
-        brackets.append([lo, best_a, hi, values[k]])
-    active = [side for side in (0, 1) if math.isfinite(brackets[side][1])]
+        out.append([lo, best_a, hi, row[k], f, s])
+    return out
+
+
+def _refine_minima(rows: np.ndarray, lows, highs, brackets) -> None:
+    """Tighten sampled margin minima by repeated halving between neighbours, in place.
+
+    Only brackets with a finite best exponent are refined, each for at
+    most 40 halvings and until it is narrower than 1e-6, so a margin
+    never rises above the sampled minimum.  Each step is one kernel
+    call over the two rows of every bracket still refining, each row
+    raised only to its own bracket's two probes.
+    """
+    active = [b for b in brackets if math.isfinite(b[1])]
     for _ in range(40):
         if not active:
             break
-        # both probes of a side come from its best exponent before the step
-        probes = []
-        for side in active:
-            lo, best_a, hi, _ = brackets[side]
-            probes += [(lo + best_a) / 2.0, (best_a + hi) / 2.0]
-        means = power_means(pair, probes)
-        margins = ((means[0] - means[1]).tolist(), (means[1] - means[0]).tolist())
-        for j, side in enumerate(active):
-            lo, best_a, hi, best_v = brackets[side]
-            for probe, v in zip(probes[2 * j:2 * j + 2], margins[side][2 * j:2 * j + 2]):
-                if v < best_v:
-                    best_v, best_a = v, probe
-            brackets[side] = [(lo + best_a) / 2.0, best_a, (best_a + hi) / 2.0, best_v]
-        active = [side for side in active if brackets[side][2] - brackets[side][0] >= 1e-6]
-    return [(best_a, best_v) for _, best_a, _, best_v in brackets]
+        sel = [i for b in active for i in b[4:]]
+        # both probes of a bracket come from its best exponent before the step
+        probes = [((lo + a) / 2.0, (a + hi) / 2.0) for lo, a, hi, *_ in active]
+        means = _power_means_kernel(
+            rows.take(sel, axis=0), [lows[i] for i in sel], [highs[i] for i in sel],
+            np.array([probe for probe in probes for _ in (0, 1)]),
+        )
+        for b, probe, first, second in zip(active, probes, means[0::2], means[1::2]):
+            lo, a, hi, v = b[:4]
+            for alpha, x, y in zip(probe, first, second):
+                margin = x - y
+                if margin < v:
+                    a, v = alpha, margin
+            b[:4] = (lo + a) / 2.0, a, (a + hi) / 2.0, v
+        active = [b for b in active if b[2] - b[0] >= 1e-6]
+
+
+def _group_margins(profiles, tgt: np.ndarray, n: int, below, above) -> list[tuple]:
+    """Gate margins of the family members whose padded length is ``n``.
+
+    The members' padded profiles and the padded target are stacked and
+    checked once; one kernel call evaluates the whole grid, and each
+    refinement step is one more.  Returns, per member, the refined
+    (alpha, margin) below and above one, the entropy margin and whether
+    the padded profile carries a zero entry.
+    """
+    m = len(profiles)
+    stack = np.zeros((m + 1, n))
+    for i, profile in enumerate(profiles):
+        stack[i, :profile.size] = profile
+    stack[m, :tgt.size] = tgt
+    rows, lows, highs = _checked_rows(stack)
+    means = np.array(_power_means_kernel(rows, lows, highs, np.array(below + above)))
+    kb = len(below)
+    # below-one margins are A(p) - A(q), above-one margins A(q) - A(p)
+    sources, target = range(m), [m] * m
+    lower = _brackets(below, means[:m, :kb] - means[m, :kb], sources, target)
+    upper = _brackets(above, means[m, kb:] - means[:m, kb:], target, sources)
+    _refine_minima(rows, lows, highs, lower + upper)
+    target_entropy = shannon_entropy(rows[m])
+    return [
+        (lo_b[1], lo_b[3], up_b[1], up_b[3],
+         shannon_entropy(rows[i]) - target_entropy, lows[i] <= SUPPORT_TOL)
+        for i, (lo_b, up_b) in enumerate(zip(lower, upper))
+    ]
 
 
 def deterministic_gate(
@@ -281,9 +330,11 @@ def deterministic_gate(
     gate, as does a zero entry in a padded source profile (which zeroes
     every A_alpha with alpha <= 0).
     """
-    tgt = _target_profile(phi)
-    subs = maximal_pure_subspaces(rho)
-    family = select_disjoint_family(subs, phi)
+    tgt, _, family = _gate_inputs(rho, phi)
+    return _deterministic_report(tgt, family, points_per_segment)
+
+
+def _deterministic_report(tgt, family, points_per_segment) -> DeterministicGateReport:
     baseline = family.total_value
     if baseline >= 1.0 - UNIT_TOL:
         raise PreconditionError(
@@ -295,18 +346,19 @@ def deterministic_gate(
     if not weight_complete:
         flags.append("family_weight_below_one")
 
-    members = []
-    for s in family.members:
-        profile = sorted_descending(s.state.probabilities())[: s.rank]
-        p, q = _padded_profiles(profile, tgt)
-        zero_entry = bool(p.min() <= SUPPORT_TOL)
+    # members of one padded length share every kernel call
+    groups: dict[int, list[int]] = {}
+    profiles = [sorted_descending(s.state.probabilities())[: s.rank] for s in family.members]
+    for i, profile in enumerate(profiles):
+        groups.setdefault(max(profile.size, tgt.size), []).append(i)
+    margins = [None] * len(profiles)
+    for n, indices in groups.items():
+        group = _group_margins([profiles[i] for i in indices], tgt, n, below, above)
+        for i, values in zip(indices, group):
+            margins[i] = values
 
-        pair = np.stack([p, q])
-        means = power_means(pair, below + above)
-        below_vals = (means[0, :len(below)] - means[1, :len(below)]).tolist()
-        above_vals = (means[1, len(below):] - means[0, len(below):]).tolist()
-        (a_lo, m_lo), (a_hi, m_hi) = _refine_minima(pair, below, below_vals, above, above_vals)
-        s_margin = shannon_entropy(p) - shannon_entropy(q)
+    members = []
+    for s, (a_lo, m_lo, a_hi, m_hi, s_margin, zero_entry) in zip(family.members, margins):
         passes = m_lo > 0.0 and m_hi > 0.0 and s_margin > 0.0
         if zero_entry:
             flags.append(f"zero_entry_support:{s.indices}")

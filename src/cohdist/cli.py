@@ -11,13 +11,19 @@ precondition (e.g. deterministic catalyst search at probability 1).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 import numpy as np
 
 from . import __version__
-from .catalysis import deterministic_gate, enhancement_gate, search_catalyst
+from .catalysis import (
+    _deterministic_report,
+    _enhancement_report,
+    _gate_inputs,
+    search_catalyst,
+)
 from .distill import (
     DistillationPlan,
     PlanBranch,
@@ -381,7 +387,9 @@ def cmd_simulate(args) -> int:
 def cmd_catalyst_gate(args) -> int:
     rho = parse_state(_load_doc(args.state), args.state)
     phi = parse_pure(_load_doc(args.target), args.target)
-    enh = enhancement_gate(rho, phi)
+    # both gates share one subspace enumeration and family selection
+    tgt, subs, family = _gate_inputs(rho, phi)
+    enh = _enhancement_report(tgt, subs, family)
     doc = {
         "baseline": enh.baseline,
         "enhancement": {
@@ -409,7 +417,7 @@ def cmd_catalyst_gate(args) -> int:
             f" {_fmt(r.bound)} -> {'yes' if r.enhanceable else 'no'}"
         )
     try:
-        det = deterministic_gate(rho, phi, points_per_segment=args.alpha_points)
+        det = _deterministic_report(tgt, family, args.alpha_points)
         doc["deterministic"] = {
             "verdict": det.verdict,
             "weight_complete": det.weight_complete,
@@ -556,7 +564,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("catalyst", help="catalyst gates and search")
     csub = p.add_subparsers(dest="subcommand", required=True)
 
-    g = csub.add_parser("gate", help="exact catalyst existence tests")
+    g = csub.add_parser(
+        "gate",
+        help="catalyst existence tests: exact for raising the probability,"
+        " sampled over the power-mean order for reaching 1",
+    )
     g.add_argument("state")
     g.add_argument("target")
     g.add_argument(
@@ -591,8 +603,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parsing does not change a parser
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, json.JSONDecodeError) as exc:

@@ -39,6 +39,16 @@ def suffix_profile(weights) -> np.ndarray:
     return out
 
 
+def _padded_profiles(p, q) -> tuple[np.ndarray, np.ndarray]:
+    """Both weight vectors zero-padded to the longer one's length."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    pair = np.zeros((2, max(p.size, q.size)))
+    pair[0, :p.size] = p
+    pair[1, :q.size] = q
+    return pair[0], pair[1]
+
+
 def cl_profile(psi: PureStateVector) -> np.ndarray:
     """Tail-sum coherence profile of a pure state; entry 0 is 1."""
     return suffix_profile(psi.probabilities())
@@ -52,11 +62,8 @@ def min_profile_ratio(source_weights, target_weights) -> float:
     a positive target tail pins the result to 0.  Result lies in [0, 1]
     whenever both inputs are unit-sum.
     """
-    p = np.asarray(source_weights, dtype=float)
-    q = np.asarray(target_weights, dtype=float)
-    d = max(p.size, q.size)
-    cp = suffix_profile(np.pad(p, (0, d - p.size)))
-    cq = suffix_profile(np.pad(q, (0, d - q.size)))
+    p, q = _padded_profiles(source_weights, target_weights)
+    cp, cq = suffix_profile(p), suffix_profile(q)
     best = 1.0
     for a, b in zip(cp, cq):
         if b <= SUPPORT_TOL:
@@ -74,11 +81,9 @@ def majorizes(p, q, *, tol: float = MAJORIZATION_TOL) -> bool:
     matching partial sum of ``q``, within ``tol``; vectors are zero-padded
     to a common length and must be valid distributions.
     """
-    pw = as_distribution(p)
-    qw = as_distribution(q)
-    d = max(pw.size, qw.size)
-    ps = np.cumsum(sorted_descending(np.pad(pw, (0, d - pw.size))))
-    qs = np.cumsum(sorted_descending(np.pad(qw, (0, d - qw.size))))
+    pw, qw = _padded_profiles(as_distribution(p), as_distribution(q))
+    ps = np.cumsum(sorted_descending(pw))
+    qs = np.cumsum(sorted_descending(qw))
     return bool(np.all(ps <= qs + tol))
 
 
@@ -89,6 +94,63 @@ def tensor(p, q) -> np.ndarray:
     return np.outer(pw, qw).ravel()
 
 
+def _checked_rows(weights) -> tuple[np.ndarray, list[float], list[float]]:
+    """A 1-d vector or 2-d stack as finite nonnegative rows, with each row's min and max."""
+    w = np.asarray(weights, dtype=float)
+    if w.ndim not in (1, 2) or w.size == 0:
+        raise ValidationError(f"expected a nonempty 1-d vector or 2-d stack, got shape {w.shape}")
+    rows = np.atleast_2d(w)
+    require_finite(rows, "weight vector")
+    lows = rows.min(axis=1).tolist()
+    if min(lows) < 0.0:
+        raise ValidationError(f"negative weight {min(lows)!r}")
+    return rows, lows, rows.max(axis=1).tolist()
+
+
+def _power_mean_special(row: np.ndarray, lo: float, hi: float, alpha: float, m: float) -> float:
+    """A_alpha(row) where the generic root does not apply; ``m`` is the mean of powers."""
+    if math.isinf(alpha):
+        return hi if alpha > 0 else lo
+    # below ~1e-8 the generic formula degenerates to 1.0 in floats; the
+    # geometric-mean limit is the accurate continuation there
+    if abs(alpha) <= 1e-8:
+        return 0.0 if lo <= 0.0 else float(np.exp(np.mean(np.log(row))))
+    if alpha < 0.0:
+        if lo <= 0.0:
+            return 0.0
+        # the mean overflowed or underflowed to 0; (w / w_min)^alpha lies
+        # in (0, 1] with one entry 1, so this mean lies in [1/n, 1]
+        return lo * float(np.mean((row / lo) ** alpha)) ** (1.0 / alpha)
+    if hi <= 0.0:
+        return 0.0
+    # the mean overflowed or underflowed to 0; (w / w_max)^alpha lies in
+    # [0, 1] with one entry 1, so this mean lies in [1/n, 1]
+    return hi * float(np.mean((row / hi) ** alpha)) ** (1.0 / alpha)
+
+
+def _power_means_kernel(rows: np.ndarray, lows, highs, orders: np.ndarray) -> list[list[float]]:
+    """Power means of checked rows, without validation, as one list per row.
+
+    ``rows`` is a finite nonnegative 2-d stack, ``lows`` and ``highs``
+    its row minima and maxima as floats.  ``orders`` holds either one
+    1-d sequence of orders for every row or, as a 2-d array, one row of
+    orders per row; either way row i of the result holds A_alpha(rows[i])
+    at row i's orders.
+    """
+    n_rows, n = rows.shape
+    # the exponent keeps stride 0 along each row, as a scalar exponent has
+    with np.errstate(over="ignore", divide="ignore"):
+        means = (np.add.reduce(rows[:, None, :] ** orders[..., None], axis=-1) / n).tolist()
+    alphas = orders.tolist() if orders.ndim == 2 else [orders.tolist()] * n_rows
+    inf = math.inf
+    return [
+        [m ** (1.0 / a) if 0.0 < m < inf and 1e-8 < abs(a) < inf
+         else _power_mean_special(row, lo, hi, a, m)
+         for a, m in zip(row_alphas, row_means)]
+        for row, lo, hi, row_alphas, row_means in zip(rows, lows, highs, alphas, means)
+    ]
+
+
 def power_means(weights, alphas) -> np.ndarray:
     """Power means A_alpha(w) = (mean(w_i^alpha))^(1/alpha), all rows by all orders.
 
@@ -97,51 +159,24 @@ def power_means(weights, alphas) -> np.ndarray:
     continuations: |alpha| <= 1e-8 is the geometric mean, alpha=+inf the
     maximum entry, alpha=-inf the minimum entry.  Any zero entry makes
     A_alpha = 0 for every alpha <= 0.  The averaging dimension is the full
-    row length including zero padding.  For alpha < 0 a mean of powers
-    that overflows (or underflows to 0) is taken again relative to the
-    smallest entry, w_min * mean((w / w_min)^alpha)^(1/alpha); for
-    alpha > 0 an overflowing mean gives +inf.
+    row length including zero padding.  A mean of powers that overflows
+    (or underflows to 0) is taken again relative to the smallest entry
+    for alpha < 0, w_min * mean((w / w_min)^alpha)^(1/alpha), and
+    relative to the largest entry for alpha > 0,
+    w_max * mean((w / w_max)^alpha)^(1/alpha).
 
     All powers come from one broadcast and the means from one reduction;
     each root is a scalar float power, so every entry equals a separate
     evaluation at that order bit for bit.
     """
-    w = np.array(weights, dtype=float)
-    if w.ndim not in (1, 2) or w.size == 0:
-        raise ValidationError(f"expected a nonempty 1-d vector or 2-d stack, got shape {w.shape}")
-    rows = np.atleast_2d(w)
-    require_finite(rows, "weight vector")
-    lows = rows.min(axis=1).tolist()
-    if min(lows) < 0.0:
-        raise ValidationError(f"negative weight {min(lows)!r}")
+    w = np.asarray(weights, dtype=float)
+    rows, lows, highs = _checked_rows(w)
     orders = np.array(alphas, dtype=float)
     if orders.ndim != 1:
         raise ValidationError(f"expected a 1-d sequence of orders, got shape {orders.shape}")
-    alpha_list = orders.tolist()
-    if any(math.isnan(a) for a in alpha_list):
+    if np.isnan(orders).any():
         raise ValidationError("power-mean order is NaN")
-    with np.errstate(over="ignore", divide="ignore"):
-        means = np.mean(rows[:, None, :] ** orders[:, None], axis=-1).tolist()
-    out = []
-    for row, lo, hi, row_means in zip(rows, lows, rows.max(axis=1).tolist(), means):
-        values = []
-        for alpha, m in zip(alpha_list, row_means):
-            if math.isinf(alpha):
-                values.append(hi if alpha > 0 else lo)
-            # below ~1e-8 the generic formula degenerates to 1.0 in floats;
-            # the geometric-mean limit is the accurate continuation there
-            elif abs(alpha) <= 1e-8:
-                values.append(0.0 if lo <= 0.0 else float(np.exp(np.mean(np.log(row)))))
-            elif alpha < 0.0 and lo <= 0.0:
-                values.append(0.0)
-            elif alpha < 0.0 and (m == 0.0 or math.isinf(m)):
-                # (w / w_min)^alpha lies in (0, 1] with one entry 1, so this
-                # mean lies in [1/n, 1]
-                values.append(lo * float(np.mean((row / lo) ** alpha)) ** (1.0 / alpha))
-            else:
-                values.append(m ** (1.0 / alpha))
-        out.append(values)
-    result = np.array(out)
+    result = np.array(_power_means_kernel(rows, lows, highs, orders))
     return result if w.ndim == 2 else result[0]
 
 

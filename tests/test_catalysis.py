@@ -590,6 +590,14 @@ def _gate_corpus(overlapping_state, block_mixture, uniform_qubit_target):
     # equal largest entries: the above-one minimum is exactly 0 at +inf
     cases.append(("equal-max", _pure([0.5, 0.017, 0.205, 0.278]),
                   PureStateVector.from_probabilities(np.array([0.5, 0.029, 0.415, 0.056]))))
+    # many-member families, several members to each padded length
+    for rank in (2, 3):
+        rho = _block_diag_state(rng, [1, 2, 2, 2, 3, 3, 4, 1])
+        cases.append((f"many-blocks-r{rank}", rho, _target(rng, rank, 18)))
+    # the target is a member's own state: that member's margins are all 0,
+    # so only the first sampled minimum is the reference's
+    rho = _block_diag_state(rng, [2, 1])
+    cases.append(("tied-member", rho, maximal_pure_subspaces(rho)[0].state))
     points = [2, 3, 5, 8, 13, 20, 20, 20, 50]
     return [(name, rho, phi, points[i % len(points)]) for i, (name, rho, phi) in enumerate(cases)]
 
@@ -612,20 +620,47 @@ def test_deterministic_gate_equals_the_scalar_loop(
         assert repr(got) == repr(want), name          # signed zeros included
         seen[f"verdict {want.verdict}"] += 1
         seen["weight flag"] += "family_weight_below_one" in want.flags
+        target_rank = catalysis._target_profile(phi).size
+        lengths = Counter(max(len(m.indices), target_rank) for m in want.members)
+        seen["members share a padded length"] += max(lengths.values()) >= 2
+        seen["members differ in padded length"] += len(lengths) >= 2
         for m in want.members:
             seen["zero entry"] += m.zero_entry_support
             seen["below at -inf"] += m.alpha_below_one == -math.inf
             seen["above at +inf"] += m.alpha_above_one == math.inf
             seen["zero margin"] += m.margin_above_one == 0.0
+            seen["tied below-one minimum"] += m.margin_below_one == 0.0
             seen["below refined"] += math.isfinite(m.alpha_below_one)
             seen["above refined"] += math.isfinite(m.alpha_above_one)
             seen["n >= 8"] += len(m.indices) >= 8
         seen[f"points {points}"] += 1
     wanted = ["baseline one", "verdict True", "verdict False", "weight flag", "zero entry",
               "below at -inf", "above at +inf", "zero margin", "below refined",
-              "above refined", "n >= 8",
+              "above refined", "n >= 8", "members share a padded length",
+              "members differ in padded length", "tied below-one minimum",
               *(f"points {k}" for k in (2, 3, 5, 8, 13, 20, 50))]
     assert all(seen[key] for key in wanted), seen
+
+
+def test_deterministic_gate_makes_one_kernel_pass_per_step_and_group(monkeypatch):
+    # members of one padded length share the grid pass and every refinement
+    # step, so the number of kernel calls does not grow with the family
+    rng = np.random.default_rng(8)
+    rho = _block_diag_state(rng, [1] + [2] * 30 + [3] * 20 + [5] * 6)
+    phi = _target(rng, 3, rho.dim)
+    calls = Counter()
+    kernel = catalysis._power_means_kernel
+
+    def counting(rows, *args):
+        calls[rows.shape[1]] += 1
+        return kernel(rows, *args)
+
+    monkeypatch.setattr(catalysis, "_power_means_kernel", counting)
+    rep = deterministic_gate(rho, phi)
+    lengths = Counter(max(len(m.indices), 3) for m in rep.members)
+    assert lengths == {3: 51, 5: 6}
+    assert set(calls) == set(lengths)
+    assert all(calls[n] <= 1 + 40 for n in lengths), calls
 
 
 def test_deterministic_gate_sees_tiny_source_entries():

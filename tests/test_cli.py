@@ -9,8 +9,15 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cohdist import PureStateVector, full_plan, validate_density
-from cohdist.cli import main, plan_from_doc, plan_to_doc
+from cohdist import (
+    PureStateVector,
+    deterministic_gate,
+    enhancement_gate,
+    full_plan,
+    validate_density,
+)
+from cohdist import cli
+from cohdist.cli import main, parse_pure, parse_state, plan_from_doc, plan_to_doc
 
 
 def write(path, doc):
@@ -144,6 +151,70 @@ def test_catalyst_gate_json_writes_infinite_orders_as_strings(tmp_path, capsys):
     (member,) = json.loads(out, parse_constant=_refuse_constant)["deterministic"]["members"]
     assert member["alpha_below_one"] == "-inf"
     assert isinstance(member["alpha_above_one"], float)
+
+
+def test_catalyst_gate_reports_what_the_library_gates_report(files, tmp_path, capsys):
+    # the command enumerates once and hands the family to both gates
+    psi4 = write(tmp_path / "psi4.json", {"amplitudes": np.sqrt([0.4, 0.4, 0.1, 0.1]).tolist()})
+    phi4 = write(tmp_path / "phi4.json", {"amplitudes": np.sqrt([0.5, 0.25, 0.25, 0]).tolist()})
+    for state, target in ((psi4, phi4), (files["rho"], files["phi"]), (files["psi"], files["phi"])):
+        code, out, _ = run(capsys, "catalyst", "gate", state, target, "--json",
+                           "--alpha-points", "7")
+        assert code == 0
+        doc = json.loads(out)
+        rho = parse_state(cli._load_doc(state), state)
+        phi = parse_pure(cli._load_doc(target), target)
+        enh = enhancement_gate(rho, phi)
+        assert doc["baseline"] == enh.baseline
+        assert doc["enhancement"]["verdict"] == enh.verdict
+        assert [r["margin"] for r in doc["enhancement"]["records"]] == [
+            r.margin for r in enh.records]
+        det = deterministic_gate(rho, phi, 7)
+        assert doc["deterministic"]["verdict"] == det.verdict
+        assert doc["deterministic"]["flags"] == list(det.flags)
+        assert [(m["margin_below_one"], m["margin_above_one"], m["entropy_margin"])
+                for m in doc["deterministic"]["members"]] == [
+            (m.margin_below_one, m.margin_above_one, m.entropy_margin) for m in det.members]
+    # baseline 1: the probability-1 gate does not apply, and that is no error
+    plus = write(tmp_path / "plus.json", {"amplitudes": [0.7071067811865476, 0.7071067811865476]})
+    pair = write(tmp_path / "pair.json", {"amplitudes": [0.6, 0.8]})
+    code, out, _ = run(capsys, "catalyst", "gate", plus, pair, "--json")
+    assert code == 0
+    assert json.loads(out)["deterministic"] == {"applicable": False}
+    flat = write(tmp_path / "flat.json", {"amplitudes": [1.0, 0, 0]})
+    assert run(capsys, "catalyst", "gate", files["rho"], flat)[0] == 3
+
+
+def test_main_reuses_one_parser(files, capsys):
+    commands = [
+        ["validate", files["rho"], "--json"],
+        ["pmax", files["rho"], files["phi"], "--json"],
+        ["--help"],
+        ["catalyst", "gate", files["rho"], files["phi"], "--json"],
+        ["--version"],
+        ["majorize", files["p"], files["q"], "--json"],
+        ["catalyst", "search", files["rho"]],          # usage error: no target
+        ["subspaces", files["rho"], "--json"],
+        ["pmax", files["rho"], files["phi"], "--json"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:               # --help, --version, usage errors
+            code = exc.code
+        out = capsys.readouterr()
+        return code, json.loads(out.out) if argv[-1] == "--json" else out
+
+    cli._parser.cache_clear()
+    reused = [outcome(argv) for argv in commands]
+    assert cli._parser.cache_info().misses == 1
+    fresh = []
+    for argv in commands:
+        cli._parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert [code for code, _ in reused] == [0, 0, 0, 0, 0, 0, 2, 0, 0]
+    assert reused == fresh
 
 
 def test_catalyst_search_command(files, tmp_path, capsys):

@@ -192,6 +192,15 @@ def test_power_mean_survives_overflowing_powers():
     assert power_mean([1e300, 1e300], -2.0) == pytest.approx(1e300, rel=1e-12)
 
 
+def test_power_mean_rescales_positive_orders_at_the_largest_entry():
+    # the mean of powers overflows (or underflows to 0) although A_alpha is finite
+    assert power_mean([1e300, 1e300], 2.0) == 1e300
+    assert power_means([[1e300, 1e300], [1e200, 0.0]], [2.0, 40.0])[0].tolist() == [1e300, 1e300]
+    assert power_mean([1e-200, 0.0], 2.0) == pytest.approx(1e-200 / math.sqrt(2.0), rel=1e-15)
+    assert power_mean([1e200, 0.0], 4.0) == pytest.approx(1e200 / 2.0 ** 0.25, rel=1e-15)
+    assert power_mean([0.0, 0.0], 2.0) == 0.0
+
+
 def test_power_means_reject_non_finite_input():
     with pytest.raises(ValidationError):
         power_mean([0.5, math.nan], 2.0)
