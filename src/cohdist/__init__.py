@@ -89,7 +89,6 @@ from .subspaces import (
     has_rank2_subspace,
     maximal_pure_subspaces,
     optimize_disjoint_selection,
-    select_disjoint_family,
 )
 
 __all__ = [
@@ -118,7 +117,6 @@ __all__ = [
     "PureSubspace",
     "DisjointFamily",
     "maximal_pure_subspaces",
-    "select_disjoint_family",
     "optimize_disjoint_selection",
     "has_rank2_subspace",
     # distillation

@@ -19,6 +19,10 @@ enumerates catalyst profiles on a simplex grid of at most ``GRID_CEILING``
 points and scores all candidates of one catalyst dimension in one array
 pass over rho's subspace profiles; the values equal a candidate-by-candidate
 evaluation through the plain distillation formulas bit for bit.
+
+Neither the gates nor the search decompose rho themselves: each reads one
+:func:`~cohdist.distill.pmax_mixed` result, which holds the maximal pure
+subspaces, the selected disjoint family and the baseline probability.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distill import MixedPmaxResult, pmax_mixed
 from .errors import IncoherentTargetError, PreconditionError, ValidationError
 from .measures import (
     _checked_rows,
@@ -42,11 +47,7 @@ from .measures import (
     sorted_descending,
 )
 from .states import DensityMatrix, PureStateVector, SUPPORT_TOL, as_distribution
-from .subspaces import (
-    maximal_pure_subspaces,
-    optimize_disjoint_selection,
-    select_disjoint_family,
-)
+from .subspaces import PureSubspace, optimize_disjoint_selection
 
 STRICT_TOL = 1e-12       # margin above which a strict inequality counts
 UNIT_TOL = 1e-9          # closeness to probability 1 / weight 1
@@ -123,13 +124,14 @@ class CatalystSearchReport:
 # shared plumbing
 # ===========================================================================
 
-def _subspace_entries(rho: DensityMatrix) -> list[tuple[tuple[int, ...], float, tuple[float, ...]]]:
-    """(indices, weight, sorted squared profile) for every maximal subspace."""
-    out = []
-    for s in maximal_pure_subspaces(rho):
-        profile = sorted_descending(s.state.probabilities())[: s.rank]
-        out.append((s.indices, s.weight, tuple(float(v) for v in profile)))
-    return out
+def _profile(s: PureSubspace) -> np.ndarray:
+    """Sorted squared profile of a subspace's state, cut to its rank."""
+    return sorted_descending(s.state.probabilities())[: s.rank]
+
+
+def _subspace_entries(subspaces) -> list[tuple[tuple[int, ...], float, tuple[float, ...]]]:
+    """(indices, weight, sorted squared profile) for every given subspace."""
+    return [(s.indices, s.weight, tuple(float(v) for v in _profile(s))) for s in subspaces]
 
 
 def _target_profile(phi: PureStateVector) -> np.ndarray:
@@ -138,13 +140,6 @@ def _target_profile(phi: PureStateVector) -> np.ndarray:
             "target has coherence rank 1; catalysis questions are vacuous"
         )
     return sorted_descending(phi.probabilities())[: coherence_rank(phi)]
-
-
-def _gate_inputs(rho: DensityMatrix, phi: PureStateVector):
-    """Target profile, maximal pure subspaces and selected family, as both gates use them."""
-    tgt = _target_profile(phi)
-    subs = maximal_pure_subspaces(rho)
-    return tgt, subs, select_disjoint_family(subs, phi)
 
 
 # ===========================================================================
@@ -165,14 +160,14 @@ def enhancement_gate(rho: DensityMatrix, phi: PureStateVector) -> EnhancementGat
     clique list; the selected disjoint family's existential is reported
     alongside.
     """
-    return _enhancement_report(*_gate_inputs(rho, phi))
+    tgt = _target_profile(phi)
+    return _enhancement_report(tgt, pmax_mixed(rho, phi))
 
 
-def _enhancement_report(tgt, subs, family) -> EnhancementGateReport:
+def _enhancement_report(tgt, mixed: MixedPmaxResult) -> EnhancementGateReport:
     records = []
-    for s in subs:
-        profile = sorted_descending(s.state.probabilities())[: s.rank]
-        p, q = _padded_profiles(profile, tgt)
+    for s in mixed.all_subspaces:
+        p, q = _padded_profiles(_profile(s), tgt)
         pure = min_profile_ratio(p, q)
         if q[-1] <= SUPPORT_TOL:
             bound = 1.0
@@ -185,7 +180,7 @@ def _enhancement_report(tgt, subs, family) -> EnhancementGateReport:
             EnhancementRecord(s.indices, pure, float(bound), float(margin),
                               bool(margin > STRICT_TOL))
         )
-    family_sets = family.index_sets()
+    family_sets = mixed.family.index_sets()
     return EnhancementGateReport(
         verdict=any(r.enhanceable for r in records),
         family_verdict=any(
@@ -193,7 +188,7 @@ def _enhancement_report(tgt, subs, family) -> EnhancementGateReport:
         ),
         records=tuple(records),
         family_index_sets=family_sets,
-        baseline=family.total_value,
+        baseline=mixed.p_max,
     )
 
 
@@ -330,8 +325,8 @@ def deterministic_gate(
     gate, as does a zero entry in a padded source profile (which zeroes
     every A_alpha with alpha <= 0).
     """
-    tgt, _, family = _gate_inputs(rho, phi)
-    return _deterministic_report(tgt, family, points_per_segment)
+    tgt = _target_profile(phi)
+    return _deterministic_report(tgt, pmax_mixed(rho, phi).family, points_per_segment)
 
 
 def _deterministic_report(tgt, family, points_per_segment) -> DeterministicGateReport:
@@ -348,7 +343,7 @@ def _deterministic_report(tgt, family, points_per_segment) -> DeterministicGateR
 
     # members of one padded length share every kernel call
     groups: dict[int, list[int]] = {}
-    profiles = [sorted_descending(s.state.probabilities())[: s.rank] for s in family.members]
+    profiles = [_profile(s) for s in family.members]
     for i, profile in enumerate(profiles):
         groups.setdefault(max(profile.size, tgt.size), []).append(i)
     margins = [None] * len(profiles)
@@ -463,7 +458,7 @@ def catalyzed_pmax(rho: DensityMatrix, phi: PureStateVector, catalyst) -> float:
     identity catalyst (1,) returns the plain baseline exactly.
     """
     tgt = _target_profile(phi)
-    entries = _subspace_entries(rho)
+    entries = _subspace_entries(pmax_mixed(rho, phi).all_subspaces)
     cat = as_distribution(catalyst)
     return float(_catalyzed_values(entries, tgt, cat[None, :])[0])
 
@@ -518,10 +513,16 @@ def _grid_size(n: int, max_parts: int) -> int:
 def _catalyst_grids(max_dim: int, grid_step: float) -> list[np.ndarray]:
     """Grid profiles as one N x k array per catalyst dimension k = 2..max_dim.
 
-    Dimensions above 1 / grid_step have no positive grid profile and are
-    skipped; a grid of more than ``GRID_CEILING`` profiles is refused
-    before anything is enumerated.
+    ``max_dim`` must be an integer and ``grid_step`` a real number in
+    (0, 0.5], which leaves out NaN and the infinities.  Dimensions above
+    1 / grid_step have no positive grid profile and are skipped; a grid
+    of more than ``GRID_CEILING`` profiles is refused before anything is
+    enumerated.
     """
+    if not isinstance(max_dim, numbers.Integral):
+        raise ValidationError(f"max_dim must be an integer, got {max_dim!r}")
+    if not isinstance(grid_step, numbers.Real):
+        raise ValidationError(f"grid_step must be a real number, got {grid_step!r}")
     if max_dim < 2:
         raise ValidationError("max_dim must be at least 2")
     if not 0.0 < grid_step <= 0.5:
@@ -558,7 +559,6 @@ def search_catalyst(
     max_dim: int = 2,
     grid_step: float = 0.05,
     mode: str = "probabilistic",
-    workers: int | None = None,
 ) -> CatalystSearchReport:
     """Grid search for an explicit catalyst profile.
 
@@ -567,15 +567,15 @@ def search_catalyst(
     lexicographically smallest profile.  In "deterministic" mode the first
     candidate (scan order of :func:`catalyst_candidates`) reaching
     probability 1 within 1e-9 is returned; starting from baseline 1 is a
-    precondition violation.  All candidates of one dimension are scored
-    in one array pass.  ``workers`` is accepted for compatibility and
-    ignored: candidates are evaluated in this process.
+    precondition violation.  The baseline is ``pmax_mixed(rho, phi).p_max``,
+    and all candidates of one dimension are scored in one array pass.
     """
     if mode not in ("probabilistic", "deterministic"):
         raise ValidationError(f"unknown mode {mode!r}")
     tgt = _target_profile(phi)
-    entries = _subspace_entries(rho)
-    baseline = float(_catalyzed_values(entries, tgt, np.ones((1, 1)))[0])
+    mixed = pmax_mixed(rho, phi)
+    entries = _subspace_entries(mixed.all_subspaces)
+    baseline = mixed.p_max
     if mode == "deterministic" and baseline >= 1.0 - UNIT_TOL:
         raise PreconditionError("baseline probability is already 1")
 

@@ -21,13 +21,15 @@ from . import __version__
 from .catalysis import (
     _deterministic_report,
     _enhancement_report,
-    _gate_inputs,
+    _target_profile,
     search_catalyst,
 )
 from .distill import (
     DistillationPlan,
     PlanBranch,
     StrictlyIncoherentKraus,
+    _build_plan,
+    _check_dimensions,
     full_plan,
     pmax_mixed,
     verify_branch_outputs,
@@ -309,7 +311,8 @@ def cmd_pmax(args) -> int:
         lines.append("note: overlapping subspaces forced a disjoint selection")
     doc = _pmax_doc(result)
     if args.protocol:
-        plan = full_plan(rho, phi)
+        _check_dimensions(rho, phi)
+        plan = _build_plan(rho, phi, result)
         with open(args.protocol, "w", encoding="utf-8") as fh:
             json.dump(plan_to_doc(plan), fh, indent=2)
         lines.append(f"protocol with {len(plan.branches)} branches -> {args.protocol}")
@@ -387,9 +390,10 @@ def cmd_simulate(args) -> int:
 def cmd_catalyst_gate(args) -> int:
     rho = parse_state(_load_doc(args.state), args.state)
     phi = parse_pure(_load_doc(args.target), args.target)
-    # both gates share one subspace enumeration and family selection
-    tgt, subs, family = _gate_inputs(rho, phi)
-    enh = _enhancement_report(tgt, subs, family)
+    # both gates read one pmax_mixed result
+    tgt = _target_profile(phi)
+    mixed = pmax_mixed(rho, phi)
+    enh = _enhancement_report(tgt, mixed)
     doc = {
         "baseline": enh.baseline,
         "enhancement": {
@@ -417,7 +421,7 @@ def cmd_catalyst_gate(args) -> int:
             f" {_fmt(r.bound)} -> {'yes' if r.enhanceable else 'no'}"
         )
     try:
-        det = _deterministic_report(tgt, family, args.alpha_points)
+        det = _deterministic_report(tgt, mixed.family, args.alpha_points)
         doc["deterministic"] = {
             "verdict": det.verdict,
             "weight_complete": det.weight_complete,
@@ -468,7 +472,6 @@ def cmd_catalyst_search(args) -> int:
         max_dim=args.max_dim,
         grid_step=args.step,
         mode=args.mode,
-        workers=args.workers,
     )
     doc = {
         "baseline": report.baseline,
@@ -586,10 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument(
         "--mode", choices=("probabilistic", "deterministic"),
         default="probabilistic",
-    )
-    s.add_argument(
-        "--workers", type=int, default=None,
-        help="accepted for compatibility and ignored; COHDIST_WORKERS is ignored too",
     )
     add_json(s)
     s.set_defaults(func=cmd_catalyst_search)

@@ -116,13 +116,6 @@ class StrictlyIncoherentKraus:
     def dim(self) -> int:
         return self.diagonal.shape[0]
 
-    def decomposition(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(P_pi, K_delta, P) with matrix = P_pi @ K_delta @ P."""
-        d = self.dim
-        p_pi = np.zeros((d, d))
-        p_pi[list(self.permutation), np.arange(d)] = 1.0
-        return p_pi, np.diag(self.diagonal), np.diag(self.projector)
-
     def reconstruct(self) -> np.ndarray:
         """Dense d x d form, a fresh array scattered from the factors."""
         mat = np.zeros((self.dim, self.dim), dtype=complex)
@@ -181,7 +174,6 @@ class DistillationPlan:
     p_max: float
     branches: tuple[PlanBranch, ...]
     family_index_sets: tuple[tuple[int, ...], ...]
-    per_subspace: tuple[SubspaceYield, ...] | None = None
 
     def completeness_gap(self) -> float:
         """Largest entry of the diagonal matrix sum(K†K) minus 1 (<= 0 for a valid plan)."""
@@ -217,11 +209,7 @@ def pmax_pure(psi: PureStateVector, phi: PureStateVector) -> float:
     return min_profile_ratio(psi.probabilities(), phi.probabilities())
 
 
-def conversion_kraus(
-    psi: PureStateVector,
-    phi: PureStateVector,
-    subspace: PureSubspace | None = None,
-) -> StrictlyIncoherentKraus:
+def conversion_kraus(psi: PureStateVector, phi: PureStateVector) -> StrictlyIncoherentKraus:
     """Single success operator at the largest admissible scale.
 
     Aligns both states by descending amplitude, divides target by source
@@ -229,8 +217,6 @@ def conversion_kraus(
     modulus.  Its success probability is the smallest aligned ratio
     min_t |psi_t / phi_t|^2, which multi-branch protocols can beat.
     """
-    if subspace is not None and tuple(sorted(subspace.indices)) != psi.support():
-        raise ProtocolSynthesisError("subspace does not match the state support")
     src = psi.sorted_support()
     tgt = phi.sorted_support()
     if len(src) < len(tgt):
@@ -446,9 +432,17 @@ def full_plan(rho: DensityMatrix, phi: PureStateVector) -> DistillationPlan:
     input columns of every branch live inside its own subspace, so the
     combined operator family stays complete.
     """
+    _check_dimensions(rho, phi)
+    return _build_plan(rho, phi, pmax_mixed(rho, phi))
+
+
+def _check_dimensions(rho: DensityMatrix, phi: PureStateVector) -> None:
     if phi.dim != rho.dim:
         raise ValidationError(f"target dimension {phi.dim} != source dimension {rho.dim}")
-    mixed = pmax_mixed(rho, phi)
+
+
+def _build_plan(rho: DensityMatrix, phi: PureStateVector, mixed: MixedPmaxResult) -> DistillationPlan:
+    """The :func:`full_plan` of ``mixed = pmax_mixed(rho, phi)``, dimensions already checked."""
     branches: list[PlanBranch] = []
     for mu, y in enumerate(mixed.per_subspace):
         if y.ratio <= 0.0:
@@ -463,7 +457,6 @@ def full_plan(rho: DensityMatrix, phi: PureStateVector) -> DistillationPlan:
         p_max=mixed.p_max,
         branches=tuple(branches),
         family_index_sets=mixed.family.index_sets(),
-        per_subspace=mixed.per_subspace,
     )
     total = sum(b.probability for b in branches)
     if abs(total - mixed.p_max) > PROB_TOL:

@@ -19,7 +19,6 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import ValidationError
-from .measures import min_profile_ratio
 from .states import (
     DensityMatrix,
     PureStateVector,
@@ -236,25 +235,3 @@ def optimize_disjoint_selection(
         weight += entries[i][1]
         value += entries[i][2]
     return chosen, float(weight), float(value)
-
-
-def select_disjoint_family(
-    subspaces: list[PureSubspace], target: PureStateVector
-) -> DisjointFamily:
-    """Pick the pairwise-disjoint sub-family maximizing the distilled yield.
-
-    The objective is sum of weight * min_profile_ratio(state, target) over
-    selected members; see :func:`optimize_disjoint_selection` for the exact
-    search and tie-breaking rules.
-    """
-    target_w = target.probabilities()
-    entries = [
-        (
-            s.indices,
-            s.weight,
-            s.weight * min_profile_ratio(s.state.probabilities(), target_w),
-        )
-        for s in subspaces
-    ]
-    chosen, weight, value = optimize_disjoint_selection(entries)
-    return DisjointFamily(tuple(subspaces[i] for i in chosen), weight, value)

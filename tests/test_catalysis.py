@@ -1,3 +1,4 @@
+import json
 import math
 import time
 from collections import Counter
@@ -23,6 +24,7 @@ from cohdist import (
     validate_density,
 )
 from cohdist import catalysis
+from cohdist.cli import main
 from cohdist.measures import (
     min_profile_ratio,
     power_mean,
@@ -31,11 +33,7 @@ from cohdist.measures import (
     tensor,
 )
 from cohdist.states import SUPPORT_TOL
-from cohdist.subspaces import (
-    maximal_pure_subspaces,
-    optimize_disjoint_selection,
-    select_disjoint_family,
-)
+from cohdist.subspaces import maximal_pure_subspaces, optimize_disjoint_selection
 
 
 def _canonical(canonical_catalysis_pair):
@@ -246,12 +244,6 @@ def test_search_deterministic_mode_requires_subunit_baseline():
         )
 
 
-def test_search_accepts_and_ignores_workers(canonical_catalysis_pair):
-    rho, phi = _canonical(canonical_catalysis_pair)
-    default = search_catalyst(rho, phi, max_dim=3, grid_step=0.1)
-    assert search_catalyst(rho, phi, max_dim=3, grid_step=0.1, workers=2) == default
-
-
 def test_search_result_consistent_with_direct_evaluation(
     canonical_catalysis_pair,
 ):
@@ -272,6 +264,10 @@ def _reference_catalyzed(entries, target_profile, catalyst) -> float:
         for idx, w, prof in entries
     ]
     return optimize_disjoint_selection(scored)[2]
+
+
+def _entries(rho):
+    return catalysis._subspace_entries(maximal_pure_subspaces(rho))
 
 
 def _reference_partitions(n, k, cap):
@@ -297,7 +293,7 @@ def _reference_candidates(max_dim, grid_step):
 def _reference_search(rho, phi, max_dim, grid_step, mode):
     """The candidate-by-candidate search, with its scan and tie rules."""
     tgt = catalysis._target_profile(phi)
-    entries = catalysis._subspace_entries(rho)
+    entries = _entries(rho)
     baseline = _reference_catalyzed(entries, tgt, (1.0,))
     if mode == "deterministic" and baseline >= 1.0 - catalysis.UNIT_TOL:
         raise PreconditionError("baseline probability is already 1")
@@ -379,7 +375,7 @@ def test_batched_scores_equal_the_candidate_loop(overlapping_state):
     catalysts = catalysis._catalyst_grids(4, 0.1)
     for name, rho, phi in _corpus(overlapping_state):
         tgt = catalysis._target_profile(phi)
-        entries = catalysis._subspace_entries(rho)
+        entries = _entries(rho)
         for grid in [np.ones((1, 1)), *catalysts]:
             got = catalysis._catalyzed_values(entries, tgt, grid).tolist()
             want = [_reference_catalyzed(entries, tgt, row) for row in grid]
@@ -388,8 +384,41 @@ def test_batched_scores_equal_the_candidate_loop(overlapping_state):
         assert catalyzed_pmax(rho, phi, cat) == _reference_catalyzed(entries, tgt, cat), name
 
 
+def _chain_state(n):
+    """``overlapping_state`` extended to n levels of equal population: n - 1 overlapping pairs."""
+    angles = np.arange(n) * np.sqrt(8e-10)
+    g = np.stack([np.cos(angles), np.sin(angles)], axis=1) / np.sqrt(n)
+    return validate_density((g @ g.T).astype(complex))
+
+
+def _state_doc(rho):
+    return {"matrix": [[[z.real, z.imag] for z in row] for row in rho.matrix.tolist()]}
+
+
+def test_gate_and_search_baselines_are_the_pmax_mixed_value(overlapping_state, tmp_path, capsys):
+    cases = _corpus(overlapping_state)
+    for n in (3, 5, 8):
+        pair = PureStateVector.from_probabilities(np.r_[0.5, 0.5, np.zeros(n - 2)])
+        cases.append((f"chain{n}", _chain_state(n), pair))
+    assert sum(pmax_mixed(rho, phi).overlap_adjusted for _, rho, phi in cases) >= 4
+    state, target = tmp_path / "rho.json", tmp_path / "phi.json"
+    for name, rho, phi in cases:
+        want = pmax_mixed(rho, phi).p_max
+        # the identity catalyst's score, the search's former baseline
+        assert catalyzed_pmax(rho, phi, np.array([1.0])) == want, name
+        assert enhancement_gate(rho, phi).baseline == want, name
+        assert search_catalyst(rho, phi, 2, 0.25).baseline == want, name
+        if want < 1.0 - catalysis.UNIT_TOL:
+            assert deterministic_gate(rho, phi, 5).baseline == want, name
+            assert search_catalyst(rho, phi, 2, 0.25, "deterministic").baseline == want, name
+        state.write_text(json.dumps(_state_doc(rho)))
+        target.write_text(json.dumps({"amplitudes": [[z.real, z.imag] for z in phi.amplitudes.tolist()]}))
+        assert main(["catalyst", "gate", str(state), str(target), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["baseline"] == want, name
+
+
 def test_overlapping_source_takes_the_selection_fallback(overlapping_state):
-    entries = catalysis._subspace_entries(overlapping_state)
+    entries = _entries(overlapping_state)
     levels = [j for idx, _, _ in entries for j in idx]
     assert len(levels) > len(set(levels))
 
@@ -400,7 +429,7 @@ def test_batched_scores_span_several_row_chunks():
     rho = _pure(rng.dirichlet(np.ones(d)))
     phi = _target(rng, 5, d)
     tgt = catalysis._target_profile(phi)
-    entries = catalysis._subspace_entries(rho)
+    entries = _entries(rho)
     (grid,) = catalysis._catalyst_grids(2, 0.001)
     assert len(grid) * 2 * d > 2 * catalysis.ROW_CHUNK_ELEMENTS   # three chunks
     got = catalysis._catalyzed_values(entries, tgt, grid).tolist()
@@ -466,6 +495,28 @@ def test_grid_above_the_ceiling_is_refused_before_enumeration():
     assert len(catalyst_candidates(10**18, 0.25)) == 4
 
 
+@pytest.mark.parametrize("max_dim, grid_step", [
+    (2.5, 0.1), ("3", 0.1), (None, 0.1), (3.0, 0.25),
+    (3, "0.1"), (3, None), (3, 0.25j), (3, math.nan), (3, math.inf), (3, -math.inf),
+])
+def test_badly_typed_grid_arguments_are_validation_errors(
+    canonical_catalysis_pair, max_dim, grid_step
+):
+    rho, phi = _canonical(canonical_catalysis_pair)
+    with pytest.raises(ValidationError):
+        catalyst_candidates(max_dim, grid_step)
+    with pytest.raises(ValidationError):
+        search_catalyst(rho, phi, max_dim=max_dim, grid_step=grid_step)
+
+
+def test_numpy_grid_arguments_are_accepted(canonical_catalysis_pair):
+    rho, phi = _canonical(canonical_catalysis_pair)
+    assert catalyst_candidates(np.int64(3), np.float64(0.25)) == catalyst_candidates(3, 0.25)
+    assert catalyst_candidates(np.int32(3), np.float32(0.25)) == catalyst_candidates(3, 0.25)
+    got = search_catalyst(rho, phi, max_dim=np.int64(3), grid_step=np.float64(0.05))
+    assert got == search_catalyst(rho, phi, max_dim=3, grid_step=0.05)
+
+
 def test_grid_size_counts_partitions_exactly():
     for n in range(2, 30):
         want = 0
@@ -513,8 +564,7 @@ def _reference_refine_minimum(f, alphas, values):
 def _reference_deterministic_gate(rho, phi, points_per_segment=20):
     """The probability-1 gate with one scalar power_mean call per order and profile."""
     tgt = catalysis._target_profile(phi)
-    subs = maximal_pure_subspaces(rho)
-    family = select_disjoint_family(subs, phi)
+    family = pmax_mixed(rho, phi).family
     baseline = family.total_value
     if baseline >= 1.0 - catalysis.UNIT_TOL:
         raise PreconditionError("optimal probability is already 1; no catalyst is needed")

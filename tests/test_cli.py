@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import sys
 import time
 import warnings
 
@@ -16,7 +17,7 @@ from cohdist import (
     full_plan,
     validate_density,
 )
-from cohdist import cli
+from cohdist import cli, subspaces
 from cohdist.cli import main, parse_pure, parse_state, plan_from_doc, plan_to_doc
 
 
@@ -183,6 +184,43 @@ def test_catalyst_gate_reports_what_the_library_gates_report(files, tmp_path, ca
     assert json.loads(out)["deterministic"] == {"applicable": False}
     flat = write(tmp_path / "flat.json", {"amplitudes": [1.0, 0, 0]})
     assert run(capsys, "catalyst", "gate", files["rho"], flat)[0] == 3
+
+
+def _count_enumerations(monkeypatch) -> list:
+    """Count maximal_pure_subspaces calls, wherever in cohdist the name is bound."""
+    original = subspaces.maximal_pure_subspaces
+    calls = []
+
+    def counting(rho):
+        calls.append(rho)
+        return original(rho)
+
+    for name, module in list(sys.modules.items()):
+        if name == "cohdist" or name.startswith("cohdist."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def test_each_command_and_gate_enumerates_the_subspaces_once(files, monkeypatch, capsys):
+    calls = _count_enumerations(monkeypatch)
+    plan_path = str(files["tmp"] / "plan.json")
+    commands = [
+        ["pmax", files["rho"], files["phi"], "--protocol", plan_path],
+        ["catalyst", "gate", files["rho"], files["phi"]],
+        ["catalyst", "search", files["rho"], files["phi"]],
+    ]
+    for argv in commands:
+        calls.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert len(calls) == 1, argv
+    rho = parse_state(cli._load_doc(files["rho"]), files["rho"])
+    phi = parse_pure(cli._load_doc(files["phi"]), files["phi"])
+    for gate in (enhancement_gate, deterministic_gate):
+        calls.clear()
+        gate(rho, phi)
+        assert len(calls) == 1, gate.__name__
 
 
 def test_main_reuses_one_parser(files, capsys):
@@ -416,6 +454,8 @@ def test_plan_and_state_dimensions_must_agree(files, tmp_path, capsys):
     code, _, _ = run(capsys, "simulate", plan_path, qubit, "--shots", "10")
     assert code == 2
     code, _, _ = run(capsys, "protocol", qubit, files["phi"], plan_path)
+    assert code == 2
+    code, _, _ = run(capsys, "pmax", qubit, files["phi"], "--protocol", plan_path)
     assert code == 2
 
 

@@ -63,15 +63,12 @@ def test_kraus_decomposition_factors():
         [[0, 0.5j, 0], [0.7, 0, 0], [0, 0, 0]], dtype=complex
     )
     k = StrictlyIncoherentKraus.from_matrix(mat)
-    p_pi, k_delta, proj = k.decomposition()
-    assert np.allclose(p_pi @ k_delta @ proj, mat, atol=1e-12)
-    # permutation part moves basis states to basis states
-    assert np.array_equal(np.abs(p_pi) > 0, p_pi > 0)
-    assert np.allclose(p_pi.sum(axis=0), 1) and np.allclose(p_pi.sum(axis=1), 1)
-    # diagonal factors really are diagonal
-    assert np.allclose(k_delta, np.diag(np.diag(k_delta)))
-    assert np.allclose(proj, np.diag(np.diag(proj)))
-    assert set(np.diag(proj).real.round(12)) <= {0.0, 1.0}
+    # every column goes to a row of its own
+    assert sorted(k.permutation) == list(range(3))
+    # the coefficients sit exactly on the columns the projector keeps
+    assert np.array_equal(k.diagonal == 0, k.projector == 0)
+    assert set(k.projector.tolist()) <= {0.0, 1.0}
+    assert np.array_equal(k.reconstruct(), mat)
 
 
 def test_kraus_effect_diagonal():
@@ -243,6 +240,7 @@ def test_pmax_mixed_block_example(block_mixture, uniform_qubit_target):
     res = pmax_mixed(block_mixture, uniform_qubit_target)
     assert res.p_max == pytest.approx(0.1, abs=1e-9)
     assert res.family.index_sets() == ((0, 1), (2,))
+    assert res.family.total_weight == pytest.approx(1.0, abs=1e-12)
     assert not res.overlap_adjusted
     yields = {y.subspace.indices: y.achieved for y in res.per_subspace}
     assert yields[(0, 1)] == pytest.approx(0.1, abs=1e-12)
@@ -258,6 +256,9 @@ def test_pmax_mixed_flags_overlap(overlapping_state):
     phi = PureStateVector(np.array([1, 1, 0], dtype=complex) / np.sqrt(2))
     res = pmax_mixed(overlapping_state, phi)
     assert res.overlap_adjusted
+    assert [s.indices for s in res.all_subspaces] == [(0, 1), (1, 2)]
+    # (0,1) carries weight 0.75 and yield 0.7, beating (1,2) at 0.5
+    assert res.family.index_sets() == ((0, 1),)
     assert res.p_max == pytest.approx(0.7, abs=1e-6)
 
 

@@ -13,7 +13,6 @@ from cohdist import (
     random_block_state,
     random_mixture_state,
     random_pure_state,
-    select_disjoint_family,
     validate_density,
 )
 from cohdist.states import positive_diagonal_indices
@@ -206,27 +205,6 @@ def test_disjoint_selection_full_tie_prefers_lexicographic():
     entries = [((1, 2), 0.5, 0.25), ((0, 1), 0.5, 0.25)]
     chosen, _, _ = optimize_disjoint_selection(entries)
     assert chosen == (1,)
-
-
-def test_select_disjoint_family_takes_all_non_overlapping(
-    block_mixture, uniform_qubit_target
-):
-    fam = select_disjoint_family(
-        maximal_pure_subspaces(block_mixture), uniform_qubit_target
-    )
-    assert fam.index_sets() == ((0, 1), (2,))
-    assert fam.total_weight == pytest.approx(1.0, abs=1e-12)
-    assert fam.total_value == pytest.approx(0.1, abs=1e-12)
-
-
-def test_select_disjoint_family_resolves_overlap(overlapping_state):
-    subs = maximal_pure_subspaces(overlapping_state)
-    assert [s.indices for s in subs] == [(0, 1), (1, 2)]
-    phi = PureStateVector(np.array([1, 1, 0], dtype=complex) / np.sqrt(2))
-    fam = select_disjoint_family(subs, phi)
-    # (0,1) carries weight 0.75 and yield 0.7, beating (1,2) at 0.5
-    assert fam.index_sets() == ((0, 1),)
-    assert fam.total_value == pytest.approx(0.7, abs=1e-6)
 
 
 def _reference_selection(entries):
