@@ -11,8 +11,10 @@ precondition (e.g. deterministic catalyst search at probability 1).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -29,7 +31,6 @@ from .distill import (
     PlanBranch,
     StrictlyIncoherentKraus,
     _build_plan,
-    _check_dimensions,
     full_plan,
     pmax_mixed,
     verify_branch_outputs,
@@ -94,11 +95,6 @@ def _list_in(node, path: str) -> list:
     if isinstance(node, list):
         return node
     raise ValidationError(f"{path}: expected an array")
-
-
-def _order_out(alpha: float) -> float | str:
-    """An exponent for JSON: infinite orders as the strings "inf" / "-inf"."""
-    return str(alpha) if np.isinf(alpha) else alpha
 
 
 def _complex_out(z: complex) -> list[float]:
@@ -216,6 +212,23 @@ def plan_from_doc(doc: dict, path: str) -> DistillationPlan:
     )
 
 
+def _json_value(value):
+    """A report as JSON data: a dataclass as an object of its fields, a tuple
+    or list as an array, an infinite float as the string "inf" / "-inf"."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _json_value(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [_json_value(v) for v in value]
+    if isinstance(value, float) and math.isinf(value):
+        return "inf" if value > 0 else "-inf"
+    return value
+
+
+def _write_plan(path: str, plan: DistillationPlan) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(plan_to_doc(plan)))
+
+
 def _emit(doc: dict, as_json: bool, text_lines: list[str]):
     if as_json:
         print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
@@ -311,10 +324,8 @@ def cmd_pmax(args) -> int:
         lines.append("note: overlapping subspaces forced a disjoint selection")
     doc = _pmax_doc(result)
     if args.protocol:
-        _check_dimensions(rho, phi)
         plan = _build_plan(rho, phi, result)
-        with open(args.protocol, "w", encoding="utf-8") as fh:
-            json.dump(plan_to_doc(plan), fh, indent=2)
+        _write_plan(args.protocol, plan)
         lines.append(f"protocol with {len(plan.branches)} branches -> {args.protocol}")
         doc["protocol_written"] = args.protocol
         doc["branches"] = len(plan.branches)
@@ -327,8 +338,7 @@ def cmd_protocol(args) -> int:
     phi = parse_pure(_load_doc(args.target), args.target)
     plan = full_plan(rho, phi)
     check = verify_branch_outputs(plan, rho, phi)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(plan_to_doc(plan), fh, indent=2)
+    _write_plan(args.out, plan)
     gap = plan.completeness_gap()
     doc = {
         "p_max": plan.p_max,
@@ -362,17 +372,7 @@ def cmd_simulate(args) -> int:
     if plan.dim != rho.dim:
         raise ValidationError(f"{args.state}: dimension {rho.dim}, plan has {plan.dim}")
     result = simulate(plan, rho, shots=args.shots, seed=args.seed)
-    doc = {
-        "shots": result.shots,
-        "seed": result.seed,
-        "successes": result.successes,
-        "empirical_probability": result.empirical_probability,
-        "standard_error": result.standard_error,
-        "analytic_probability": result.analytic_probability,
-        "failure_count": result.failure_count,
-        "per_branch_counts": result.per_branch_counts,
-        "rng_algorithm": result.rng_algorithm,
-    }
+    doc = _json_value(result)
     lines = [
         f"shots {result.shots}, seed {result.seed} ({result.rng_algorithm})",
         f"successes {result.successes}"
@@ -399,16 +399,7 @@ def cmd_catalyst_gate(args) -> int:
         "enhancement": {
             "verdict": enh.verdict,
             "family_verdict": enh.family_verdict,
-            "records": [
-                {
-                    "indices": list(r.indices),
-                    "pure_pmax": r.pure_pmax,
-                    "bound": r.bound,
-                    "margin": r.margin,
-                    "enhanceable": r.enhanceable,
-                }
-                for r in enh.records
-            ],
+            "records": _json_value(enh.records),
         },
     }
     lines = [
@@ -422,25 +413,8 @@ def cmd_catalyst_gate(args) -> int:
         )
     try:
         det = _deterministic_report(tgt, mixed.family, args.alpha_points)
-        doc["deterministic"] = {
-            "verdict": det.verdict,
-            "weight_complete": det.weight_complete,
-            "total_weight": det.total_weight,
-            "flags": list(det.flags),
-            "members": [
-                {
-                    "indices": list(m.indices),
-                    "margin_below_one": m.margin_below_one,
-                    "alpha_below_one": _order_out(m.alpha_below_one),
-                    "margin_above_one": m.margin_above_one,
-                    "alpha_above_one": _order_out(m.alpha_above_one),
-                    "entropy_margin": m.entropy_margin,
-                    "zero_entry_support": m.zero_entry_support,
-                    "passes": m.passes,
-                }
-                for m in det.members
-            ],
-        }
+        doc["deterministic"] = _json_value(det)
+        del doc["deterministic"]["baseline"]  # reported once, at the top level
         lines.append(
             f"catalyst can reach probability 1: {str(det.verdict).lower()}"
         )
@@ -473,14 +447,7 @@ def cmd_catalyst_search(args) -> int:
         grid_step=args.step,
         mode=args.mode,
     )
-    doc = {
-        "baseline": report.baseline,
-        "mode": report.mode,
-        "found": report.found,
-        "catalyst": list(report.catalyst) if report.catalyst else None,
-        "achieved": report.achieved,
-        "candidates_evaluated": report.candidates_evaluated,
-    }
+    doc = _json_value(report)
     lines = [
         f"baseline p_max = {_fmt(report.baseline)}",
         f"candidates evaluated: {report.candidates_evaluated}",

@@ -401,8 +401,11 @@ def pmax_mixed(rho: DensityMatrix, phi: PureStateVector) -> MixedPmaxResult:
     Decomposes rho into its maximal pure subspaces, selects the best
     pairwise-disjoint family, and adds up weight-scaled pure conversion
     probabilities.  ``overlap_adjusted`` flags inputs where overlapping
-    subspaces made the selection strict.
+    subspaces made the selection strict.  A target whose dimension differs
+    from rho's is a :class:`ValidationError`.
     """
+    if phi.dim != rho.dim:
+        raise ValidationError(f"target dimension {phi.dim} != source dimension {rho.dim}")
     if coherence_rank(phi) < 2:
         raise IncoherentTargetError(
             "target has coherence rank 1; it is reachable for free"
@@ -432,17 +435,11 @@ def full_plan(rho: DensityMatrix, phi: PureStateVector) -> DistillationPlan:
     input columns of every branch live inside its own subspace, so the
     combined operator family stays complete.
     """
-    _check_dimensions(rho, phi)
     return _build_plan(rho, phi, pmax_mixed(rho, phi))
 
 
-def _check_dimensions(rho: DensityMatrix, phi: PureStateVector) -> None:
-    if phi.dim != rho.dim:
-        raise ValidationError(f"target dimension {phi.dim} != source dimension {rho.dim}")
-
-
 def _build_plan(rho: DensityMatrix, phi: PureStateVector, mixed: MixedPmaxResult) -> DistillationPlan:
-    """The :func:`full_plan` of ``mixed = pmax_mixed(rho, phi)``, dimensions already checked."""
+    """The :func:`full_plan` of ``mixed = pmax_mixed(rho, phi)``."""
     branches: list[PlanBranch] = []
     for mu, y in enumerate(mixed.per_subspace):
         if y.ratio <= 0.0:

@@ -2,6 +2,8 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 import warnings
@@ -10,11 +12,16 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import cohdist
 from cohdist import (
     PureStateVector,
+    ValidationError,
+    catalyzed_pmax,
     deterministic_gate,
     enhancement_gate,
     full_plan,
+    pmax_mixed,
+    search_catalyst,
     validate_density,
 )
 from cohdist import cli, subspaces
@@ -184,6 +191,49 @@ def test_catalyst_gate_reports_what_the_library_gates_report(files, tmp_path, ca
     assert json.loads(out)["deterministic"] == {"applicable": False}
     flat = write(tmp_path / "flat.json", {"amplitudes": [1.0, 0, 0]})
     assert run(capsys, "catalyst", "gate", files["rho"], flat)[0] == 3
+
+
+def test_report_json_keys_are_the_report_fields(files, tmp_path, capsys):
+    # these key sets are the report dataclasses' fields: a new or renamed
+    # field changes the --json schema and has to be pinned here
+    psi4 = write(tmp_path / "psi4.json", {"amplitudes": np.sqrt([0.4, 0.4, 0.1, 0.1]).tolist()})
+    phi4 = write(tmp_path / "phi4.json", {"amplitudes": np.sqrt([0.5, 0.25, 0.25, 0]).tolist()})
+    code, out, _ = run(capsys, "catalyst", "gate", psi4, phi4, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert set(doc) == {"baseline", "enhancement", "deterministic"}
+    assert set(doc["enhancement"]) == {"verdict", "family_verdict", "records"}
+    assert doc["enhancement"]["records"]
+    for record in doc["enhancement"]["records"]:
+        assert set(record) == {"indices", "pure_pmax", "bound", "margin", "enhanceable"}
+    assert set(doc["deterministic"]) == {
+        "verdict", "members", "total_weight", "weight_complete", "flags"}
+    assert doc["deterministic"]["members"]
+    for member in doc["deterministic"]["members"]:
+        assert set(member) == {
+            "indices", "margin_below_one", "alpha_below_one", "margin_above_one",
+            "alpha_above_one", "entropy_margin", "zero_entry_support", "passes"}
+    plus = write(tmp_path / "plus.json", {"amplitudes": [0.7071067811865476, 0.7071067811865476]})
+    pair = write(tmp_path / "pair.json", {"amplitudes": [0.6, 0.8]})
+    code, out, _ = run(capsys, "catalyst", "gate", plus, pair, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert set(doc) == {"baseline", "enhancement", "deterministic"}
+    assert doc["deterministic"] == {"applicable": False}
+
+    for mode in ("probabilistic", "deterministic"):
+        code, out, _ = run(capsys, "catalyst", "search", psi4, phi4, "--mode", mode, "--json")
+        assert code == 0
+        assert set(json.loads(out)) == {
+            "baseline", "mode", "found", "catalyst", "achieved", "candidates_evaluated"}
+
+    plan_path = str(tmp_path / "plan.json")
+    assert run(capsys, "protocol", files["rho"], files["phi"], plan_path)[0] == 0
+    code, out, _ = run(capsys, "simulate", plan_path, files["rho"], "--shots", "100", "--json")
+    assert code == 0
+    assert set(json.loads(out)) == {
+        "shots", "seed", "successes", "empirical_probability", "standard_error",
+        "analytic_probability", "per_branch_counts", "failure_count", "rng_algorithm"}
 
 
 def _count_enumerations(monkeypatch) -> list:
@@ -370,6 +420,20 @@ def test_tampered_protocol_file_fails_validation(files, tmp_path, capsys):
     assert code == 2
 
 
+def test_plan_files_are_compact_json_of_plan_to_doc(files, capsys):
+    rho = parse_state(cli._load_doc(files["rho"]), files["rho"])
+    phi = parse_pure(cli._load_doc(files["phi"]), files["phi"])
+    expected = plan_to_doc(full_plan(rho, phi))
+    written = files["tmp"] / "plan.json"
+    for argv in (["protocol", files["rho"], files["phi"], str(written)],
+                 ["pmax", files["rho"], files["phi"], "--protocol", str(written)]):
+        written.unlink(missing_ok=True)
+        assert run(capsys, *argv)[0] == 0
+        text = written.read_text()
+        assert "\n" not in text
+        assert json.loads(text) == expected
+
+
 def test_plan_serialization_roundtrip(block_mixture, uniform_qubit_target):
     plan = full_plan(block_mixture, uniform_qubit_target)
     doc = plan_to_doc(plan)
@@ -457,6 +521,58 @@ def test_plan_and_state_dimensions_must_agree(files, tmp_path, capsys):
     assert code == 2
     code, _, _ = run(capsys, "pmax", qubit, files["phi"], "--protocol", plan_path)
     assert code == 2
+
+
+def test_a_target_of_another_dimension_is_refused(tmp_path, capsys):
+    rho = validate_density([[0.5, 0.5, 0], [0.5, 0.5, 0], [0, 0, 0]])
+    state = write(tmp_path / "rho.json", {"matrix": rho.matrix.real.tolist()})
+    calls = (
+        pmax_mixed,
+        enhancement_gate,
+        deterministic_gate,
+        search_catalyst,
+        lambda r, p: catalyzed_pmax(r, p, (0.5, 0.5)),
+    )
+    for amps in ([0.6, 0.8], [0.5, 0.5, 0.5, 0.5]):
+        phi = PureStateVector(np.array(amps, dtype=complex))
+        for call in calls:
+            with pytest.raises(ValidationError, match="dimension"):
+                call(rho, phi)
+        target = write(tmp_path / "phi.json", {"amplitudes": amps})
+        for command in (["pmax"], ["catalyst", "gate"], ["catalyst", "search"]):
+            code, out, err = run(capsys, *command, state, target)
+            assert (code, out) == (2, ""), command
+            assert "dimension" in err
+
+
+def _cli_subprocess(*argv):
+    """Run the CLI as its own process, on the cohdist package imported here."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(cohdist.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "cohdist.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def test_shell_sees_the_exit_codes(files, tmp_path):
+    done = _cli_subprocess("pmax", files["rho"], files["phi"], "--json")
+    assert done.returncode == 0
+    assert json.loads(done.stdout, parse_constant=_refuse_constant)["family"] == [[0, 1], [2]]
+    assert "Traceback" not in done.stderr
+    bad = write(tmp_path / "bad.json", {"matrix": [[0.5, "x"], [0, 0.5]]})
+    flat = write(tmp_path / "flat.json", {"amplitudes": [1.0, 0, 0]})
+    plus = write(tmp_path / "plus.json", {"amplitudes": [0.7071067811865476, 0.7071067811865476]})
+    for argv, expected in (
+        (["pmax", str(tmp_path / "missing.json"), files["phi"]], 1),
+        (["pmax", bad, files["phi"]], 2),
+        (["pmax", files["rho"], flat], 3),
+        (["catalyst", "search", plus, plus, "--mode", "deterministic"], 4),
+    ):
+        done = _cli_subprocess(*argv)
+        assert done.returncode == expected, argv
+        assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
 
 
 # ------------------------------------------------------- fuzzed JSON inputs
