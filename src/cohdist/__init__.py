@@ -57,6 +57,7 @@ from .measures import (
     coherence_rank,
     majorizes,
     min_profile_ratio,
+    min_profile_ratios,
     power_mean,
     power_means,
     shannon_entropy,
@@ -106,6 +107,7 @@ __all__ = [
     "suffix_profile",
     "cl_profile",
     "min_profile_ratio",
+    "min_profile_ratios",
     "majorizes",
     "tensor",
     "power_mean",

@@ -39,10 +39,10 @@ from .distill import MixedPmaxResult, pmax_mixed
 from .errors import IncoherentTargetError, PreconditionError, ValidationError
 from .measures import (
     _checked_rows,
-    _padded_profiles,
+    _padded_rows,
     _power_means_kernel,
     coherence_rank,
-    min_profile_ratio,
+    min_profile_ratios,
     shannon_entropy,
     sorted_descending,
 )
@@ -125,8 +125,8 @@ class CatalystSearchReport:
 # ===========================================================================
 
 def _profile(s: PureSubspace) -> np.ndarray:
-    """Sorted squared profile of a subspace's state, cut to its rank."""
-    return sorted_descending(s.state.probabilities())[: s.rank]
+    """A subspace's population profile, sorted descending."""
+    return sorted_descending(s.profile)
 
 
 def _subspace_entries(subspaces) -> list[tuple[tuple[int, ...], float, tuple[float, ...]]]:
@@ -166,15 +166,18 @@ def enhancement_gate(rho: DensityMatrix, phi: PureStateVector) -> EnhancementGat
 
 def _enhancement_report(tgt, mixed: MixedPmaxResult) -> EnhancementGateReport:
     records = []
-    for s in mixed.all_subspaces:
-        p, q = _padded_profiles(_profile(s), tgt)
-        pure = min_profile_ratio(p, q)
-        if q[-1] <= SUPPORT_TOL:
+    profiles = [_profile(s) for s in mixed.all_subspaces]
+    ratios = min_profile_ratios(_padded_rows(profiles), tgt).tolist()
+    for s, profile, pure in zip(mixed.all_subspaces, profiles, ratios):
+        # smallest entries of the profiles zero-padded to a common length
+        p_last = profile[-1] if profile.size >= tgt.size else 0.0
+        q_last = tgt[-1] if tgt.size >= profile.size else 0.0
+        if q_last <= SUPPORT_TOL:
             bound = 1.0
-        elif p[-1] <= SUPPORT_TOL:
+        elif p_last <= SUPPORT_TOL:
             bound = 0.0
         else:
-            bound = min(p[-1] / q[-1], 1.0)
+            bound = min(p_last / q_last, 1.0)
         margin = bound - pure
         records.append(
             EnhancementRecord(s.indices, pure, float(bound), float(margin),
@@ -283,11 +286,7 @@ def _group_margins(profiles, tgt: np.ndarray, n: int, below, above) -> list[tupl
     the padded profile carries a zero entry.
     """
     m = len(profiles)
-    stack = np.zeros((m + 1, n))
-    for i, profile in enumerate(profiles):
-        stack[i, :profile.size] = profile
-    stack[m, :tgt.size] = tgt
-    rows, lows, highs = _checked_rows(stack)
+    rows, lows, highs = _checked_rows(_padded_rows([*profiles, tgt], n))
     means = np.array(_power_means_kernel(rows, lows, highs, np.array(below + above)))
     kb = len(below)
     # below-one margins are A(p) - A(q), above-one margins A(q) - A(p)
@@ -384,68 +383,43 @@ def _deterministic_report(tgt, family, points_per_segment) -> DeterministicGateR
 # catalyzed probability and grid search
 # ===========================================================================
 
-def _tail_sums(profile: np.ndarray, cat: np.ndarray, width: int) -> np.ndarray:
-    """Tail sums of every row of profile (x) c, zero-padded to ``width``.
-
-    Column j holds the sum of the j + 1 smallest entries, so the row read
-    backwards is :func:`suffix_profile` of that product; ``np.cumsum`` adds
-    in sequence, so the sums are the same bit for bit.
-    """
-    n_rows, k = cat.shape
-    out = np.zeros((n_rows, width))
-    out[:, : profile.size * k] = (profile[None, :, None] * cat[:, None, :]).reshape(n_rows, -1)
-    out.sort(axis=1)
-    np.cumsum(out, axis=1, out=out)
-    out[out < 0.0] = 0.0
-    return out
-
-
-def _min_ratios(src_tails: np.ndarray, tgt_tails: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`min_profile_ratio` on aligned tail sums."""
-    live = tgt_tails > SUPPORT_TOL
-    ratios = np.divide(src_tails, tgt_tails, out=np.full(src_tails.shape, np.inf), where=live)
-    best = np.minimum(ratios.min(axis=1), 1.0)
-    best[np.any(live & (src_tails <= SUPPORT_TOL), axis=1)] = 0.0
-    return np.clip(best, 0.0, 1.0)
-
-
 def _catalyzed_values(entries, target_profile, catalysts: np.ndarray) -> np.ndarray:
     """P(rho (x) c -> phi (x) c) for every catalyst row c of ``catalysts``.
 
     The maximal pure subspaces of rho (x) |c><c| are exactly the products
     of rho's subspaces with the catalyst block (the catalyst is pure with
     full support), so the product instance keeps rho's clique structure
-    and weights, and only the profiles become p (x) c.  Each subspace is
-    scored for all rows at once, in chunks of at most
-    ``ROW_CHUNK_ELEMENTS`` array entries, with the depth rules of
-    :func:`min_profile_ratio`.  Disjoint subspaces add their scores in
-    index-set order, the order :func:`optimize_disjoint_selection` adds
-    in; subspaces sharing a level (the tolerance edge) go through that
-    selection row by row.
+    and weights, and only the profiles become p (x) c.  All subspaces are
+    scored for all rows in one :func:`min_profile_ratios` call per chunk
+    of at most ``ROW_CHUNK_ELEMENTS`` product entries.  Disjoint
+    subspaces add their scores in index-set order, the order
+    :func:`optimize_disjoint_selection` adds in; subspaces sharing a level
+    (the tolerance edge) go through that selection row by row.
     """
     tgt = as_distribution(target_profile)
     entries = sorted((idx, w, as_distribution(prof)) for idx, w, prof in entries)
     uses = Counter(j for idx, _, _ in entries for j in idx)
     disjoint = max(uses.values()) == 1
+    profiles = _padded_rows(prof for _, _, prof in entries)
+    weights = np.array([w for _, w, _ in entries])
     k = catalysts.shape[1]
-    widths = [max(prof.size, tgt.size) * k for _, _, prof in entries]
-    rows_per_chunk = max(1, ROW_CHUNK_ELEMENTS // max(widths))
+    width = max(profiles.shape[1], tgt.size) * k
+    rows_per_chunk = max(1, ROW_CHUNK_ELEMENTS // (len(entries) * width))
     out = np.empty(len(catalysts))
     for start in range(0, len(catalysts), rows_per_chunk):
         cat = catalysts[start:start + rows_per_chunk]
-        tgt_tails: dict[int, np.ndarray] = {}
-        scores = []
-        for (_, w, prof), width in zip(entries, widths):
-            if width not in tgt_tails:
-                tgt_tails[width] = _tail_sums(tgt, cat, width)
-            scores.append(w * _min_ratios(_tail_sums(prof, cat, width), tgt_tails[width]))
+        # products p (x) c, one stack per subspace, and the target's q (x) c
+        products = profiles[:, None, :, None] * cat[None, :, None, :]
+        targets = (tgt[None, :, None] * cat[:, None, :]).reshape(len(cat), -1)
+        ratios = min_profile_ratios(products.reshape(len(entries), len(cat), -1), targets)
+        scores = weights[:, None] * ratios
         if disjoint:
             total = np.zeros(len(cat))
             for score in scores:
                 total += score
             out[start:start + len(cat)] = total
         else:
-            for row, values in enumerate(np.column_stack(scores).tolist()):
+            for row, values in enumerate(scores.T.tolist()):
                 scored = [(idx, w, v) for (idx, w, _), v in zip(entries, values)]
                 out[start + row] = optimize_disjoint_selection(scored)[2]
     return out

@@ -62,12 +62,29 @@ def _fmt(x: float) -> str:
 # JSON (de)serialization
 # ===========================================================================
 
+class _Doc(dict):
+    """A JSON object read from a file.
+
+    ``bool_free`` is True when the file text holds no ``true`` or
+    ``false``, so no value in it is a JSON boolean.
+    """
+
+    bool_free = False
+
+
 def _load_doc(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        text = fh.read()
+    doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: top level must be a JSON object")
+    doc = _Doc(doc)
+    doc.bool_free = "true" not in text and "false" not in text
     return doc
+
+
+def _bool_free(doc: dict) -> bool:
+    return getattr(doc, "bool_free", False)
 
 
 def _real_in(node, path: str) -> float:
@@ -101,9 +118,34 @@ def _complex_out(z: complex) -> list[float]:
     return [float(np.real(z)), float(np.imag(z))]
 
 
-def _matrix_in(node, path: str) -> np.ndarray:
+def _numbers_in(node, ndim: int) -> np.ndarray | None:
+    """``node`` as a finite complex array of ``ndim`` axes by one numpy conversion.
+
+    Every entry must be a number, or every entry an [re, im] pair.
+    Returns None for anything else (ragged rows, mixed entries, strings,
+    NaN, numbers beyond the float range); the caller then reads the node
+    entry by entry for the error message.  numpy reads a JSON boolean as
+    a number, so only documents without booleans may come here.
+    """
+    try:
+        arr = np.asarray(node)
+    except (ValueError, TypeError, OverflowError):
+        return None
+    if arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
+        return None
+    if arr.ndim == ndim:
+        return arr.astype(complex)
+    if arr.ndim == ndim + 1 and arr.shape[-1] == 2:
+        # each [re, im] pair is the memory layout of one complex number
+        return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
+    return None
+
+
+def _matrix_in(node, path: str, fast: bool = False) -> np.ndarray:
     if not isinstance(node, list) or not node:
         raise ValidationError(f"{path}: expected a nonempty array of rows")
+    if fast and (mat := _numbers_in(node, 2)) is not None:
+        return mat
     rows = []
     for i, row in enumerate(node):
         if not isinstance(row, list):
@@ -118,7 +160,7 @@ def _matrix_in(node, path: str) -> np.ndarray:
 def parse_density(doc: dict, path: str) -> DensityMatrix:
     if "matrix" not in doc:
         raise ValidationError(f"{path}: missing 'matrix'")
-    mat = _matrix_in(doc["matrix"], f"{path}.matrix")
+    mat = _matrix_in(doc["matrix"], f"{path}.matrix", _bool_free(doc))
     if "dim" in doc and _int_in(doc["dim"], f"{path}.dim") != mat.shape[0]:
         raise ValidationError(
             f"{path}.dim: declared {doc['dim']}, matrix is {mat.shape[0]}x{mat.shape[1]}"
@@ -132,7 +174,9 @@ def parse_pure(doc: dict, path: str) -> PureStateVector:
     node = doc["amplitudes"]
     if not isinstance(node, list) or not node:
         raise ValidationError(f"{path}.amplitudes: expected a nonempty array")
-    amps = [_complex_in(v, f"{path}.amplitudes[{i}]") for i, v in enumerate(node)]
+    amps = _numbers_in(node, 1) if _bool_free(doc) else None
+    if amps is None:
+        amps = [_complex_in(v, f"{path}.amplitudes[{i}]") for i, v in enumerate(node)]
     if "dim" in doc and _int_in(doc["dim"], f"{path}.dim") != len(amps):
         raise ValidationError(
             f"{path}.dim: declared {doc['dim']}, amplitudes length {len(amps)}"
@@ -189,7 +233,7 @@ def plan_from_doc(doc: dict, path: str) -> DistillationPlan:
         for key in ("id", "probability", "kraus"):
             if key not in node:
                 raise ValidationError(f"{bpath}: missing '{key}'")
-        mat = _matrix_in(node["kraus"], f"{bpath}.kraus")
+        mat = _matrix_in(node["kraus"], f"{bpath}.kraus", _bool_free(doc))
         if mat.shape != (dim, dim):
             raise ValidationError(f"{bpath}.kraus: expected {dim}x{dim}")
         branches.append(
@@ -284,7 +328,7 @@ def cmd_subspaces(args) -> int:
     }
     lines = [f"maximal pure subspaces: {len(subs)}"]
     for s in subs:
-        profile = ", ".join(_fmt(v) for v in s.state.probabilities()[list(s.indices)])
+        profile = ", ".join(_fmt(v) for v in s.profile)
         lines.append(
             f"  indices {list(s.indices)}  weight {_fmt(s.weight)}  profile [{profile}]"
         )

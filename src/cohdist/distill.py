@@ -41,7 +41,7 @@ from .errors import (
     RankDeficitError,
     ValidationError,
 )
-from .measures import coherence_rank, min_profile_ratio
+from .measures import _padded_rows, coherence_rank, min_profile_ratio, min_profile_ratios
 from .states import DensityMatrix, PureStateVector, require_finite
 from .subspaces import (
     DisjointFamily,
@@ -412,8 +412,9 @@ def pmax_mixed(rho: DensityMatrix, phi: PureStateVector) -> MixedPmaxResult:
         )
     subs = maximal_pure_subspaces(rho)
     target_w = phi.probabilities()
-    ratios = [min_profile_ratio(s.state.probabilities(), target_w) for s in subs]
-    yields = [SubspaceYield(s, r, s.weight * r) for s, r in zip(subs, ratios)]
+    # zero target entries only pad the tail sums, so they are left out
+    ratios = min_profile_ratios(_padded_rows(s.profile for s in subs), target_w[target_w > 0.0])
+    yields = [SubspaceYield(s, r, s.weight * r) for s, r in zip(subs, ratios.tolist())]
     chosen, weight, value = optimize_disjoint_selection(
         [(y.subspace.indices, y.subspace.weight, y.achieved) for y in yields]
     )

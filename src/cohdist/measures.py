@@ -39,19 +39,57 @@ def suffix_profile(weights) -> np.ndarray:
     return out
 
 
-def _padded_profiles(p, q) -> tuple[np.ndarray, np.ndarray]:
-    """Both weight vectors zero-padded to the longer one's length."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    pair = np.zeros((2, max(p.size, q.size)))
-    pair[0, :p.size] = p
-    pair[1, :q.size] = q
-    return pair[0], pair[1]
-
-
 def cl_profile(psi: PureStateVector) -> np.ndarray:
     """Tail-sum coherence profile of a pure state; entry 0 is 1."""
     return suffix_profile(psi.probabilities())
+
+
+def _padded_rows(vectors, width: int = 0) -> np.ndarray:
+    """1-d weight vectors stacked as the rows of one array, zero-padded on the right.
+
+    The array has at least ``width`` columns.
+    """
+    vectors = [np.asarray(v, dtype=float) for v in vectors]
+    out = np.zeros((len(vectors), max([width, *(v.size for v in vectors)])))
+    for row, v in zip(out, vectors):
+        row[:v.size] = v
+    return out
+
+
+def _tail_sums(rows: np.ndarray, width: int) -> np.ndarray:
+    """Tail sums of every row (last axis), zero-padded to ``width`` columns.
+
+    Column j holds the sum of the j + 1 smallest entries, so a row read
+    backwards is :func:`suffix_profile` of it.  ``np.cumsum`` adds in
+    sequence from the smallest entry, so the padding zeros add exactly 0:
+    a wider padding shifts the sums to the right and changes no value.
+    """
+    out = np.zeros(rows.shape[:-1] + (width,))
+    out[..., :rows.shape[-1]] = rows
+    out.sort(axis=-1)
+    np.cumsum(out, axis=-1, out=out)
+    np.maximum(out, 0.0, out=out)
+    return out
+
+
+def min_profile_ratios(rows, target) -> np.ndarray:
+    """:func:`min_profile_ratio` of every row of ``rows`` against ``target``.
+
+    ``rows`` stacks source weight vectors along its last axis; ``target``
+    is one weight vector, or a stack whose leading axes broadcast against
+    those of ``rows`` (one target per row).  All vectors are zero-padded
+    to a common length, and the result has the leading shape of the
+    broadcast.  Every entry equals a one-row evaluation bit for bit.
+    """
+    rows = np.asarray(rows, dtype=float)
+    target = np.asarray(target, dtype=float)
+    width = max(rows.shape[-1], target.shape[-1])
+    src, tgt = _tail_sums(rows, width), _tail_sums(target, width)
+    live = tgt > SUPPORT_TOL
+    # entries outside ``live`` are left unset and never read
+    best = np.divide(src, tgt, out=None, where=live).min(axis=-1, where=live, initial=1.0)
+    # a vanishing source tail against a live target tail pins the ratio to 0
+    return np.where(np.any(live & (src <= SUPPORT_TOL), axis=-1), 0.0, best)
 
 
 def min_profile_ratio(source_weights, target_weights) -> float:
@@ -60,18 +98,10 @@ def min_profile_ratio(source_weights, target_weights) -> float:
     Profiles are zero-padded to a common length.  Depths where the target
     tail vanishes are skipped (ratio +inf); a vanishing source tail against
     a positive target tail pins the result to 0.  Result lies in [0, 1]
-    whenever both inputs are unit-sum.
+    whenever both inputs are unit-sum.  This is :func:`min_profile_ratios`
+    on one row.
     """
-    p, q = _padded_profiles(source_weights, target_weights)
-    cp, cq = suffix_profile(p), suffix_profile(q)
-    best = 1.0
-    for a, b in zip(cp, cq):
-        if b <= SUPPORT_TOL:
-            continue
-        if a <= SUPPORT_TOL:
-            return 0.0
-        best = min(best, a / b)
-    return float(min(1.0, max(0.0, best)))
+    return float(min_profile_ratios([source_weights], target_weights)[0])
 
 
 def majorizes(p, q, *, tol: float = MAJORIZATION_TOL) -> bool:
@@ -81,7 +111,7 @@ def majorizes(p, q, *, tol: float = MAJORIZATION_TOL) -> bool:
     matching partial sum of ``q``, within ``tol``; vectors are zero-padded
     to a common length and must be valid distributions.
     """
-    pw, qw = _padded_profiles(as_distribution(p), as_distribution(q))
+    pw, qw = _padded_rows([as_distribution(p), as_distribution(q)])
     ps = np.cumsum(sorted_descending(pw))
     qs = np.cumsum(sorted_descending(qw))
     return bool(np.all(ps <= qs + tol))

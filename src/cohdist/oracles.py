@@ -26,20 +26,19 @@ RNG_ALGORITHM = "Philox4x64"
 # exhaustive subspace enumeration
 # ===========================================================================
 
-def _pure_restriction(rho: DensityMatrix, idx: tuple[int, ...]):
-    """(is_pure, weight, embedded state) for the restriction to idx."""
+def _pure_restriction(rho: DensityMatrix, idx: tuple[int, ...]) -> PureSubspace | None:
+    """The restriction to idx as a subspace, or None when it is not pure."""
     sel = list(idx)
     sub = rho.matrix[np.ix_(sel, sel)]
     weight = float(np.real(np.trace(sub)))
     vals, vecs = np.linalg.eigh(sub / weight)
     if len(vals) > 1 and float(vals[-2]) > RANK1_TOL:
-        return False, weight, None
+        return None
     vec = vecs[:, -1]
     lead = np.argmax(np.abs(vec) > 1e-8)
     vec = vec * np.conj(vec[lead] / abs(vec[lead]))
-    amps = np.zeros(rho.dim, dtype=complex)
-    amps[sel] = vec / np.linalg.norm(vec)
-    return True, weight, PureStateVector(amps)
+    profile = np.real(np.diag(sub)) / weight
+    return PureSubspace(idx, weight, profile, vec / np.linalg.norm(vec), rho.dim)
 
 
 def brute_subspaces(rho: DensityMatrix) -> list[PureSubspace]:
@@ -59,19 +58,14 @@ def brute_subspaces(rho: DensityMatrix) -> list[PureSubspace]:
     pure_sets: list[tuple[int, ...]] = []
     for mask in range(1, 1 << len(verts)):
         idx = tuple(verts[b] for b in range(len(verts)) if mask >> b & 1)
-        ok, _, _ = _pure_restriction(rho, idx)
-        if ok:
+        if _pure_restriction(rho, idx) is not None:
             pure_sets.append(idx)
     maximal = [
         s for s in pure_sets
         if not any(set(s) < set(t) for t in pure_sets)
     ]
     maximal.sort(key=lambda s: (-len(s), s))
-    out = []
-    for idx in maximal:
-        _, weight, state = _pure_restriction(rho, idx)
-        out.append(PureSubspace(idx, weight, state))
-    return out
+    return [_pure_restriction(rho, idx) for idx in maximal]
 
 
 # ===========================================================================

@@ -168,7 +168,7 @@ def entrywise_abs(rho: DensityMatrix) -> np.ndarray:
 
 def positive_diagonal_indices(rho: DensityMatrix) -> tuple[int, ...]:
     """Indices with rho_ii > SUPPORT_TOL; raises if there are none."""
-    idx = tuple(int(i) for i in np.nonzero(rho.diagonal() > SUPPORT_TOL)[0])
+    idx = tuple(np.flatnonzero(rho.diagonal() > SUPPORT_TOL).tolist())
     if not idx:
         raise DegenerateStateError("state has no strictly positive population")
     return idx

@@ -7,14 +7,17 @@ matrix this happens exactly when the normalized modulus matrix
     A_ij = |rho_ij| / sqrt(rho_ii * rho_jj)      (0 when a population is 0)
 
 equals 1 on every pair inside the subset, so the maximal pure subspaces
-are the maximal cliques of the graph with edges {i, j : A_ij = 1}.
+are the maximal cliques of the graph with edges {i, j : A_ij = 1}.  On a
+PSD matrix unit coherence is an equivalence relation (Cauchy-Schwarz
+equality means parallel Gram vectors), so the cliques partition the
+populated levels; only coherences at the tolerance edge make them overlap.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -29,6 +32,7 @@ from .states import (
 A_ONE_TOL = 1e-9        # |A_ij - 1| tolerance for a unit-coherence edge
 RANK1_TOL = 1e-9        # second eigenvalue ceiling for a pure restriction
 _TIE_TOL = 1e-12
+_ROUNDING = 16 * np.finfo(float).eps   # relative rounding allowance of the rank-1 bound
 
 
 def a_matrix(rho: DensityMatrix) -> np.ndarray:
@@ -43,8 +47,20 @@ def a_matrix(rho: DensityMatrix) -> np.ndarray:
     pos = diag > SUPPORT_TOL
     scale[pos] = 1.0 / np.sqrt(diag[pos])
     a = np.abs(rho.matrix) * np.outer(scale, scale)
-    a[np.diag_indices_from(a)] = np.where(pos, 1.0, 0.0)
+    np.fill_diagonal(a, pos)
     return a
+
+
+def _unit_mask(rho: DensityMatrix) -> np.ndarray:
+    """Unit-coherence mask |A_ij - 1| <= A_ONE_TOL as a boolean d x d array.
+
+    The diagonal is True exactly on the populated levels; unpopulated rows
+    and columns are False throughout.
+    """
+    a = a_matrix(rho)
+    a -= 1.0
+    np.abs(a, out=a)
+    return a <= A_ONE_TOL
 
 
 @dataclass(frozen=True)
@@ -57,8 +73,7 @@ class CoherenceSupportGraph:
     @classmethod
     def from_state(cls, rho: DensityMatrix) -> "CoherenceSupportGraph":
         verts = positive_diagonal_indices(rho)
-        # unpopulated rows and columns of the A-matrix are 0, so never edges
-        unit = np.abs(a_matrix(rho) - 1.0) <= A_ONE_TOL
+        unit = _unit_mask(rho)
         np.fill_diagonal(unit, False)
         # np.nonzero lists the columns row by row, so cut them at the row ends
         cols = np.split(np.nonzero(unit)[1], np.cumsum(unit.sum(axis=1))[:-1])
@@ -105,55 +120,152 @@ class CoherenceSupportGraph:
 
 @dataclass(frozen=True)
 class PureSubspace:
-    """One maximal pure subspace: index set, weight tr(P rho P), pure state."""
+    """One maximal pure subspace of a ``dim``-level state.
+
+    ``weight`` is tr(P rho P) and ``profile`` the populations
+    rho_jj / weight on ``indices``, in index order.  ``amplitudes`` holds
+    the restricted pure state on ``indices``, its first entry real
+    positive; ``state`` embeds it in all ``dim`` levels on each access.
+    """
 
     indices: tuple[int, ...]
     weight: float
-    state: PureStateVector
+    profile: np.ndarray
+    amplitudes: np.ndarray
+    dim: int
 
     @property
     def rank(self) -> int:
         return len(self.indices)
 
+    @property
+    def state(self) -> PureStateVector:
+        amps = np.zeros(self.dim, dtype=complex)
+        amps[list(self.indices)] = self.amplitudes
+        return PureStateVector(amps)
 
-def _restricted_pure_state(rho: DensityMatrix, indices: tuple[int, ...]):
-    """Weight and embedded pure state of a restriction known to be rank-1.
 
-    Returns (weight, state, second_eigenvalue); the caller decides what to
-    do when the second eigenvalue is not small.
+def _clique_partition(unit: np.ndarray, verts: tuple[int, ...]) -> list[tuple[int, ...]] | None:
+    """The unit-coherence cliques when they partition ``verts``, in output order.
+
+    Each populated level is labelled by the first member of its closed
+    neighbourhood.  When every populated row of ``unit`` equals its
+    label's row, levels sharing a label share one closed neighbourhood,
+    and that neighbourhood is a clique component.  Returns None when some
+    row differs (coherences at the tolerance edge).
     """
-    idx = list(indices)
-    sub = rho.matrix[np.ix_(idx, idx)]
-    weight = float(np.real(np.trace(sub)))
-    vals, vecs = np.linalg.eigh(sub / weight)
-    second = float(vals[-2]) if len(vals) > 1 else 0.0
+    v = np.array(verts)
+    rows = unit[v]
+    label = rows.argmax(axis=1)
+    if not np.array_equal(rows, unit[label]):
+        return None
+    size = np.bincount(label)[label]
+    # disjoint cliques of one size compare by their first members
+    order = np.lexsort((v, label, -size))
+    members, label = v[order].tolist(), label[order]
+    cuts = [0, *(np.flatnonzero(label[1:] != label[:-1]) + 1).tolist(), len(members)]
+    return [tuple(members[a:b]) for a, b in zip(cuts, cuts[1:])]
+
+
+def _top_vector(block: np.ndarray, clique: tuple[int, ...]) -> np.ndarray:
+    """Top eigenvector of a trace-1 restriction, checked to be rank-1 by ``eigh``.
+
+    The first amplitude above 1e-8 in modulus is made real positive.
+    """
+    vals, vecs = np.linalg.eigh(block)
+    second = float(vals[-2])
+    if second > RANK1_TOL:
+        raise ValidationError(
+            f"restriction to {clique} not rank-1 (second eigenvalue {second:.3e}); "
+            "input violates density-matrix invariants"
+        )
     vec = vecs[:, -1]
-    # fix global phase: first sizeable amplitude made real positive
     lead = np.argmax(np.abs(vec) > 1e-8)
-    phase = vec[lead] / abs(vec[lead])
-    vec = vec * np.conj(phase)
-    amps = np.zeros(rho.dim, dtype=complex)
-    amps[idx] = vec / np.linalg.norm(vec)
-    return weight, PureStateVector(amps), second
+    vec = vec * np.conj(vec[lead] / abs(vec[lead]))
+    return vec / np.linalg.norm(vec)
+
+
+def _sum_squares(stack: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of every matrix in a complex stack, without temporaries."""
+    flat = stack.reshape(len(stack), -1).view(float)
+    return np.einsum("nk,nk->n", flat, flat)
+
+
+def _rank1_certificates(blocks: np.ndarray, pivots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Upper bounds on the second eigenvalue of stacked Hermitian blocks, and M psi.
+
+    For each block M, psi is its column ``pivots[k]`` normalized and
+    R = psi^H M psi.  R psi psi^H has rank 1, so Weyl's inequality gives
+    lambda_2(M) <= ||M - R psi psi^H||_F.  The bound adds an allowance
+    for the rounding of that residual.  M psi, one power step from psi,
+    is returned with it.
+    """
+    n = len(blocks)
+    pivot = blocks[np.arange(n), :, pivots]
+    psi = pivot / np.linalg.norm(pivot, axis=1, keepdims=True)
+    step = (blocks @ psi[:, :, None])[:, :, 0]
+    rayleigh = np.einsum("ni,ni->n", psi.conj(), step).real
+    resid = rayleigh[:, None, None] * psi[:, :, None] * psi[:, None, :].conj()
+    np.subtract(blocks, resid, out=resid)
+    rounding = _ROUNDING * (np.sqrt(_sum_squares(blocks)) + np.abs(rayleigh))
+    return np.sqrt(_sum_squares(resid)) + rounding, step
+
+
+def _rank1_amplitudes(rho: DensityMatrix, cliques, idx: np.ndarray, pops: np.ndarray,
+                      weights: np.ndarray) -> np.ndarray:
+    """Pure-state amplitudes of same-size restrictions, one row per clique.
+
+    Each trace-1 restriction whose :func:`_rank1_certificates` bound is at
+    most RANK1_TOL is certified rank-1 without an eigensolver; its
+    amplitudes are the power step from the column at the largest
+    population, which leaves the top eigenvector's direction with an
+    error shrunk by lambda_2 / lambda_1.  Any other restriction goes
+    through the ``eigh`` check of :func:`_top_vector`.
+    """
+    n, r = idx.shape
+    if r == 1:
+        return np.ones((n, 1), dtype=complex)
+    blocks = rho.matrix[idx[:, :, None], idx[:, None, :]] / weights[:, None, None]
+    bound, step = _rank1_certificates(blocks, pops.argmax(axis=1))
+    # the first member made real positive, the rest scaled to unit norm
+    lead = step[:, 0]
+    norm = np.linalg.norm(step, axis=1)
+    scale = np.abs(lead) * norm
+    amps = step * (lead.conj() / np.where(scale > 0.0, scale, 1.0))[:, None]
+    amps[:, 0] = np.abs(lead) / norm
+    for k in np.flatnonzero((bound > RANK1_TOL) | (scale == 0.0)).tolist():
+        amps[k] = _top_vector(blocks[k], cliques[k])
+    return amps
 
 
 def maximal_pure_subspaces(rho: DensityMatrix) -> list[PureSubspace]:
     """Enumerate all maximal pure subspaces of ``rho``.
 
     Output is sorted by descending coherence rank, then lexicographic index
-    sets.  Every returned restriction passes the rank-1 check (second
-    eigenvalue at most RANK1_TOL).
+    sets.  Every returned restriction is rank-1: its second eigenvalue is
+    at most RANK1_TOL, certified by the bound of :func:`_rank1_certificates`
+    or checked by ``eigh``.  When the unit-coherence cliques partition the
+    populated levels they are read off the mask in one pass; otherwise
+    (the tolerance edge) :class:`CoherenceSupportGraph` finds them.
+    Restrictions of one size are handled as one stack.
     """
-    graph = CoherenceSupportGraph.from_state(rho)
+    verts = positive_diagonal_indices(rho)
+    cliques = _clique_partition(_unit_mask(rho), verts)
+    if cliques is None:
+        cliques = CoherenceSupportGraph.from_state(rho).maximal_cliques()
+    populations = rho.diagonal()
     out = []
-    for clique in graph.maximal_cliques():
-        weight, state, second = _restricted_pure_state(rho, clique)
-        if second > RANK1_TOL:
-            raise ValidationError(
-                f"restriction to {clique} not rank-1 (second eigenvalue {second:.3e}); "
-                "input violates density-matrix invariants"
-            )
-        out.append(PureSubspace(clique, weight, state))
+    # cliques come sorted by size, so each size is one run
+    for _, run in groupby(cliques, key=len):
+        run = list(run)
+        idx = np.array(run)
+        pops = populations[idx]
+        weights = pops.sum(axis=1)
+        profiles = pops / weights[:, None]
+        amps = _rank1_amplitudes(rho, run, idx, pops, weights)
+        for arr in (profiles, amps):
+            arr.flags.writeable = False
+        out += map(PureSubspace, run, weights.tolist(), profiles, amps, [rho.dim] * len(run))
     return out
 
 
@@ -163,9 +275,8 @@ def has_rank2_subspace(rho: DensityMatrix) -> bool:
     Equivalent to: some pure coherent state of rank >= 2 is reachable from
     ``rho`` with nonzero probability.
     """
-    a = a_matrix(rho)
-    mask = ~np.eye(rho.dim, dtype=bool)
-    return bool(np.any(np.abs(a[mask] - 1.0) <= A_ONE_TOL))
+    unit = _unit_mask(rho)
+    return bool(np.count_nonzero(unit) > np.count_nonzero(unit.diagonal()))
 
 
 @dataclass(frozen=True)

@@ -575,8 +575,8 @@ def _reference_deterministic_gate(rho, phi, points_per_segment=20):
         flags.append("family_weight_below_one")
     members = []
     for s in family.members:
-        profile = sorted_descending(s.state.probabilities())[: s.rank]
-        p, q = catalysis._padded_profiles(profile, tgt)
+        profile = sorted_descending(s.profile)
+        p, q = catalysis._padded_rows([profile, tgt])
         zero_entry = bool(p.min() <= SUPPORT_TOL)
 
         def below_margin(a):

@@ -523,6 +523,73 @@ def test_plan_and_state_dimensions_must_agree(files, tmp_path, capsys):
     assert code == 2
 
 
+# ------------------------------------------------------- numeric fast path
+
+_NUMBER_NODES = [
+    [[0.5, 0.5], [0.5, 0.5]],
+    [[1, 0], [0, 0]],
+    [[[0.5, 0.0], [0.0, -0.5]], [[0.0, 0.5], [-0.0, 0.0]]],
+    [[-0.0, [0.0, -0.0]], [0.5, 0.5]],
+    [[0.5, 1]], [[]], [[], []], [[[]]],
+    [[0.5, 0.5], [0.5]],
+    [[0.5, "0.5"], [0.5, 0.5]],
+    [[0.5, None]], [[{"re": 1}]], [[[1, 2, 3]]], [[[1, 2], [3]]],
+    [[2**63, 1]], [[2**53 + 1, 0.5]], [[2**70, 1]], [[10**400, 1]],
+    [[float("nan"), 1]], [[float("inf"), 0]], [[1e153, -1e153]],
+    [[0.5, [0.5]]], [[[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5]]],
+]
+
+
+def _outcome(read):
+    try:
+        return read().tobytes()
+    except ValidationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("node", _NUMBER_NODES)
+def test_fast_number_path_reads_what_the_entry_path_reads(node):
+    # same bytes (signed zeros included) or the same error message
+    assert _outcome(lambda: cli._matrix_in(node, "m", True)) == _outcome(
+        lambda: cli._matrix_in(node, "m"))
+    rows = node if isinstance(node[0], list) else [node]
+    for row in rows:
+        if not row:
+            continue
+        fast, slow = cli._Doc(amplitudes=row), {"amplitudes": row}
+        fast.bool_free = True
+        assert _outcome(lambda: cli.parse_pure(fast, "a").amplitudes) == _outcome(
+            lambda: cli.parse_pure(slow, "a").amplitudes)
+
+
+@pytest.mark.parametrize("text", [
+    '{"matrix": [[true]]}',
+    '{"matrix": [[true, 0], [0, false]]}',
+    '{"matrix": [[[1, false], [0, 0]], [[0, 0], [0, 0]]]}',
+    '{"amplitudes": [true, 0]}',
+    '{"amplitudes": [[1, false], [0, 0]]}',
+])
+def test_booleans_in_number_arrays_are_refused(tmp_path, capsys, text):
+    # as numbers these would be valid states
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == 2 and "expected a finite number" in err
+
+
+def test_a_boolean_in_a_plan_kraus_matrix_is_refused(files, tmp_path, capsys):
+    plan_path = str(tmp_path / "plan.json")
+    run(capsys, "protocol", files["rho"], files["phi"], plan_path)
+    doc = json.loads((tmp_path / "plan.json").read_text())
+    entry = doc["branches"][0]["kraus"][0][0]
+    entry[1] = False if entry[1] == 0.0 else entry[1]
+    entry[0] = bool(entry[0]) if entry[0] in (0.0, 1.0) else entry[0]
+    assert isinstance(entry[0], bool) or isinstance(entry[1], bool)
+    code, _, err = run(capsys, "simulate", write(tmp_path / "b.json", doc), files["rho"],
+                       "--shots", "10")
+    assert code == 2 and "expected a finite number" in err
+
+
 def test_a_target_of_another_dimension_is_refused(tmp_path, capsys):
     rho = validate_density([[0.5, 0.5, 0], [0.5, 0.5, 0], [0, 0, 0]])
     state = write(tmp_path / "rho.json", {"matrix": rho.matrix.real.tolist()})
@@ -651,6 +718,31 @@ _COMMANDS = [
 _COMMANDS += [command + ["--json"] for command in _COMMANDS]
 
 
+_NUMBER_KEYS = ("matrix", "amplitudes", "weights", "kraus")
+
+
+def _plant_boolean(doc, pick: int) -> bool:
+    """Replace a 0 or 1 inside the doc's number arrays by the equal boolean; False if none.
+
+    Read as a number, the boolean would leave a valid document valid.
+    """
+    spots = []
+    for path in _paths(doc):
+        node = doc
+        for key in path:
+            node = node[key]
+        if any(k in path for k in _NUMBER_KEYS) and type(node) in (int, float) and node in (0, 1):
+            spots.append(path)
+    if not spots:
+        return False
+    path = spots[pick % len(spots)]
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = bool(parent[path[-1]])
+    return True
+
+
 def _refuse_constant(name):
     raise ValueError(f"{name} is not JSON")
 
@@ -667,13 +759,24 @@ def _refuse_constant(name):
     target=_mutated(_TARGETS + _STATES[3:]),
     plan=_mutated([_PLAN]),
     numbers=st.lists(st.integers(-2, 2**64), min_size=2, max_size=2),
+    poison=st.sampled_from([None, "S", "T", "P"]),
+    pick=st.integers(0, 10**6),
 )
-def test_cli_exit_code_on_fuzzed_json(tmp_path_factory, command, state, target, plan, numbers):
+def test_cli_exit_code_on_fuzzed_json(
+    tmp_path_factory, command, state, target, plan, numbers, poison, pick
+):
     where = tmp_path_factory.getbasetemp()
+    docs = {"S": state, "T": target, "P": plan}
+    # an unmutated document with a boolean among its numbers must be refused
+    poisoned = False
+    if poison in command:
+        bases = {"S": _STATES, "T": _TARGETS, "P": [_PLAN]}[poison]
+        docs[poison] = copy.deepcopy(bases[pick % len(bases)])
+        poisoned = _plant_boolean(docs[poison], pick)
     files = {
-        "S": write(where / "fuzz_state.json", state),
-        "T": write(where / "fuzz_target.json", target),
-        "P": write(where / "fuzz_plan.json", plan),
+        "S": write(where / "fuzz_state.json", docs["S"]),
+        "T": write(where / "fuzz_target.json", docs["T"]),
+        "P": write(where / "fuzz_plan.json", docs["P"]),
         "OUT": str(where / "fuzz_out.json"),
     }
     numbers = iter(numbers)
@@ -682,5 +785,6 @@ def test_cli_exit_code_on_fuzzed_json(tmp_path_factory, command, state, target, 
     with contextlib.redirect_stdout(out):
         code = main(argv)
     assert code in {0, 1, 2, 3, 4}
+    assert not (poisoned and code == 0)
     if "--json" in argv and code == 0:
         json.loads(out.getvalue(), parse_constant=_refuse_constant)

@@ -20,6 +20,7 @@ from cohdist import (
     suffix_profile,
     tensor,
 )
+from cohdist import measures
 
 # distributions with a controllable number of slots; entries are either
 # exactly zero or bounded away from it, so tail ratios stay well conditioned
@@ -101,6 +102,44 @@ def test_unit_ratio_matches_majorization(p, q):
         assert r >= 1.0 - 1e-9
     if r >= 1.0 - 1e-12:
         assert majorizes(p, q, tol=1e-8)
+
+
+def _reference_min_profile_ratio(source, target) -> float:
+    """The scalar depth loop the batched kernel replaced, kept as the reference."""
+    n = max(len(source), len(target))
+    p, q = np.zeros(n), np.zeros(n)
+    p[:len(source)], q[:len(target)] = source, target
+    best = 1.0
+    for a, b in zip(suffix_profile(p), suffix_profile(q)):
+        if b <= 1e-12:
+            continue
+        if a <= 1e-12:
+            return 0.0
+        best = min(best, a / b)
+    return float(min(1.0, max(0.0, best)))
+
+
+def test_min_profile_ratios_equal_the_scalar_loop():
+    rng = np.random.default_rng(77)
+    for _ in range(300):
+        target = rng.dirichlet(np.ones(int(rng.integers(1, 7))) * rng.choice([0.2, 1.0, 5.0]))
+        rows = []
+        for _ in range(int(rng.integers(1, 6))):
+            row = rng.dirichlet(np.ones(int(rng.integers(1, 8))))
+            row[rng.random(row.size) < 0.2] = 0.0        # zeros, also whole tails
+            if rng.random() < 0.3:
+                row[rng.integers(row.size)] = 3e-13      # an entry below SUPPORT_TOL
+            if rng.random() < 0.2:
+                row[:] = row[0]                          # ties
+            rows.append(row)
+        width = max(r.size for r in rows)
+        stack = np.array([np.r_[r, np.zeros(width - r.size)] for r in rows])
+        got = measures.min_profile_ratios(stack, target).tolist()
+        assert got == [_reference_min_profile_ratio(r, target) for r in rows]
+        assert [min_profile_ratio(r, target) for r in rows] == got
+        # one target per row broadcasts against a leading axis of sources
+        per_row = measures.min_profile_ratios(stack[None, :, :], np.array([target] * len(rows)))
+        assert per_row.tolist() == [got]
 
 
 def test_majorizes_uniform_is_bottom():
