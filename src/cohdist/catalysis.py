@@ -125,7 +125,7 @@ class CatalystSearchReport:
 # ===========================================================================
 
 def _profile(s: PureSubspace) -> np.ndarray:
-    """A subspace's population profile, sorted descending."""
+    """A subspace's profile, sorted descending."""
     return sorted_descending(s.profile)
 
 

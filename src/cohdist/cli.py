@@ -62,29 +62,18 @@ def _fmt(x: float) -> str:
 # JSON (de)serialization
 # ===========================================================================
 
-class _Doc(dict):
-    """A JSON object read from a file.
-
-    ``bool_free`` is True when the file text holds no ``true`` or
-    ``false``, so no value in it is a JSON boolean.
-    """
-
-    bool_free = False
-
-
-def _load_doc(path: str) -> dict:
+def _read_doc(path: str) -> tuple[dict, bool]:
+    """The JSON object in ``path``, and True when its text holds no JSON boolean."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: top level must be a JSON object")
-    doc = _Doc(doc)
-    doc.bool_free = "true" not in text and "false" not in text
-    return doc
+    return doc, "true" not in text and "false" not in text
 
 
-def _bool_free(doc: dict) -> bool:
-    return getattr(doc, "bool_free", False)
+def _load_doc(path: str) -> dict:
+    return _read_doc(path)[0]
 
 
 def _real_in(node, path: str) -> float:
@@ -125,7 +114,7 @@ def _numbers_in(node, ndim: int) -> np.ndarray | None:
     Returns None for anything else (ragged rows, mixed entries, strings,
     NaN, numbers beyond the float range); the caller then reads the node
     entry by entry for the error message.  numpy reads a JSON boolean as
-    a number, so only documents without booleans may come here.
+    a number, so only nodes of documents without booleans may come here.
     """
     try:
         arr = np.asarray(node)
@@ -141,10 +130,11 @@ def _numbers_in(node, ndim: int) -> np.ndarray | None:
     return None
 
 
-def _matrix_in(node, path: str, fast: bool = False) -> np.ndarray:
+def _matrix_in(node, path: str, numeric: bool = False) -> np.ndarray:
+    """A matrix of numbers or [re, im] pairs; ``numeric`` allows :func:`_numbers_in`."""
     if not isinstance(node, list) or not node:
         raise ValidationError(f"{path}: expected a nonempty array of rows")
-    if fast and (mat := _numbers_in(node, 2)) is not None:
+    if numeric and (mat := _numbers_in(node, 2)) is not None:
         return mat
     rows = []
     for i, row in enumerate(node):
@@ -157,10 +147,11 @@ def _matrix_in(node, path: str, fast: bool = False) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def parse_density(doc: dict, path: str) -> DensityMatrix:
+def parse_density(doc: dict, path: str, numeric: bool = False) -> DensityMatrix:
+    """Read a density 'matrix'; ``numeric`` says ``doc`` holds no JSON boolean."""
     if "matrix" not in doc:
         raise ValidationError(f"{path}: missing 'matrix'")
-    mat = _matrix_in(doc["matrix"], f"{path}.matrix", _bool_free(doc))
+    mat = _matrix_in(doc["matrix"], f"{path}.matrix", numeric)
     if "dim" in doc and _int_in(doc["dim"], f"{path}.dim") != mat.shape[0]:
         raise ValidationError(
             f"{path}.dim: declared {doc['dim']}, matrix is {mat.shape[0]}x{mat.shape[1]}"
@@ -168,13 +159,14 @@ def parse_density(doc: dict, path: str) -> DensityMatrix:
     return validate_density(mat)
 
 
-def parse_pure(doc: dict, path: str) -> PureStateVector:
+def parse_pure(doc: dict, path: str, numeric: bool = False) -> PureStateVector:
+    """Read pure 'amplitudes'; ``numeric`` says ``doc`` holds no JSON boolean."""
     if "amplitudes" not in doc:
         raise ValidationError(f"{path}: missing 'amplitudes'")
     node = doc["amplitudes"]
     if not isinstance(node, list) or not node:
         raise ValidationError(f"{path}.amplitudes: expected a nonempty array")
-    amps = _numbers_in(node, 1) if _bool_free(doc) else None
+    amps = _numbers_in(node, 1) if numeric else None
     if amps is None:
         amps = [_complex_in(v, f"{path}.amplitudes[{i}]") for i, v in enumerate(node)]
     if "dim" in doc and _int_in(doc["dim"], f"{path}.dim") != len(amps):
@@ -184,13 +176,23 @@ def parse_pure(doc: dict, path: str) -> PureStateVector:
     return PureStateVector(np.array(amps, dtype=complex))
 
 
-def parse_state(doc: dict, path: str) -> DensityMatrix:
+def parse_state(doc: dict, path: str, numeric: bool = False) -> DensityMatrix:
     """Read a source state: density 'matrix' or pure 'amplitudes'."""
     if "matrix" in doc:
-        return parse_density(doc, path)
+        return parse_density(doc, path, numeric)
     if "amplitudes" in doc:
-        return DensityMatrix.from_pure(parse_pure(doc, path))
+        return DensityMatrix.from_pure(parse_pure(doc, path, numeric))
     raise ValidationError(f"{path}: expected 'matrix' or 'amplitudes'")
+
+
+def _state_file(path: str) -> DensityMatrix:
+    doc, numeric = _read_doc(path)
+    return parse_state(doc, path, numeric)
+
+
+def _target_file(path: str) -> PureStateVector:
+    doc, numeric = _read_doc(path)
+    return parse_pure(doc, path, numeric)
 
 
 def parse_weights(doc: dict, path: str) -> np.ndarray:
@@ -220,7 +222,8 @@ def plan_to_doc(plan: DistillationPlan) -> dict:
     }
 
 
-def plan_from_doc(doc: dict, path: str) -> DistillationPlan:
+def plan_from_doc(doc: dict, path: str, numeric: bool = False) -> DistillationPlan:
+    """Read a plan; ``numeric`` says ``doc`` holds no JSON boolean."""
     for key in ("dim", "p_max", "family", "branches"):
         if key not in doc:
             raise ValidationError(f"{path}: missing '{key}'")
@@ -233,7 +236,7 @@ def plan_from_doc(doc: dict, path: str) -> DistillationPlan:
         for key in ("id", "probability", "kraus"):
             if key not in node:
                 raise ValidationError(f"{bpath}: missing '{key}'")
-        mat = _matrix_in(node["kraus"], f"{bpath}.kraus", _bool_free(doc))
+        mat = _matrix_in(node["kraus"], f"{bpath}.kraus", numeric)
         if mat.shape != (dim, dim):
             raise ValidationError(f"{bpath}.kraus: expected {dim}x{dim}")
         branches.append(
@@ -286,12 +289,12 @@ def _emit(doc: dict, as_json: bool, text_lines: list[str]):
 # ===========================================================================
 
 def cmd_validate(args) -> int:
-    doc = _load_doc(args.state)
+    doc, numeric = _read_doc(args.state)
     if "matrix" in doc:
-        rho = parse_density(doc, args.state)
+        rho = parse_density(doc, args.state, numeric)
         kind, dim = "density", rho.dim
     elif "amplitudes" in doc:
-        psi = parse_pure(doc, args.state)
+        psi = parse_pure(doc, args.state, numeric)
         kind, dim = "pure", psi.dim
     elif "weights" in doc:
         w = parse_weights(doc, args.state)
@@ -309,7 +312,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_subspaces(args) -> int:
-    rho = parse_state(_load_doc(args.state), args.state)
+    rho = _state_file(args.state)
     subs = maximal_pure_subspaces(rho)
     distillable = has_rank2_subspace(rho)
     a = a_matrix(rho)
@@ -355,8 +358,8 @@ def _pmax_doc(result) -> dict:
 
 
 def cmd_pmax(args) -> int:
-    rho = parse_state(_load_doc(args.state), args.state)
-    phi = parse_pure(_load_doc(args.target), args.target)
+    rho = _state_file(args.state)
+    phi = _target_file(args.target)
     result = pmax_mixed(rho, phi)
     lines = [f"p_max = {_fmt(result.p_max)}"]
     for y in result.per_subspace:
@@ -378,8 +381,8 @@ def cmd_pmax(args) -> int:
 
 
 def cmd_protocol(args) -> int:
-    rho = parse_state(_load_doc(args.state), args.state)
-    phi = parse_pure(_load_doc(args.target), args.target)
+    rho = _state_file(args.state)
+    phi = _target_file(args.target)
     plan = full_plan(rho, phi)
     check = verify_branch_outputs(plan, rho, phi)
     _write_plan(args.out, plan)
@@ -411,8 +414,9 @@ def cmd_simulate(args) -> int:
         raise ValidationError(f"--shots must lie in [1, 2^63), got {args.shots}")
     if args.seed < 0:
         raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
-    plan = plan_from_doc(_load_doc(args.protocol), args.protocol)
-    rho = parse_state(_load_doc(args.state), args.state)
+    doc, numeric = _read_doc(args.protocol)
+    plan = plan_from_doc(doc, args.protocol, numeric)
+    rho = _state_file(args.state)
     if plan.dim != rho.dim:
         raise ValidationError(f"{args.state}: dimension {rho.dim}, plan has {plan.dim}")
     result = simulate(plan, rho, shots=args.shots, seed=args.seed)
@@ -432,8 +436,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_catalyst_gate(args) -> int:
-    rho = parse_state(_load_doc(args.state), args.state)
-    phi = parse_pure(_load_doc(args.target), args.target)
+    rho = _state_file(args.state)
+    phi = _target_file(args.target)
     # both gates read one pmax_mixed result
     tgt = _target_profile(phi)
     mixed = pmax_mixed(rho, phi)
@@ -482,8 +486,8 @@ def cmd_catalyst_gate(args) -> int:
 
 
 def cmd_catalyst_search(args) -> int:
-    rho = parse_state(_load_doc(args.state), args.state)
-    phi = parse_pure(_load_doc(args.target), args.target)
+    rho = _state_file(args.state)
+    phi = _target_file(args.target)
     report = search_catalyst(
         rho,
         phi,

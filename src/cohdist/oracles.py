@@ -37,8 +37,8 @@ def _pure_restriction(rho: DensityMatrix, idx: tuple[int, ...]) -> PureSubspace 
     vec = vecs[:, -1]
     lead = np.argmax(np.abs(vec) > 1e-8)
     vec = vec * np.conj(vec[lead] / abs(vec[lead]))
-    profile = np.real(np.diag(sub)) / weight
-    return PureSubspace(idx, weight, profile, vec / np.linalg.norm(vec), rho.dim)
+    vec = vec / np.linalg.norm(vec)
+    return PureSubspace(idx, weight, np.abs(vec) ** 2, vec, rho.dim)
 
 
 def brute_subspaces(rho: DensityMatrix) -> list[PureSubspace]:

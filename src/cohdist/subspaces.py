@@ -32,7 +32,6 @@ from .states import (
 A_ONE_TOL = 1e-9        # |A_ij - 1| tolerance for a unit-coherence edge
 RANK1_TOL = 1e-9        # second eigenvalue ceiling for a pure restriction
 _TIE_TOL = 1e-12
-_ROUNDING = 16 * np.finfo(float).eps   # relative rounding allowance of the rank-1 bound
 
 
 def a_matrix(rho: DensityMatrix) -> np.ndarray:
@@ -72,34 +71,28 @@ class CoherenceSupportGraph:
 
     @classmethod
     def from_state(cls, rho: DensityMatrix) -> "CoherenceSupportGraph":
-        verts = positive_diagonal_indices(rho)
-        unit = _unit_mask(rho)
-        np.fill_diagonal(unit, False)
+        return cls._from_mask(_unit_mask(rho), positive_diagonal_indices(rho))
+
+    @classmethod
+    def _from_mask(cls, unit: np.ndarray, verts) -> "CoherenceSupportGraph":
+        """The graph of ``unit`` on ``verts``, a union of its components."""
+        verts = np.asarray(verts, dtype=int)
+        unit = unit[verts]
+        unit[np.arange(len(verts)), verts] = False
         # np.nonzero lists the columns row by row, so cut them at the row ends
         cols = np.split(np.nonzero(unit)[1], np.cumsum(unit.sum(axis=1))[:-1])
-        return cls(verts, {i: frozenset(cols[i].tolist()) for i in verts})
+        verts = verts.tolist()
+        return cls(tuple(verts), {i: frozenset(c.tolist()) for i, c in zip(verts, cols)})
 
     def maximal_cliques(self) -> list[tuple[int, ...]]:
-        """All inclusion-maximal cliques, sorted by size desc then indices.
+        """All inclusion-maximal cliques by Bron-Kerbosch, sorted by size desc then indices.
 
-        Unit coherence is transitive, so a component is normally a clique:
-        when every member's closed neighbourhood equals the first one's, that
-        neighbourhood is emitted whole.  Bron-Kerbosch runs only on the
-        remaining components, whose edges sit at the tolerance edge.
+        The recursion is as deep as the largest clique, so
+        :func:`maximal_pure_subspaces` passes only the components that are
+        not cliques here.
         """
         found: list[tuple[int, ...]] = []
         adj = self.adjacency
-        done: set[int] = set()
-        rest: set[int] = set()
-        for v in self.vertices:
-            if v in done:
-                continue
-            nbhd = adj[v] | {v}
-            if all(adj[u] | {u} == nbhd for u in nbhd):
-                found.append(tuple(sorted(nbhd)))
-                done |= nbhd
-            else:
-                rest.add(v)
 
         def expand(clique: set, candidates: set, excluded: set):
             if not candidates and not excluded:
@@ -112,8 +105,8 @@ class CoherenceSupportGraph:
                 candidates = candidates - {v}
                 excluded = excluded | {v}
 
-        if rest:
-            expand(set(), rest, set())
+        if self.vertices:
+            expand(set(), set(self.vertices), set())
         found.sort(key=lambda c: (-len(c), c))
         return found
 
@@ -122,10 +115,10 @@ class CoherenceSupportGraph:
 class PureSubspace:
     """One maximal pure subspace of a ``dim``-level state.
 
-    ``weight`` is tr(P rho P) and ``profile`` the populations
-    rho_jj / weight on ``indices``, in index order.  ``amplitudes`` holds
-    the restricted pure state on ``indices``, its first entry real
-    positive; ``state`` embeds it in all ``dim`` levels on each access.
+    ``weight`` is tr(P rho P).  ``amplitudes`` holds the restricted pure
+    state on ``indices``, its first sizeable entry real positive, and
+    ``profile`` its squared moduli.  ``state`` embeds it in all ``dim``
+    levels on each access.
     """
 
     indices: tuple[int, ...]
@@ -145,124 +138,73 @@ class PureSubspace:
         return PureStateVector(amps)
 
 
-def _clique_partition(unit: np.ndarray, verts: tuple[int, ...]) -> list[tuple[int, ...]] | None:
-    """The unit-coherence cliques when they partition ``verts``, in output order.
+def _cliques(unit: np.ndarray, verts: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The maximal cliques of the unit-coherence graph, sorted by size desc then indices.
 
     Each populated level is labelled by the first member of its closed
-    neighbourhood.  When every populated row of ``unit`` equals its
-    label's row, levels sharing a label share one closed neighbourhood,
-    and that neighbourhood is a clique component.  Returns None when some
-    row differs (coherences at the tolerance edge).
+    neighbourhood.  A label's levels form a clique component when all
+    their rows of ``unit`` equal the label's row and that row holds just
+    them; those components are read off in one pass.  Only the remaining
+    levels (coherences at the tolerance edge) go to Bron-Kerbosch.
     """
     v = np.array(verts)
     rows = unit[v]
     label = rows.argmax(axis=1)
-    if not np.array_equal(rows, unit[label]):
-        return None
-    size = np.bincount(label)[label]
+    differs = np.bincount(label, ~(rows == unit[label]).all(axis=1), minlength=len(unit))
+    size = np.bincount(label, minlength=len(unit))
+    whole = (differs[label] == 0) & (rows.sum(axis=1) == size[label])
     # disjoint cliques of one size compare by their first members
-    order = np.lexsort((v, label, -size))
+    order = np.lexsort((v, label, -size[label]))
+    order = order[whole[order]]
     members, label = v[order].tolist(), label[order]
     cuts = [0, *(np.flatnonzero(label[1:] != label[:-1]) + 1).tolist(), len(members)]
-    return [tuple(members[a:b]) for a, b in zip(cuts, cuts[1:])]
+    found = [tuple(members[a:b]) for a, b in zip(cuts, cuts[1:]) if a < b]
+    if not whole.all():
+        found += CoherenceSupportGraph._from_mask(unit, v[~whole]).maximal_cliques()
+        found.sort(key=lambda c: (-len(c), c))
+    return found
 
 
-def _top_vector(block: np.ndarray, clique: tuple[int, ...]) -> np.ndarray:
-    """Top eigenvector of a trace-1 restriction, checked to be rank-1 by ``eigh``.
+def _top_vectors(blocks: np.ndarray, cliques) -> np.ndarray:
+    """Top eigenvectors of stacked trace-1 restrictions, checked to be rank-1.
 
-    The first amplitude above 1e-8 in modulus is made real positive.
+    One ``eigh`` call covers the stack.  In each vector the first
+    amplitude above 1e-8 in modulus is made real positive.
     """
-    vals, vecs = np.linalg.eigh(block)
-    second = float(vals[-2])
-    if second > RANK1_TOL:
+    vals, vecs = np.linalg.eigh(blocks)
+    for k in np.flatnonzero(vals[:, -2] > RANK1_TOL)[:1].tolist():
         raise ValidationError(
-            f"restriction to {clique} not rank-1 (second eigenvalue {second:.3e}); "
+            f"restriction to {cliques[k]} not rank-1 (second eigenvalue {vals[k, -2]:.3e}); "
             "input violates density-matrix invariants"
         )
-    vec = vecs[:, -1]
-    lead = np.argmax(np.abs(vec) > 1e-8)
-    vec = vec * np.conj(vec[lead] / abs(vec[lead]))
-    return vec / np.linalg.norm(vec)
-
-
-def _sum_squares(stack: np.ndarray) -> np.ndarray:
-    """Squared Frobenius norm of every matrix in a complex stack, without temporaries."""
-    flat = stack.reshape(len(stack), -1).view(float)
-    return np.einsum("nk,nk->n", flat, flat)
-
-
-def _rank1_certificates(blocks: np.ndarray, pivots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Upper bounds on the second eigenvalue of stacked Hermitian blocks, and M psi.
-
-    For each block M, psi is its column ``pivots[k]`` normalized and
-    R = psi^H M psi.  R psi psi^H has rank 1, so Weyl's inequality gives
-    lambda_2(M) <= ||M - R psi psi^H||_F.  The bound adds an allowance
-    for the rounding of that residual.  M psi, one power step from psi,
-    is returned with it.
-    """
-    n = len(blocks)
-    pivot = blocks[np.arange(n), :, pivots]
-    psi = pivot / np.linalg.norm(pivot, axis=1, keepdims=True)
-    step = (blocks @ psi[:, :, None])[:, :, 0]
-    rayleigh = np.einsum("ni,ni->n", psi.conj(), step).real
-    resid = rayleigh[:, None, None] * psi[:, :, None] * psi[:, None, :].conj()
-    np.subtract(blocks, resid, out=resid)
-    rounding = _ROUNDING * (np.sqrt(_sum_squares(blocks)) + np.abs(rayleigh))
-    return np.sqrt(_sum_squares(resid)) + rounding, step
-
-
-def _rank1_amplitudes(rho: DensityMatrix, cliques, idx: np.ndarray, pops: np.ndarray,
-                      weights: np.ndarray) -> np.ndarray:
-    """Pure-state amplitudes of same-size restrictions, one row per clique.
-
-    Each trace-1 restriction whose :func:`_rank1_certificates` bound is at
-    most RANK1_TOL is certified rank-1 without an eigensolver; its
-    amplitudes are the power step from the column at the largest
-    population, which leaves the top eigenvector's direction with an
-    error shrunk by lambda_2 / lambda_1.  Any other restriction goes
-    through the ``eigh`` check of :func:`_top_vector`.
-    """
-    n, r = idx.shape
-    if r == 1:
-        return np.ones((n, 1), dtype=complex)
-    blocks = rho.matrix[idx[:, :, None], idx[:, None, :]] / weights[:, None, None]
-    bound, step = _rank1_certificates(blocks, pops.argmax(axis=1))
-    # the first member made real positive, the rest scaled to unit norm
-    lead = step[:, 0]
-    norm = np.linalg.norm(step, axis=1)
-    scale = np.abs(lead) * norm
-    amps = step * (lead.conj() / np.where(scale > 0.0, scale, 1.0))[:, None]
-    amps[:, 0] = np.abs(lead) / norm
-    for k in np.flatnonzero((bound > RANK1_TOL) | (scale == 0.0)).tolist():
-        amps[k] = _top_vector(blocks[k], cliques[k])
-    return amps
+    vec = vecs[:, :, -1]
+    lead = vec[np.arange(len(vec)), np.argmax(np.abs(vec) > 1e-8, axis=1)]
+    vec = vec * np.conj(lead / np.abs(lead))[:, None]
+    return vec / np.linalg.norm(vec, axis=1, keepdims=True)
 
 
 def maximal_pure_subspaces(rho: DensityMatrix) -> list[PureSubspace]:
     """Enumerate all maximal pure subspaces of ``rho``.
 
     Output is sorted by descending coherence rank, then lexicographic index
-    sets.  Every returned restriction is rank-1: its second eigenvalue is
-    at most RANK1_TOL, certified by the bound of :func:`_rank1_certificates`
-    or checked by ``eigh``.  When the unit-coherence cliques partition the
-    populated levels they are read off the mask in one pass; otherwise
-    (the tolerance edge) :class:`CoherenceSupportGraph` finds them.
-    Restrictions of one size are handled as one stack.
+    sets.  Every returned restriction passes the rank-1 check (second
+    eigenvalue at most RANK1_TOL).  Restrictions of one size are stacked
+    and go through one ``eigh`` call.
     """
-    verts = positive_diagonal_indices(rho)
-    cliques = _clique_partition(_unit_mask(rho), verts)
-    if cliques is None:
-        cliques = CoherenceSupportGraph.from_state(rho).maximal_cliques()
+    cliques = _cliques(_unit_mask(rho), positive_diagonal_indices(rho))
     populations = rho.diagonal()
     out = []
     # cliques come sorted by size, so each size is one run
-    for _, run in groupby(cliques, key=len):
+    for r, run in groupby(cliques, key=len):
         run = list(run)
         idx = np.array(run)
-        pops = populations[idx]
-        weights = pops.sum(axis=1)
-        profiles = pops / weights[:, None]
-        amps = _rank1_amplitudes(rho, run, idx, pops, weights)
+        weights = populations[idx].sum(axis=1)
+        if r == 1:
+            amps = np.ones((len(run), 1), dtype=complex)
+        else:
+            blocks = rho.matrix[idx[:, :, None], idx[:, None, :]] / weights[:, None, None]
+            amps = _top_vectors(blocks, run)
+        profiles = np.abs(amps) ** 2
         for arr in (profiles, amps):
             arr.flags.writeable = False
         out += map(PureSubspace, run, weights.tolist(), profiles, amps, [rho.dim] * len(run))

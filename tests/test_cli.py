@@ -556,10 +556,9 @@ def test_fast_number_path_reads_what_the_entry_path_reads(node):
     for row in rows:
         if not row:
             continue
-        fast, slow = cli._Doc(amplitudes=row), {"amplitudes": row}
-        fast.bool_free = True
-        assert _outcome(lambda: cli.parse_pure(fast, "a").amplitudes) == _outcome(
-            lambda: cli.parse_pure(slow, "a").amplitudes)
+        doc = {"amplitudes": row}
+        assert _outcome(lambda: cli.parse_pure(doc, "a", True).amplitudes) == _outcome(
+            lambda: cli.parse_pure(doc, "a").amplitudes)
 
 
 @pytest.mark.parametrize("text", [

@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from cohdist import (
     has_rank2_subspace,
     maximal_pure_subspaces,
     optimize_disjoint_selection,
-    pmax_mixed,
     random_block_state,
     random_mixture_state,
     random_pure_state,
@@ -23,7 +21,7 @@ from cohdist import (
 from cohdist import subspaces
 from cohdist.cli import main
 from cohdist.states import positive_diagonal_indices
-from cohdist.subspaces import A_ONE_TOL, RANK1_TOL
+from cohdist.subspaces import A_ONE_TOL
 
 
 def test_a_matrix_pure_state_is_all_ones():
@@ -324,98 +322,71 @@ def _decomposition_corpus(overlapping_state, block_mixture):
     return states
 
 
-def test_clique_partition_matches_the_graph_cliques(overlapping_state, block_mixture):
-    partitioned = 0
+def test_cliques_match_bron_kerbosch_on_the_whole_graph(overlapping_state, block_mixture):
     for rho in _decomposition_corpus(overlapping_state, block_mixture):
-        verts = positive_diagonal_indices(rho)
-        cliques = subspaces._clique_partition(subspaces._unit_mask(rho), verts)
-        graph = CoherenceSupportGraph.from_state(rho).maximal_cliques()
-        if cliques is None:
-            levels = [j for c in graph for j in c]
-            assert len(levels) > len(set(levels))     # only overlapping cliques fall back
-        else:
-            partitioned += 1
-            assert cliques == graph
-    assert subspaces._clique_partition(
-        subspaces._unit_mask(overlapping_state), (0, 1, 2)) is None
-    assert partitioned >= 30
+        cliques = subspaces._cliques(subspaces._unit_mask(rho), positive_diagonal_indices(rho))
+        assert cliques == _reference_cliques(CoherenceSupportGraph.from_state(rho))
 
 
-def test_profiles_are_populations_and_states_are_built_on_demand(overlapping_state, block_mixture):
+def test_only_components_that_are_not_cliques_reach_bron_kerbosch(monkeypatch):
+    # a 1100-level clique next to an overlapping chain: the clique must be
+    # read off the mask, since Bron-Kerbosch would recurse once per member
+    chain = _chain_state(4).matrix
+    big = DensityMatrix.from_pure(random_pure_state(np.random.default_rng(3), 1100)).matrix
+    mat = np.zeros((1104, 1104), dtype=complex)
+    mat[:1100, :1100] = big / 2
+    mat[1100:, 1100:] = chain / 2
+    rho = validate_density(mat)
+    seen = []
+    search = CoherenceSupportGraph.maximal_cliques
+    monkeypatch.setattr(CoherenceSupportGraph, "maximal_cliques",
+                        lambda g: seen.append(g.vertices) or search(g))
+    cliques = subspaces._cliques(subspaces._unit_mask(rho), positive_diagonal_indices(rho))
+    assert seen == [(1100, 1101, 1102, 1103)]
+    assert cliques == [tuple(range(1100)), (1100, 1101), (1101, 1102), (1102, 1103)]
+
+
+def _reference_subspace(rho, indices):
+    """Weight and restricted pure state of one clique by its own ``eigh``, kept as the reference.
+
+    This is how each subspace was built before restrictions of one size
+    were stacked.
+    """
+    idx = list(indices)
+    sub = rho.matrix[np.ix_(idx, idx)]
+    weight = float(np.real(np.trace(sub)))
+    vec = np.linalg.eigh(sub / weight)[1][:, -1]
+    lead = np.argmax(np.abs(vec) > 1e-8)
+    vec = vec * np.conj(vec[lead] / abs(vec[lead]))
+    return weight, vec / np.linalg.norm(vec)
+
+
+def test_stacked_subspaces_match_one_eigh_per_clique(overlapping_state, block_mixture):
     for rho in _decomposition_corpus(overlapping_state, block_mixture):
-        populations = rho.diagonal()
         for s in maximal_pure_subspaces(rho):
             idx = list(s.indices)
-            assert s.weight == pytest.approx(populations[idx].sum(), abs=1e-15)
-            assert np.allclose(s.profile, populations[idx] / s.weight, rtol=1e-15, atol=0.0)
+            weight, vec = _reference_subspace(rho, s.indices)
+            assert s.weight == pytest.approx(weight, rel=1e-15, abs=0.0)
+            assert np.allclose(s.amplitudes, vec, rtol=0.0, atol=1e-12)
+            assert np.array_equal(s.profile, np.abs(s.amplitudes) ** 2)
             assert s.amplitudes.shape == (s.rank,) and s.dim == rho.dim
-            assert s.amplitudes[0].imag == 0.0 and s.amplitudes[0].real > 0.0
             amps = s.state.amplitudes
             assert np.array_equal(amps[idx], s.amplitudes)
             assert not np.any(np.delete(amps, idx))
-            # the pure restriction's squared moduli are its populations up to lambda_2
-            assert np.allclose(np.abs(s.amplitudes) ** 2, s.profile, rtol=0.0, atol=RANK1_TOL)
 
 
-def _near_edge_blocks(rng, r, eps, count):
-    """Trace-1 restrictions of r Gram vectors tilted by about sqrt(eps), with random phases."""
-    tilt = rng.uniform(-1.0, 1.0, size=(count, r, 2)) * np.sqrt(eps / 8)
-    g = np.concatenate([np.ones((count, r, 1)), tilt], axis=2)
-    g /= np.linalg.norm(g, axis=2, keepdims=True)
-    g = g * np.sqrt(rng.dirichlet(np.ones(r), size=count))[:, :, None]
-    g = g * np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=(count, r, 1)))
-    blocks = g @ g.conj().transpose(0, 2, 1)
-    return blocks / np.trace(blocks, axis1=1, axis2=2).real[:, None, None]
-
-
-def test_rank1_bound_is_never_below_the_second_eigenvalue():
-    rng = np.random.default_rng(20261018)
-    for r in range(2, 7):
-        for eps in (0.0, 1e-15, 1e-12, 1e-10, 1e-9):
-            blocks = _near_edge_blocks(rng, r, eps, 200)
-            pivots = np.einsum("nii->ni", blocks).real.argmax(axis=1)
-            bound, _ = subspaces._rank1_certificates(blocks, pivots)
-            second = np.linalg.eigvalsh(blocks)[:, -2]
-            assert np.all(bound >= second), (r, eps)
-            if eps == 0.0:                      # exactly rank-1 blocks are certified
-                assert np.all(bound <= 1e-13), r
-
-
-def test_eigh_route_gives_the_certified_results(monkeypatch, overlapping_state, block_mixture):
-    rng = np.random.default_rng(5)
-    corpus = _decomposition_corpus(overlapping_state, block_mixture)
-    targets = [PureStateVector.from_probabilities(
-        np.r_[rng.dirichlet(np.ones(2)), np.zeros(rho.dim - 2)]) for rho in corpus]
-    certified = [(maximal_pure_subspaces(rho), pmax_mixed(rho, phi)) for rho, phi in zip(corpus, targets)]
-    calls = []
-    top_vector = subspaces._top_vector
-    monkeypatch.setattr(subspaces, "_top_vector", lambda *a: calls.append(1) or top_vector(*a))
-    monkeypatch.setattr(subspaces, "_ROUNDING", math.inf)    # no bound certifies
-    for rho, phi, (subs, mixed) in zip(corpus, targets, certified):
-        checked = maximal_pure_subspaces(rho)
-        assert [s.indices for s in checked] == [s.indices for s in subs]
-        for a, b in zip(checked, subs):
-            assert a.weight == b.weight and np.array_equal(a.profile, b.profile)
-            assert np.allclose(a.amplitudes, b.amplitudes, rtol=0.0, atol=1e-12)
-        again = pmax_mixed(rho, phi)
-        assert again.family.index_sets() == mixed.family.index_sets()
-        assert again.p_max == pytest.approx(mixed.p_max, abs=1e-12)
-    assert len(calls) > 50
-
-
-def test_pmax_mixed_calls_no_eigensolver_on_block_and_pure_states(monkeypatch):
+def test_one_eigh_call_per_clique_size(monkeypatch):
     rng = np.random.default_rng(11)
-    states = [random_block_state(rng, d)[0] for d in (3, 8, 30, 120)]
-    states += [DensityMatrix.from_pure(random_pure_state(rng, d)) for d in (2, 9, 64)]
-    target = PureStateVector(np.array([0.8, 0.6], dtype=complex))
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("np.linalg.eigh called")
-
-    monkeypatch.setattr(np.linalg, "eigh", refuse)
-    for rho in states:
-        phi = PureStateVector(np.r_[target.amplitudes, np.zeros(rho.dim - 2)])
-        assert 0.0 < pmax_mixed(rho, phi).p_max <= 1.0
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    for d in (3, 8, 30, 120):
+        rho, blocks = random_block_state(rng, d)
+        calls.clear()
+        subs = maximal_pure_subspaces(rho)
+        sizes = {s.rank for s in subs if s.rank > 1}
+        assert len(calls) == len(sizes)
+        assert sorted(shape[1] for shape in calls) == sorted(sizes)
 
 
 def _indefinite_clique_state():
