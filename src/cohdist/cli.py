@@ -278,7 +278,7 @@ def _write_plan(path: str, plan: DistillationPlan) -> None:
 
 def _emit(doc: dict, as_json: bool, text_lines: list[str]):
     if as_json:
-        print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
+        print(json.dumps(doc, sort_keys=True, allow_nan=False))
     else:
         for line in text_lines:
             print(line)

@@ -25,10 +25,19 @@ flat branch list whose total success probability equals P exactly.  (A
 single saturated operator alone is not optimal in general: saturating it
 can strand the failure branch on a profile of too-low coherence rank, so
 the two-stage route is required.)
+
+Every stage runs in array passes: the split returns its weights and
+permutations as stacked arrays, sorting the running point once per step,
+and one pass turns them into all branches' factors.  A plan carries one
+stacked monomial view of its branches (:class:`MonomialStack`), built once;
+the completeness gap, the branch probabilities, sampling and the replay
+check all read it.  Replay is restricted to each branch's support: with
+v = K†|phi> nonzero only on the used columns S, it evaluates v_S† rho_SS v_S.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +62,7 @@ from .subspaces import (
 ENTRY_TOL = 1e-12        # magnitude below which a matrix entry counts as zero
 PROB_TOL = 1e-9          # probability bookkeeping tolerance
 _SPLIT_TOL = 1e-13       # prefix slack that counts as tight in the permutation split
+_GATHER_CAP = 1 << 18    # entries of one replay gather (rho_SS blocks of many branches)
 
 
 # ===========================================================================
@@ -90,27 +100,42 @@ class StrictlyIncoherentKraus:
 
     @classmethod
     def _from_triples(cls, dim: int, rows, cols, values) -> "StrictlyIncoherentKraus":
-        """Drop entries of modulus <= ENTRY_TOL; the rest need distinct rows and columns."""
+        """One operator from (row, column, value) entries; see :meth:`_stack`."""
+        values = np.asarray(values, dtype=complex)
+        return cls._stack(1, dim, np.zeros(values.size, dtype=np.intp), rows, cols, values)[0]
+
+    @classmethod
+    def _stack(cls, count: int, dim: int, branch, rows, cols, values) -> list["StrictlyIncoherentKraus"]:
+        """``count`` operators from (branch, row, column, value) entries, in one pass.
+
+        Entries of modulus <= ENTRY_TOL are dropped; within a branch the rest
+        need distinct rows and columns.  Unused columns take the unused rows
+        in ascending order.
+        """
         values = np.asarray(values, dtype=complex)
         require_finite(values, "Kraus matrix")
         keep = np.abs(values) > ENTRY_TOL
+        # entry (a, i, j) sits at i, j of row a of the stacked count x dim arrays
+        offset = np.asarray(branch, dtype=np.intp)[keep] * dim
         rows = np.asarray(rows, dtype=np.intp)[keep]
-        cols = np.asarray(cols, dtype=np.intp)[keep]
-        row_counts = np.bincount(rows, minlength=dim)
-        col_counts = np.bincount(cols, minlength=dim)
-        for name, counts in (("row", row_counts), ("column", col_counts)):
+        at = offset + np.asarray(cols, dtype=np.intp)[keep]
+        used_rows = np.bincount(offset + rows, minlength=count * dim)
+        used_cols = np.bincount(at, minlength=count * dim)
+        for name, counts in (("row", used_rows), ("column", used_cols)):
             if counts.max(initial=0) > 1:
                 k = int(np.argmax(counts > 1))
-                raise NotStrictlyIncoherentError(f"{name} {k} has {counts[k]} nonzero entries")
-        perm = np.empty(dim, dtype=np.intp)
-        perm[cols] = rows
-        perm[col_counts == 0] = np.flatnonzero(row_counts == 0)
-        diag = np.zeros(dim, dtype=complex)
-        diag[cols] = values[keep]
+                raise NotStrictlyIncoherentError(f"{name} {k % dim} has {counts[k]} nonzero entries")
+        perm = np.empty(count * dim, dtype=np.intp)
+        perm[at] = rows
+        # both masks list the free places branch by branch, each in ascending order
+        perm[used_cols == 0] = np.flatnonzero(used_rows == 0) % dim
+        diag = np.zeros(count * dim, dtype=complex)
+        diag[at] = values[keep]
+        diag = diag.reshape(count, dim)
         proj = (diag != 0.0).astype(float)
         for arr in (diag, proj):
             arr.flags.writeable = False
-        return cls(tuple(perm.tolist()), diag, proj)
+        return [cls(tuple(p), d, j) for p, d, j in zip(perm.reshape(count, dim).tolist(), diag, proj)]
 
     @property
     def dim(self) -> int:
@@ -167,6 +192,66 @@ class MixedPmaxResult:
 
 
 @dataclass(frozen=True)
+class MonomialStack:
+    """All branches of a plan as arrays, one row per branch.
+
+    ``effects[a, j]`` is |c_j|^2 for the coefficient c_j of branch a in
+    column j (0 on unused columns, inf where a square overflows): the
+    diagonal of K†K.  Row a of ``columns``, ``rows`` and ``coefficients``
+    lists the used columns of branch a in ascending order, the row each one
+    feeds and its coefficient, padded with column 0, row 0 and coefficient
+    0 up to the largest number of used columns.
+    """
+
+    effects: np.ndarray
+    columns: np.ndarray
+    rows: np.ndarray
+    coefficients: np.ndarray
+
+    @classmethod
+    def of(cls, dim: int, operators) -> "MonomialStack":
+        diag = np.array([k.diagonal for k in operators], dtype=complex).reshape(len(operators), dim)
+        perm = np.array([k.permutation for k in operators], dtype=np.intp).reshape(len(operators), dim)
+        with np.errstate(over="ignore"):
+            effects = np.abs(diag) ** 2
+        branch, cols = np.nonzero(diag)
+        counts = np.bincount(branch, minlength=diag.shape[0])
+        place = np.arange(branch.size) - (np.cumsum(counts) - counts)[branch]
+        shape = (diag.shape[0], int(counts.max(initial=0)))
+        columns, rows = np.zeros(shape, dtype=np.intp), np.zeros(shape, dtype=np.intp)
+        coefficients = np.zeros(shape, dtype=complex)
+        columns[branch, place] = cols
+        rows[branch, place] = perm[branch, cols]
+        coefficients[branch, place] = diag[branch, cols]
+        return cls(effects, columns, rows, coefficients)
+
+    def weights(self, populations: np.ndarray) -> np.ndarray:
+        """tr(K†K rho) per branch, from the populations.
+
+        A stack of row-by-vector products, not one matrix-vector product, so
+        each weight is the dot product of that branch's own effects, bit for bit.
+        """
+        return np.matmul(self.effects[:, None, :], populations[:, None])[:, 0, 0]
+
+    def overlaps(self, rho: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        """<phi|K rho K†|phi> per branch, on each branch's used columns only.
+
+        With v = K†|phi>, nonzero only on the used columns S, this is
+        v_S† rho_SS v_S: one gather of the rho_SS blocks per chunk of
+        branches, each chunk at most _GATHER_CAP entries.
+        """
+        v = self.coefficients.conj() * phi[self.rows]
+        width = v.shape[1]
+        chunk = max(1, _GATHER_CAP // max(1, width * width))
+        out = np.empty(v.shape[0])
+        for lo in range(0, v.shape[0], chunk):
+            cols, vs = self.columns[lo:lo + chunk], v[lo:lo + chunk]
+            block = rho[cols[:, :, None], cols[:, None, :]]
+            out[lo:lo + chunk] = np.einsum("bi,bij,bj->b", vs.conj(), block, vs).real
+        return out
+
+
+@dataclass(frozen=True)
 class DistillationPlan:
     """Flat list of success branches; failure is the implicit complement."""
 
@@ -175,11 +260,18 @@ class DistillationPlan:
     branches: tuple[PlanBranch, ...]
     family_index_sets: tuple[tuple[int, ...], ...]
 
+    @functools.cached_property
+    def monomials(self) -> MonomialStack:
+        """The branches' factors stacked once per plan; every plan check reads them."""
+        return MonomialStack.of(self.dim, [b.kraus for b in self.branches])
+
     def completeness_gap(self) -> float:
         """Largest entry of the diagonal matrix sum(K†K) minus 1 (<= 0 for a valid plan)."""
-        total = np.zeros(self.dim)
-        for b in self.branches:
-            total += b.kraus.effect_diagonal()
+        effects = self.monomials.effects
+        # np.nonzero lists the entries branch by branch, so each column's sum
+        # runs in branch order, as one branch at a time would
+        used = np.nonzero(effects)
+        total = np.bincount(used[1], weights=effects[used], minlength=self.dim)
         return float(total.max() - 1.0)
 
 
@@ -250,8 +342,8 @@ def _intermediate_profile(p: np.ndarray, q: np.ndarray, prob: float) -> np.ndarr
     return x / total
 
 
-def _permutation_split(x: np.ndarray, p: np.ndarray) -> list[tuple[float, tuple[int, ...]]]:
-    """(w, sigma) pairs with p[t] = sum_a w_a * x[sigma_a[t]], at most n of them.
+def _permutation_split(x: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weights w and rows sigma with p[t] = sum_a w[a] * x[sigma[a, t]], at most n rows.
 
     Needs x sorted descending and p majorized by x.  The prefixes of the
     running point y's descending order whose sums match x's (tight sets)
@@ -260,64 +352,79 @@ def _permutation_split(x: np.ndarray, p: np.ndarray) -> list[tuple[float, tuple[
     of x in y's order, moves y to y + t(y - v) with the largest t that keeps
     every block in its permutohedron, and emits v with weight t/(1+t) of
     what is left.  That makes a new set tight, so after at most n - 1 steps
-    every block is a singleton and y is the last vertex.
+    every block is a singleton and y is the last vertex.  The probe that
+    settles t is the next y, so its in-block sort serves the next step too.
     """
     n = x.size
     pos = np.arange(n)
     x_prefix = np.cumsum(x)
     block = np.zeros(n, dtype=np.intp)     # per coordinate: first x position of its block
-    cut = pos == 0                         # per position: a block starts here
-    y = p.astype(float)
+    cut = np.zeros(n + 1, dtype=bool)      # per position: a block starts here
+    cut[0] = cut[n] = True
+    gap = np.zeros(n + 1)                  # 0, then x's prefix sums minus the sorted values'
     rest, t = 1.0, 0.0
-    parts: list[tuple[float, tuple[int, ...]]] = []
+    weights: list[float] = []
+    sigmas: list[np.ndarray] = []
 
     def bounds():
         """Per position: first and last position of its block."""
-        starts = np.flatnonzero(cut)
-        label = np.cumsum(cut) - 1
-        return starts[label], np.r_[starts[1:], n][label] - 1
+        start = np.maximum.accumulate(pos * cut[:n])
+        end = np.minimum.accumulate(np.where(cut[1:], pos, n)[::-1])[::-1]
+        return start, end
 
     def slack(sorted_vals, start):
         """Per position: x's in-block prefix sum minus that of sorted_vals."""
-        gap = x_prefix - np.cumsum(sorted_vals)
-        return gap - np.where(start > 0, gap[start - 1], 0.0)
+        np.subtract(x_prefix, sorted_vals.cumsum(), out=gap[1:])
+        return gap[1:] - gap[start]
 
+    def in_block_sort(vals, start):
+        """Coordinates by block, descending vals within one; the slack along them."""
+        order = np.lexsort((-vals, block))
+        return order, slack(vals[order], start)
+
+    y = p.astype(float)
+    order, y_slack = in_block_sort(y, block)    # one block so far: every start is 0
     for _ in range(2 * n + 2):
-        order = np.lexsort((-y, block))
         # y + t(y - v) is rounded to about (1 + t) * eps, hence the scaled tolerance
-        cut[1:] |= slack(y[order], bounds()[0])[:-1] <= _SPLIT_TOL * (1.0 + t)
+        cut[1:n] |= y_slack[:-1] <= _SPLIT_TOL * (1.0 + t)
         start, end = bounds()
         block[order] = start
         # give every block back the exact sum that rounding drifts
         y_sorted = y[order]
         y_sorted += slack(y_sorted, start)[end] / (end - start + 1)
         y[order] = y_sorted
-        sigma = np.argsort(order)
+        sigma = np.empty(n, dtype=np.intp)
+        sigma[order] = pos
+        sigmas.append(sigma)
         step = np.where(start == end, 0.0, y_sorted - x)
         if not step.any():
-            parts.append((rest, tuple(sigma.tolist())))
-            return parts
+            weights.append(rest)
+            return np.array(weights), np.array(sigmas)
         # singleton bound: every coordinate stays within its block's range of x
-        with np.errstate(divide="ignore", invalid="ignore"):
-            room = np.where(step > 0, x[start] - y_sorted, y_sorted - x[end]) / np.abs(step)
-        t = float(room[step != 0.0].min())
+        moving = step != 0.0
+        room = np.where(step > 0, x[start] - y_sorted, y_sorted - x[end])[moving]
+        t = float((room / np.abs(step[moving])).min())
         direction = step[sigma]
+        inner = end != pos
         # Newton from the right on the concave smallest in-block top-k slack
         for _ in range(n + 2):
             z = y + t * direction
-            z_order = np.lexsort((-z, block))
-            gaps = np.where(end != pos, slack(z[z_order], start), np.inf)
-            k = int(np.argmin(gaps))
+            order, y_slack = in_block_sort(z, start)
+            gaps = np.where(inner, y_slack, np.inf)
+            k = int(gaps.argmin())
             if gaps[k] >= -_SPLIT_TOL * (1.0 + t):
                 break
-            moved = np.cumsum(direction[z_order])
+            moved = direction[order].cumsum()
             t_next = t + gaps[k] / (moved[k] - (moved[start[k] - 1] if start[k] else 0.0))
             if not 0.0 <= t_next < t:
                 break
             t = t_next
-        parts.append((rest * t / (1.0 + t), tuple(sigma.tolist())))
+        else:   # the last Newton step moved t past the last probe
+            z = y + t * direction
+            order, y_slack = in_block_sort(z, start)
+        weights.append(rest * t / (1.0 + t))
         rest /= 1.0 + t
-        y = y + t * direction
+        y = z
     raise ProtocolSynthesisError("permutation split did not converge")
 
 
@@ -352,17 +459,19 @@ def optimal_protocol(
     scale = float(np.sqrt(np.min(x[:m] / q[:m])))
     amps_t = phi.amplitudes
 
-    # deterministic pre-processing: p = sum_a w_a * x[sigma_a(t)]
+    # deterministic pre-processing: p = sum_a w[a] * x[sigma[a, t]]
     if np.abs(x - p).max() <= 1e-13:
-        mixture = [(1.0, tuple(range(n)))]
+        weights, sigmas = np.ones(1), np.arange(n)[None, :]
     else:
-        mixture = _permutation_split(x, p)
+        weights, sigmas = _permutation_split(x, p)
 
-    # branch a sends source level src[t] through slot sigma_a[t] to target
-    # level tgt[sigma_a[t]]; slots past the target rank or with x = 0 carry nothing
-    weights = np.array([w for w, _ in mixture])
-    sigmas = np.array([sigma for _, sigma in mixture], dtype=np.intp)
-    branch, t = np.nonzero((sigmas < m) & (x[sigmas] > 0.0))
+    # branch a sends source level src[t] through slot sigma[a, t] to target
+    # level tgt[sigma[a, t]]; slots past the target rank or with x = 0 carry
+    # nothing, and a branch without a carrying slot is left out
+    feeds = (sigmas < m) & (x[sigmas] > 0.0)
+    live = feeds.any(axis=1)
+    weights, sigmas = weights[live], sigmas[live]
+    branch, t = np.nonzero(feeds[live])
     slot = sigmas[branch, t]
     src_idx, tgt_idx = np.array(src), np.array(tgt)
     sqrt_x = np.sqrt(x)
@@ -371,17 +480,10 @@ def optimal_protocol(
         * (sqrt_x[slot] / psi.amplitudes[src_idx[t]])
         * (scale * amps_t[tgt_idx[slot]] / sqrt_x[slot])
     )
-    # np.nonzero lists the entries branch by branch, so cut them at the branch ends
-    counts = np.bincount(branch, minlength=len(mixture))
-    branches: list[tuple[StrictlyIncoherentKraus, float]] = []
-    for w, count, end in zip(weights.tolist(), counts.tolist(), np.cumsum(counts).tolist()):
-        if not count:
-            continue
-        part = slice(end - count, end)
-        kraus = StrictlyIncoherentKraus._from_triples(
-            psi.dim, tgt_idx[slot[part]], src_idx[t[part]], coeffs[part]
-        )
-        branches.append((kraus, w * scale * scale))
+    operators = StrictlyIncoherentKraus._stack(
+        weights.size, psi.dim, branch, tgt_idx[slot], src_idx[t], coeffs
+    )
+    branches = list(zip(operators, (weights * scale * scale).tolist()))
 
     total = sum(b for _, b in branches)
     if abs(total - prob) > PROB_TOL:
@@ -474,16 +576,17 @@ def verify_branch_outputs(
     Passes when each branch output, normalized, has fidelity with |phi>
     of at least 1 - 1e-9.  Branches with vanishing probability on this
     input are skipped.  With c_j the entry in column j, the weight is
-    sum_j |c_j|^2 rho_jj and <phi|K rho K†|phi> = v† rho v for v = K†|phi>.
+    sum_j |c_j|^2 rho_jj and <phi|K rho K†|phi> = v† rho v for v = K†|phi>,
+    which lives on the branch's used columns S, so only rho_SS is read.
     """
+    stack = plan.monomials
+    weights = stack.weights(rho.diagonal()).tolist()
+    overlaps = stack.overlaps(rho.matrix, phi.amplitudes).tolist()
     worst = 1.0
-    populations = rho.diagonal()
-    for b in plan.branches:
-        weight = float(b.kraus.effect_diagonal() @ populations)
+    for b, weight, overlap in zip(plan.branches, weights, overlaps):
         if weight <= 1e-15:
             continue
-        v = b.kraus.diagonal.conj() * phi.amplitudes[list(b.kraus.permutation)]
-        fid = float(np.real(np.vdot(v, rho.matrix @ v)) / weight)
+        fid = overlap / weight
         if fid < worst:
             worst = fid
         if fid < 1.0 - 1e-9:

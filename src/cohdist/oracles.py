@@ -89,9 +89,8 @@ class SimulationResult:
 
 def branch_probabilities(plan: DistillationPlan, rho: DensityMatrix) -> np.ndarray:
     """Analytic outcome probabilities tr(K rho K†) = tr(K†K rho) per success branch."""
-    populations = rho.diagonal()
-    return np.array([max(0.0, float(b.kraus.effect_diagonal() @ populations))
-                     for b in plan.branches])
+    weights = plan.monomials.weights(rho.diagonal())
+    return np.where(weights > 0.0, weights, 0.0)
 
 
 def simulate(

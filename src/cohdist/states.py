@@ -7,6 +7,7 @@ dephasing map keeps the diagonal and drops every off-diagonal entry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,7 +98,11 @@ class PureStateVector:
         if arr.ndim != 1 or arr.size == 0:
             raise ValidationError(f"expected a nonempty 1-d vector, got shape {arr.shape}")
         require_finite(arr, "amplitude vector")
-        norm = float(np.linalg.norm(arr))
+        # above 1, divide by the power of two at the largest part so that no
+        # square overflows; that division is exact, and so is undoing it
+        peak = max(float(np.abs(arr.real).max()), float(np.abs(arr.imag).max()))
+        scale = math.ldexp(1.0, max(math.frexp(peak)[1] - 1, 0))
+        norm = float(np.linalg.norm(arr / scale)) * scale
         if abs(norm - 1.0) > TRACE_TOL:
             raise TraceNotOneError(f"vector norm is {norm!r}, expected 1")
         arr.flags.writeable = False

@@ -87,28 +87,47 @@ class CoherenceSupportGraph:
     def maximal_cliques(self) -> list[tuple[int, ...]]:
         """All inclusion-maximal cliques by Bron-Kerbosch, sorted by size desc then indices.
 
-        The recursion is as deep as the largest clique, so
+        Vertex sets are Python ints used as bitsets (bit i for the i-th
+        smallest vertex), and the search keeps its frames on an explicit
+        stack, so a clique of any size is found without recursion.
         :func:`maximal_pure_subspaces` passes only the components that are
         not cliques here.
         """
+        verts = sorted(self.vertices)
+        pos = {v: i for i, v in enumerate(verts)}
+        nbrs = [sum(1 << pos[u] for u in self.adjacency[v]) for v in verts]
         found: list[tuple[int, ...]] = []
-        adj = self.adjacency
-
-        def expand(clique: set, candidates: set, excluded: set):
-            if not candidates and not excluded:
-                found.append(tuple(sorted(clique)))
-                return
-            # pivot on the vertex covering the most candidates
-            pivot = max(candidates | excluded, key=lambda u: len(candidates & adj[u]))
-            for v in sorted(candidates - adj[pivot]):
-                expand(clique | {v}, candidates & adj[v], excluded & adj[v])
-                candidates = candidates - {v}
-                excluded = excluded | {v}
-
-        if self.vertices:
-            expand(set(), set(self.vertices), set())
+        # a frame: clique, candidates, excluded, and the vertices left to branch on
+        stack = [[0, (1 << len(verts)) - 1, 0, None]] if verts else []
+        while stack:
+            frame = stack[-1]
+            clique, candidates, excluded, todo = frame
+            if todo is None:
+                if not candidates and not excluded:
+                    found.append(tuple(verts[i] for i in _bits(clique)))
+                    stack.pop()
+                    continue
+                # pivot on the vertex covering the most candidates
+                pivot = max(_bits(candidates | excluded),
+                            key=lambda u: (candidates & nbrs[u]).bit_count())
+                todo = frame[3] = _bits(candidates & ~nbrs[pivot])
+            v = next(todo, None)
+            if v is None:
+                stack.pop()
+                continue
+            stack.append([clique | 1 << v, candidates & nbrs[v], excluded & nbrs[v], None])
+            frame[1] = candidates & ~(1 << v)
+            frame[2] = excluded | 1 << v
         found.sort(key=lambda c: (-len(c), c))
         return found
+
+
+def _bits(mask: int):
+    """Positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)

@@ -641,6 +641,35 @@ def test_shell_sees_the_exit_codes(files, tmp_path):
         assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
 
 
+def test_json_output_is_compact_sorted_and_strict(files, capsys):
+    # one line per document: stdout is json.dumps of itself with sorted keys
+    plan = str(files["tmp"] / "plan.json")
+    psi4 = write(files["tmp"] / "psi4.json", {"amplitudes": np.sqrt([0.4, 0.4, 0.1, 0.1]).tolist()})
+    phi4 = write(files["tmp"] / "phi4.json", {"amplitudes": np.sqrt([0.5, 0.25, 0.25, 0]).tolist()})
+    for argv in (
+        ["validate", files["rho"]],
+        ["subspaces", files["rho"]],
+        ["pmax", files["rho"], files["phi"]],
+        ["protocol", files["rho"], files["phi"], plan],
+        ["simulate", plan, files["rho"], "--shots", "1000", "--seed", "3"],
+        ["catalyst", "gate", psi4, phi4],
+        ["catalyst", "search", psi4, phi4, "--step", "0.1"],
+        ["majorize", files["p"], files["q"]],
+    ):
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (0, ""), argv
+        doc = json.loads(out, parse_constant=_refuse_constant)
+        assert out == json.dumps(doc, sort_keys=True, allow_nan=False) + "\n", argv
+
+
+def test_huge_amplitudes_are_refused_with_clean_stderr(tmp_path):
+    # the unscaled norm overflowed inside numpy and printed a RuntimeWarning
+    huge = write(tmp_path / "huge.json", {"amplitudes": [1e308, -1e308]})
+    done = _cli_subprocess("validate", huge)
+    assert done.returncode == 2
+    assert done.stderr == "error: vector norm is 1.4142135623730951e+308, expected 1\n"
+
+
 # ------------------------------------------------------- fuzzed JSON inputs
 
 _SCALARS = st.one_of(

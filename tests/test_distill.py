@@ -1,3 +1,5 @@
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 
@@ -27,9 +29,10 @@ from cohdist.distill import (
     PlanBranch,
     _intermediate_profile,
     _permutation_split,
+    _SPLIT_TOL,
 )
 from cohdist.measures import min_profile_ratio
-from cohdist.oracles import branch_probabilities
+from cohdist.oracles import branch_probabilities, simulate
 
 
 # ---------------------------------------------------------------- operators
@@ -209,14 +212,13 @@ def test_permutation_split_is_a_short_convex_combination():
     for _ in range(400):
         n = int(rng.integers(1, 65))
         x, p = _majorized_pair(rng, n)
-        parts = _permutation_split(x, p)
-        weights = np.array([w for w, _ in parts])
-        assert len(parts) <= n
+        weights, sigmas = _permutation_split(x, p)
+        assert len(weights) == len(sigmas) <= n
         assert weights.min() >= 0.0
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
-        for _, sigma in parts:
-            assert sorted(sigma) == list(range(n))
-        rebuilt = sum(w * x[list(sigma)] for w, sigma in parts)
+        for sigma in sigmas:
+            assert sorted(sigma.tolist()) == list(range(n))
+        rebuilt = sum(w * x[sigma] for w, sigma in zip(weights, sigmas))
         assert np.abs(rebuilt - p).max() <= 1e-12
 
 
@@ -596,19 +598,26 @@ def test_monomial_checks_match_dense_products():
 
 # ------------------------------------------- protocol entries against the slot loop
 
-def _reference_branch_entries(psi, phi):
-    """optimal_protocol's branches built slot by slot, as (weight, entries)."""
+def _split_inputs(psi, phi):
+    """optimal_protocol's sorted profiles p and q and intermediate profile x."""
     src, tgt = psi.sorted_support(), phi.sorted_support()
     n, m = len(src), len(tgt)
     p = psi.probabilities()[list(src)]
     q = np.zeros(n)
     q[:m] = phi.probabilities()[list(tgt)]
-    x = _intermediate_profile(p, q, min_profile_ratio(p, q))
+    return p, q, _intermediate_profile(p, q, min_profile_ratio(p, q))
+
+
+def _reference_branch_entries(psi, phi):
+    """optimal_protocol's branches built slot by slot, as (weight, entries)."""
+    src, tgt = psi.sorted_support(), phi.sorted_support()
+    n, m = len(src), len(tgt)
+    p, q, x = _split_inputs(psi, phi)
     scale = float(np.sqrt(np.min(x[:m] / q[:m])))
     if np.abs(x - p).max() <= 1e-13:
         mixture = [(1.0, tuple(range(n)))]
     else:
-        mixture = _permutation_split(x, p)
+        mixture = zip(*_permutation_split(x, p))
     amps_s, amps_t, sqrt_x = psi.amplitudes, phi.amplitudes, np.sqrt(x)
     out = []
     for w, sigma in mixture:
@@ -662,3 +671,278 @@ def test_protocol_entries_match_the_slot_loop():
             assert np.abs(kraus.diagonal - want.diagonal).max() <= 1e-15 * scale
             out, want_out = kraus.apply(psi.amplitudes), want.apply(psi.amplitudes)
             assert np.abs(out - want_out).max() <= 1e-15 * np.abs(want_out).max()
+
+
+# ------------------------------------------- array passes against the branch-by-branch build
+
+def _reference_permutation_split(x, p):
+    """The split as it sorted y once per step and once per Newton probe, kept as the reference.
+
+    Returns (w, sigma) pairs; :func:`_permutation_split` must give the same
+    parts, bit for bit, as stacked arrays.
+    """
+    n = x.size
+    pos = np.arange(n)
+    x_prefix = np.cumsum(x)
+    block = np.zeros(n, dtype=np.intp)
+    cut = pos == 0
+    y = p.astype(float)
+    rest, t = 1.0, 0.0
+    parts = []
+
+    def bounds():
+        starts = np.flatnonzero(cut)
+        label = np.cumsum(cut) - 1
+        return starts[label], np.r_[starts[1:], n][label] - 1
+
+    def slack(sorted_vals, start):
+        gap = x_prefix - np.cumsum(sorted_vals)
+        return gap - np.where(start > 0, gap[start - 1], 0.0)
+
+    for _ in range(2 * n + 2):
+        order = np.lexsort((-y, block))
+        cut[1:] |= slack(y[order], bounds()[0])[:-1] <= _SPLIT_TOL * (1.0 + t)
+        start, end = bounds()
+        block[order] = start
+        y_sorted = y[order]
+        y_sorted += slack(y_sorted, start)[end] / (end - start + 1)
+        y[order] = y_sorted
+        sigma = np.argsort(order)
+        step = np.where(start == end, 0.0, y_sorted - x)
+        if not step.any():
+            parts.append((rest, tuple(sigma.tolist())))
+            return parts
+        with np.errstate(divide="ignore", invalid="ignore"):
+            room = np.where(step > 0, x[start] - y_sorted, y_sorted - x[end]) / np.abs(step)
+        t = float(room[step != 0.0].min())
+        direction = step[sigma]
+        for _ in range(n + 2):
+            z = y + t * direction
+            z_order = np.lexsort((-z, block))
+            gaps = np.where(end != pos, slack(z[z_order], start), np.inf)
+            k = int(np.argmin(gaps))
+            if gaps[k] >= -_SPLIT_TOL * (1.0 + t):
+                break
+            moved = np.cumsum(direction[z_order])
+            t_next = t + gaps[k] / (moved[k] - (moved[start[k] - 1] if start[k] else 0.0))
+            if not 0.0 <= t_next < t:
+                break
+            t = t_next
+        parts.append((rest * t / (1.0 + t), tuple(sigma.tolist())))
+        rest /= 1.0 + t
+        y = y + t * direction
+    raise AssertionError("reference split did not converge")
+
+
+def _bench_shaped_pair(dim, seed):
+    """A full-support pure source with the benchmark's fixed profile, and a rank-4 target.
+
+    The moduli are 0.15 plus half-normal quantiles on shuffled levels with
+    random phases; the target has profile (0.4, 0.3, 0.2, 0.1) on random levels.
+    """
+    rng = np.random.default_rng(seed)
+    mags = 0.15 + np.array([NormalDist().inv_cdf(0.5 + 0.5 * (i + 0.5) / dim) for i in range(dim)])
+    profile = rng.permutation(mags**2 / np.sum(mags**2))
+    amps = np.sqrt(profile) * np.exp(2j * np.pi * rng.random(dim))
+    tgt = np.zeros(dim, dtype=complex)
+    tgt[rng.choice(dim, size=4, replace=False)] = np.sqrt([0.4, 0.3, 0.2, 0.1])
+    return PureStateVector(amps / np.linalg.norm(amps)), PureStateVector(tgt)
+
+
+def _bench_shaped_pairs():
+    for dim in (32, 40):
+        for seed in range(3):
+            yield _bench_shaped_pair(dim, seed)
+
+
+def _split_cases():
+    """(x, p) from the protocol pairs, random majorized pairs up to n = 128, bench shapes."""
+    for psi, phi in [*_protocol_pairs(), *_bench_shaped_pairs()]:
+        p, _, x = _split_inputs(psi, phi)
+        if np.abs(x - p).max() > 1e-13:
+            yield x, p
+    rng = np.random.default_rng(20261019)
+    for _ in range(150):
+        yield _majorized_pair(rng, int(rng.integers(1, 129)))
+
+
+def test_permutation_split_equals_the_reference_bit_for_bit():
+    cases = 0
+    for x, p in _split_cases():
+        weights, sigmas = _permutation_split(x, p)
+        reference = _reference_permutation_split(x, p)
+        assert weights.tolist() == [w for w, _ in reference]
+        assert [tuple(s) for s in sigmas.tolist()] == [s for _, s in reference]
+        cases += 1
+    assert cases > 200
+
+
+def _count_sorts(monkeypatch, split, x, p):
+    """``split(x, p)`` and the number of np.lexsort calls it made."""
+    calls = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(keys) or lexsort(keys))
+    out = split(x, p)
+    monkeypatch.undo()
+    return len(calls), out
+
+
+def test_permutation_split_sorts_once_per_step(monkeypatch):
+    # the probe that settles t is the next point, so on the benchmark shapes,
+    # where Newton mostly accepts the first probe, every step sorts once
+    for psi, phi in _bench_shaped_pairs():
+        p, _, x = _split_inputs(psi, phi)
+        sorts, (weights, _) = _count_sorts(monkeypatch, _permutation_split, x, p)
+        assert sorts <= len(weights) + 1
+        # the reference sorted once per step and once per probe
+        ref_sorts, reference = _count_sorts(monkeypatch, _reference_permutation_split, x, p)
+        assert ref_sorts == sorts + len(reference) - 1
+
+
+def _reference_protocol(psi, phi):
+    """optimal_protocol with the reference split and one _from_triples call per branch."""
+    src, tgt = psi.sorted_support(), phi.sorted_support()
+    n, m = len(src), len(tgt)
+    p, q, x = _split_inputs(psi, phi)
+    scale = float(np.sqrt(np.min(x[:m] / q[:m])))
+    if np.abs(x - p).max() <= 1e-13:
+        mixture = [(1.0, tuple(range(n)))]
+    else:
+        mixture = _reference_permutation_split(x, p)
+    weights = np.array([w for w, _ in mixture])
+    sigmas = np.array([sigma for _, sigma in mixture], dtype=np.intp)
+    branch, t = np.nonzero((sigmas < m) & (x[sigmas] > 0.0))
+    slot = sigmas[branch, t]
+    src_idx, tgt_idx = np.array(src), np.array(tgt)
+    sqrt_x = np.sqrt(x)
+    coeffs = (
+        np.sqrt(weights[branch])
+        * (sqrt_x[slot] / psi.amplitudes[src_idx[t]])
+        * (scale * phi.amplitudes[tgt_idx[slot]] / sqrt_x[slot])
+    )
+    counts = np.bincount(branch, minlength=len(mixture))
+    out = []
+    for w, count, end in zip(weights.tolist(), counts.tolist(), np.cumsum(counts).tolist()):
+        if count:
+            part = slice(end - count, end)
+            kraus = StrictlyIncoherentKraus._from_triples(
+                psi.dim, tgt_idx[slot[part]], src_idx[t[part]], coeffs[part]
+            )
+            out.append((kraus, w * scale * scale))
+    return out
+
+
+def _assert_same_factors(k, want):
+    assert k.permutation == want.permutation
+    assert np.array_equal(k.diagonal, want.diagonal)
+    assert np.array_equal(k.projector, want.projector)
+
+
+def test_protocol_factors_equal_the_per_branch_build():
+    for psi, phi in [*_protocol_pairs(), *_bench_shaped_pairs()]:
+        branches = optimal_protocol(psi, phi)
+        reference = _reference_protocol(psi, phi)
+        assert [prob for _, prob in branches] == [prob for _, prob in reference]
+        for (k, _), (want, _) in zip(branches, reference):
+            _assert_same_factors(k, want)
+            assert not k.diagonal.flags.writeable and not k.projector.flags.writeable
+
+
+def test_full_plan_equals_the_per_branch_build():
+    rng = np.random.default_rng(77)
+    cases = [(DensityMatrix.from_pure(psi), phi) for psi, phi in _bench_shaped_pairs()]
+    for _ in range(30):
+        d = int(rng.integers(2, 9))
+        rho = random_mixture_state(rng, d) if rng.random() < 0.5 else random_block_state(rng, d)[0]
+        cases.append((rho, random_pure_state(rng, d, support=sorted(
+            rng.choice(d, size=int(rng.integers(2, d + 1)), replace=False).tolist()))))
+    for rho, phi in cases:
+        plan = full_plan(rho, phi)
+        want = []
+        for mu, y in enumerate(pmax_mixed(rho, phi).per_subspace):
+            if y.ratio > 0.0:
+                want += [(f"s{mu}.k{a}", k, y.subspace.weight * prob)
+                         for a, (k, prob) in enumerate(_reference_protocol(y.subspace.state, phi))]
+        assert [(b.branch_id, b.probability) for b in plan.branches] == [(i, w) for i, _, w in want]
+        for b, (_, k, _) in zip(plan.branches, want):
+            _assert_same_factors(b.kraus, k)
+
+
+def _reference_checks(plan, rho, phi, shots, seed):
+    """Gap, probabilities, replay verdict and counts, one branch at a time on all d levels."""
+    total = np.zeros(plan.dim)
+    for b in plan.branches:
+        total += b.kraus.effect_diagonal()
+    pops = rho.diagonal()
+    probs = np.array([max(0.0, float(b.kraus.effect_diagonal() @ pops)) for b in plan.branches])
+    worst, failed = 1.0, None
+    for b in plan.branches:
+        weight = float(b.kraus.effect_diagonal() @ pops)
+        if weight <= 1e-15:
+            continue
+        v = b.kraus.diagonal.conj() * phi.amplitudes[list(b.kraus.permutation)]
+        fid = float(np.real(np.vdot(v, rho.matrix @ v)) / weight)
+        worst = min(worst, fid)
+        if fid < 1.0 - 1e-9:
+            failed = b.branch_id
+            break
+    pvals = np.append(probs, max(0.0, 1.0 - float(probs.sum())))
+    counts = np.random.Generator(np.random.Philox(seed)).multinomial(shots, pvals / pvals.sum())
+    per_branch = {b.branch_id: int(c) for b, c in zip(plan.branches, counts[:-1])}
+    return float(total.max() - 1.0), probs, (failed is None, failed, worst), per_branch
+
+
+def test_stacked_checks_equal_the_per_branch_checks():
+    rng = np.random.default_rng(5153)
+    plans = [*_random_plans(rng)]
+    for psi, phi in _bench_shaped_pairs():
+        rho = DensityMatrix.from_pure(psi)
+        plans.append((full_plan(rho, phi), rho, phi))
+    # one level and many branches: a sum over the branch axis would run pairwise here
+    one = DensityMatrix(np.ones((1, 1)))
+    ones = [PlanBranch(f"r{a}", StrictlyIncoherentKraus.from_matrix([[c]]), 0.0)
+            for a, c in enumerate(np.sqrt(np.random.default_rng(1).random(50) / 11))]
+    plans.append((DistillationPlan(1, 0.0, tuple(ones), ()), one, PureStateVector(np.ones(1))))
+    for seed, (plan, rho, phi) in enumerate(plans):
+        gap, probs, (ok, failed, worst), counts = _reference_checks(plan, rho, phi, 10_000, seed)
+        assert plan.completeness_gap() == gap
+        assert np.array_equal(branch_probabilities(plan, rho), probs)
+        check = verify_branch_outputs(plan, rho, phi)
+        assert (bool(check), check.failed_branch_id) == (ok, failed)
+        assert check.worst_fidelity == pytest.approx(worst, abs=1e-12)
+        if plan.completeness_gap() <= 1e-9:
+            assert simulate(plan, rho, 10_000, seed).per_branch_counts == counts
+
+
+def test_replay_gathers_only_the_used_columns():
+    # every branch of a rank-4 target uses at most 4 columns
+    psi, phi = _bench_shaped_pair(40, 9)
+    plan = full_plan(DensityMatrix.from_pure(psi), phi)
+    stack = plan.monomials
+    assert stack.effects.shape == (len(plan.branches), 40)
+    assert stack.columns.shape == stack.rows.shape == stack.coefficients.shape
+    assert stack.columns.shape[1] <= 4
+    for b, cols, rows, coeffs in zip(plan.branches, stack.columns, stack.rows, stack.coefficients):
+        used = np.flatnonzero(b.kraus.diagonal)
+        assert np.array_equal(cols[:used.size], used)
+        assert np.array_equal(rows[:used.size], np.array(b.kraus.permutation)[used])
+        assert np.array_equal(coeffs[:used.size], b.kraus.diagonal[used])
+        assert not coeffs[used.size:].any()
+    assert plan.monomials is stack
+
+
+def test_replay_in_chunks_equals_one_gather(monkeypatch):
+    # the rho_SS gather is cut into chunks of branches so that full-rank
+    # targets at large d stay small; the chunking changes no value
+    from cohdist import distill
+
+    rng = np.random.default_rng(64)
+    cases = [_bench_shaped_pair(32, 4), (random_pure_state(rng, 64), random_pure_state(rng, 64))]
+    for psi, phi in cases:
+        rho = DensityMatrix.from_pure(psi)
+        stack = full_plan(rho, phi).monomials
+        whole = stack.overlaps(rho.matrix, phi.amplitudes)
+        for cap in (1, 50, 5000):
+            monkeypatch.setattr(distill, "_GATHER_CAP", cap)
+            assert np.array_equal(stack.overlaps(rho.matrix, phi.amplitudes), whole)
+        monkeypatch.undo()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -127,3 +129,31 @@ def test_pure_state_rejects_non_finite_amplitudes(bad):
 def test_as_distribution_rejects_non_finite_weights(bad):
     with pytest.raises(ValidationError):
         as_distribution([bad, 1.0])
+
+
+@pytest.mark.parametrize("amps, norm", [
+    ([1e308, -1e308], "1.4142135623730951e+308"),
+    ([1.7e308, 1.7e308j], "inf"),
+    ([3 * 2.0**660, 4j * 2.0**660], repr(5 * 2.0**660)),
+])
+def test_norm_of_huge_amplitudes_does_not_overflow(amps, norm):
+    # pytest turns numpy's overflow warning into an error
+    with pytest.raises(TraceNotOneError, match=re.escape(f"vector norm is {norm}, expected 1")):
+        PureStateVector(np.array(amps, dtype=complex))
+
+
+def test_norm_equals_the_unscaled_norm():
+    # near 1 the power-of-two scaling changes no bit, so the verdicts and the
+    # printed norms at the 1e-10 edge stay as they were
+    rng = np.random.default_rng(99)
+    for _ in range(500):
+        n = int(rng.integers(1, 40))
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        v *= (1.0 + float(rng.choice([0.0, 5e-11, 2e-10]))) / np.linalg.norm(v)
+        norm = float(np.linalg.norm(v))
+        if abs(norm - 1.0) <= 1e-10:
+            PureStateVector(v)
+        else:
+            with pytest.raises(TraceNotOneError) as exc:
+                PureStateVector(v)
+            assert str(exc.value) == f"vector norm is {norm!r}, expected 1"

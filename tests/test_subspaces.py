@@ -87,10 +87,11 @@ def test_maximal_cliques_path_graph():
 
 
 def _reference_cliques(graph):
-    """Bron-Kerbosch over the whole graph, kept as the reference.
+    """Recursive Bron-Kerbosch with set arithmetic over the whole graph, kept as the reference.
 
     This is how cliques were found before clique components were emitted
-    without search.
+    without search, and before the search ran on bitsets with an explicit
+    stack.
     """
     found = []
     adj = graph.adjacency
@@ -121,6 +122,25 @@ def test_maximal_cliques_match_bron_kerbosch():
             edges += [tuple(rng.choice(n, 2, replace=False)) for _ in range(rng.integers(0, 3))]
         g = _graph(n, edges)
         assert g.maximal_cliques() == _reference_cliques(g)
+
+
+def test_maximal_cliques_match_bron_kerbosch_on_scattered_labels():
+    # vertices that are not 0..n-1 and denser edges, so cliques overlap a lot
+    rng = np.random.default_rng(1101)
+    for _ in range(200):
+        n = int(rng.integers(1, 14))
+        labels = sorted(rng.choice(60, size=n, replace=False).tolist())
+        density = rng.uniform(0.2, 0.9)
+        edges = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:] if rng.random() < density]
+        adj = {v: frozenset(u for e in edges if v in e for u in e if u != v) for v in labels}
+        g = CoherenceSupportGraph(tuple(rng.permutation(labels).tolist()), adj)
+        assert g.maximal_cliques() == _reference_cliques(g)
+
+
+def test_maximal_cliques_finds_a_1100_vertex_clique():
+    # the recursive search went one frame deeper per member and raised RecursionError
+    rho = DensityMatrix.from_pure(random_pure_state(np.random.default_rng(1), 1100))
+    assert CoherenceSupportGraph.from_state(rho).maximal_cliques() == [tuple(range(1100))]
 
 
 def test_large_pure_state_is_one_subspace_without_recursion():
