@@ -16,6 +16,7 @@ from .catalysis import (
     EnhancementGateReport,
     EnhancementRecord,
     catalyst_candidates,
+    catalyst_gates,
     catalyzed_pmax,
     default_alpha_grid,
     deterministic_gate,
@@ -142,6 +143,7 @@ __all__ = [
     "CatalystSearchReport",
     "enhancement_gate",
     "deterministic_gate",
+    "catalyst_gates",
     "default_alpha_grid",
     "catalyzed_pmax",
     "catalyst_candidates",

@@ -22,7 +22,10 @@ evaluation through the plain distillation formulas bit for bit.
 
 Neither the gates nor the search decompose rho themselves: each reads one
 :func:`~cohdist.distill.pmax_mixed` result, which holds the maximal pure
-subspaces, the selected disjoint family and the baseline probability.
+subspaces, the selected disjoint family and the baseline probability, and
+the target profile by pmax_mixed's rule, :func:`~cohdist.states.support_profile`;
+so the identity catalyst scores the baseline exactly.  :func:`catalyst_gates`
+gives both gate reports from one such result.
 """
 
 from __future__ import annotations
@@ -41,13 +44,11 @@ from .measures import (
     _checked_rows,
     _padded_rows,
     _power_means_kernel,
-    coherence_rank,
     min_profile_ratios,
     shannon_entropy,
-    sorted_descending,
 )
-from .states import DensityMatrix, PureStateVector, SUPPORT_TOL, as_distribution
-from .subspaces import PureSubspace, optimize_disjoint_selection
+from .states import DensityMatrix, PureStateVector, SUPPORT_TOL, as_distribution, support_profile
+from .subspaces import optimize_disjoint_selection
 
 STRICT_TOL = 1e-12       # margin above which a strict inequality counts
 UNIT_TOL = 1e-9          # closeness to probability 1 / weight 1
@@ -124,22 +125,14 @@ class CatalystSearchReport:
 # shared plumbing
 # ===========================================================================
 
-def _profile(s: PureSubspace) -> np.ndarray:
-    """A subspace's profile, sorted descending."""
-    return sorted_descending(s.profile)
-
-
-def _subspace_entries(subspaces) -> list[tuple[tuple[int, ...], float, tuple[float, ...]]]:
-    """(indices, weight, sorted squared profile) for every given subspace."""
-    return [(s.indices, s.weight, tuple(float(v) for v in _profile(s))) for s in subspaces]
-
-
-def _target_profile(phi: PureStateVector) -> np.ndarray:
-    if coherence_rank(phi) < 2:
+def _instance(rho: DensityMatrix, phi: PureStateVector) -> tuple[np.ndarray, MixedPmaxResult]:
+    """phi's support profile and ``pmax_mixed(rho, phi)``; a rank-1 target is refused first."""
+    tgt = support_profile(phi.probabilities())[1]
+    if tgt.size < 2:
         raise IncoherentTargetError(
             "target has coherence rank 1; catalysis questions are vacuous"
         )
-    return sorted_descending(phi.probabilities())[: coherence_rank(phi)]
+    return tgt, pmax_mixed(rho, phi)
 
 
 # ===========================================================================
@@ -160,24 +153,22 @@ def enhancement_gate(rho: DensityMatrix, phi: PureStateVector) -> EnhancementGat
     clique list; the selected disjoint family's existential is reported
     alongside.
     """
-    tgt = _target_profile(phi)
-    return _enhancement_report(tgt, pmax_mixed(rho, phi))
+    return _enhancement_report(*_instance(rho, phi))
 
 
 def _enhancement_report(tgt, mixed: MixedPmaxResult) -> EnhancementGateReport:
     records = []
-    profiles = [_profile(s) for s in mixed.all_subspaces]
-    ratios = min_profile_ratios(_padded_rows(profiles), tgt).tolist()
-    for s, profile, pure in zip(mixed.all_subspaces, profiles, ratios):
-        # smallest entries of the profiles zero-padded to a common length
-        p_last = profile[-1] if profile.size >= tgt.size else 0.0
-        q_last = tgt[-1] if tgt.size >= profile.size else 0.0
-        if q_last <= SUPPORT_TOL:
-            bound = 1.0
-        elif p_last <= SUPPORT_TOL:
-            bound = 0.0
+    subs = mixed.all_subspaces
+    # pmax_mixed's ratios, from the same rows
+    ratios = min_profile_ratios(_padded_rows(s.profile for s in subs), tgt).tolist()
+    for s, pure in zip(subs, ratios):
+        # support profiles have no entry at or below SUPPORT_TOL, so a
+        # smallest padded entry vanishes exactly on the shorter profile
+        profile = support_profile(s.profile)[1]
+        if profile.size != tgt.size:
+            bound = float(profile.size > tgt.size)
         else:
-            bound = min(p_last / q_last, 1.0)
+            bound = min(profile[-1] / tgt[-1], 1.0)
         margin = bound - pure
         records.append(
             EnhancementRecord(s.indices, pure, float(bound), float(margin),
@@ -324,8 +315,8 @@ def deterministic_gate(
     gate, as does a zero entry in a padded source profile (which zeroes
     every A_alpha with alpha <= 0).
     """
-    tgt = _target_profile(phi)
-    return _deterministic_report(tgt, pmax_mixed(rho, phi).family, points_per_segment)
+    tgt, mixed = _instance(rho, phi)
+    return _deterministic_report(tgt, mixed.family, points_per_segment)
 
 
 def _deterministic_report(tgt, family, points_per_segment) -> DeterministicGateReport:
@@ -342,7 +333,7 @@ def _deterministic_report(tgt, family, points_per_segment) -> DeterministicGateR
 
     # members of one padded length share every kernel call
     groups: dict[int, list[int]] = {}
-    profiles = [_profile(s) for s in family.members]
+    profiles = [support_profile(s.profile)[1] for s in family.members]
     for i, profile in enumerate(profiles):
         groups.setdefault(max(profile.size, tgt.size), []).append(i)
     margins = [None] * len(profiles)
@@ -379,11 +370,24 @@ def _deterministic_report(tgt, family, points_per_segment) -> DeterministicGateR
     )
 
 
+def catalyst_gates(rho: DensityMatrix, phi: PureStateVector, points_per_segment: int = 20
+                   ) -> tuple[EnhancementGateReport, DeterministicGateReport | None]:
+    """The :func:`enhancement_gate` and :func:`deterministic_gate` reports from one
+    :func:`~cohdist.distill.pmax_mixed` call; the second is None where the
+    baseline is already 1, where :func:`deterministic_gate` raises."""
+    tgt, mixed = _instance(rho, phi)
+    enhancement = _enhancement_report(tgt, mixed)
+    try:
+        return enhancement, _deterministic_report(tgt, mixed.family, points_per_segment)
+    except PreconditionError:
+        return enhancement, None
+
+
 # ===========================================================================
 # catalyzed probability and grid search
 # ===========================================================================
 
-def _catalyzed_values(entries, target_profile, catalysts: np.ndarray) -> np.ndarray:
+def _catalyzed_values(subspaces, tgt: np.ndarray, catalysts: np.ndarray) -> np.ndarray:
     """P(rho (x) c -> phi (x) c) for every catalyst row c of ``catalysts``.
 
     The maximal pure subspaces of rho (x) |c><c| are exactly the products
@@ -391,27 +395,27 @@ def _catalyzed_values(entries, target_profile, catalysts: np.ndarray) -> np.ndar
     full support), so the product instance keeps rho's clique structure
     and weights, and only the profiles become p (x) c.  All subspaces are
     scored for all rows in one :func:`min_profile_ratios` call per chunk
-    of at most ``ROW_CHUNK_ELEMENTS`` product entries.  Disjoint
-    subspaces add their scores in index-set order, the order
+    of at most ``ROW_CHUNK_ELEMENTS`` product entries (the kernel sorts, so
+    stored profiles serve).  Disjoint subspaces add their scores in
+    index-set order, the order
     :func:`optimize_disjoint_selection` adds in; subspaces sharing a level
     (the tolerance edge) go through that selection row by row.
     """
-    tgt = as_distribution(target_profile)
-    entries = sorted((idx, w, as_distribution(prof)) for idx, w, prof in entries)
-    uses = Counter(j for idx, _, _ in entries for j in idx)
+    subspaces = sorted(subspaces, key=lambda s: s.indices)
+    uses = Counter(j for s in subspaces for j in s.indices)
     disjoint = max(uses.values()) == 1
-    profiles = _padded_rows(prof for _, _, prof in entries)
-    weights = np.array([w for _, w, _ in entries])
+    profiles = _padded_rows(s.profile for s in subspaces)
+    weights = np.array([s.weight for s in subspaces])
     k = catalysts.shape[1]
     width = max(profiles.shape[1], tgt.size) * k
-    rows_per_chunk = max(1, ROW_CHUNK_ELEMENTS // (len(entries) * width))
+    rows_per_chunk = max(1, ROW_CHUNK_ELEMENTS // (len(subspaces) * width))
     out = np.empty(len(catalysts))
     for start in range(0, len(catalysts), rows_per_chunk):
         cat = catalysts[start:start + rows_per_chunk]
         # products p (x) c, one stack per subspace, and the target's q (x) c
         products = profiles[:, None, :, None] * cat[None, :, None, :]
         targets = (tgt[None, :, None] * cat[:, None, :]).reshape(len(cat), -1)
-        ratios = min_profile_ratios(products.reshape(len(entries), len(cat), -1), targets)
+        ratios = min_profile_ratios(products.reshape(len(subspaces), len(cat), -1), targets)
         scores = weights[:, None] * ratios
         if disjoint:
             total = np.zeros(len(cat))
@@ -420,7 +424,7 @@ def _catalyzed_values(entries, target_profile, catalysts: np.ndarray) -> np.ndar
             out[start:start + len(cat)] = total
         else:
             for row, values in enumerate(scores.T.tolist()):
-                scored = [(idx, w, v) for (idx, w, _), v in zip(entries, values)]
+                scored = [(s.indices, s.weight, v) for s, v in zip(subspaces, values)]
                 out[start + row] = optimize_disjoint_selection(scored)[2]
     return out
 
@@ -429,12 +433,11 @@ def catalyzed_pmax(rho: DensityMatrix, phi: PureStateVector, catalyst) -> float:
     """Optimal distillation probability with a lent catalyst profile.
 
     ``catalyst`` is the catalyst's squared-modulus distribution; the
-    identity catalyst (1,) returns the plain baseline exactly.
+    identity catalyst (1,) returns ``pmax_mixed(rho, phi).p_max`` exactly.
     """
-    tgt = _target_profile(phi)
-    entries = _subspace_entries(pmax_mixed(rho, phi).all_subspaces)
+    tgt, mixed = _instance(rho, phi)
     cat = as_distribution(catalyst)
-    return float(_catalyzed_values(entries, tgt, cat[None, :])[0])
+    return float(_catalyzed_values(mixed.all_subspaces, tgt, cat[None, :])[0])
 
 
 def _partitions(n: int, k: int) -> np.ndarray:
@@ -546,37 +549,28 @@ def search_catalyst(
     """
     if mode not in ("probabilistic", "deterministic"):
         raise ValidationError(f"unknown mode {mode!r}")
-    tgt = _target_profile(phi)
-    mixed = pmax_mixed(rho, phi)
-    entries = _subspace_entries(mixed.all_subspaces)
+    tgt, mixed = _instance(rho, phi)
     baseline = mixed.p_max
     if mode == "deterministic" and baseline >= 1.0 - UNIT_TOL:
         raise PreconditionError("baseline probability is already 1")
 
     grids = _catalyst_grids(max_dim, grid_step)
     candidates = [tuple(row) for grid in grids for row in grid.tolist()]
-    achieved = [v for grid in grids for v in _catalyzed_values(entries, tgt, grid).tolist()]
-
-    if mode == "deterministic":
-        for c, v in zip(candidates, achieved):
-            if v >= 1.0 - UNIT_TOL:
-                return CatalystSearchReport(
-                    baseline=baseline, mode=mode, found=True, catalyst=c,
-                    achieved=v, candidates_evaluated=len(candidates),
-                )
-        return CatalystSearchReport(
-            baseline=baseline, mode=mode, found=False, catalyst=None,
-            achieved=baseline, candidates_evaluated=len(candidates),
-        )
+    achieved = [v for grid in grids for v in _catalyzed_values(mixed.all_subspaces, tgt, grid).tolist()]
 
     best_c: tuple[float, ...] | None = None
-    best_v = -1.0
-    for c, v in zip(candidates, achieved):
-        if v > best_v + STRICT_TOL:
-            best_c, best_v = c, v
-        elif v > best_v - STRICT_TOL and (best_c is None or c < best_c):
-            best_c = c
-    found = best_v > baseline + UNIT_TOL
+    if mode == "deterministic":
+        hits = ((c, v) for c, v in zip(candidates, achieved) if v >= 1.0 - UNIT_TOL)
+        best_c, best_v = next(hits, (None, baseline))
+        found = best_c is not None
+    else:
+        best_v = -1.0
+        for c, v in zip(candidates, achieved):
+            if v > best_v + STRICT_TOL:
+                best_c, best_v = c, v
+            elif v > best_v - STRICT_TOL and (best_c is None or c < best_c):
+                best_c = c
+        found = best_v > baseline + UNIT_TOL
     return CatalystSearchReport(
         baseline=baseline,
         mode=mode,

@@ -20,12 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .catalysis import (
-    _deterministic_report,
-    _enhancement_report,
-    _target_profile,
-    search_catalyst,
-)
+from .catalysis import catalyst_gates, search_catalyst
 from .distill import (
     DistillationPlan,
     PlanBranch,
@@ -228,7 +223,8 @@ def plan_from_doc(doc: dict, path: str, numeric: bool = False) -> DistillationPl
         if key not in doc:
             raise ValidationError(f"{path}: missing '{key}'")
     dim = _int_in(doc["dim"], f"{path}.dim")
-    branches = []
+    # each branch's nonzero entries, as (branch, row, column, value) columns
+    ids, probabilities, entries = [], [], []
     for i, node in enumerate(_list_in(doc["branches"], f"{path}.branches")):
         bpath = f"{path}.branches[{i}]"
         if not isinstance(node, dict):
@@ -239,13 +235,13 @@ def plan_from_doc(doc: dict, path: str, numeric: bool = False) -> DistillationPl
         mat = _matrix_in(node["kraus"], f"{bpath}.kraus", numeric)
         if mat.shape != (dim, dim):
             raise ValidationError(f"{bpath}.kraus: expected {dim}x{dim}")
-        branches.append(
-            PlanBranch(
-                str(node["id"]),
-                StrictlyIncoherentKraus.from_matrix(mat),
-                _real_in(node["probability"], f"{bpath}.probability"),
-            )
-        )
+        rows, cols = np.nonzero(mat)
+        entries.append((np.full(rows.size, i), rows, cols, mat[rows, cols]))
+        ids.append(str(node["id"]))
+        probabilities.append(_real_in(node["probability"], f"{bpath}.probability"))
+    operators = (StrictlyIncoherentKraus._stack(len(ids), dim, *map(np.concatenate, zip(*entries)))
+                 if entries else [])
+    branches = tuple(map(PlanBranch, ids, operators, probabilities))
     fpath = f"{path}.family"
     family = tuple(
         tuple(_int_in(i, fpath) for i in _list_in(s, fpath))
@@ -254,7 +250,7 @@ def plan_from_doc(doc: dict, path: str, numeric: bool = False) -> DistillationPl
     return DistillationPlan(
         dim=dim,
         p_max=_real_in(doc["p_max"], f"{path}.p_max"),
-        branches=tuple(branches),
+        branches=branches,
         family_index_sets=family,
     )
 
@@ -438,10 +434,7 @@ def cmd_simulate(args) -> int:
 def cmd_catalyst_gate(args) -> int:
     rho = _state_file(args.state)
     phi = _target_file(args.target)
-    # both gates read one pmax_mixed result
-    tgt = _target_profile(phi)
-    mixed = pmax_mixed(rho, phi)
-    enh = _enhancement_report(tgt, mixed)
+    enh, det = catalyst_gates(rho, phi, args.alpha_points)
     doc = {
         "baseline": enh.baseline,
         "enhancement": {
@@ -459,13 +452,13 @@ def cmd_catalyst_gate(args) -> int:
             f"  subspace {list(r.indices)}: p {_fmt(r.pure_pmax)} vs bound"
             f" {_fmt(r.bound)} -> {'yes' if r.enhanceable else 'no'}"
         )
-    try:
-        det = _deterministic_report(tgt, mixed.family, args.alpha_points)
+    if det is None:
+        doc["deterministic"] = {"applicable": False}
+        lines.append("catalyst can reach probability 1: not applicable (already 1)")
+    else:
         doc["deterministic"] = _json_value(det)
         del doc["deterministic"]["baseline"]  # reported once, at the top level
-        lines.append(
-            f"catalyst can reach probability 1: {str(det.verdict).lower()}"
-        )
+        lines.append(f"catalyst can reach probability 1: {str(det.verdict).lower()}")
         for m in det.members:
             lines.append(
                 f"  subspace {list(m.indices)}: margins"
@@ -476,11 +469,6 @@ def cmd_catalyst_gate(args) -> int:
             )
         for flag in det.flags:
             lines.append(f"  flag: {flag}")
-    except PreconditionError:
-        doc["deterministic"] = {"applicable": False}
-        lines.append(
-            "catalyst can reach probability 1: not applicable (already 1)"
-        )
     _emit(doc, args.json, lines)
     return EXIT_OK
 

@@ -6,13 +6,16 @@ diagonal x incoherent projector); only these factors are stored, and the
 dense matrix is built on demand.  A success branch for target |phi> is a
 strictly incoherent K with K|psi> proportional to |phi>.
 
-Protocol synthesis for a pure source runs in three steps:
+Every state is read through the support rule,
+:func:`~cohdist.states.support_profile`.  Protocol synthesis for a pure
+source runs in three steps:
 
-1. the optimal probability P is the smallest tail-sum ratio of the sorted
-   squared-modulus profiles (source over target);
+1. the optimal probability P is the smallest tail-sum ratio of the two
+   support profiles (source over target);
 2. an intermediate profile x is built with  x >= P * q  entrywise and the
-   source profile p majorized by x, via a running-maximum recursion: the
-   cumulative floor is max(previous + P*q_l, prefix_p_l).  The slack both
+   source profile p majorized by x: entry l is the larger of its floor
+   P*q_l and what the prefix of p still needs beyond the entries before
+   it, so the floor holds exactly even for a tiny q_l.  The slack both
    conditions leave is exactly 1 - P, so x sums to 1;
 3. p lies in the permutohedron of x, so it is a convex combination of at
    most n permuted copies of x (Caratheodory); each copy is one
@@ -26,9 +29,10 @@ single saturated operator alone is not optimal in general: saturating it
 can strand the failure branch on a profile of too-low coherence rank, so
 the two-stage route is required.)
 
-Every stage runs in array passes: the split returns its weights and
-permutations as stacked arrays, sorting the running point once per step,
-and one pass turns them into all branches' factors.  A plan carries one
+A mixed-state plan synthesizes each subspace from its own levels and
+amplitudes.  Every stage runs in array passes: the split returns its
+weights and permutations as stacked arrays, sorting the running point
+once per step, and one pass turns them into all branches' factors.  A plan carries one
 stacked monomial view of its branches (:class:`MonomialStack`), built once;
 the completeness gap, the branch probabilities, sampling and the replay
 check all read it.  Replay is restricted to each branch's support: with
@@ -50,8 +54,8 @@ from .errors import (
     RankDeficitError,
     ValidationError,
 )
-from .measures import _padded_rows, coherence_rank, min_profile_ratio, min_profile_ratios
-from .states import DensityMatrix, PureStateVector, require_finite
+from .measures import _padded_rows, min_profile_ratio, min_profile_ratios
+from .states import DensityMatrix, PureStateVector, require_finite, support_profile
 from .subspaces import (
     DisjointFamily,
     PureSubspace,
@@ -148,11 +152,6 @@ class StrictlyIncoherentKraus:
         return mat
 
     matrix = property(reconstruct)
-
-    def effect_diagonal(self) -> np.ndarray:
-        """Real diagonal of K†K, a diagonal matrix here (inf where a square overflows)."""
-        with np.errstate(over="ignore"):
-            return np.abs(self.diagonal) ** 2
 
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
         return (self.diagonal * amplitudes)[np.argsort(self.permutation)]
@@ -294,47 +293,42 @@ class BranchCheck:
 def pmax_pure(psi: PureStateVector, phi: PureStateVector) -> float:
     """Optimal conversion probability between pure states.
 
-    Equals the smallest tail-sum ratio of the sorted squared-modulus
-    profiles; 1 when the dephased source is majorized by the dephased
-    target, 0 when the source coherence rank is too small.
+    Equals the smallest tail-sum ratio of the support profiles; 1 when the
+    dephased source is majorized by the dephased target, 0 when the source
+    coherence rank is too small.
     """
-    return min_profile_ratio(psi.probabilities(), phi.probabilities())
+    return min_profile_ratio(support_profile(psi.probabilities())[1],
+                             support_profile(phi.probabilities())[1])
 
 
 def conversion_kraus(psi: PureStateVector, phi: PureStateVector) -> StrictlyIncoherentKraus:
     """Single success operator at the largest admissible scale.
 
-    Aligns both states by descending amplitude, divides target by source
-    amplitude entrywise and rescales so the largest coefficient has unit
-    modulus.  Its success probability is the smallest aligned ratio
+    Aligns both support profiles by descending amplitude, divides target by
+    source amplitude entrywise and rescales so the largest coefficient has
+    unit modulus.  Its success probability is the smallest aligned ratio
     min_t |psi_t / phi_t|^2, which multi-branch protocols can beat.
     """
-    src = psi.sorted_support()
-    tgt = phi.sorted_support()
-    if len(src) < len(tgt):
+    src, _ = support_profile(psi.probabilities())
+    tgt, _ = support_profile(phi.probabilities())
+    if src.size < tgt.size:
         raise RankDeficitError(
-            f"source coherence rank {len(src)} below target rank {len(tgt)}"
+            f"source coherence rank {src.size} below target rank {tgt.size}"
         )
-    amps_s = psi.amplitudes
-    amps_t = phi.amplitudes
-    coeffs = np.array([amps_t[i] / amps_s[j] for i, j in zip(tgt, src)])
+    src = src[:tgt.size]
+    coeffs = phi.amplitudes[tgt] / psi.amplitudes[src]
     scale = 1.0 / np.abs(coeffs).max()
-    return StrictlyIncoherentKraus.from_entries(
-        psi.dim,
-        [(i, j, scale * c) for (i, j), c in zip(zip(tgt, src), coeffs)],
-    )
+    return StrictlyIncoherentKraus._from_triples(psi.dim, tgt, src, scale * coeffs)
 
 
 def _intermediate_profile(p: np.ndarray, q: np.ndarray, prob: float) -> np.ndarray:
-    """Sorted profile x with x >= prob*q entrywise and p majorized by x."""
-    n = p.size
+    """Sorted profile x with x >= prob*q entrywise (exactly) and p majorized by x."""
     prefix = np.cumsum(p)
-    x = np.empty(n)
+    x = np.empty(p.size)
     run = 0.0
-    for l in range(n):
-        new = max(run + prob * q[l], prefix[l])
-        x[l] = new - run
-        run = new
+    for l in range(p.size):
+        x[l] = max(prob * q[l], prefix[l] - run)
+        run += x[l]
     x = np.sort(x)[::-1]
     total = x.sum()
     if abs(total - 1.0) > 1e-9:
@@ -437,16 +431,22 @@ def optimal_protocol(
     ``pmax_pure(psi, phi)`` within numerical tolerance.  Every operator
     maps |psi> onto a multiple of |phi>.
     """
-    src = psi.sorted_support()
-    tgt = phi.sorted_support()
-    n, m = len(src), len(tgt)
+    src, _ = support_profile(psi.probabilities())
+    tgt, _ = support_profile(phi.probabilities())
+    return _protocol(psi.dim, src, psi.amplitudes[src], tgt, phi.amplitudes[tgt])
+
+
+def _protocol(dim: int, src, src_amps, tgt, tgt_amps) -> list[tuple[StrictlyIncoherentKraus, float]]:
+    """:func:`optimal_protocol` from the support levels of source and target,
+    in :func:`~cohdist.states.support_profile` order, and the amplitudes on them."""
+    n, m = src.size, tgt.size
     if n < m:
         raise RankDeficitError(
             f"source coherence rank {n} below target rank {m}"
         )
-    p = psi.probabilities()[list(src)]
+    p = np.abs(src_amps) ** 2
     q = np.zeros(n)
-    q[:m] = phi.probabilities()[list(tgt)]
+    q[:m] = np.abs(tgt_amps) ** 2
     prob = min_profile_ratio(p, q)
     if prob <= 0.0:
         raise RankDeficitError("conversion probability is zero")
@@ -457,7 +457,6 @@ def optimal_protocol(
 
     # success operator on the intermediate state: slot u -> target index
     scale = float(np.sqrt(np.min(x[:m] / q[:m])))
-    amps_t = phi.amplitudes
 
     # deterministic pre-processing: p = sum_a w[a] * x[sigma[a, t]]
     if np.abs(x - p).max() <= 1e-13:
@@ -473,15 +472,14 @@ def optimal_protocol(
     weights, sigmas = weights[live], sigmas[live]
     branch, t = np.nonzero(feeds[live])
     slot = sigmas[branch, t]
-    src_idx, tgt_idx = np.array(src), np.array(tgt)
     sqrt_x = np.sqrt(x)
     coeffs = (
         np.sqrt(weights[branch])
-        * (sqrt_x[slot] / psi.amplitudes[src_idx[t]])
-        * (scale * amps_t[tgt_idx[slot]] / sqrt_x[slot])
+        * (sqrt_x[slot] / src_amps[t])
+        * (scale * tgt_amps[slot] / sqrt_x[slot])
     )
     operators = StrictlyIncoherentKraus._stack(
-        weights.size, psi.dim, branch, tgt_idx[slot], src_idx[t], coeffs
+        weights.size, dim, branch, tgt[slot], src[t], coeffs
     )
     branches = list(zip(operators, (weights * scale * scale).tolist()))
 
@@ -508,14 +506,13 @@ def pmax_mixed(rho: DensityMatrix, phi: PureStateVector) -> MixedPmaxResult:
     """
     if phi.dim != rho.dim:
         raise ValidationError(f"target dimension {phi.dim} != source dimension {rho.dim}")
-    if coherence_rank(phi) < 2:
+    tgt = support_profile(phi.probabilities())[1]
+    if tgt.size < 2:
         raise IncoherentTargetError(
             "target has coherence rank 1; it is reachable for free"
         )
     subs = maximal_pure_subspaces(rho)
-    target_w = phi.probabilities()
-    # zero target entries only pad the tail sums, so they are left out
-    ratios = min_profile_ratios(_padded_rows(s.profile for s in subs), target_w[target_w > 0.0])
+    ratios = min_profile_ratios(_padded_rows(s.profile for s in subs), tgt)
     yields = [SubspaceYield(s, r, s.weight * r) for s, r in zip(subs, ratios.tolist())]
     chosen, weight, value = optimize_disjoint_selection(
         [(y.subspace.indices, y.subspace.weight, y.achieved) for y in yields]
@@ -543,15 +540,18 @@ def full_plan(rho: DensityMatrix, phi: PureStateVector) -> DistillationPlan:
 
 def _build_plan(rho: DensityMatrix, phi: PureStateVector, mixed: MixedPmaxResult) -> DistillationPlan:
     """The :func:`full_plan` of ``mixed = pmax_mixed(rho, phi)``."""
+    tgt, _ = support_profile(phi.probabilities())
+    tgt_amps = phi.amplitudes[tgt]
     branches: list[PlanBranch] = []
     for mu, y in enumerate(mixed.per_subspace):
         if y.ratio <= 0.0:
             continue
-        proto = optimal_protocol(y.subspace.state, phi)
+        s = y.subspace
+        # indices ascend, so the rule's ties in position order are ties in level order
+        order, _ = support_profile(s.profile)
+        proto = _protocol(rho.dim, np.array(s.indices)[order], s.amplitudes[order], tgt, tgt_amps)
         for a, (kraus, branch_prob) in enumerate(proto):
-            branches.append(
-                PlanBranch(f"s{mu}.k{a}", kraus, y.subspace.weight * branch_prob)
-            )
+            branches.append(PlanBranch(f"s{mu}.k{a}", kraus, s.weight * branch_prob))
     plan = DistillationPlan(
         dim=rho.dim,
         p_max=mixed.p_max,

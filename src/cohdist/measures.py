@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .states import PureStateVector, SUPPORT_TOL, as_distribution, require_finite
+from .states import PureStateVector, SUPPORT_TOL, as_distribution, require_finite, support_profile
 
 MAJORIZATION_TOL = 1e-10
 
@@ -22,8 +22,8 @@ def sorted_descending(weights) -> np.ndarray:
 
 
 def coherence_rank(psi: PureStateVector) -> int:
-    """Number of amplitudes with squared modulus above SUPPORT_TOL."""
-    return len(psi.support())
+    """Number of amplitudes in :func:`~cohdist.states.support_profile`."""
+    return support_profile(psi.probabilities())[0].size
 
 
 def suffix_profile(weights) -> np.ndarray:

@@ -31,6 +31,18 @@ TRACE_TOL = 1e-10         # |tr(rho) - 1|, |norm(psi) - 1|, |sum(w) - 1|
 SUPPORT_TOL = 1e-12       # squared-modulus threshold for "nonzero amplitude"
 
 
+def support_profile(weights) -> tuple[np.ndarray, np.ndarray]:
+    """The support rule every probability, plan and catalyst answer reads a profile by.
+
+    Returns the levels whose squared modulus (entry of ``weights``) exceeds
+    SUPPORT_TOL, by descending weight with ties in level order, and those weights.
+    """
+    w = np.asarray(weights, dtype=float)
+    order = np.argsort(-w, kind="stable")
+    order = order[:np.count_nonzero(w > SUPPORT_TOL)]
+    return order, w[order]
+
+
 def require_finite(arr: np.ndarray, what: str) -> None:
     """Raise ValidationError when ``arr`` holds a NaN or an infinity."""
     if not np.all(np.isfinite(arr)):
@@ -116,14 +128,12 @@ class PureStateVector:
         return np.abs(self.amplitudes) ** 2
 
     def support(self) -> tuple[int, ...]:
-        """Indices carrying more than SUPPORT_TOL of squared modulus."""
-        return tuple(int(i) for i in np.nonzero(self.probabilities() > SUPPORT_TOL)[0])
+        """Indices of :func:`support_profile`, ascending."""
+        return tuple(sorted(self.sorted_support()))
 
     def sorted_support(self) -> tuple[int, ...]:
-        """Support indices ordered by descending weight, ties by index."""
-        probs = self.probabilities()
-        order = np.argsort(-probs, kind="stable")
-        return tuple(int(i) for i in order if probs[i] > SUPPORT_TOL)
+        """Indices of :func:`support_profile`: by descending weight, ties by index."""
+        return tuple(support_profile(self.probabilities())[0].tolist())
 
     @classmethod
     def from_probabilities(cls, weights) -> "PureStateVector":

@@ -13,6 +13,7 @@ from cohdist import (
     PureStateVector,
     ValidationError,
     catalyst_candidates,
+    catalyst_gates,
     catalyzed_pmax,
     default_alpha_grid,
     deterministic_gate,
@@ -26,13 +27,14 @@ from cohdist import (
 from cohdist import catalysis
 from cohdist.cli import main
 from cohdist.measures import (
+    coherence_rank,
     min_profile_ratio,
     power_mean,
     shannon_entropy,
     sorted_descending,
     tensor,
 )
-from cohdist.states import SUPPORT_TOL
+from cohdist.states import SUPPORT_TOL, support_profile
 from cohdist.subspaces import maximal_pure_subspaces, optimize_disjoint_selection
 
 
@@ -267,7 +269,13 @@ def _reference_catalyzed(entries, target_profile, catalyst) -> float:
 
 
 def _entries(rho):
-    return catalysis._subspace_entries(maximal_pure_subspaces(rho))
+    """(indices, weight, sorted profile) of every maximal pure subspace of rho."""
+    return [(s.indices, s.weight, tuple(sorted_descending(s.profile).tolist()))
+            for s in maximal_pure_subspaces(rho)]
+
+
+def _target_profile(phi):
+    return support_profile(phi.probabilities())[1]
 
 
 def _reference_partitions(n, k, cap):
@@ -292,7 +300,7 @@ def _reference_candidates(max_dim, grid_step):
 
 def _reference_search(rho, phi, max_dim, grid_step, mode):
     """The candidate-by-candidate search, with its scan and tie rules."""
-    tgt = catalysis._target_profile(phi)
+    tgt = _target_profile(phi)
     entries = _entries(rho)
     baseline = _reference_catalyzed(entries, tgt, (1.0,))
     if mode == "deterministic" and baseline >= 1.0 - catalysis.UNIT_TOL:
@@ -368,16 +376,30 @@ def _corpus(overlapping_state):
     phi = PureStateVector(np.array([1, 1, 0], dtype=complex) / np.sqrt(2))
     cases.append(("overlap", overlapping_state, phi))  # shared-level fallback
     cases.append(("overlap-r3", overlapping_state, _target(rng, 3, 3)))
+    # a target entry in (0, SUPPORT_TOL], outside the support of every answer
+    for d in (3, 4, 5, 6):
+        cases.append((f"tiny-target{d}", _pure(rng.dirichlet(np.ones(d))), _tiny_target(rng, d, d)))
+    rho, _ = random_block_state(rng, 7)
+    cases.append(("tiny-target-block7", rho, _tiny_target(rng, 3, 7)))
     return cases
+
+
+def _tiny_target(rng, rank, dim):
+    """A target of coherence rank ``rank - 1`` plus one entry in [1e-15, 1e-12]."""
+    small = 10 ** rng.uniform(-15, -12)
+    q = np.zeros(dim)
+    q[:rank - 1] = rng.dirichlet(np.ones(rank - 1)) * (1.0 - small)
+    q[rank - 1] = small
+    return PureStateVector.from_probabilities(rng.permutation(q))
 
 
 def test_batched_scores_equal_the_candidate_loop(overlapping_state):
     catalysts = catalysis._catalyst_grids(4, 0.1)
     for name, rho, phi in _corpus(overlapping_state):
-        tgt = catalysis._target_profile(phi)
+        tgt = _target_profile(phi)
         entries = _entries(rho)
         for grid in [np.ones((1, 1)), *catalysts]:
-            got = catalysis._catalyzed_values(entries, tgt, grid).tolist()
+            got = catalysis._catalyzed_values(maximal_pure_subspaces(rho), tgt, grid).tolist()
             want = [_reference_catalyzed(entries, tgt, row) for row in grid]
             assert got == want, name
         cat = np.array([0.7, 0.2, 0.1])
@@ -417,6 +439,22 @@ def test_gate_and_search_baselines_are_the_pmax_mixed_value(overlapping_state, t
         assert json.loads(capsys.readouterr().out)["baseline"] == want, name
 
 
+def test_catalyst_gates_return_both_gate_reports(overlapping_state):
+    cases = _corpus(overlapping_state)[::4]
+    cases.append(("baseline-one", _pure([0.5, 0.5]), PureStateVector.from_probabilities([0.36, 0.64])))
+    seen = set()
+    for name, rho, phi in cases:
+        enh, det = catalyst_gates(rho, phi, 5)
+        assert enh == enhancement_gate(rho, phi), name
+        try:
+            want = deterministic_gate(rho, phi, 5)
+        except PreconditionError:
+            want = None
+        assert det == want, name
+        seen.add(det is None)
+    assert seen == {True, False}
+
+
 def test_overlapping_source_takes_the_selection_fallback(overlapping_state):
     entries = _entries(overlapping_state)
     levels = [j for idx, _, _ in entries for j in idx]
@@ -428,11 +466,11 @@ def test_batched_scores_span_several_row_chunks():
     d = 300
     rho = _pure(rng.dirichlet(np.ones(d)))
     phi = _target(rng, 5, d)
-    tgt = catalysis._target_profile(phi)
+    tgt = _target_profile(phi)
     entries = _entries(rho)
     (grid,) = catalysis._catalyst_grids(2, 0.001)
     assert len(grid) * 2 * d > 2 * catalysis.ROW_CHUNK_ELEMENTS   # three chunks
-    got = catalysis._catalyzed_values(entries, tgt, grid).tolist()
+    got = catalysis._catalyzed_values(maximal_pure_subspaces(rho), tgt, grid).tolist()
     assert got == [_reference_catalyzed(entries, tgt, row) for row in grid]
 
 
@@ -563,7 +601,7 @@ def _reference_refine_minimum(f, alphas, values):
 
 def _reference_deterministic_gate(rho, phi, points_per_segment=20):
     """The probability-1 gate with one scalar power_mean call per order and profile."""
-    tgt = catalysis._target_profile(phi)
+    tgt = _target_profile(phi)
     family = pmax_mixed(rho, phi).family
     baseline = family.total_value
     if baseline >= 1.0 - catalysis.UNIT_TOL:
@@ -670,7 +708,7 @@ def test_deterministic_gate_equals_the_scalar_loop(
         assert repr(got) == repr(want), name          # signed zeros included
         seen[f"verdict {want.verdict}"] += 1
         seen["weight flag"] += "family_weight_below_one" in want.flags
-        target_rank = catalysis._target_profile(phi).size
+        target_rank = coherence_rank(phi)
         lengths = Counter(max(len(m.indices), target_rank) for m in want.members)
         seen["members share a padded length"] += max(lengths.values()) >= 2
         seen["members differ in padded length"] += len(lengths) >= 2

@@ -122,6 +122,22 @@ def test_protocol_roundtrip_and_simulate(files, capsys):
     assert json.loads(out2) == doc
 
 
+def test_protocol_and_simulate_with_a_tiny_target_entry(tmp_path, capsys):
+    # a supported target entry of 2.2e-10: an intermediate profile built by
+    # subtracting running sums misses P * q there, and the total misses p_max
+    psi = write(tmp_path / "psi.json", {"amplitudes": np.sqrt([0.388, 0.05, 0.562]).tolist()})
+    phi = write(tmp_path / "phi.json",
+                {"amplitudes": np.sqrt([0.481, 0.519 - 2.2e-10, 2.2e-10]).tolist()})
+    plan_path = str(tmp_path / "plan.json")
+    code, out, err = run(capsys, "protocol", psi, phi, plan_path, "--json")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["outputs_verified"] and doc["branches"] == 2
+    code, out, err = run(capsys, "simulate", plan_path, psi, "--shots", "2000", "--json")
+    assert code == 0, err
+    assert json.loads(out)["analytic_probability"] == pytest.approx(doc["p_max"], abs=1e-9)
+
+
 def test_pmax_can_write_protocol(files, capsys):
     plan_path = str(files["tmp"] / "inline.json")
     code, out, _ = run(
@@ -267,7 +283,7 @@ def test_each_command_and_gate_enumerates_the_subspaces_once(files, monkeypatch,
         assert len(calls) == 1, argv
     rho = parse_state(cli._load_doc(files["rho"]), files["rho"])
     phi = parse_pure(cli._load_doc(files["phi"]), files["phi"])
-    for gate in (enhancement_gate, deterministic_gate):
+    for gate in (enhancement_gate, deterministic_gate, cohdist.catalyst_gates):
         calls.clear()
         gate(rho, phi)
         assert len(calls) == 1, gate.__name__

@@ -8,10 +8,15 @@ from cohdist import (
     IncoherentTargetError,
     NotStrictlyIncoherentError,
     PureStateVector,
+    PureSubspace,
     RankDeficitError,
     StrictlyIncoherentKraus,
     ValidationError,
+    catalyst_gates,
+    catalyzed_pmax,
+    coherence_rank,
     conversion_kraus,
+    enhancement_gate,
     full_plan,
     majorizes,
     optimal_protocol,
@@ -20,6 +25,7 @@ from cohdist import (
     random_block_state,
     random_mixture_state,
     random_pure_state,
+    search_catalyst,
     validate_density,
     verify_branch_outputs,
 )
@@ -72,13 +78,6 @@ def test_kraus_decomposition_factors():
     assert np.array_equal(k.diagonal == 0, k.projector == 0)
     assert set(k.projector.tolist()) <= {0.0, 1.0}
     assert np.array_equal(k.reconstruct(), mat)
-
-
-def test_kraus_effect_diagonal():
-    k = StrictlyIncoherentKraus.from_matrix(
-        np.array([[0.5, 0], [0, 0.25]], dtype=complex)
-    )
-    assert np.allclose(k.effect_diagonal(), [0.25, 0.0625])
 
 
 def test_incoherent_dephasing_commutation():
@@ -870,14 +869,17 @@ def test_full_plan_equals_the_per_branch_build():
 
 def _reference_checks(plan, rho, phi, shots, seed):
     """Gap, probabilities, replay verdict and counts, one branch at a time on all d levels."""
+    # each branch's K†K diagonal, inf where a square overflows
+    with np.errstate(over="ignore"):
+        effects = [np.abs(b.kraus.diagonal) ** 2 for b in plan.branches]
     total = np.zeros(plan.dim)
-    for b in plan.branches:
-        total += b.kraus.effect_diagonal()
+    for effect in effects:
+        total += effect
     pops = rho.diagonal()
-    probs = np.array([max(0.0, float(b.kraus.effect_diagonal() @ pops)) for b in plan.branches])
+    probs = np.array([max(0.0, float(effect @ pops)) for effect in effects])
     worst, failed = 1.0, None
-    for b in plan.branches:
-        weight = float(b.kraus.effect_diagonal() @ pops)
+    for b, effect in zip(plan.branches, effects):
+        weight = float(effect @ pops)
         if weight <= 1e-15:
             continue
         v = b.kraus.diagonal.conj() * phi.amplitudes[list(b.kraus.permutation)]
@@ -946,3 +948,98 @@ def test_replay_in_chunks_equals_one_gather(monkeypatch):
             monkeypatch.setattr(distill, "_GATHER_CAP", cap)
             assert np.array_equal(stack.overlaps(rho.matrix, phi.amplitudes), whole)
         monkeypatch.undo()
+
+
+# ---------------------------------------------------------------- the support rule
+
+def _tiny_entry_pairs(seed, count):
+    """Pure pairs (n = 3-6) with a target entry in (0, SUPPORT_TOL].
+
+    Yields (psi, phi, trimmed): ``trimmed`` is phi with that entry set to 0
+    and every other amplitude the same, so the support rule reads both alike.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(3, 7))
+        psi = PureStateVector.from_probabilities(rng.dirichlet(np.ones(n)))
+        amps = np.sqrt(np.append(rng.dirichlet(np.ones(n - 1)), 0.0))
+        trimmed = PureStateVector(amps)
+        amps[-1] = np.sqrt(10 ** rng.uniform(-15, -12))
+        order = rng.permutation(n)
+        yield psi, PureStateVector(amps[order]), PureStateVector(trimmed.amplitudes[order])
+
+
+def _plan_entries(plan):
+    return [(b.branch_id, b.probability, b.kraus.permutation, b.kraus.diagonal.tolist())
+            for b in plan.branches]
+
+
+def test_entries_at_or_below_support_tol_change_no_answer():
+    for psi, phi, trimmed in _tiny_entry_pairs(1313, 40):
+        rho = DensityMatrix.from_pure(psi)
+        assert coherence_rank(phi) == coherence_rank(trimmed) == psi.dim - 1
+        assert phi.sorted_support() == trimmed.sorted_support()
+        assert pmax_pure(psi, phi) == pmax_pure(psi, trimmed)
+        got, want = pmax_mixed(rho, phi), pmax_mixed(rho, trimmed)
+        assert got.p_max == want.p_max
+        assert [y.ratio for y in got.per_subspace] == [y.ratio for y in want.per_subspace]
+        assert _plan_entries(full_plan(rho, phi)) == _plan_entries(full_plan(rho, trimmed))
+        assert catalyst_gates(rho, phi, 5) == catalyst_gates(rho, trimmed, 5)
+        assert catalyzed_pmax(rho, phi, (0.6, 0.4)) == catalyzed_pmax(rho, trimmed, (0.6, 0.4))
+        assert search_catalyst(rho, phi, 3, 0.25) == search_catalyst(rho, trimmed, 3, 0.25)
+
+
+def test_pure_answers_agree_on_targets_with_sub_threshold_entries():
+    for psi, phi, _ in _tiny_entry_pairs(2718, 60):
+        rho = DensityMatrix.from_pure(psi)
+        mixed = pmax_mixed(rho, phi)
+        (y,) = mixed.per_subspace
+        # the subspace's own state carries the profile pmax_mixed reads
+        assert pmax_pure(y.subspace.state, phi) == y.ratio
+        assert enhancement_gate(rho, phi).records[0].pure_pmax == y.ratio
+        assert catalyzed_pmax(rho, phi, (1.0,)) == mixed.p_max
+        # psi itself differs from the eigh vector's squared moduli in the last bits
+        assert abs(pmax_pure(psi, phi) - y.ratio) <= 1e-14
+
+
+def test_full_plan_reads_each_subspace_in_place(monkeypatch):
+    rho, blocks = random_block_state(np.random.default_rng(404), 96)
+    phi = random_pure_state(np.random.default_rng(405), 96, support=[3, 50, 77])
+    calls = {"state": 0, "sorted_support": 0}
+    state, sorted_support = PureSubspace.state, PureStateVector.sorted_support
+
+    def counted_state(s):
+        calls["state"] += 1
+        return state.fget(s)
+
+    def counted_sorted_support(psi):
+        calls["sorted_support"] += 1
+        return sorted_support(psi)
+
+    monkeypatch.setattr(PureSubspace, "state", property(counted_state))
+    monkeypatch.setattr(PureStateVector, "sorted_support", counted_sorted_support)
+    plan = full_plan(rho, phi)
+    assert sum(len(b) >= 3 for b in blocks) >= 10
+    assert len({b.branch_id.split(".")[0] for b in plan.branches}) >= 10
+    assert calls["state"] == 0
+    assert calls["sorted_support"] <= 1
+
+
+def test_plans_reach_targets_with_a_tiny_supported_entry():
+    # the synthesized total reaches P only when the intermediate profile keeps
+    # x >= P * q exactly, also for a q entry far below the others
+    rng = np.random.default_rng(1212)
+    for low, high in [(1e-12, 1e-11), (1e-11, 1e-10), (1e-10, 1e-9), (1e-9, 1e-8),
+                      (1e-8, 1e-6), (1e-6, 1e-3)]:
+        for _ in range(100):
+            n = int(rng.integers(3, 7))
+            psi = PureStateVector.from_probabilities(rng.dirichlet(np.ones(n)))
+            small = 10 ** rng.uniform(np.log10(low), np.log10(high))
+            q = np.append(rng.dirichlet(np.ones(n - 1)) * (1.0 - small), small)
+            phi = PureStateVector.from_probabilities(q[rng.permutation(n)])
+            rho = DensityMatrix.from_pure(psi)
+            plan = full_plan(rho, phi)
+            assert verify_branch_outputs(plan, rho, phi), (low, q)
+            assert len(plan.branches) <= n
+            total = sum(b.probability for b in plan.branches)
+            assert abs(total - pmax_pure(psi, phi)) <= 1e-9, (low, q)
