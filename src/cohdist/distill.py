@@ -2,9 +2,9 @@
 
 A strictly incoherent Kraus operator has at most one nonzero entry per row
 and per column, so it factors as  K = P_pi * K_delta * P  (permutation x
-diagonal x incoherent projector); only these factors are stored, and the
-dense matrix is built on demand.  A success branch for target |phi> is a
-strictly incoherent K with K|psi> proportional to |phi>.
+diagonal x incoherent projector); only its nonzero entries are stored, and
+the diagonal and the dense matrix are built on demand.  A success branch for
+target |phi> is a strictly incoherent K with K|psi> proportional to |phi>.
 
 Every state is read through the support rule,
 :func:`~cohdist.states.support_profile`.  Protocol synthesis for a pure
@@ -32,7 +32,7 @@ the two-stage route is required.)
 A mixed-state plan synthesizes each subspace from its own levels and
 amplitudes.  Every stage runs in array passes: the split returns its
 weights and permutations as stacked arrays, sorting the running point
-once per step, and one pass turns them into all branches' factors.  A plan carries one
+once per step, and one pass turns them into all branches' entries.  A plan carries one
 stacked monomial view of its branches (:class:`MonomialStack`), built once;
 the completeness gap, the branch probabilities, sampling and the replay
 check all read it.  Replay is restricted to each branch's support: with
@@ -69,6 +69,12 @@ _SPLIT_TOL = 1e-13       # prefix slack that counts as tight in the permutation 
 _GATHER_CAP = 1 << 18    # entries of one replay gather (rho_SS blocks of many branches)
 
 
+def _require_source_dim(name: str, dim: int, source_dim: int) -> None:
+    """Raise ValidationError unless ``name``'s dimension ``dim`` is the source's."""
+    if dim != source_dim:
+        raise ValidationError(f"{name} dimension {dim} != source dimension {source_dim}")
+
+
 # ===========================================================================
 # strictly incoherent Kraus operators
 # ===========================================================================
@@ -77,16 +83,17 @@ _GATHER_CAP = 1 << 18    # entries of one replay gather (rho_SS blocks of many b
 class StrictlyIncoherentKraus:
     """Square matrix with at most one nonzero entry per row and per column.
 
-    Stored in monomial form only: ``permutation[j]`` is the row fed by
-    column ``j`` (extended to a full permutation), ``diagonal[j]`` the
-    complex coefficient applied there (0 on unused columns), and
-    ``projector[j]`` marks the columns actually used.  ``matrix`` is a dense
-    view built from these factors on demand.
+    Stored as its nonzero entries only: column ``columns[t]`` (ascending)
+    feeds row ``rows[t]`` with coefficient ``coefficients[t]``, in a
+    ``dim`` x ``dim`` matrix; the three arrays are read-only.  ``diagonal``
+    (the coefficient of every column, 0 on unused ones) and ``matrix`` are
+    built from them on demand.
     """
 
-    permutation: tuple[int, ...]
-    diagonal: np.ndarray
-    projector: np.ndarray
+    dim: int
+    columns: np.ndarray
+    rows: np.ndarray
+    coefficients: np.ndarray
 
     @classmethod
     def from_matrix(cls, raw) -> "StrictlyIncoherentKraus":
@@ -112,49 +119,60 @@ class StrictlyIncoherentKraus:
     def _stack(cls, count: int, dim: int, branch, rows, cols, values) -> list["StrictlyIncoherentKraus"]:
         """``count`` operators from (branch, row, column, value) entries, in one pass.
 
-        Entries of modulus <= ENTRY_TOL are dropped; within a branch the rest
-        need distinct rows and columns.  Unused columns take the unused rows
-        in ascending order.
+        ``dim`` must be a positive integer.  Entries of modulus <= ENTRY_TOL
+        are dropped; the rest need integer row and column indices in
+        [0, dim), distinct within a branch.
         """
+        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+            raise ValidationError(f"Kraus dimension must be a positive integer, got {dim!r}")
         values = np.asarray(values, dtype=complex)
         require_finite(values, "Kraus matrix")
         keep = np.abs(values) > ENTRY_TOL
-        # entry (a, i, j) sits at i, j of row a of the stacked count x dim arrays
-        offset = np.asarray(branch, dtype=np.intp)[keep] * dim
-        rows = np.asarray(rows, dtype=np.intp)[keep]
-        at = offset + np.asarray(cols, dtype=np.intp)[keep]
-        used_rows = np.bincount(offset + rows, minlength=count * dim)
-        used_cols = np.bincount(at, minlength=count * dim)
-        for name, counts in (("row", used_rows), ("column", used_cols)):
-            if counts.max(initial=0) > 1:
-                k = int(np.argmax(counts > 1))
-                raise NotStrictlyIncoherentError(f"{name} {k % dim} has {counts[k]} nonzero entries")
-        perm = np.empty(count * dim, dtype=np.intp)
-        perm[at] = rows
-        # both masks list the free places branch by branch, each in ascending order
-        perm[used_cols == 0] = np.flatnonzero(used_rows == 0) % dim
-        diag = np.zeros(count * dim, dtype=complex)
-        diag[at] = values[keep]
-        diag = diag.reshape(count, dim)
-        proj = (diag != 0.0).astype(float)
-        for arr in (diag, proj):
-            arr.flags.writeable = False
-        return [cls(tuple(p), d, j) for p, d, j in zip(perm.reshape(count, dim).tolist(), diag, proj)]
-
-    @property
-    def dim(self) -> int:
-        return self.diagonal.shape[0]
+        index = np.array((rows, cols))[:, keep]
+        if index.size and index.dtype.kind not in "iu":
+            raise ValidationError(f"Kraus row and column indices must be integers, got {index.dtype}")
+        index = index.astype(np.intp, copy=False)
+        # read as unsigned, a negative index lies past dim too
+        if index.size and index.view(np.uintp).max() >= dim:
+            raise ValidationError(f"Kraus indices must lie in [0, {dim}), got {index.min()} to {index.max()}")
+        branch = np.asarray(branch, dtype=np.intp)[keep]
+        # row keys a*dim + i and column keys a*dim + j, each sorted
+        keys = branch * dim + index
+        order = keys[1].argsort()
+        keys.sort(axis=1)
+        repeated = keys[:, 1:] == keys[:, :-1]
+        if repeated.any():
+            axis, at = np.argwhere(repeated)[0]
+            k, n = keys[axis, at], np.count_nonzero(keys[axis] == keys[axis, at])
+            raise NotStrictlyIncoherentError(f"{('row', 'column')[axis]} {k % dim} has {n} nonzero entries")
+        # in column-key order the entries run branch by branch, columns ascending
+        index, coefficients = index[:, order], values[keep][order]
+        index.flags.writeable = coefficients.flags.writeable = False
+        rows, cols = index
+        ends = np.bincount(branch, minlength=count).cumsum().tolist()
+        return [cls(int(dim), cols[lo:hi], rows[lo:hi], coefficients[lo:hi])
+                for lo, hi in zip([0, *ends], ends)]
 
     def reconstruct(self) -> np.ndarray:
-        """Dense d x d form, a fresh array scattered from the factors."""
+        """Dense d x d form, a fresh array scattered from the entries."""
         mat = np.zeros((self.dim, self.dim), dtype=complex)
-        mat[list(self.permutation), np.arange(self.dim)] = self.diagonal
+        mat[self.rows, self.columns] = self.coefficients
         return mat
 
     matrix = property(reconstruct)
 
+    @property
+    def diagonal(self) -> np.ndarray:
+        """The coefficient of every column, 0 on unused ones: a read-only array built on demand."""
+        diag = np.zeros(self.dim, dtype=complex)
+        diag[self.columns] = self.coefficients
+        diag.flags.writeable = False
+        return diag
+
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
-        return (self.diagonal * amplitudes)[np.argsort(self.permutation)]
+        out = np.zeros(self.dim, dtype=complex)
+        out[self.rows] = self.coefficients * amplitudes[self.columns]
+        return out
 
 
 # ===========================================================================
@@ -209,19 +227,16 @@ class MonomialStack:
 
     @classmethod
     def of(cls, dim: int, operators) -> "MonomialStack":
-        diag = np.array([k.diagonal for k in operators], dtype=complex).reshape(len(operators), dim)
-        perm = np.array([k.permutation for k in operators], dtype=np.intp).reshape(len(operators), dim)
+        sizes = np.array([k.columns.size for k in operators], dtype=np.intp)
+        filled = np.arange(sizes.max(initial=0)) < sizes[:, None]
+        columns, rows, coefficients = (np.zeros(filled.shape, t) for t in (np.intp, np.intp, complex))
+        # a boolean mask fills its places row by row, so each branch's entries keep their order
+        for out, parts in zip((columns, rows, coefficients),
+                              zip(*((k.columns, k.rows, k.coefficients) for k in operators))):
+            out[filled] = np.concatenate(parts)
+        effects = np.zeros((sizes.size, dim))
         with np.errstate(over="ignore"):
-            effects = np.abs(diag) ** 2
-        branch, cols = np.nonzero(diag)
-        counts = np.bincount(branch, minlength=diag.shape[0])
-        place = np.arange(branch.size) - (np.cumsum(counts) - counts)[branch]
-        shape = (diag.shape[0], int(counts.max(initial=0)))
-        columns, rows = np.zeros(shape, dtype=np.intp), np.zeros(shape, dtype=np.intp)
-        coefficients = np.zeros(shape, dtype=complex)
-        columns[branch, place] = cols
-        rows[branch, place] = perm[branch, cols]
-        coefficients[branch, place] = diag[branch, cols]
+            effects[np.nonzero(filled)[0], columns[filled]] = np.abs(coefficients[filled]) ** 2
         return cls(effects, columns, rows, coefficients)
 
     def weights(self, populations: np.ndarray) -> np.ndarray:
@@ -261,7 +276,7 @@ class DistillationPlan:
 
     @functools.cached_property
     def monomials(self) -> MonomialStack:
-        """The branches' factors stacked once per plan; every plan check reads them."""
+        """The branches' entries stacked once per plan; every plan check reads them."""
         return MonomialStack.of(self.dim, [b.kraus for b in self.branches])
 
     def completeness_gap(self) -> float:
@@ -307,8 +322,10 @@ def conversion_kraus(psi: PureStateVector, phi: PureStateVector) -> StrictlyInco
     Aligns both support profiles by descending amplitude, divides target by
     source amplitude entrywise and rescales so the largest coefficient has
     unit modulus.  Its success probability is the smallest aligned ratio
-    min_t |psi_t / phi_t|^2, which multi-branch protocols can beat.
+    min_t |psi_t / phi_t|^2, which multi-branch protocols can beat.  A
+    target whose dimension differs from psi's is a :class:`ValidationError`.
     """
+    _require_source_dim("target", phi.dim, psi.dim)
     src, _ = support_profile(psi.probabilities())
     tgt, _ = support_profile(phi.probabilities())
     if src.size < tgt.size:
@@ -429,8 +446,10 @@ def optimal_protocol(
 
     Returns (operator, branch probability) pairs; probabilities add up to
     ``pmax_pure(psi, phi)`` within numerical tolerance.  Every operator
-    maps |psi> onto a multiple of |phi>.
+    maps |psi> onto a multiple of |phi>.  A target whose dimension differs
+    from psi's is a :class:`ValidationError`.
     """
+    _require_source_dim("target", phi.dim, psi.dim)
     src, _ = support_profile(psi.probabilities())
     tgt, _ = support_profile(phi.probabilities())
     return _protocol(psi.dim, src, psi.amplitudes[src], tgt, phi.amplitudes[tgt])
@@ -504,8 +523,7 @@ def pmax_mixed(rho: DensityMatrix, phi: PureStateVector) -> MixedPmaxResult:
     subspaces made the selection strict.  A target whose dimension differs
     from rho's is a :class:`ValidationError`.
     """
-    if phi.dim != rho.dim:
-        raise ValidationError(f"target dimension {phi.dim} != source dimension {rho.dim}")
+    _require_source_dim("target", phi.dim, rho.dim)
     tgt = support_profile(phi.probabilities())[1]
     if tgt.size < 2:
         raise IncoherentTargetError(
@@ -577,8 +595,12 @@ def verify_branch_outputs(
     of at least 1 - 1e-9.  Branches with vanishing probability on this
     input are skipped.  With c_j the entry in column j, the weight is
     sum_j |c_j|^2 rho_jj and <phi|K rho K†|phi> = v† rho v for v = K†|phi>,
-    which lives on the branch's used columns S, so only rho_SS is read.
+    which lives on the branch's used columns S, so only rho_SS is read.  A
+    plan or target whose dimension differs from rho's is a
+    :class:`ValidationError`.
     """
+    _require_source_dim("plan", plan.dim, rho.dim)
+    _require_source_dim("target", phi.dim, rho.dim)
     stack = plan.monomials
     weights = stack.weights(rho.diagonal()).tolist()
     overlaps = stack.overlaps(rho.matrix, phi.amplitudes).tolist()

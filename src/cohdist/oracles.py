@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateStateError, DimensionTooLargeError, IncompletePlanError
-from .distill import DistillationPlan
+from .distill import DistillationPlan, _require_source_dim
 from .states import DensityMatrix, PureStateVector, SUPPORT_TOL
 from .subspaces import RANK1_TOL, PureSubspace
 
@@ -88,7 +88,11 @@ class SimulationResult:
 
 
 def branch_probabilities(plan: DistillationPlan, rho: DensityMatrix) -> np.ndarray:
-    """Analytic outcome probabilities tr(K rho K†) = tr(K†K rho) per success branch."""
+    """Analytic outcome probabilities tr(K rho K†) = tr(K†K rho) per success branch.
+
+    A plan whose dimension differs from rho's is a :class:`ValidationError`.
+    """
+    _require_source_dim("plan", plan.dim, rho.dim)
     weights = plan.monomials.weights(rho.diagonal())
     return np.where(weights > 0.0, weights, 0.0)
 

@@ -72,11 +72,16 @@ def test_kraus_decomposition_factors():
         [[0, 0.5j, 0], [0.7, 0, 0], [0, 0, 0]], dtype=complex
     )
     k = StrictlyIncoherentKraus.from_matrix(mat)
-    # every column goes to a row of its own
-    assert sorted(k.permutation) == list(range(3))
-    # the coefficients sit exactly on the columns the projector keeps
-    assert np.array_equal(k.diagonal == 0, k.projector == 0)
-    assert set(k.projector.tolist()) <= {0.0, 1.0}
+    # only the nonzero entries are stored, used columns ascending
+    assert k.dim == 3
+    assert k.columns.tolist() == [0, 1]
+    assert k.rows.tolist() == [1, 0]
+    assert k.coefficients.tolist() == [0.7, 0.5j]
+    assert np.array_equal(k.diagonal, [0.7, 0.5j, 0.0])
+    # K = P_pi * diagonal * projector, with the unused column sent to the unused row
+    perm = np.eye(3)[:, [1, 0, 2]]
+    projector = np.diag((k.diagonal != 0).astype(float))
+    assert np.array_equal(perm @ np.diag(k.diagonal) @ projector, mat)
     assert np.array_equal(k.reconstruct(), mat)
 
 
@@ -381,6 +386,45 @@ def test_verify_branch_outputs_detects_tampering(
     assert check.worst_fidelity < 1.0 - 1e-9
 
 
+# a 2-level and a 5-level state against the 3-level block_mixture and its plan
+_QUBIT = PureStateVector(np.array([1.0, 1.0], dtype=complex) / np.sqrt(2))
+_FIVE = PureStateVector(np.array([1.0, 1.0, 0.0, 0.0, 0.0], dtype=complex) / np.sqrt(2))
+
+
+def test_verify_branch_outputs_refuses_another_dimension(block_mixture, uniform_qubit_target):
+    plan = full_plan(block_mixture, uniform_qubit_target)
+    with pytest.raises(ValidationError, match="target dimension 2 != source dimension 3"):
+        verify_branch_outputs(plan, block_mixture, _QUBIT)
+    with pytest.raises(ValidationError, match="plan dimension 3 != source dimension 2"):
+        verify_branch_outputs(plan, DensityMatrix.from_pure(_QUBIT), _QUBIT)
+
+
+def test_branch_probabilities_refuses_another_dimension(block_mixture, uniform_qubit_target):
+    plan = full_plan(block_mixture, uniform_qubit_target)
+    with pytest.raises(ValidationError, match="plan dimension 3 != source dimension 2"):
+        branch_probabilities(plan, DensityMatrix.from_pure(_QUBIT))
+
+
+def test_simulate_refuses_another_dimension(block_mixture, uniform_qubit_target):
+    plan = full_plan(block_mixture, uniform_qubit_target)
+    with pytest.raises(ValidationError, match="plan dimension 3 != source dimension 2"):
+        simulate(plan, DensityMatrix.from_pure(_QUBIT), 100, 1)
+
+
+@pytest.mark.parametrize("phi", [_QUBIT, _FIVE])
+def test_optimal_protocol_refuses_another_dimension(phi):
+    psi = PureStateVector.from_probabilities(np.array([0.5, 0.3, 0.2]))
+    with pytest.raises(ValidationError, match=f"target dimension {phi.dim} != source dimension 3"):
+        optimal_protocol(psi, phi)
+
+
+@pytest.mark.parametrize("phi", [_QUBIT, _FIVE])
+def test_conversion_kraus_refuses_another_dimension(phi):
+    psi = PureStateVector.from_probabilities(np.array([0.5, 0.3, 0.2]))
+    with pytest.raises(ValidationError, match=f"target dimension {phi.dim} != source dimension 3"):
+        conversion_kraus(psi, phi)
+
+
 def test_plan_zero_when_no_coherent_subspace(uniform_qubit_target):
     rho = validate_density(np.diag([0.4, 0.3, 0.3]))
     res = pmax_mixed(rho, uniform_qubit_target)
@@ -438,26 +482,23 @@ def test_full_plan_branch_count_does_not_depend_on_level_placement():
 def _reference_factors(mat):
     """Column scan of a dense matrix, kept as the reference.
 
-    This is how the factors were read before the monomial form became the
-    only one stored: (permutation, diagonal, projector), or a raised
-    NotStrictlyIncoherentError.
+    Returns the entries above ENTRY_TOL as (columns, rows, coefficients),
+    columns ascending, or raises NotStrictlyIncoherentError.
     """
-    d = mat.shape[0]
     used_rows = set()
-    perm = [-1] * d
-    diag = np.zeros(d, dtype=complex)
-    proj = np.zeros(d)
-    for j in range(d):
-        rows = np.nonzero(np.abs(mat[:, j]) > ENTRY_TOL)[0]
-        if len(rows) > 1 or (len(rows) == 1 and int(rows[0]) in used_rows):
+    columns, rows, coefficients = [], [], []
+    for j in range(mat.shape[0]):
+        nonzero = np.nonzero(np.abs(mat[:, j]) > ENTRY_TOL)[0]
+        if len(nonzero) > 1 or (len(nonzero) == 1 and int(nonzero[0]) in used_rows):
             raise NotStrictlyIncoherentError(f"column {j}")
-        if len(rows) == 1:
-            i = int(rows[0])
+        if len(nonzero) == 1:
+            i = int(nonzero[0])
             used_rows.add(i)
-            perm[j], diag[j], proj[j] = i, mat[i, j], 1.0
-    free_rows = iter(sorted(set(range(d)) - used_rows))
-    perm = [p if p >= 0 else next(free_rows) for p in perm]
-    return tuple(perm), diag, proj
+            columns.append(j)
+            rows.append(i)
+            coefficients.append(mat[i, j])
+    return (np.array(columns, dtype=np.intp), np.array(rows, dtype=np.intp),
+            np.array(coefficients, dtype=complex))
 
 
 def _reference_gap(plan):
@@ -515,15 +556,17 @@ def test_kraus_forms_match_the_column_scan():
     for _ in range(300):
         d = int(rng.integers(1, 13))
         mat = _random_monomial(rng, d)
-        perm, diag, proj = _reference_factors(mat)
+        columns, rows, coefficients = _reference_factors(mat)
         kept = np.where(np.abs(mat) > ENTRY_TOL, mat, 0.0)
         for k in (
             StrictlyIncoherentKraus.from_matrix(mat),
             StrictlyIncoherentKraus.from_entries(d, _entries(mat, rng)),
         ):
-            assert k.permutation == perm
-            assert np.array_equal(k.diagonal, diag)
-            assert np.array_equal(k.projector, proj)
+            assert k.dim == d
+            assert np.array_equal(k.columns, columns)
+            assert np.array_equal(k.rows, rows)
+            assert np.array_equal(k.coefficients, coefficients)
+            assert np.array_equal(k.diagonal, kept.sum(axis=0))
             assert np.array_equal(k.matrix, kept)
             assert np.array_equal(k.reconstruct(), kept)
             amps = rng.normal(size=d) + 1j * rng.normal(size=d)
@@ -555,6 +598,22 @@ def test_kraus_forms_reject_a_repeated_row_or_column():
 def test_from_entries_rejects_a_repeated_position():
     with pytest.raises(NotStrictlyIncoherentError):
         StrictlyIncoherentKraus.from_entries(2, [(0, 1, 0.5), (0, 1, 0.25)])
+
+
+@pytest.mark.parametrize("dim, entries", [
+    (2, [(5, 0, 1.0)]),
+    (2, [(0, 5, 1.0)]),
+    (2, [(-1, 0, 1.0)]),
+    (2, [(0, -1, 1.0)]),
+    (2, [(0, 1.5, 1.0)]),
+    (-1, []),
+    (0, []),
+    (2.0, [(0, 0, 1.0)]),
+])
+def test_kraus_entries_need_integer_indices_in_range(dim, entries):
+    # only the entries are stored, so a bad index would otherwise be kept silently
+    with pytest.raises(ValidationError):
+        StrictlyIncoherentKraus.from_entries(dim, entries)
 
 
 def _random_plans(rng):
@@ -649,7 +708,8 @@ def _protocol_pairs():
         q = x[x > 0]
         if q.size >= 2:
             amps = np.sqrt(p) * np.exp(2j * np.pi * rng.random(n))
-            yield PureStateVector(amps[rng.permutation(n)]), PureStateVector(np.sqrt(q))
+            # the target keeps x's zero tail, so it has the source's n levels
+            yield PureStateVector(amps[rng.permutation(n)]), PureStateVector(np.sqrt(x))
     for dim in (32, 64):
         levels = np.random.default_rng(dim).permutation(dim)
         rho, phi, _ = _rank4_plan(_shaped_profile(dim), levels, rng.random(dim), [0, 1, 2, 3])
@@ -665,9 +725,10 @@ def test_protocol_entries_match_the_slot_loop():
         for (kraus, prob), (want_prob, entries) in zip(branches, reference):
             want = StrictlyIncoherentKraus.from_entries(psi.dim, entries)
             assert prob == want_prob
-            assert kraus.permutation == want.permutation
-            scale = np.abs(want.diagonal).max()
-            assert np.abs(kraus.diagonal - want.diagonal).max() <= 1e-15 * scale
+            assert np.array_equal(kraus.columns, want.columns)
+            assert np.array_equal(kraus.rows, want.rows)
+            scale = np.abs(want.coefficients).max()
+            assert np.abs(kraus.coefficients - want.coefficients).max() <= 1e-15 * scale
             out, want_out = kraus.apply(psi.amplitudes), want.apply(psi.amplitudes)
             assert np.abs(out - want_out).max() <= 1e-15 * np.abs(want_out).max()
 
@@ -832,9 +893,10 @@ def _reference_protocol(psi, phi):
 
 
 def _assert_same_factors(k, want):
-    assert k.permutation == want.permutation
-    assert np.array_equal(k.diagonal, want.diagonal)
-    assert np.array_equal(k.projector, want.projector)
+    assert k.dim == want.dim
+    assert np.array_equal(k.columns, want.columns)
+    assert np.array_equal(k.rows, want.rows)
+    assert np.array_equal(k.coefficients, want.coefficients)
 
 
 def test_protocol_factors_equal_the_per_branch_build():
@@ -844,7 +906,7 @@ def test_protocol_factors_equal_the_per_branch_build():
         assert [prob for _, prob in branches] == [prob for _, prob in reference]
         for (k, _), (want, _) in zip(branches, reference):
             _assert_same_factors(k, want)
-            assert not k.diagonal.flags.writeable and not k.projector.flags.writeable
+            assert not any(a.flags.writeable for a in (k.columns, k.rows, k.coefficients))
 
 
 def test_full_plan_equals_the_per_branch_build():
@@ -882,7 +944,7 @@ def _reference_checks(plan, rho, phi, shots, seed):
         weight = float(effect @ pops)
         if weight <= 1e-15:
             continue
-        v = b.kraus.diagonal.conj() * phi.amplitudes[list(b.kraus.permutation)]
+        v = b.kraus.matrix.conj().T @ phi.amplitudes
         fid = float(np.real(np.vdot(v, rho.matrix @ v)) / weight)
         worst = min(worst, fid)
         if fid < 1.0 - 1e-9:
@@ -924,12 +986,14 @@ def test_replay_gathers_only_the_used_columns():
     assert stack.effects.shape == (len(plan.branches), 40)
     assert stack.columns.shape == stack.rows.shape == stack.coefficients.shape
     assert stack.columns.shape[1] <= 4
-    for b, cols, rows, coeffs in zip(plan.branches, stack.columns, stack.rows, stack.coefficients):
-        used = np.flatnonzero(b.kraus.diagonal)
-        assert np.array_equal(cols[:used.size], used)
-        assert np.array_equal(rows[:used.size], np.array(b.kraus.permutation)[used])
-        assert np.array_equal(coeffs[:used.size], b.kraus.diagonal[used])
-        assert not coeffs[used.size:].any()
+    for b, effects, cols, rows, coeffs in zip(plan.branches, stack.effects, stack.columns,
+                                              stack.rows, stack.coefficients):
+        used = b.kraus.columns.size
+        assert np.array_equal(cols[:used], b.kraus.columns)
+        assert np.array_equal(rows[:used], b.kraus.rows)
+        assert np.array_equal(coeffs[:used], b.kraus.coefficients)
+        assert not coeffs[used:].any()
+        assert np.array_equal(effects, np.abs(b.kraus.diagonal) ** 2)
     assert plan.monomials is stack
 
 
@@ -948,6 +1012,30 @@ def test_replay_in_chunks_equals_one_gather(monkeypatch):
             monkeypatch.setattr(distill, "_GATHER_CAP", cap)
             assert np.array_equal(stack.overlaps(rho.matrix, phi.amplitudes), whole)
         monkeypatch.undo()
+
+
+def test_plans_read_only_the_stored_entries(monkeypatch):
+    # synthesis, the checks, sampling and plan files never build a d-length diagonal
+    from cohdist.cli import plan_from_doc, plan_to_doc
+
+    def refuse(kraus):
+        raise AssertionError("diagonal built")
+
+    monkeypatch.setattr(StrictlyIncoherentKraus, "diagonal", property(refuse))
+    rho, _ = random_block_state(np.random.default_rng(96), 96)
+    phi = random_pure_state(np.random.default_rng(97), 96, support=[3, 50, 77])
+    plan = full_plan(rho, phi)
+    assert len(plan.branches) >= 10
+    # a branch that reaches a rank-3 target stores at most 3 entries
+    assert max(b.kraus.columns.size for b in plan.branches) <= coherence_rank(phi) == 3
+    assert verify_branch_outputs(plan, rho, phi)
+    sampled = simulate(plan, rho, 10_000, 5)
+    back = plan_from_doc(plan_to_doc(plan), "plan.json")
+    assert [(b.branch_id, b.probability) for b in back.branches] == [
+        (b.branch_id, b.probability) for b in plan.branches]
+    for b, want in zip(back.branches, plan.branches):
+        _assert_same_factors(b.kraus, want.kraus)
+    assert simulate(back, rho, 10_000, 5) == sampled
 
 
 # ---------------------------------------------------------------- the support rule
@@ -970,8 +1058,8 @@ def _tiny_entry_pairs(seed, count):
 
 
 def _plan_entries(plan):
-    return [(b.branch_id, b.probability, b.kraus.permutation, b.kraus.diagonal.tolist())
-            for b in plan.branches]
+    return [(b.branch_id, b.probability, b.kraus.columns.tolist(), b.kraus.rows.tolist(),
+             b.kraus.coefficients.tolist()) for b in plan.branches]
 
 
 def test_entries_at_or_below_support_tol_change_no_answer():
