@@ -54,7 +54,6 @@ from .errors import (
     ValidationError,
 )
 from .measures import (
-    cl_profile,
     coherence_rank,
     majorizes,
     min_profile_ratio,
@@ -80,7 +79,6 @@ from .states import (
     PureStateVector,
     as_distribution,
     dephase,
-    entrywise_abs,
     validate_density,
 )
 from .subspaces import (
@@ -101,12 +99,10 @@ __all__ = [
     "validate_density",
     "as_distribution",
     "dephase",
-    "entrywise_abs",
     # measures
     "sorted_descending",
     "coherence_rank",
     "suffix_profile",
-    "cl_profile",
     "min_profile_ratio",
     "min_profile_ratios",
     "majorizes",

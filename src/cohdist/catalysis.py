@@ -396,10 +396,12 @@ def _catalyzed_values(subspaces, tgt: np.ndarray, catalysts: np.ndarray) -> np.n
     and weights, and only the profiles become p (x) c.  All subspaces are
     scored for all rows in one :func:`min_profile_ratios` call per chunk
     of at most ``ROW_CHUNK_ELEMENTS`` product entries (the kernel sorts, so
-    stored profiles serve).  Disjoint subspaces add their scores in
-    index-set order, the order
-    :func:`optimize_disjoint_selection` adds in; subspaces sharing a level
-    (the tolerance edge) go through that selection row by row.
+    stored profiles serve).  A depth counts, and a source tail pins the
+    ratio to 0, by the support of the products, not their magnitude: each
+    catalyst row is first scaled by an exact power of two, which changes
+    no ratio.  Disjoint subspaces add their scores in index-set order, the
+    order :func:`optimize_disjoint_selection` adds in; subspaces sharing a
+    level (the tolerance edge) go through that selection row by row.
     """
     subspaces = sorted(subspaces, key=lambda s: s.indices)
     uses = Counter(j for s in subspaces for j in s.indices)
@@ -412,6 +414,12 @@ def _catalyzed_values(subspaces, tgt: np.ndarray, catalysts: np.ndarray) -> np.n
     out = np.empty(len(catalysts))
     for start in range(0, len(catalysts), rows_per_chunk):
         cat = catalysts[start:start + rows_per_chunk]
+        # scale each row by the power of two that puts its smallest positive entry in [1, 2),
+        # capped well below overflow: ratios keep their bits, and every product of supported
+        # entries clears SUPPORT_TOL, so the kernel's cuts read the products' supports
+        low = np.where(cat > 0.0, cat, np.inf).min(axis=1)
+        shift = np.minimum(1 - np.frexp(low)[1], 1000 - np.frexp(cat.max(axis=1))[1])
+        cat = np.ldexp(cat, shift[:, None])
         # products p (x) c, one stack per subspace, and the target's q (x) c
         products = profiles[:, None, :, None] * cat[None, :, None, :]
         targets = (tgt[None, :, None] * cat[:, None, :]).reshape(len(cat), -1)

@@ -33,9 +33,11 @@ A mixed-state plan synthesizes each subspace from its own levels and
 amplitudes.  Every stage runs in array passes: the split returns its
 weights and permutations as stacked arrays, sorting the running point
 once per step, and one pass turns them into all branches' entries.  A plan carries one
-stacked monomial view of its branches (:class:`MonomialStack`), built once;
-the completeness gap, the branch probabilities, sampling and the replay
-check all read it.  Replay is restricted to each branch's support: with
+stacked monomial view of its branches (:class:`MonomialStack`), built once:
+each branch's entries padded to the largest branch, so no array grows with
+d.  The completeness gap, the branch probabilities, sampling and the replay
+check all read it; weights add each branch's entries in column order, with
+no BLAS call.  Replay is restricted to each branch's support: with
 v = K†|phi> nonzero only on the used columns S, it evaluates v_S† rho_SS v_S.
 """
 
@@ -153,6 +155,18 @@ class StrictlyIncoherentKraus:
         return [cls(int(dim), cols[lo:hi], rows[lo:hi], coefficients[lo:hi])
                 for lo, hi in zip([0, *ends], ends)]
 
+    def __eq__(self, other) -> bool:
+        """Entry-wise: equal dimension, columns, rows and coefficients."""
+        if not isinstance(other, StrictlyIncoherentKraus):
+            return NotImplemented
+        mine = (self.columns, self.rows, self.coefficients)
+        theirs = (other.columns, other.rows, other.coefficients)
+        return self.dim == other.dim and all(map(np.array_equal, mine, theirs))
+
+    def __hash__(self) -> int:
+        """Over dim, columns and rows, so equal operators hash equal."""
+        return hash((self.dim, tuple(self.columns.tolist()), tuple(self.rows.tolist())))
+
     def reconstruct(self) -> np.ndarray:
         """Dense d x d form, a fresh array scattered from the entries."""
         mat = np.zeros((self.dim, self.dim), dtype=complex)
@@ -210,14 +224,14 @@ class MixedPmaxResult:
 
 @dataclass(frozen=True)
 class MonomialStack:
-    """All branches of a plan as arrays, one row per branch.
+    """All branches of a plan as arrays, one row per branch and one column per entry.
 
-    ``effects[a, j]`` is |c_j|^2 for the coefficient c_j of branch a in
-    column j (0 on unused columns, inf where a square overflows): the
-    diagonal of K†K.  Row a of ``columns``, ``rows`` and ``coefficients``
-    lists the used columns of branch a in ascending order, the row each one
-    feeds and its coefficient, padded with column 0, row 0 and coefficient
-    0 up to the largest number of used columns.
+    Row a of ``columns``, ``rows`` and ``coefficients`` lists the used
+    columns of branch a in ascending order, the row each one feeds and its
+    coefficient, padded with column 0, row 0 and coefficient 0 up to the
+    largest number of used columns; ``effects`` holds |c|^2 of those
+    coefficients (inf where a square overflows), the diagonal of K†K on
+    the used columns.  No array has a d-length axis.
     """
 
     effects: np.ndarray
@@ -226,7 +240,7 @@ class MonomialStack:
     coefficients: np.ndarray
 
     @classmethod
-    def of(cls, dim: int, operators) -> "MonomialStack":
+    def of(cls, operators) -> "MonomialStack":
         sizes = np.array([k.columns.size for k in operators], dtype=np.intp)
         filled = np.arange(sizes.max(initial=0)) < sizes[:, None]
         columns, rows, coefficients = (np.zeros(filled.shape, t) for t in (np.intp, np.intp, complex))
@@ -234,18 +248,20 @@ class MonomialStack:
         for out, parts in zip((columns, rows, coefficients),
                               zip(*((k.columns, k.rows, k.coefficients) for k in operators))):
             out[filled] = np.concatenate(parts)
-        effects = np.zeros((sizes.size, dim))
         with np.errstate(over="ignore"):
-            effects[np.nonzero(filled)[0], columns[filled]] = np.abs(coefficients[filled]) ** 2
+            effects = np.abs(coefficients) ** 2
         return cls(effects, columns, rows, coefficients)
 
     def weights(self, populations: np.ndarray) -> np.ndarray:
-        """tr(K†K rho) per branch, from the populations.
+        """tr(K†K rho) per branch: |c_t|^2 rho_{j_t j_t} added left to right over its entries.
 
-        A stack of row-by-vector products, not one matrix-vector product, so
-        each weight is the dot product of that branch's own effects, bit for bit.
+        The padding adds exact zeros, and no BLAS call is made, so each
+        weight has the bits of a plain loop over the branch's own entries.
+        An overflowed effect gives inf, or nan on an empty level, silently.
         """
-        return np.matmul(self.effects[:, None, :], populations[:, None])[:, 0, 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = self.effects * populations[self.columns]
+            return functools.reduce(np.add, terms.T, np.zeros(len(terms)))
 
     def overlaps(self, rho: np.ndarray, phi: np.ndarray) -> np.ndarray:
         """<phi|K rho K†|phi> per branch, on each branch's used columns only.
@@ -277,15 +293,13 @@ class DistillationPlan:
     @functools.cached_property
     def monomials(self) -> MonomialStack:
         """The branches' entries stacked once per plan; every plan check reads them."""
-        return MonomialStack.of(self.dim, [b.kraus for b in self.branches])
+        return MonomialStack.of([b.kraus for b in self.branches])
 
     def completeness_gap(self) -> float:
         """Largest entry of the diagonal matrix sum(K†K) minus 1 (<= 0 for a valid plan)."""
-        effects = self.monomials.effects
-        # np.nonzero lists the entries branch by branch, so each column's sum
-        # runs in branch order, as one branch at a time would
-        used = np.nonzero(effects)
-        total = np.bincount(used[1], weights=effects[used], minlength=self.dim)
+        stack = self.monomials
+        # padded entries run branch by branch, so each column adds in branch order; padding adds 0
+        total = np.bincount(stack.columns.ravel(), weights=stack.effects.ravel(), minlength=self.dim)
         return float(total.max() - 1.0)
 
 

@@ -39,11 +39,6 @@ def suffix_profile(weights) -> np.ndarray:
     return out
 
 
-def cl_profile(psi: PureStateVector) -> np.ndarray:
-    """Tail-sum coherence profile of a pure state; entry 0 is 1."""
-    return suffix_profile(psi.probabilities())
-
-
 def _padded_rows(vectors, width: int = 0) -> np.ndarray:
     """1-d weight vectors stacked as the rows of one array, zero-padded on the right.
 

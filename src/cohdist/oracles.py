@@ -9,11 +9,12 @@ leans on.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateStateError, DimensionTooLargeError, IncompletePlanError
+from .errors import DegenerateStateError, DimensionTooLargeError, IncompletePlanError, ValidationError
 from .distill import DistillationPlan, _require_source_dim
 from .states import DensityMatrix, PureStateVector, SUPPORT_TOL
 from .subspaces import RANK1_TOL, PureSubspace
@@ -104,10 +105,14 @@ def simulate(
 
     The failure branch absorbs the leftover probability.  Runs with equal
     seeds return identical results; the counter-based generator named in
-    ``rng_algorithm`` is keyed with the seed directly.
+    ``rng_algorithm`` is keyed with the seed directly.  ``shots`` must be
+    an integer in [1, 2^63) and ``seed`` a nonnegative integer, neither a
+    ``bool``; anything else is a :class:`ValidationError`.
     """
-    if shots < 1:
-        raise ValueError("shots must be positive")
+    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral) or not 1 <= shots < 2**63:
+        raise ValidationError(f"shots must be an integer in [1, 2^63), got {shots!r}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
     gap = plan.completeness_gap()
     if not gap <= 1e-9:     # inf when a Kraus entry overflows when squared
         raise IncompletePlanError(f"sum K†K exceeds identity by {gap:.3e}")

@@ -176,11 +176,6 @@ def dephase(rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(np.diag(np.diag(rho.matrix)))
 
 
-def entrywise_abs(rho: DensityMatrix) -> np.ndarray:
-    """Entrywise modulus |rho_ij| as a real matrix."""
-    return np.abs(rho.matrix)
-
-
 def positive_diagonal_indices(rho: DensityMatrix) -> tuple[int, ...]:
     """Indices with rho_ii > SUPPORT_TOL; raises if there are none."""
     idx = tuple(np.flatnonzero(rho.diagonal() > SUPPORT_TOL).tolist())

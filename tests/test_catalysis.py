@@ -257,12 +257,26 @@ def test_search_result_consistent_with_direct_evaluation(
 
 # ------------------------------------------- batched scoring vs the old loop
 
+def _support_tail_ratio(source, target) -> float:
+    """Smallest tail-sum ratio with no magnitude cut.
+
+    Both vectors are zero-padded to a common length.  A depth counts when
+    the target tail is nonzero, and a zero source tail there gives 0.
+    """
+    width = max(len(source), len(target))
+    src, tgt = (np.cumsum(np.sort(np.pad(v, (0, width - len(v))))) for v in (source, target))
+    live = tgt > 0.0
+    if np.any(live & (src == 0.0)):
+        return 0.0
+    return min([1.0, *(src[live] / tgt[live]).tolist()])
+
+
 def _reference_catalyzed(entries, target_profile, catalyst) -> float:
     """One candidate at a time: the evaluation the batched scorer replaced."""
     cat = np.asarray(catalyst, dtype=float)
     tgt = tensor(target_profile, cat)
     scored = [
-        (idx, w, w * min_profile_ratio(tensor(np.array(prof), cat), tgt))
+        (idx, w, w * _support_tail_ratio(tensor(np.array(prof), cat), tgt))
         for idx, w, prof in entries
     ]
     return optimize_disjoint_selection(scored)[2]
@@ -472,6 +486,64 @@ def test_batched_scores_span_several_row_chunks():
     assert len(grid) * 2 * d > 2 * catalysis.ROW_CHUNK_ELEMENTS   # three chunks
     got = catalysis._catalyzed_values(maximal_pure_subspaces(rho), tgt, grid).tolist()
     assert got == [_reference_catalyzed(entries, tgt, row) for row in grid]
+
+
+def _bound(profile, tgt):
+    """Proved cap of any catalysed ratio: min(p_n/q_n, 1) at equal lengths, else 1 or 0."""
+    p = sorted_descending(profile)
+    if p.size != tgt.size:
+        return float(p.size > tgt.size)
+    return min(p[-1] / tgt[-1], 1.0)
+
+
+def test_catalysed_target_tails_below_the_support_cut_still_count():
+    # q (x) c has entries down to 2.7e-14; skipping those depths scored 0.5268, above the bound
+    p = [0.6597425832994023, 0.2794101583765326, 0.03189937907252418, 0.028947879251541023]
+    q = PureStateVector.from_probabilities(
+        [0.5661223797697239, 0.22981494715174702, 0.11340756267043128, 0.09065511040809765])
+    cat = 0.09126052104208415 ** np.arange(13)
+    value = catalyzed_pmax(_pure(p), q, cat / cat.sum())
+    assert value <= _bound(p, _target_profile(q))
+    assert value == pytest.approx(0.29817926721291893, rel=1e-15, abs=0)
+
+
+def test_catalysed_source_tails_below_the_support_cut_do_not_pin_to_zero():
+    # p (x) c has a 3e-13 entry; a catalyst can always be ignored, so it scores the baseline
+    rho = _pure([0.6, 0.4 - 3e-12, 3e-12])
+    phi = PureStateVector.from_probabilities([0.5, 0.3, 0.2])
+    baseline = pmax_mixed(rho, phi).p_max
+    assert baseline == pytest.approx(1.5e-11, rel=1e-9)
+    assert catalyzed_pmax(rho, phi, [0.9, 0.1]) == pytest.approx(baseline, rel=1e-9)
+
+
+def test_catalysed_ratios_read_supports_on_tiny_catalysts():
+    # catalyst entries down to 1e-200: every subspace's score equals the
+    # support-only reference, stays under its bound and never loses to no catalyst
+    rng = np.random.default_rng(909)
+    cases = [(_pure(rng.dirichlet(np.ones(d))), _target(rng, int(rng.integers(2, d + 1)), d))
+             for d in (2, 3, 4, 5, 6) for _ in range(3)]
+    for d in (5, 6, 8):
+        rho, _ = random_block_state(rng, d)
+        cases += [(rho, _target(rng, rank, d)) for rank in (2, 3)]
+    exponents = rng.uniform(-200.0, 0.0, size=(24, 6))
+    exponents[:, 0] = 0.0
+    catalysts = 10.0 ** exponents
+    catalysts[::3, 4:] = 0.0           # shorter catalysts, zero-padded
+    catalysts /= catalysts.sum(axis=1, keepdims=True)
+    low = 0
+    for rho, phi in cases:
+        tgt = _target_profile(phi)
+        for s in maximal_pure_subspaces(rho):
+            got = catalysis._catalyzed_values([s], tgt, catalysts).tolist()
+            plain = min_profile_ratio(s.profile, tgt)
+            bound = _bound(s.profile, tgt)
+            for cat, value in zip(catalysts, got):
+                want = _support_tail_ratio(tensor(s.profile, cat), tensor(tgt, cat))
+                assert value == s.weight * want
+                assert want <= bound * (1.0 + 1e-12)
+                assert want >= plain * (1.0 - 1e-9)
+                low += tensor(tgt, cat).min() <= SUPPORT_TOL
+    assert low > 100     # most products hold entries below the support cut
 
 
 def test_candidates_equal_the_partition_generator():

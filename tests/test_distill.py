@@ -1,3 +1,4 @@
+import dataclasses
 from statistics import NormalDist
 
 import numpy as np
@@ -83,6 +84,28 @@ def test_kraus_decomposition_factors():
     projector = np.diag((k.diagonal != 0).astype(float))
     assert np.array_equal(perm @ np.diag(k.diagonal) @ projector, mat)
     assert np.array_equal(k.reconstruct(), mat)
+
+
+def test_operators_branches_and_plans_compare_by_their_entries():
+    from cohdist.cli import plan_from_doc, plan_to_doc
+
+    def swap(value):
+        return StrictlyIncoherentKraus.from_entries(3, [(0, 1, 0.5), (1, 0, value)])
+
+    a, b = swap(0.5), swap(0.5)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != swap(0.25) and a != StrictlyIncoherentKraus.from_entries(4, [(0, 1, 0.5), (1, 0, 0.5)])
+    assert a != StrictlyIncoherentKraus.from_entries(3, [(0, 1, 0.5)]) and a != "a"
+    assert len({a, b, swap(0.25)}) == 2
+    assert PlanBranch("k", a, 0.5) == PlanBranch("k", b, 0.5)
+    assert hash(PlanBranch("k", a, 0.5)) == hash(PlanBranch("k", b, 0.5))
+    assert PlanBranch("k", a, 0.5) != PlanBranch("k", swap(0.25), 0.5)
+    rho, _ = random_block_state(np.random.default_rng(12), 12)
+    plan = full_plan(rho, random_pure_state(np.random.default_rng(13), 12, support=[1, 4, 7]))
+    back = plan_from_doc(plan_to_doc(plan), "plan.json")
+    assert len(plan.branches) >= 2
+    assert back == plan and hash(back) == hash(plan)
+    assert back != DistillationPlan(plan.dim, plan.p_max, plan.branches[1:], plan.family_index_sets)
 
 
 def test_incoherent_dephasing_commutation():
@@ -938,10 +961,15 @@ def _reference_checks(plan, rho, phi, shots, seed):
     for effect in effects:
         total += effect
     pops = rho.diagonal()
-    probs = np.array([max(0.0, float(effect @ pops)) for effect in effects])
-    worst, failed = 1.0, None
+    weights = []
     for b, effect in zip(plan.branches, effects):
-        weight = float(effect @ pops)
+        weight = 0.0    # a Python-float sum over the branch's entries, columns ascending
+        for j in b.kraus.columns.tolist():
+            weight += float(effect[j]) * float(pops[j])
+        weights.append(weight)
+    probs = np.array([max(0.0, weight) for weight in weights])
+    worst, failed = 1.0, None
+    for b, weight in zip(plan.branches, weights):
         if weight <= 1e-15:
             continue
         v = b.kraus.matrix.conj().T @ phi.amplitudes
@@ -983,8 +1011,10 @@ def test_replay_gathers_only_the_used_columns():
     psi, phi = _bench_shaped_pair(40, 9)
     plan = full_plan(DensityMatrix.from_pure(psi), phi)
     stack = plan.monomials
-    assert stack.effects.shape == (len(plan.branches), 40)
-    assert stack.columns.shape == stack.rows.shape == stack.coefficients.shape
+    arrays = [getattr(stack, f.name) for f in dataclasses.fields(stack)]
+    # no array has a d-length axis: one row per branch, one column per used entry
+    assert all(a.shape == stack.columns.shape for a in arrays)
+    assert stack.columns.shape[0] == len(plan.branches)
     assert stack.columns.shape[1] <= 4
     for b, effects, cols, rows, coeffs in zip(plan.branches, stack.effects, stack.columns,
                                               stack.rows, stack.coefficients):
@@ -992,8 +1022,8 @@ def test_replay_gathers_only_the_used_columns():
         assert np.array_equal(cols[:used], b.kraus.columns)
         assert np.array_equal(rows[:used], b.kraus.rows)
         assert np.array_equal(coeffs[:used], b.kraus.coefficients)
-        assert not coeffs[used:].any()
-        assert np.array_equal(effects, np.abs(b.kraus.diagonal) ** 2)
+        assert not coeffs[used:].any() and not effects[used:].any()
+        assert np.array_equal(effects[:used], np.abs(b.kraus.coefficients) ** 2)
     assert plan.monomials is stack
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from cohdist import (
     PureStateVector,
     ValidationError,
-    cl_profile,
     coherence_rank,
     default_alpha_grid,
     majorizes,
@@ -49,11 +48,6 @@ def test_suffix_profile_invariants(w):
     assert prof[0] == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.diff(prof) <= 1e-12)
     assert np.all(prof >= -1e-12)
-
-
-def test_cl_profile_uses_squared_moduli():
-    psi = PureStateVector(np.array([0.6, 0.8j], dtype=complex))
-    assert np.allclose(cl_profile(psi), [1.0, 0.36])
 
 
 def test_coherence_rank_counts_support():

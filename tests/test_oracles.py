@@ -12,10 +12,12 @@ from cohdist import (
     random_block_state,
     random_mixture_state,
     random_pure_state,
+    ValidationError,
     simulate,
     validate_density,
 )
 from cohdist.distill import DistillationPlan, PlanBranch, StrictlyIncoherentKraus
+from cohdist.subspaces import A_ONE_TOL, RANK1_TOL, a_matrix
 
 
 def test_brute_subspaces_block_example(block_mixture):
@@ -109,6 +111,26 @@ def test_simulate_requires_shots():
         simulate(plan, rho, shots=0, seed=1)
 
 
+@pytest.mark.parametrize("shots, seed", [
+    (0, 1), (-3, 1), (2**63, 1), (10.5, 1), (True, 1), (np.float64(10), 1),
+    (10, -1), (10, 1.5), (10, True), (10, np.bool_(False)), (10, "1"),
+])
+def test_simulate_refuses_bad_shots_and_seeds(shots, seed):
+    psi = PureStateVector.from_probabilities(np.array([0.6, 0.4]))
+    rho = validate_density(np.outer(psi.amplitudes, psi.amplitudes.conj()))
+    plan = full_plan(rho, PureStateVector.from_probabilities(np.array([0.5, 0.5])))
+    with pytest.raises(ValidationError):
+        simulate(plan, rho, shots=shots, seed=seed)
+
+
+def test_simulate_takes_numpy_and_large_integers():
+    psi = PureStateVector.from_probabilities(np.array([0.6, 0.4]))
+    rho = validate_density(np.outer(psi.amplitudes, psi.amplitudes.conj()))
+    plan = full_plan(rho, PureStateVector.from_probabilities(np.array([0.5, 0.5])))
+    assert simulate(plan, rho, np.int64(100), np.uint64(7)) == simulate(plan, rho, 100, 7)
+    assert simulate(plan, rho, 2**63 - 1, 2**70).shots == 2**63 - 1
+
+
 def test_simulate_rejects_overcomplete_plan(block_mixture):
     # duplicate the lone branch: sum K'K exceeds the identity
     plan = full_plan(
@@ -144,3 +166,15 @@ def test_brute_and_clique_methods_agree_broadly():
                 assert np.allclose(
                     np.abs(f.state.amplitudes), np.abs(s.state.amplitudes), atol=1e-8
                 )
+
+
+def test_brute_and_clique_rules_part_at_the_tolerance_edge(overlapping_state):
+    # unit coherence within A_ONE_TOL is not transitive at the 1e-9 edge, so
+    # the cliques overlap; the whole restriction passes the rank-1 test
+    a = a_matrix(overlapping_state)
+    assert abs(a[0, 1] - 1) <= A_ONE_TOL and abs(a[1, 2] - 1) <= A_ONE_TOL
+    assert abs(a[0, 2] - 1) > A_ONE_TOL
+    assert [s.indices for s in maximal_pure_subspaces(overlapping_state)] == [(0, 1), (1, 2)]
+    assert [s.indices for s in brute_subspaces(overlapping_state)] == [(0, 1, 2)]
+    second = np.linalg.eigvalsh(overlapping_state.matrix)[-2]
+    assert second == pytest.approx(5.0e-10, rel=0.01) and second <= RANK1_TOL

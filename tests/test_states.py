@@ -13,7 +13,6 @@ from cohdist import (
     ValidationError,
     as_distribution,
     dephase,
-    entrywise_abs,
     validate_density,
 )
 from cohdist.states import positive_diagonal_indices
@@ -90,11 +89,6 @@ def test_from_pure_builds_projector():
 def test_dephase_strips_off_diagonals():
     rho = validate_density(np.full((2, 2), 0.5))
     assert np.allclose(dephase(rho).matrix, np.diag([0.5, 0.5]))
-
-
-def test_entrywise_abs_kills_phases():
-    mat = np.array([[0.5, 0.5j], [-0.5j, 0.5]])
-    assert np.allclose(entrywise_abs(validate_density(mat)), np.full((2, 2), 0.5))
 
 
 def test_positive_diagonal_indices_skips_zero_population():
