@@ -3,7 +3,7 @@
 All state exchange is JSON.  Complex numbers are [re, im] pairs; bare
 numbers are accepted on input as purely real.  Basis indices are 0-based.
 
-Exit codes: 0 success, 1 unreadable input (I/O or JSON syntax), 2 failed
+Exit codes: 0 success, 1 unreadable input (I/O, not UTF-8, not JSON), 2 failed
 validation, 3 incoherent target (nothing to distill), 4 violated
 precondition (e.g. deterministic catalyst search at probability 1).
 """
@@ -40,7 +40,7 @@ from .errors import (
 from .measures import majorizes, shannon_entropy
 from .oracles import simulate
 from .states import DensityMatrix, PureStateVector, as_distribution, validate_density
-from .subspaces import a_matrix, has_rank2_subspace, maximal_pure_subspaces
+from .subspaces import a_matrix, maximal_pure_subspaces
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -58,10 +58,18 @@ def _fmt(x: float) -> str:
 # ===========================================================================
 
 def _read_doc(path: str) -> tuple[dict, bool]:
-    """The JSON object in ``path``, and True when its text holds no JSON boolean."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    doc = json.loads(text)
+    """The JSON object in ``path``, and True when its text holds no JSON boolean.
+
+    A file that is not UTF-8 or not JSON (bad syntax, nesting too deep for
+    the decoder, an integer literal too long to convert) raises OSError,
+    the unreadable-input class, with a message naming the file.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise OSError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: top level must be a JSON object")
     return doc, "true" not in text and "false" not in text
@@ -96,10 +104,6 @@ def _list_in(node, path: str) -> list:
     if isinstance(node, list):
         return node
     raise ValidationError(f"{path}: expected an array")
-
-
-def _complex_out(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
 
 
 def _numbers_in(node, ndim: int) -> np.ndarray | None:
@@ -201,6 +205,15 @@ def parse_weights(doc: dict, path: str) -> np.ndarray:
     )
 
 
+def _pairs_out(dim: int, values: np.ndarray, *index: np.ndarray) -> list:
+    """Nested lists of [re, im] pairs: zeros with one ``dim``-length axis per
+    index array, and ``values`` at ``index``, converted in one call."""
+    out = np.zeros((dim,) * len(index), dtype=complex)
+    out[index] = values
+    # each complex number is the memory layout of its [re, im] pair
+    return out.view(float).reshape(*out.shape, 2).tolist()
+
+
 def plan_to_doc(plan: DistillationPlan) -> dict:
     return {
         "dim": plan.dim,
@@ -210,7 +223,7 @@ def plan_to_doc(plan: DistillationPlan) -> dict:
             {
                 "id": b.branch_id,
                 "probability": b.probability,
-                "kraus": [[_complex_out(v) for v in row] for row in b.kraus.matrix],
+                "kraus": _pairs_out(b.kraus.dim, b.kraus.coefficients, b.kraus.rows, b.kraus.columns),
             }
             for b in plan.branches
         ],
@@ -224,7 +237,8 @@ def plan_from_doc(doc: dict, path: str, numeric: bool = False) -> DistillationPl
             raise ValidationError(f"{path}: missing '{key}'")
     dim = _int_in(doc["dim"], f"{path}.dim")
     # each branch's nonzero entries, as (branch, row, column, value) columns
-    ids, probabilities, entries = [], [], []
+    ids: dict[str, int] = {}        # branch id -> its position
+    probabilities, entries = [], []
     for i, node in enumerate(_list_in(doc["branches"], f"{path}.branches")):
         bpath = f"{path}.branches[{i}]"
         if not isinstance(node, dict):
@@ -232,12 +246,15 @@ def plan_from_doc(doc: dict, path: str, numeric: bool = False) -> DistillationPl
         for key in ("id", "probability", "kraus"):
             if key not in node:
                 raise ValidationError(f"{bpath}: missing '{key}'")
+        # sampling counts each outcome under its id, so a repeated id would merge two counts
+        bid = str(node["id"])
+        if ids.setdefault(bid, i) != i:
+            raise ValidationError(f"{bpath}.id: {bid!r} repeats {path}.branches[{ids[bid]}].id")
         mat = _matrix_in(node["kraus"], f"{bpath}.kraus", numeric)
         if mat.shape != (dim, dim):
             raise ValidationError(f"{bpath}.kraus: expected {dim}x{dim}")
         rows, cols = np.nonzero(mat)
         entries.append((np.full(rows.size, i), rows, cols, mat[rows, cols]))
-        ids.append(str(node["id"]))
         probabilities.append(_real_in(node["probability"], f"{bpath}.probability"))
     operators = (StrictlyIncoherentKraus._stack(len(ids), dim, *map(np.concatenate, zip(*entries)))
                  if entries else [])
@@ -310,17 +327,17 @@ def cmd_validate(args) -> int:
 def cmd_subspaces(args) -> int:
     rho = _state_file(args.state)
     subs = maximal_pure_subspaces(rho)
-    distillable = has_rank2_subspace(rho)
-    a = a_matrix(rho)
+    # a unit coherence between two levels puts both in one subspace
+    distillable = any(s.rank >= 2 for s in subs)
     doc = {
         "dim": rho.dim,
         "distillable": distillable,
-        "a_matrix": [[float(v) for v in row] for row in a],
+        "a_matrix": a_matrix(rho).tolist(),
         "subspaces": [
             {
                 "indices": list(s.indices),
                 "weight": s.weight,
-                "amplitudes": [_complex_out(v) for v in s.state.amplitudes],
+                "amplitudes": _pairs_out(rho.dim, s.amplitudes, list(s.indices)),
             }
             for s in subs
         ],
@@ -615,7 +632,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except IncoherentTargetError as exc:

@@ -3,8 +3,8 @@
 A strictly incoherent Kraus operator has at most one nonzero entry per row
 and per column, so it factors as  K = P_pi * K_delta * P  (permutation x
 diagonal x incoherent projector); only its nonzero entries are stored, and
-the diagonal and the dense matrix are built on demand.  A success branch for
-target |phi> is a strictly incoherent K with K|psi> proportional to |phi>.
+the dense matrix is built on demand.  A success branch for target |phi> is
+a strictly incoherent K with K|psi> proportional to |phi>.
 
 Every state is read through the support rule,
 :func:`~cohdist.states.support_profile`.  Protocol synthesis for a pure
@@ -87,9 +87,8 @@ class StrictlyIncoherentKraus:
 
     Stored as its nonzero entries only: column ``columns[t]`` (ascending)
     feeds row ``rows[t]`` with coefficient ``coefficients[t]``, in a
-    ``dim`` x ``dim`` matrix; the three arrays are read-only.  ``diagonal``
-    (the coefficient of every column, 0 on unused ones) and ``matrix`` are
-    built from them on demand.
+    ``dim`` x ``dim`` matrix; the three arrays are read-only.  ``matrix``,
+    the dense form, is built from them on demand.
     """
 
     dim: int
@@ -174,14 +173,6 @@ class StrictlyIncoherentKraus:
         return mat
 
     matrix = property(reconstruct)
-
-    @property
-    def diagonal(self) -> np.ndarray:
-        """The coefficient of every column, 0 on unused ones: a read-only array built on demand."""
-        diag = np.zeros(self.dim, dtype=complex)
-        diag[self.columns] = self.coefficients
-        diag.flags.writeable = False
-        return diag
 
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
         out = np.zeros(self.dim, dtype=complex)

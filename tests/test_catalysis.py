@@ -647,6 +647,8 @@ def test_alpha_grid_has_a_ceiling():
 def test_alpha_grid_refuses_a_non_integer_point_count():
     with pytest.raises(ValidationError):
         default_alpha_grid(2.5)
+    with pytest.raises(ValidationError, match="at least 2"):
+        default_alpha_grid(1)
 
 
 # ------------------------------------ probability-1 gate against the scalar loop

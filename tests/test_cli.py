@@ -14,13 +14,21 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import cohdist
 from cohdist import (
+    DensityMatrix,
+    DistillationPlan,
+    PlanBranch,
     PureStateVector,
+    PureSubspace,
+    StrictlyIncoherentKraus,
     ValidationError,
     catalyzed_pmax,
     deterministic_gate,
     enhancement_gate,
     full_plan,
     pmax_mixed,
+    random_block_state,
+    random_mixture_state,
+    random_pure_state,
     search_catalyst,
     validate_density,
 )
@@ -136,6 +144,14 @@ def test_protocol_and_simulate_with_a_tiny_target_entry(tmp_path, capsys):
     code, out, err = run(capsys, "simulate", plan_path, psi, "--shots", "2000", "--json")
     assert code == 0, err
     assert json.loads(out)["analytic_probability"] == pytest.approx(doc["p_max"], abs=1e-9)
+
+
+def test_pmax_text_notes_a_forced_disjoint_selection(overlapping_state, tmp_path, capsys):
+    state = write(tmp_path / "rho.json", {"matrix": overlapping_state.matrix.real.tolist()})
+    target = write(tmp_path / "phi.json", {"amplitudes": [0.7071067811865476, 0.7071067811865476, 0]})
+    code, out, _ = run(capsys, "pmax", state, target)
+    assert code == 0
+    assert out.endswith("\nnote: overlapping subspaces forced a disjoint selection\n")
 
 
 def test_pmax_can_write_protocol(files, capsys):
@@ -390,6 +406,29 @@ def test_json_syntax_error_is_io_error(tmp_path, capsys):
     bad.write_text('{"weights": [0.5,')
     code, _, err = run(capsys, "validate", str(bad))
     assert code == 1
+    assert err.startswith(f"error: {bad}: ")
+
+
+@pytest.mark.parametrize("content", [
+    b"[" * 5000,                                # too deep for the JSON decoder
+    b'{"weights": [' + b"7" * 5000 + b"]}",     # beyond the integer conversion limit
+    b"\xff\xfe{}",                              # a UTF-16 byte order mark
+], ids=["nesting", "long-integer", "not-utf-8"])
+def test_undecodable_files_are_unreadable_input(tmp_path, content):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    done = _cli_subprocess("validate", str(path))
+    assert done.returncode == 1
+    assert done.stderr.startswith(f"error: {path}: ") and "Traceback" not in done.stderr
+
+
+def test_a_recursion_error_past_reading_is_not_unreadable_input(files, monkeypatch, capsys):
+    def deep(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "pmax_mixed", deep)
+    with pytest.raises(RecursionError):
+        main(["pmax", files["rho"], files["phi"]])
 
 
 def test_invalid_state_is_validation_error(tmp_path, capsys):
@@ -404,6 +443,10 @@ def test_schema_error_is_validation_error(tmp_path, capsys):
     code, _, err = run(capsys, "validate", bad)
     assert code == 2
     assert "matrix[0][1]" in err
+    none = write(tmp_path / "none.json", {"dim": 2})
+    code, _, err = run(capsys, "validate", none)
+    assert code == 2
+    assert "expected 'matrix', 'amplitudes' or 'weights'" in err
 
 
 def test_incoherent_target_exit_code(files, tmp_path, capsys):
@@ -450,6 +493,68 @@ def test_plan_files_are_compact_json_of_plan_to_doc(files, capsys):
         assert json.loads(text) == expected
 
 
+def _per_entry_pairs(values) -> list:
+    """[re, im] pairs converted one entry at a time, as the writers used to."""
+    return [[float(np.real(v)), float(np.imag(v))] for v in values]
+
+
+def test_writers_equal_the_per_entry_form():
+    # json.dumps tells -0.0 from 0.0, so signed zeros have to match too
+    rng = np.random.default_rng(1717)
+    plans, states = [], []
+    for _ in range(24):
+        d = int(rng.integers(2, 12))
+        kind = int(rng.integers(3))
+        rho = (random_mixture_state(rng, d) if kind == 0 else random_block_state(rng, d)[0]
+               if kind == 1 else DensityMatrix.from_pure(random_pure_state(rng, d)))
+        support = sorted(rng.choice(d, size=int(rng.integers(2, min(4, d) + 1)), replace=False).tolist())
+        plans.append(full_plan(rho, random_pure_state(rng, d, support=support)))
+        states.append(rho)
+    signed = [complex(0.5, -0.0), complex(-0.0, 0.5), complex(-0.25, 0.0), complex(-0.0, -0.1)]
+    kraus = StrictlyIncoherentKraus.from_entries(5, [(4 - t, t, v) for t, v in enumerate(signed)])
+    plans.append(DistillationPlan(5, 0.5, (PlanBranch("z", kraus, 0.5),), ()))
+    for plan in plans:
+        want = {
+            "dim": plan.dim,
+            "p_max": plan.p_max,
+            "family": [list(s) for s in plan.family_index_sets],
+            "branches": [{"id": b.branch_id, "probability": b.probability,
+                          "kraus": [_per_entry_pairs(row) for row in b.kraus.matrix]}
+                         for b in plan.branches],
+        }
+        assert json.dumps(plan_to_doc(plan)) == json.dumps(want)
+    assert json.dumps(want).count("-0.0") == 3
+    for rho in states:
+        for s in subspaces.maximal_pure_subspaces(rho):
+            got = cli._pairs_out(rho.dim, s.amplitudes, list(s.indices))
+            assert json.dumps(got) == json.dumps(_per_entry_pairs(s.state.amplitudes))
+
+
+def test_writers_read_only_the_stored_entries(files, tmp_path, monkeypatch, capsys):
+    # plan files and subspace listings come from the stored entries, and the
+    # subspaces command reads the unit-coherence mask once
+    def refuse(obj):
+        raise AssertionError("dense form built")
+
+    masks = []
+    unit_mask = subspaces._unit_mask
+    monkeypatch.setattr(StrictlyIncoherentKraus, "reconstruct", refuse)
+    monkeypatch.setattr(StrictlyIncoherentKraus, "matrix", property(refuse))
+    monkeypatch.setattr(PureSubspace, "state", property(refuse))
+    monkeypatch.setattr(subspaces, "_unit_mask", lambda rho: masks.append(rho) or unit_mask(rho))
+    flat = write(tmp_path / "flat.json", {"matrix": [[0.5, 0.0], [0.0, 0.5]]})
+    for state, distillable in ((files["rho"], True), (flat, False)):
+        masks.clear()
+        code, out, _ = run(capsys, "subspaces", state, "--json")
+        assert code == 0 and len(masks) == 1
+        assert json.loads(out)["distillable"] is distillable
+    plan_path = str(tmp_path / "plan.json")
+    for argv in (["protocol", files["rho"], files["phi"], plan_path],
+                 ["pmax", files["rho"], files["phi"], "--protocol", plan_path],
+                 ["simulate", plan_path, files["rho"], "--shots", "100"]):
+        assert run(capsys, *argv)[0] == 0, argv
+
+
 def test_plan_serialization_roundtrip(block_mixture, uniform_qubit_target):
     plan = full_plan(block_mixture, uniform_qubit_target)
     doc = plan_to_doc(plan)
@@ -469,9 +574,11 @@ def test_simulate_rejects_nonpositive_shots(files, tmp_path, capsys):
     for shots in ("0", "-3"):
         code, _, err = run(capsys, "simulate", plan_path, files["rho"], "--shots", shots)
         assert code == 2 and "--shots" in err
+    code, _, err = run(capsys, "simulate", plan_path, files["rho"], "--seed", "-1")
+    assert code == 2 and "--seed must be nonnegative" in err
 
 
-@pytest.mark.parametrize("dim", ["x", None, 1.5, True])
+@pytest.mark.parametrize("dim", ["x", None, 1.5, True, 2])    # 2: an integer the data disagrees with
 def test_non_integer_dim_is_a_validation_failure(tmp_path, capsys, dim):
     for key, body in (("matrix", [[1.0]]), ("amplitudes", [1.0])):
         path = write(tmp_path / f"{key}.json", {key: body, "dim": dim})
@@ -491,13 +598,43 @@ def test_nan_entries_are_validation_failures(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "branches", [5, "x", [1], [None], [["id", "probability", "kraus"]]]
+    "branches", [5, "x", [1], [None], [["id", "probability", "kraus"]],
+                 [{"id": "a", "probability": 0.1}],
+                 [{"id": "a", "probability": 0.1, "kraus": [[0.5]]}]]
 )
 def test_malformed_plan_branches_fail_validation(files, tmp_path, capsys, branches):
     plan = {"dim": 3, "p_max": 0.1, "family": [[0, 1]], "branches": branches}
     path = write(tmp_path / "plan.json", plan)
-    code, _, _ = run(capsys, "simulate", path, files["rho"], "--shots", "10")
+    code, _, err = run(capsys, "simulate", path, files["rho"], "--shots", "10")
+    assert code == 2 and f"{path}.branches" in err
+
+
+def test_a_plan_missing_a_top_level_key_fails_validation(files, tmp_path, capsys):
+    for key in ("dim", "p_max", "family", "branches"):
+        plan = {k: v for k, v in _PLAN.items() if k != key}
+        path = write(tmp_path / "plan.json", plan)
+        code, _, err = run(capsys, "simulate", path, files["rho"], "--shots", "10")
+        assert code == 2 and f"missing '{key}'" in err
+
+
+def test_a_repeated_branch_id_fails_validation(tmp_path, capsys):
+    # simulate counts each outcome under its id, so the second branch's count would merge into the first
+    state = write(tmp_path / "rho.json", {"matrix": [[0.5, 0.5], [0.5, 0.5]]})
+    branches = [{"id": "a", "probability": 0.25, "kraus": [[0.5, 0.0], [0.0, 0.5]]},
+                {"id": "a", "probability": 0.25, "kraus": [[0.0, 0.5], [0.5, 0.0]]}]
+    plan = {"dim": 2, "p_max": 0.5, "family": [[0, 1]], "branches": branches}
+    path = write(tmp_path / "plan.json", plan)
+    code, _, err = run(capsys, "simulate", path, state, "--shots", "512")
     assert code == 2
+    assert f"{path}.branches[1].id: 'a' repeats {path}.branches[0].id" in err
+    with pytest.raises(ValidationError, match="repeats"):
+        plan_from_doc(plan, "plan")
+    branches[1]["id"] = "b"
+    code, out, _ = run(capsys, "simulate", write(tmp_path / "plan.json", plan), state,
+                       "--shots", "512", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert sum(doc["per_branch_counts"].values()) == doc["successes"]
 
 
 def test_plan_with_nan_kraus_entry_fails_validation(files, tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 from cohdist import (
     DensityMatrix,
     IncoherentTargetError,
+    NonSquareError,
     NotStrictlyIncoherentError,
     PureStateVector,
     PureSubspace,
@@ -50,6 +51,12 @@ def test_kraus_accepts_permutation_like_matrix():
     assert np.allclose(k.reconstruct(), mat)
 
 
+@pytest.mark.parametrize("raw", [np.zeros((2, 3)), np.zeros(3), np.zeros((2, 2, 2))])
+def test_kraus_rejects_a_non_square_matrix(raw):
+    with pytest.raises(NonSquareError):
+        StrictlyIncoherentKraus.from_matrix(raw)
+
+
 def test_kraus_rejects_two_entries_in_a_row():
     with pytest.raises(NotStrictlyIncoherentError):
         StrictlyIncoherentKraus.from_matrix(np.array([[0.5, 0.5], [0, 0]]))
@@ -78,11 +85,13 @@ def test_kraus_decomposition_factors():
     assert k.columns.tolist() == [0, 1]
     assert k.rows.tolist() == [1, 0]
     assert k.coefficients.tolist() == [0.7, 0.5j]
-    assert np.array_equal(k.diagonal, [0.7, 0.5j, 0.0])
     # K = P_pi * diagonal * projector, with the unused column sent to the unused row
+    diagonal = np.zeros(3, dtype=complex)
+    diagonal[k.columns] = k.coefficients
+    assert np.array_equal(diagonal, [0.7, 0.5j, 0.0])
     perm = np.eye(3)[:, [1, 0, 2]]
-    projector = np.diag((k.diagonal != 0).astype(float))
-    assert np.array_equal(perm @ np.diag(k.diagonal) @ projector, mat)
+    projector = np.diag((diagonal != 0).astype(float))
+    assert np.array_equal(perm @ np.diag(diagonal) @ projector, mat)
     assert np.array_equal(k.reconstruct(), mat)
 
 
@@ -162,6 +171,8 @@ def test_conversion_kraus_rank_deficit_raises():
     phi = PureStateVector(np.array([1.0, 1.0], dtype=complex) / np.sqrt(2))
     with pytest.raises(RankDeficitError):
         conversion_kraus(psi, phi)
+    with pytest.raises(RankDeficitError, match="below target rank"):
+        optimal_protocol(psi, phi)
 
 
 def test_optimal_protocol_beats_single_kraus(witness_pair):
@@ -589,7 +600,9 @@ def test_kraus_forms_match_the_column_scan():
             assert np.array_equal(k.columns, columns)
             assert np.array_equal(k.rows, rows)
             assert np.array_equal(k.coefficients, coefficients)
-            assert np.array_equal(k.diagonal, kept.sum(axis=0))
+            diagonal = np.zeros(d, dtype=complex)
+            diagonal[k.columns] = k.coefficients
+            assert np.array_equal(diagonal, kept.sum(axis=0))
             assert np.array_equal(k.matrix, kept)
             assert np.array_equal(k.reconstruct(), kept)
             amps = rng.normal(size=d) + 1j * rng.normal(size=d)
@@ -882,6 +895,36 @@ def test_permutation_split_sorts_once_per_step(monkeypatch):
         assert ref_sorts == sorts + len(reference) - 1
 
 
+def test_the_identity_shortcut_is_what_the_split_returns(monkeypatch):
+    # _protocol takes one identity branch without calling the split when x
+    # equals p within 1e-13; on every such input the split gives exactly that
+    from cohdist import distill
+
+    seen = []
+    intermediate = distill._intermediate_profile
+
+    def recording(p, q, prob):
+        seen.append((intermediate(p, q, prob), p))
+        return seen[-1][0]
+
+    monkeypatch.setattr(distill, "_intermediate_profile", recording)
+    for psi, phi in [*_protocol_pairs(), *_bench_shaped_pairs()]:
+        optimal_protocol(psi, phi)
+    for _ in _random_plans(np.random.default_rng(5153)):
+        pass
+    rng = np.random.default_rng(1414)
+    for _ in range(6):
+        rho, _ = random_block_state(rng, 64)
+        support = sorted(rng.choice(64, size=int(rng.integers(2, 5)), replace=False).tolist())
+        full_plan(rho, random_pure_state(rng, 64, support=support))
+    shortcut = [(x, p) for x, p in seen if np.abs(x - p).max() <= 1e-13]
+    assert len(shortcut) >= 20
+    for x, p in shortcut:
+        weights, sigmas = _permutation_split(x, p)
+        assert weights.tolist() == [1.0]
+        assert sigmas.tolist() == [list(range(p.size))]
+
+
 def _reference_protocol(psi, phi):
     """optimal_protocol with the reference split and one _from_triples call per branch."""
     src, tgt = psi.sorted_support(), phi.sorted_support()
@@ -954,9 +997,11 @@ def test_full_plan_equals_the_per_branch_build():
 
 def _reference_checks(plan, rho, phi, shots, seed):
     """Gap, probabilities, replay verdict and counts, one branch at a time on all d levels."""
-    # each branch's K†K diagonal, inf where a square overflows
+    # each branch's K†K diagonal scattered from its entries, inf where a square overflows
+    effects = [np.zeros(plan.dim) for _ in plan.branches]
     with np.errstate(over="ignore"):
-        effects = [np.abs(b.kraus.diagonal) ** 2 for b in plan.branches]
+        for b, effect in zip(plan.branches, effects):
+            effect[b.kraus.columns] = np.abs(b.kraus.coefficients) ** 2
     total = np.zeros(plan.dim)
     for effect in effects:
         total += effect
@@ -1045,13 +1090,14 @@ def test_replay_in_chunks_equals_one_gather(monkeypatch):
 
 
 def test_plans_read_only_the_stored_entries(monkeypatch):
-    # synthesis, the checks, sampling and plan files never build a d-length diagonal
+    # synthesis, the checks, sampling and plan files never build a dense operator
     from cohdist.cli import plan_from_doc, plan_to_doc
 
     def refuse(kraus):
-        raise AssertionError("diagonal built")
+        raise AssertionError("dense operator built")
 
-    monkeypatch.setattr(StrictlyIncoherentKraus, "diagonal", property(refuse))
+    monkeypatch.setattr(StrictlyIncoherentKraus, "reconstruct", refuse)
+    monkeypatch.setattr(StrictlyIncoherentKraus, "matrix", property(refuse))
     rho, _ = random_block_state(np.random.default_rng(96), 96)
     phi = random_pure_state(np.random.default_rng(97), 96, support=[3, 50, 77])
     plan = full_plan(rho, phi)

@@ -243,6 +243,12 @@ def test_power_means_reject_non_finite_input():
         power_means([[0.5, math.inf]], [1.0])
     with pytest.raises(ValidationError):
         power_means([0.5, 0.5], [[1.0]])
+    with pytest.raises(ValidationError, match="1-d vector or 2-d stack"):
+        power_means(np.full((1, 2, 2), 0.25), [1.0])
+    with pytest.raises(ValidationError, match="negative weight"):
+        power_means([1.5, -0.5], [1.0])
+    with pytest.raises(ValidationError, match="1-d vector"):
+        power_mean([[0.5, 0.5]], 1.0)
 
 
 @given(weight_vectors, st.floats(min_value=-5, max_value=5, allow_nan=False))
@@ -272,3 +278,6 @@ def test_shannon_entropy_bounds(w):
 def test_shannon_entropy_rejects_nan():
     with pytest.raises(ValidationError):
         shannon_entropy([0.5, math.nan])
+    for bad in ([[0.5, 0.5]], [1.5, -0.5]):
+        with pytest.raises(ValidationError, match="nonnegative 1-d vector"):
+            shannon_entropy(bad)

@@ -61,6 +61,8 @@ def test_density_matrix_is_read_only():
 def test_pure_state_requires_unit_norm():
     with pytest.raises(ValidationError):
         PureStateVector(np.array([0.5, 0.5], dtype=complex))
+    with pytest.raises(ValidationError, match="nonempty 1-d vector"):
+        PureStateVector([])
 
 
 def test_pure_state_support_ignores_dead_levels():
@@ -103,6 +105,8 @@ def test_as_distribution_normalizes_and_validates():
         as_distribution(np.array([0.5, -0.2, 0.7]))
     with pytest.raises(ValidationError):
         as_distribution(np.array([0.5, 0.6]))
+    with pytest.raises(ValidationError, match="1-d weight vector"):
+        as_distribution([[0.5, 0.5]])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 0.0)])
