@@ -281,6 +281,18 @@ class DistillationPlan:
     branches: tuple[PlanBranch, ...]
     family_index_sets: tuple[tuple[int, ...], ...]
 
+    def __post_init__(self):
+        # sampling counts each outcome under its id, and every check indexes
+        # ``dim`` levels, so a repeated id or a foreign operator is refused here
+        seen = set()
+        for b in self.branches:
+            if b.branch_id in seen:
+                raise ValidationError(f"branch id {b.branch_id!r} repeats")
+            seen.add(b.branch_id)
+            if b.kraus.dim != self.dim:
+                raise ValidationError(f"branch {b.branch_id!r} operator dimension "
+                                      f"{b.kraus.dim} != plan dimension {self.dim}")
+
     @functools.cached_property
     def monomials(self) -> MonomialStack:
         """The branches' entries stacked once per plan; every plan check reads them."""
@@ -315,8 +327,10 @@ def pmax_pure(psi: PureStateVector, phi: PureStateVector) -> float:
 
     Equals the smallest tail-sum ratio of the support profiles; 1 when the
     dephased source is majorized by the dephased target, 0 when the source
-    coherence rank is too small.
+    coherence rank is too small.  A target whose dimension differs from
+    psi's is a :class:`ValidationError`.
     """
+    _require_source_dim("target", phi.dim, psi.dim)
     return min_profile_ratio(support_profile(psi.probabilities())[1],
                              support_profile(phi.probabilities())[1])
 

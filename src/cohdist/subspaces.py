@@ -266,40 +266,40 @@ def optimize_disjoint_selection(
     An entry that shares no index with another is always taken.  Unit
     coherence is transitive, so only entries sharing a level at the
     tolerance edge go through the branch-and-bound search (tail-sum bound).
+    That search is one loop over an explicit stack of frames, with each
+    entry's levels as an int bitmask, so it has no recursion limit; a long
+    chain of overlapping entries still costs exponential time.
     """
     order = sorted(range(len(entries)), key=lambda i: entries[i][0])
     uses = Counter(j for idx, _, _ in entries for j in idx)
     shared = [i for i in order if any(uses[j] > 1 for j in entries[i][0])]
     tail_value = [*accumulate(entries[i][2] for i in reversed(shared))][::-1] + [0.0]
-
-    best = {"value": -1.0, "weight": -1.0, "key": None, "chosen": ()}
-
-    def consider(chosen: tuple, value: float, weight: float):
-        key = tuple(entries[i][0] for i in chosen)
-        tied = value > best["value"] - _TIE_TOL
-        if (
-            value > best["value"] + _TIE_TOL
-            or (tied and weight > best["weight"] + _TIE_TOL)
-            or (tied and weight > best["weight"] - _TIE_TOL
-                and (best["key"] is None or key < best["key"]))
-        ):
-            best.update(value=value, weight=weight, key=key, chosen=chosen)
-
-    n = len(shared)
-
-    def walk(i: int, chosen: tuple, used: frozenset, value: float, weight: float):
-        if value + tail_value[i] < best["value"] - _TIE_TOL:
-            return
-        if i == n:
-            consider(chosen, value, weight)
-            return
-        idx, w, v = entries[shared[i]]
-        if not used & set(idx):
-            walk(i + 1, chosen + (shared[i],), used | frozenset(idx), value + v, weight + w)
-        walk(i + 1, chosen, used, value, weight)
-
-    walk(0, (), frozenset(), 0.0, 0.0)
-    dropped = set(shared) - set(best["chosen"])
+    masks = [sum(1 << j for j in entries[i][0]) for i in shared]
+    best_value, best_weight, best_key, best_chosen = -1.0, -1.0, None, ()
+    # a frame: position in shared, chosen entries, used levels, value, weight;
+    # "leave it out" is pushed before "take it", so frames pop in depth-first
+    # order, taking first, and every prune test sees the same best result
+    stack = [(0, (), 0, 0.0, 0.0)]
+    while stack:
+        i, chosen, used, value, weight = stack.pop()
+        if value + tail_value[i] < best_value - _TIE_TOL:
+            continue
+        if i == len(shared):
+            key = tuple(entries[k][0] for k in chosen)
+            tied = value > best_value - _TIE_TOL
+            if (
+                value > best_value + _TIE_TOL
+                or (tied and weight > best_weight + _TIE_TOL)
+                or (tied and weight > best_weight - _TIE_TOL
+                    and (best_key is None or key < best_key))
+            ):
+                best_value, best_weight, best_key, best_chosen = value, weight, key, chosen
+            continue
+        _, w, v = entries[shared[i]]
+        stack.append((i + 1, chosen, used, value, weight))
+        if not used & masks[i]:
+            stack.append((i + 1, chosen + (shared[i],), used | masks[i], value + v, weight + w))
+    dropped = set(shared) - set(best_chosen)
     chosen = tuple(i for i in order if i not in dropped)
     # left-to-right sums in index-set order, the order a full search adds in
     weight = value = 0.0

@@ -447,6 +447,11 @@ def test_schema_error_is_validation_error(tmp_path, capsys):
     code, _, err = run(capsys, "validate", none)
     assert code == 2
     assert "expected 'matrix', 'amplitudes' or 'weights'" in err
+    for key in ("amplitudes", "weights"):
+        empty = write(tmp_path / f"empty-{key}.json", {key: []})
+        code, _, err = run(capsys, "validate", empty)
+        assert code == 2
+        assert f"{key}: expected a nonempty array" in err
 
 
 def test_incoherent_target_exit_code(files, tmp_path, capsys):

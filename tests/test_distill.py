@@ -459,6 +459,29 @@ def test_conversion_kraus_refuses_another_dimension(phi):
         conversion_kraus(psi, phi)
 
 
+@pytest.mark.parametrize("phi", [_QUBIT, _FIVE])
+def test_pmax_pure_refuses_another_dimension(phi):
+    # a 3-level source and a 2-level target gave 1.0
+    psi = PureStateVector.from_probabilities(np.array([0.5, 0.3, 0.2]))
+    with pytest.raises(ValidationError, match=f"target dimension {phi.dim} != source dimension 3"):
+        pmax_pure(psi, phi)
+
+
+def test_plan_refuses_a_repeated_branch_id():
+    # simulate counted both branches under one id: 266 successes, per_branch_counts {'a': 142}
+    keep = StrictlyIncoherentKraus.from_entries(2, [(0, 0, 0.5), (1, 1, 0.5)])
+    swap = StrictlyIncoherentKraus.from_entries(2, [(0, 1, 0.5), (1, 0, 0.5)])
+    with pytest.raises(ValidationError, match="branch id 'a' repeats"):
+        DistillationPlan(2, 0.5, (PlanBranch("a", keep, 0.25), PlanBranch("a", swap, 0.25)), ())
+
+
+def test_plan_refuses_an_operator_of_another_dimension():
+    # a 3-level operator in a 2-level plan gave completeness_gap() -0.75 and IndexError elsewhere
+    kraus = StrictlyIncoherentKraus.from_entries(3, [(0, 0, 0.5)])
+    with pytest.raises(ValidationError, match="branch 'a' operator dimension 3 != plan dimension 2"):
+        DistillationPlan(2, 0.25, (PlanBranch("a", kraus, 0.25),), ())
+
+
 def test_plan_zero_when_no_coherent_subspace(uniform_qubit_target):
     rho = validate_density(np.diag([0.4, 0.3, 0.3]))
     res = pmax_mixed(rho, uniform_qubit_target)

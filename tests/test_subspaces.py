@@ -13,6 +13,7 @@ from cohdist import (
     has_rank2_subspace,
     maximal_pure_subspaces,
     optimize_disjoint_selection,
+    pmax_mixed,
     random_block_state,
     random_mixture_state,
     random_pure_state,
@@ -322,6 +323,44 @@ def test_disjoint_selection_takes_isolated_entries_without_search():
     assert chosen == (1,) + tuple(range(2, 62))
     assert value == pytest.approx(0.25)
     assert weight == pytest.approx(0.6)
+
+
+def test_disjoint_selection_of_1200_entries_sharing_one_level():
+    # the recursive search went one frame deeper per shared entry and raised RecursionError
+    values = np.random.default_rng(1200).uniform(0.0, 1.0 / 1200, 1200)
+    entries = [((0, k + 1), 1.0 / 1200, v) for k, v in enumerate(values.tolist())]
+    best = int(np.argmax(values))
+    assert optimize_disjoint_selection(entries) == ((best,), 1.0 / 1200, values[best])
+
+
+def _star_state(n):
+    """Level 0 unit-coherent, at the tolerance edge, with each other level; those pairs are not.
+
+    Level 0 has Gram vector e0 and level i cos(t) e0 + sin(t) e_i with
+    t^2 = 1.5e-9, so 1 - A_0i ~ 7.5e-10 and 1 - A_ij ~ 1.5e-9.  Level 0
+    holds a fifth of the population, the other levels shares that rise with i.
+    """
+    theta = np.sqrt(1.5e-9)
+    pops = np.concatenate([[0.2], 0.8 * np.arange(1, n) / np.arange(1, n).sum()])
+    g = np.zeros((n, n))
+    g[:, 0] = np.cos(theta)
+    g[0, 0] = 1.0
+    g[np.arange(1, n), np.arange(1, n)] = np.sin(theta)
+    g *= np.sqrt(pops)[:, None]
+    return validate_density((g @ g.T).astype(complex)), pops
+
+
+def test_pmax_mixed_on_a_1201_level_star():
+    # 1200 maximal subspaces share level 0; the recursive selection raised RecursionError
+    rho, pops = _star_state(1201)
+    target = np.zeros(1201)
+    target[:2] = np.sqrt(0.5)
+    result = pmax_mixed(rho, PureStateVector(target))
+    assert len(result.all_subspaces) == 1200
+    assert result.family.index_sets() == ((0, 1200),)
+    assert result.overlap_adjusted
+    # each pair {0, i} converts with probability 2 min(p_0, p_i) / (p_0 + p_i)
+    assert result.p_max == pytest.approx(2 * pops[1200], rel=1e-8)
 
 
 # ------------------------------------------- one-pass decomposition
