@@ -23,8 +23,7 @@ from . import __version__
 from .catalysis import catalyst_gates, search_catalyst
 from .distill import (
     DistillationPlan,
-    PlanBranch,
-    StrictlyIncoherentKraus,
+    _assemble_plan,
     _build_plan,
     full_plan,
     pmax_mixed,
@@ -236,7 +235,7 @@ def plan_from_doc(doc: dict, path: str, numeric: bool = False) -> DistillationPl
         if key not in doc:
             raise ValidationError(f"{path}: missing '{key}'")
     dim = _int_in(doc["dim"], f"{path}.dim")
-    # each branch's nonzero entries, as (branch, row, column, value) columns
+    # each branch's nonzero entries, as a (branch, row, column, value) table
     ids: dict[str, int] = {}        # branch id -> its position
     probabilities, entries = [], []
     for i, node in enumerate(_list_in(doc["branches"], f"{path}.branches")):
@@ -256,20 +255,13 @@ def plan_from_doc(doc: dict, path: str, numeric: bool = False) -> DistillationPl
         rows, cols = np.nonzero(mat)
         entries.append((np.full(rows.size, i), rows, cols, mat[rows, cols]))
         probabilities.append(_real_in(node["probability"], f"{bpath}.probability"))
-    operators = (StrictlyIncoherentKraus._stack(len(ids), dim, *map(np.concatenate, zip(*entries)))
-                 if entries else [])
-    branches = tuple(map(PlanBranch, ids, operators, probabilities))
     fpath = f"{path}.family"
     family = tuple(
         tuple(_int_in(i, fpath) for i in _list_in(s, fpath))
         for s in _list_in(doc["family"], fpath)
     )
-    return DistillationPlan(
-        dim=dim,
-        p_max=_real_in(doc["p_max"], f"{path}.p_max"),
-        branches=branches,
-        family_index_sets=family,
-    )
+    p_max = _real_in(doc["p_max"], f"{path}.p_max")
+    return _assemble_plan(dim, p_max, family, list(ids), probabilities, entries)
 
 
 def _json_value(value):

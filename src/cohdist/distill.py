@@ -29,16 +29,20 @@ single saturated operator alone is not optimal in general: saturating it
 can strand the failure branch on a profile of too-low coherence rank, so
 the two-stage route is required.)
 
-A mixed-state plan synthesizes each subspace from its own levels and
-amplitudes.  Every stage runs in array passes: the split returns its
+A mixed-state plan synthesizes each selected subspace from its own levels
+and amplitudes.  Every stage runs in array passes: the split returns its
 weights and permutations as stacked arrays, sorting the running point
-once per step, and one pass turns them into all branches' entries.  A plan carries one
-stacked monomial view of its branches (:class:`MonomialStack`), built once:
-each branch's entries padded to the largest branch, so no array grows with
-d.  The completeness gap, the branch probabilities, sampling and the replay
-check all read it; weights add each branch's entries in column order, with
-no BLAS call.  Replay is restricted to each branch's support: with
-v = K†|phi> nonzero only on the used columns S, it evaluates v_S† rho_SS v_S.
+once per step, and one pass turns them into the subspace's entry table,
+(branch, row, column, value) rows with no operator built.  One
+:meth:`StrictlyIncoherentKraus._stack` call then builds every operator of
+a plan from the concatenated tables, for synthesized plans and plans read
+from a file alike.  A plan carries one stacked monomial view of its
+branches (:class:`MonomialStack`), built once: each branch's entries
+padded to the largest branch, so no array grows with d.  The completeness
+gap, the branch probabilities, sampling and the replay check all read it;
+weights add each branch's entries in column order, with no BLAS call.
+Replay is restricted to each branch's support: with v = K†|phi> nonzero
+only on the used columns S, it evaluates v_S† rho_SS v_S.
 """
 
 from __future__ import annotations
@@ -471,12 +475,18 @@ def optimal_protocol(
     _require_source_dim("target", phi.dim, psi.dim)
     src, _ = support_profile(psi.probabilities())
     tgt, _ = support_profile(phi.probabilities())
-    return _protocol(psi.dim, src, psi.amplitudes[src], tgt, phi.amplitudes[tgt])
+    probabilities, entries = _protocol(src, psi.amplitudes[src], tgt, phi.amplitudes[tgt])
+    operators = StrictlyIncoherentKraus._stack(probabilities.size, psi.dim, *entries)
+    return list(zip(operators, probabilities.tolist()))
 
 
-def _protocol(dim: int, src, src_amps, tgt, tgt_amps) -> list[tuple[StrictlyIncoherentKraus, float]]:
+def _protocol(src, src_amps, tgt, tgt_amps) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """:func:`optimal_protocol` from the support levels of source and target,
-    in :func:`~cohdist.states.support_profile` order, and the amplitudes on them."""
+    in :func:`~cohdist.states.support_profile` order, and the amplitudes on them.
+
+    Returns the branch probabilities and the branches' (branch, row, column,
+    value) entries, for :meth:`StrictlyIncoherentKraus._stack`.
+    """
     n, m = src.size, tgt.size
     if n < m:
         raise RankDeficitError(
@@ -516,17 +526,14 @@ def _protocol(dim: int, src, src_amps, tgt, tgt_amps) -> list[tuple[StrictlyInco
         * (sqrt_x[slot] / src_amps[t])
         * (scale * tgt_amps[slot] / sqrt_x[slot])
     )
-    operators = StrictlyIncoherentKraus._stack(
-        weights.size, dim, branch, tgt[slot], src[t], coeffs
-    )
-    branches = list(zip(operators, (weights * scale * scale).tolist()))
+    probabilities = weights * scale * scale
 
-    total = sum(b for _, b in branches)
+    total = sum(probabilities.tolist())
     if abs(total - prob) > PROB_TOL:
         raise ProtocolSynthesisError(
             f"synthesized total probability {total!r} != formula value {prob!r}"
         )
-    return branches
+    return probabilities, (branch, tgt[slot], src[t], coeffs)
 
 
 # ===========================================================================
@@ -579,23 +586,24 @@ def _build_plan(rho: DensityMatrix, phi: PureStateVector, mixed: MixedPmaxResult
     """The :func:`full_plan` of ``mixed = pmax_mixed(rho, phi)``."""
     tgt, _ = support_profile(phi.probabilities())
     tgt_amps = phi.amplitudes[tgt]
-    branches: list[PlanBranch] = []
+    ids: list[str] = []
+    probabilities: list[float] = []
+    entries = []
     for mu, y in enumerate(mixed.per_subspace):
         if y.ratio <= 0.0:
             continue
         s = y.subspace
         # indices ascend, so the rule's ties in position order are ties in level order
         order, _ = support_profile(s.profile)
-        proto = _protocol(rho.dim, np.array(s.indices)[order], s.amplitudes[order], tgt, tgt_amps)
-        for a, (kraus, branch_prob) in enumerate(proto):
-            branches.append(PlanBranch(f"s{mu}.k{a}", kraus, s.weight * branch_prob))
-    plan = DistillationPlan(
-        dim=rho.dim,
-        p_max=mixed.p_max,
-        branches=tuple(branches),
-        family_index_sets=mixed.family.index_sets(),
-    )
-    total = sum(b.probability for b in branches)
+        probs, (branch, rows, cols, values) = _protocol(
+            np.array(s.indices)[order], s.amplitudes[order], tgt, tgt_amps
+        )
+        # this subspace's branches follow those of the subspaces before it
+        entries.append((branch + len(ids), rows, cols, values))
+        ids += [f"s{mu}.k{a}" for a in range(probs.size)]
+        probabilities += (s.weight * probs).tolist()
+    plan = _assemble_plan(rho.dim, mixed.p_max, mixed.family.index_sets(), ids, probabilities, entries)
+    total = sum(probabilities)
     if abs(total - mixed.p_max) > PROB_TOL:
         raise ProtocolSynthesisError(
             f"plan total {total!r} != formula value {mixed.p_max!r}"
@@ -605,14 +613,26 @@ def _build_plan(rho: DensityMatrix, phi: PureStateVector, mixed: MixedPmaxResult
     return plan
 
 
+def _assemble_plan(dim, p_max, family, ids, probabilities, entries) -> DistillationPlan:
+    """The plan whose branch ``a`` has id ``ids[a]``, probability
+    ``probabilities[a]`` and the entries numbered ``a`` of the
+    (branch, row, column, value) tables ``entries``, with one
+    :meth:`StrictlyIncoherentKraus._stack` call for every operator."""
+    # with no tables at all, four empty columns
+    columns = [np.concatenate(c) for c in zip(*entries)] or [()] * 4
+    operators = StrictlyIncoherentKraus._stack(len(ids), dim, *columns)
+    return DistillationPlan(dim, p_max, tuple(map(PlanBranch, ids, operators, probabilities)), family)
+
+
 def verify_branch_outputs(
     plan: DistillationPlan, rho: DensityMatrix, phi: PureStateVector
 ) -> BranchCheck:
     """Recompute every branch output K rho K† and compare with the target.
 
     Passes when each branch output, normalized, has fidelity with |phi>
-    of at least 1 - 1e-9.  Branches with vanishing probability on this
-    input are skipped.  With c_j the entry in column j, the weight is
+    of at least 1 - 1e-9; a NaN fidelity (an overflowed entry) fails, and
+    is reported as ``worst_fidelity``.  Branches with vanishing probability
+    on this input are skipped.  With c_j the entry in column j, the weight is
     sum_j |c_j|^2 rho_jj and <phi|K rho K†|phi> = v† rho v for v = K†|phi>,
     which lives on the branch's used columns S, so only rho_SS is read.  A
     plan or target whose dimension differs from rho's is a
@@ -628,8 +648,8 @@ def verify_branch_outputs(
         if weight <= 1e-15:
             continue
         fid = overlap / weight
-        if fid < worst:
-            worst = fid
-        if fid < 1.0 - 1e-9:
-            return BranchCheck(False, b.branch_id, worst)
+        # every branch before passed, so a failing fidelity is the worst; NaN fails too
+        if not fid >= 1.0 - 1e-9:
+            return BranchCheck(False, b.branch_id, fid)
+        worst = min(worst, fid)
     return BranchCheck(True, None, worst)

@@ -107,12 +107,14 @@ def simulate(
     seeds return identical results; the counter-based generator named in
     ``rng_algorithm`` is keyed with the seed directly.  ``shots`` must be
     an integer in [1, 2^63) and ``seed`` a nonnegative integer, neither a
-    ``bool``; anything else is a :class:`ValidationError`.
+    ``bool``; anything else is a :class:`ValidationError`, and so is a
+    plan whose dimension differs from rho's, refused before any other work.
     """
     if isinstance(shots, bool) or not isinstance(shots, numbers.Integral) or not 1 <= shots < 2**63:
         raise ValidationError(f"shots must be an integer in [1, 2^63), got {shots!r}")
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
+    _require_source_dim("plan", plan.dim, rho.dim)
     gap = plan.completeness_gap()
     if not gap <= 1e-9:     # inf when a Kraus entry overflows when squared
         raise IncompletePlanError(f"sum K†K exceeds identity by {gap:.3e}")

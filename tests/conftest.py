@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cohdist import DensityMatrix, PureStateVector, validate_density
+from cohdist import DensityMatrix, PureStateVector, StrictlyIncoherentKraus, validate_density
 
 
 @pytest.fixture
@@ -49,6 +49,20 @@ def overlapping_state():
         [np.cos(angles), np.sin(angles)], axis=1
     )
     return validate_density((g @ g.T).astype(complex))
+
+
+@pytest.fixture
+def stack_calls(monkeypatch):
+    """A list that gets the branch count of every StrictlyIncoherentKraus._stack call."""
+    counts = []
+    stack = StrictlyIncoherentKraus._stack.__func__
+
+    def counted(cls, count, *args):
+        counts.append(count)
+        return stack(cls, count, *args)
+
+    monkeypatch.setattr(StrictlyIncoherentKraus, "_stack", classmethod(counted))
+    return counts
 
 
 def make_density(mat) -> DensityMatrix:

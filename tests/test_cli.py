@@ -571,6 +571,16 @@ def test_plan_serialization_roundtrip(block_mixture, uniform_qubit_target):
         assert np.allclose(a.kraus.matrix, b.kraus.matrix, atol=1e-15)
 
 
+def test_plan_from_doc_builds_every_operator_in_one_stack_call(stack_calls):
+    rho, _ = random_block_state(np.random.default_rng(404), 24)
+    phi = random_pure_state(np.random.default_rng(405), 24, support=[3, 10, 17])
+    doc = json.loads(json.dumps(plan_to_doc(full_plan(rho, phi))))
+    stack_calls.clear()
+    plan = plan_from_doc(doc, "plan.json")
+    assert len(plan.branches) >= 3
+    assert stack_calls == [len(plan.branches)]
+
+
 # ------------------------------------------------ malformed input, exit codes
 
 def test_simulate_rejects_nonpositive_shots(files, tmp_path, capsys):

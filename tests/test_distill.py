@@ -33,6 +33,7 @@ from cohdist import (
 )
 from cohdist.distill import (
     ENTRY_TOL,
+    BranchCheck,
     DistillationPlan,
     PlanBranch,
     _intermediate_profile,
@@ -418,6 +419,25 @@ def test_verify_branch_outputs_detects_tampering(
     assert not check
     assert check.failed_branch_id == "s0.k0"
     assert check.worst_fidelity < 1.0 - 1e-9
+
+
+def test_a_nan_fidelity_fails_its_branch():
+    phi = PureStateVector(np.array([1.0, 0.0]))
+
+    def replay(entries, rho):
+        k = StrictlyIncoherentKraus.from_entries(2, entries)
+        return verify_branch_outputs(DistillationPlan(2, 0.5, (PlanBranch("a", k, 0.5),), ()), rho, phi)
+
+    coherent = DensityMatrix(np.full((2, 2), 0.5))
+    assert replay([(0, 0, 1.0), (1, 1, 1.0)], coherent) == BranchCheck(False, "a", 0.5)
+    # entries of 1e200 overflow the weight and the overlap to inf, so the fidelity is NaN
+    check = replay([(0, 0, 1e200), (1, 1, 1e200)], coherent)
+    assert (bool(check), check.failed_branch_id) == (False, "a")
+    assert np.isnan(check.worst_fidelity)
+    # an overflowed effect on an empty level: the weight inf * 0 is NaN
+    check = replay([(0, 1, 1e200)], DensityMatrix(np.diag([1.0, 0.0])))
+    assert (bool(check), check.failed_branch_id) == (False, "a")
+    assert np.isnan(check.worst_fidelity)
 
 
 # a 2-level and a 5-level state against the 3-level block_mixture and its plan
@@ -1042,10 +1062,10 @@ def _reference_checks(plan, rho, phi, shots, seed):
             continue
         v = b.kraus.matrix.conj().T @ phi.amplitudes
         fid = float(np.real(np.vdot(v, rho.matrix @ v)) / weight)
-        worst = min(worst, fid)
-        if fid < 1.0 - 1e-9:
-            failed = b.branch_id
+        if not fid >= 1.0 - 1e-9:   # a NaN fidelity fails too, and is the worst
+            worst, failed = fid, b.branch_id
             break
+        worst = min(worst, fid)
     pvals = np.append(probs, max(0.0, 1.0 - float(probs.sum())))
     counts = np.random.Generator(np.random.Philox(seed)).multinomial(shots, pvals / pvals.sum())
     per_branch = {b.branch_id: int(c) for b, c in zip(plan.branches, counts[:-1])}
@@ -1189,7 +1209,7 @@ def test_pure_answers_agree_on_targets_with_sub_threshold_entries():
         assert abs(pmax_pure(psi, phi) - y.ratio) <= 1e-14
 
 
-def test_full_plan_reads_each_subspace_in_place(monkeypatch):
+def test_full_plan_reads_each_subspace_in_place(monkeypatch, stack_calls):
     rho, blocks = random_block_state(np.random.default_rng(404), 96)
     phi = random_pure_state(np.random.default_rng(405), 96, support=[3, 50, 77])
     calls = {"state": 0, "sorted_support": 0}
@@ -1210,6 +1230,8 @@ def test_full_plan_reads_each_subspace_in_place(monkeypatch):
     assert len({b.branch_id.split(".")[0] for b in plan.branches}) >= 10
     assert calls["state"] == 0
     assert calls["sorted_support"] <= 1
+    # every subspace's entry table goes into one operator build for the whole plan
+    assert stack_calls == [len(plan.branches)]
 
 
 def test_plans_reach_targets_with_a_tiny_supported_entry():

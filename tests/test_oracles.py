@@ -131,6 +131,20 @@ def test_simulate_takes_numpy_and_large_integers():
     assert simulate(plan, rho, 2**63 - 1, 2**70).shots == 2**63 - 1
 
 
+def test_simulate_refuses_another_dimension_before_any_other_work(monkeypatch):
+    # the completeness sum has a plan-dimension axis, so it must not run on a foreign plan
+    def refuse(plan):
+        raise AssertionError("completeness computed")
+
+    monkeypatch.setattr(DistillationPlan, "completeness_gap", refuse)
+    k = StrictlyIncoherentKraus.from_entries(3, [(0, 0, 1.0)])
+    plan = DistillationPlan(3, 0.5, (PlanBranch("a", k, 0.5),), ())
+    psi = PureStateVector.from_probabilities(np.array([0.5, 0.5]))
+    rho = validate_density(np.outer(psi.amplitudes, psi.amplitudes.conj()))
+    with pytest.raises(ValidationError, match="plan dimension 3 != source dimension 2"):
+        simulate(plan, rho, shots=10, seed=0)
+
+
 def test_simulate_rejects_overcomplete_plan(block_mixture):
     # duplicate the lone branch: sum K'K exceeds the identity
     plan = full_plan(
