@@ -10,6 +10,8 @@ state raise that probability, and can it push it all the way to 1.
 __version__ = "0.1.0"
 
 from .catalysis import (
+    ALPHAS_ABOVE_ONE,
+    ALPHAS_BELOW_ONE,
     CatalystSearchReport,
     DeterministicGateMemberRecord,
     DeterministicGateReport,
@@ -18,7 +20,6 @@ from .catalysis import (
     catalyst_candidates,
     catalyst_gates,
     catalyzed_pmax,
-    default_alpha_grid,
     deterministic_gate,
     enhancement_gate,
     search_catalyst,
@@ -140,7 +141,8 @@ __all__ = [
     "enhancement_gate",
     "deterministic_gate",
     "catalyst_gates",
-    "default_alpha_grid",
+    "ALPHAS_BELOW_ONE",
+    "ALPHAS_ABOVE_ONE",
     "catalyzed_pmax",
     "catalyst_candidates",
     "search_catalyst",

@@ -8,8 +8,9 @@ every test here runs on plain distributions.
 Two gates are provided.  The enhancement gate for raising the optimal
 probability is exact (strict-inequality test on the smallest padded
 entries).  The gate for reaching probability 1 compares power means and
-entropies on a sampled exponent grid with local refinement, so it is not
-exact: a sign change between grid points goes unseen.  Family members
+entropies on one fixed exponent grid (``ALPHAS_BELOW_ONE``,
+``ALPHAS_ABOVE_ONE``) with local refinement, so it is not exact: a sign
+change between grid points goes unseen.  Family members
 of one padded length are stacked and checked once; their power means
 come from one kernel pass over the whole grid and then one pass per
 refinement step for all their brackets, each row raised only to its own
@@ -30,7 +31,6 @@ gives both gate reports from one such result.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from collections import Counter
@@ -53,7 +53,6 @@ from .subspaces import optimize_disjoint_selection
 STRICT_TOL = 1e-12       # margin above which a strict inequality counts
 UNIT_TOL = 1e-9          # closeness to probability 1 / weight 1
 GRID_CEILING = 1_000_000         # most catalyst candidates one search scans
-ALPHA_POINTS_CEILING = 1000      # most exponents per segment of the probability-1 gate
 ROW_CHUNK_ELEMENTS = 1 << 17     # most entries in one array of the candidate scoring
 
 
@@ -190,34 +189,14 @@ def _enhancement_report(tgt, mixed: MixedPmaxResult) -> EnhancementGateReport:
 # probability-1 gate (power means + entropy)
 # ===========================================================================
 
-def default_alpha_grid(points_per_segment: int = 20) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Sampled exponents: (below-one family incl. 0 and -inf, above-one incl. +inf).
-
-    Each finite segment [-40, -0.01], [0.01, 0.99], [1.01, 40] carries
-    ``points_per_segment`` log-spaced points, an integer from 2 to
-    ``ALPHA_POINTS_CEILING``.
-    """
-    if not isinstance(points_per_segment, numbers.Integral):
-        raise ValidationError(
-            f"grid points per segment must be an integer, got {points_per_segment!r}"
-        )
-    if points_per_segment < 2:
-        raise ValidationError("need at least 2 grid points per segment")
-    if points_per_segment > ALPHA_POINTS_CEILING:
-        raise ValidationError(
-            f"at most {ALPHA_POINTS_CEILING} grid points per segment, got {points_per_segment}"
-        )
-    return _alpha_grid(int(points_per_segment))
-
-
-@functools.lru_cache(maxsize=16)
-def _alpha_grid(points_per_segment: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    neg = -np.logspace(math.log10(0.01), math.log10(40.0), points_per_segment)
-    low = np.logspace(math.log10(0.01), math.log10(0.99), points_per_segment)
-    high = np.logspace(math.log10(1.01), math.log10(40.0), points_per_segment)
-    below = tuple(sorted([-math.inf, 0.0, *map(float, neg), *map(float, low)]))
-    above = tuple(sorted([*map(float, high), math.inf]))
-    return below, above
+# the sampled orders: below one -inf, 0 and 20 log-spaced points on each of
+# [-40, -0.01] and [0.01, 0.99]; above one 20 log-spaced points on [1.01, 40] and +inf
+ALPHAS_BELOW_ONE = tuple(sorted([
+    -math.inf, 0.0,
+    *(-np.logspace(math.log10(0.01), math.log10(40.0), 20)).tolist(),
+    *np.logspace(math.log10(0.01), math.log10(0.99), 20).tolist(),
+]))
+ALPHAS_ABOVE_ONE = (*np.logspace(math.log10(1.01), math.log10(40.0), 20).tolist(), math.inf)
 
 
 def _brackets(alphas, values: np.ndarray, first, second) -> list[list]:
@@ -267,7 +246,7 @@ def _refine_minima(rows: np.ndarray, lows, highs, brackets) -> None:
         active = [b for b in active if b[2] - b[0] >= 1e-6]
 
 
-def _group_margins(profiles, tgt: np.ndarray, n: int, below, above) -> list[tuple]:
+def _group_margins(profiles, tgt: np.ndarray, n: int) -> list[tuple]:
     """Gate margins of the family members whose padded length is ``n``.
 
     The members' padded profiles and the padded target are stacked and
@@ -278,12 +257,13 @@ def _group_margins(profiles, tgt: np.ndarray, n: int, below, above) -> list[tupl
     """
     m = len(profiles)
     rows, lows, highs = _checked_rows(_padded_rows([*profiles, tgt], n))
-    means = np.array(_power_means_kernel(rows, lows, highs, np.array(below + above)))
-    kb = len(below)
+    alphas = np.array(ALPHAS_BELOW_ONE + ALPHAS_ABOVE_ONE)
+    means = np.array(_power_means_kernel(rows, lows, highs, alphas))
+    kb = len(ALPHAS_BELOW_ONE)
     # below-one margins are A(p) - A(q), above-one margins A(q) - A(p)
     sources, target = range(m), [m] * m
-    lower = _brackets(below, means[:m, :kb] - means[m, :kb], sources, target)
-    upper = _brackets(above, means[m, kb:] - means[:m, kb:], target, sources)
+    lower = _brackets(ALPHAS_BELOW_ONE, means[:m, :kb] - means[m, :kb], sources, target)
+    upper = _brackets(ALPHAS_ABOVE_ONE, means[m, kb:] - means[:m, kb:], target, sources)
     _refine_minima(rows, lows, highs, lower + upper)
     target_entropy = shannon_entropy(rows[m])
     return [
@@ -293,11 +273,7 @@ def _group_margins(profiles, tgt: np.ndarray, n: int, below, above) -> list[tupl
     ]
 
 
-def deterministic_gate(
-    rho: DensityMatrix,
-    phi: PureStateVector,
-    points_per_segment: int = 20,
-) -> DeterministicGateReport:
+def deterministic_gate(rho: DensityMatrix, phi: PureStateVector) -> DeterministicGateReport:
     """Decide whether some catalyst makes the transformation deterministic.
 
     Requires the baseline optimal probability to be below 1 (otherwise the
@@ -316,16 +292,15 @@ def deterministic_gate(
     every A_alpha with alpha <= 0).
     """
     tgt, mixed = _instance(rho, phi)
-    return _deterministic_report(tgt, mixed.family, points_per_segment)
+    return _deterministic_report(tgt, mixed.family)
 
 
-def _deterministic_report(tgt, family, points_per_segment) -> DeterministicGateReport:
+def _deterministic_report(tgt, family) -> DeterministicGateReport:
     baseline = family.total_value
     if baseline >= 1.0 - UNIT_TOL:
         raise PreconditionError(
             "optimal probability is already 1; no catalyst is needed"
         )
-    below, above = default_alpha_grid(points_per_segment)
     flags: list[str] = []
     weight_complete = family.total_weight >= 1.0 - UNIT_TOL
     if not weight_complete:
@@ -338,7 +313,7 @@ def _deterministic_report(tgt, family, points_per_segment) -> DeterministicGateR
         groups.setdefault(max(profile.size, tgt.size), []).append(i)
     margins = [None] * len(profiles)
     for n, indices in groups.items():
-        group = _group_margins([profiles[i] for i in indices], tgt, n, below, above)
+        group = _group_margins([profiles[i] for i in indices], tgt, n)
         for i, values in zip(indices, group):
             margins[i] = values
 
@@ -370,15 +345,16 @@ def _deterministic_report(tgt, family, points_per_segment) -> DeterministicGateR
     )
 
 
-def catalyst_gates(rho: DensityMatrix, phi: PureStateVector, points_per_segment: int = 20
-                   ) -> tuple[EnhancementGateReport, DeterministicGateReport | None]:
+def catalyst_gates(
+    rho: DensityMatrix, phi: PureStateVector
+) -> tuple[EnhancementGateReport, DeterministicGateReport | None]:
     """The :func:`enhancement_gate` and :func:`deterministic_gate` reports from one
     :func:`~cohdist.distill.pmax_mixed` call; the second is None where the
     baseline is already 1, where :func:`deterministic_gate` raises."""
     tgt, mixed = _instance(rho, phi)
     enhancement = _enhancement_report(tgt, mixed)
     try:
-        return enhancement, _deterministic_report(tgt, mixed.family, points_per_segment)
+        return enhancement, _deterministic_report(tgt, mixed.family)
     except PreconditionError:
         return enhancement, None
 

@@ -443,7 +443,7 @@ def cmd_simulate(args) -> int:
 def cmd_catalyst_gate(args) -> int:
     rho = _state_file(args.state)
     phi = _target_file(args.target)
-    enh, det = catalyst_gates(rho, phi, args.alpha_points)
+    enh, det = catalyst_gates(rho, phi)
     doc = {
         "baseline": enh.baseline,
         "enhancement": {
@@ -586,10 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     g.add_argument("state")
     g.add_argument("target")
-    g.add_argument(
-        "--alpha-points", type=int, default=20,
-        help="exponent grid points per segment (default 20)",
-    )
     add_json(g)
     g.set_defaults(func=cmd_catalyst_gate)
 

@@ -144,13 +144,34 @@ def simulate(
 # ===========================================================================
 # random instance generators
 # ===========================================================================
+# Each generator checks its arguments before any random draw, so a refused
+# call leaves ``rng`` where it was.
+
+def _is_index(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _require_dim(dim) -> None:
+    if not (_is_index(dim) and dim >= 1):
+        raise ValidationError(f"dim must be a positive integer, got {dim!r}")
+
 
 def random_pure_state(
     rng: np.random.Generator, dim: int, support: list[int] | None = None
 ) -> PureStateVector:
-    """Complex-Gaussian pure state, optionally confined to a support set."""
+    """Complex-Gaussian pure state, optionally confined to a support set.
+
+    ``dim`` must be a positive integer and ``support`` a nonempty sequence
+    of distinct indices in [0, dim); anything else is a :class:`ValidationError`.
+    """
+    _require_dim(dim)
     if support is None:
         support = list(range(dim))
+    elif not (0 < len(set(support)) == len(support)
+              and all(_is_index(i) and 0 <= i < dim for i in support)):
+        raise ValidationError(
+            f"support must be distinct indices in [0, {dim}), got {support!r}"
+        )
     amps = np.zeros(dim, dtype=complex)
     vec = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
     # keep amplitudes bounded away from zero so the support is exact
@@ -169,6 +190,7 @@ def random_block_state(
     indices carry plain diagonal weight.  The returned ground truth lists
     every block and singleton, ordered like the enumeration routines.
     """
+    _require_dim(dim)
     perm = list(rng.permutation(dim))
     blocks: list[list[int]] = []
     pos = 0
@@ -188,6 +210,7 @@ def random_block_state(
 
 def random_mixture_state(rng: np.random.Generator, dim: int) -> DensityMatrix:
     """Mixture of 1-3 random pure states plus optional diagonal noise."""
+    _require_dim(dim)
     k = int(rng.integers(1, 4))
     parts = []
     for _ in range(k):

@@ -27,7 +27,7 @@ from .errors import (
 
 HERMITIAN_TOL = 1e-10     # max |rho - rho†| entry
 PSD_FLOOR = -1e-10        # smallest admissible eigenvalue
-TRACE_TOL = 1e-10         # |tr(rho) - 1|, |norm(psi) - 1|, |sum(w) - 1|
+TRACE_TOL = 1e-10         # |tr(rho) - 1|, |norm(psi)^2 - 1|, |sum(w) - 1|
 SUPPORT_TOL = 1e-12       # squared-modulus threshold for "nonzero amplitude"
 
 
@@ -114,8 +114,12 @@ class PureStateVector:
         # square overflows; that division is exact, and so is undoing it
         peak = max(float(np.abs(arr.real).max()), float(np.abs(arr.imag).max()))
         scale = math.ldexp(1.0, max(math.frexp(peak)[1] - 1, 0))
-        norm = float(np.linalg.norm(arr / scale)) * scale
-        if abs(norm - 1.0) > TRACE_TOL:
+        scaled = arr / scale
+        # the squared norm, summed as the trace that DensityMatrix.from_pure
+        # checks, so that both accept the same vectors
+        squared = float((scaled * scaled.conj()).sum().real)
+        if abs(squared * scale * scale - 1.0) > TRACE_TOL:
+            norm = float(np.linalg.norm(scaled)) * scale
             raise TraceNotOneError(f"vector norm is {norm!r}, expected 1")
         arr.flags.writeable = False
         object.__setattr__(self, "amplitudes", arr)
@@ -157,16 +161,16 @@ def validate_density(raw) -> DensityMatrix:
     return DensityMatrix(raw)
 
 
-def as_distribution(weights, *, tol: float = TRACE_TOL) -> np.ndarray:
+def as_distribution(weights) -> np.ndarray:
     """Validate a probability vector: nonnegative entries summing to one."""
     w = np.array(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise ValidationError(f"expected a nonempty 1-d weight vector, got shape {w.shape}")
-    if w.min() < -tol:
+    if w.min() < -TRACE_TOL:
         raise ValidationError(f"negative weight {w.min()!r}")
     w = np.clip(w, 0.0, None)
     total = float(w.sum())
-    if not abs(total - 1.0) <= tol:     # a NaN or infinite entry fails here
+    if not abs(total - 1.0) <= TRACE_TOL:     # a NaN or infinite entry fails here
         raise TraceNotOneError(f"weights sum to {total!r}, expected 1")
     return w
 

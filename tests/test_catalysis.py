@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from cohdist import (
+    ALPHAS_ABOVE_ONE,
+    ALPHAS_BELOW_ONE,
     CatalystSearchReport,
     DensityMatrix,
     PreconditionError,
@@ -15,7 +17,6 @@ from cohdist import (
     catalyst_candidates,
     catalyst_gates,
     catalyzed_pmax,
-    default_alpha_grid,
     deterministic_gate,
     enhancement_gate,
     pmax_mixed,
@@ -173,13 +174,15 @@ def test_deterministic_gate_flags_zero_entries(block_mixture, uniform_qubit_targ
 
 
 def test_alpha_grid_shape():
-    below, above = default_alpha_grid()
+    below, above = ALPHAS_BELOW_ONE, ALPHAS_ABOVE_ONE
+    assert (len(below), len(above)) == (42, 21)
+    assert list(below) == sorted(below) and list(above) == sorted(above)
     assert 0.0 in below and -math.inf in below
     assert math.inf in above
     assert all(a < 1 for a in below)
     assert all(a > 1 for a in above)
-    b5, a5 = default_alpha_grid(points_per_segment=5)
-    assert len(b5) < len(below) and len(a5) < len(above)
+    finite = [a for a in below + above if math.isfinite(a) and a != 0.0]
+    assert min(finite) == pytest.approx(-40.0) and max(finite) == pytest.approx(40.0)
 
 
 # ------------------------------------------------------------------- search
@@ -445,7 +448,7 @@ def test_gate_and_search_baselines_are_the_pmax_mixed_value(overlapping_state, t
         assert enhancement_gate(rho, phi).baseline == want, name
         assert search_catalyst(rho, phi, 2, 0.25).baseline == want, name
         if want < 1.0 - catalysis.UNIT_TOL:
-            assert deterministic_gate(rho, phi, 5).baseline == want, name
+            assert deterministic_gate(rho, phi).baseline == want, name
             assert search_catalyst(rho, phi, 2, 0.25, "deterministic").baseline == want, name
         state.write_text(json.dumps(_state_doc(rho)))
         target.write_text(json.dumps({"amplitudes": [[z.real, z.imag] for z in phi.amplitudes.tolist()]}))
@@ -458,10 +461,10 @@ def test_catalyst_gates_return_both_gate_reports(overlapping_state):
     cases.append(("baseline-one", _pure([0.5, 0.5]), PureStateVector.from_probabilities([0.36, 0.64])))
     seen = set()
     for name, rho, phi in cases:
-        enh, det = catalyst_gates(rho, phi, 5)
+        enh, det = catalyst_gates(rho, phi)
         assert enh == enhancement_gate(rho, phi), name
         try:
-            want = deterministic_gate(rho, phi, 5)
+            want = deterministic_gate(rho, phi)
         except PreconditionError:
             want = None
         assert det == want, name
@@ -635,22 +638,6 @@ def test_grid_size_counts_partitions_exactly():
             assert catalysis._grid_size(n, k_max) == want
 
 
-def test_alpha_grid_has_a_ceiling():
-    below, above = default_alpha_grid(catalysis.ALPHA_POINTS_CEILING)
-    assert len(above) == catalysis.ALPHA_POINTS_CEILING + 1
-    with pytest.raises(ValidationError):
-        default_alpha_grid(catalysis.ALPHA_POINTS_CEILING + 1)
-    with pytest.raises(ValidationError):
-        default_alpha_grid(10**15)
-
-
-def test_alpha_grid_refuses_a_non_integer_point_count():
-    with pytest.raises(ValidationError):
-        default_alpha_grid(2.5)
-    with pytest.raises(ValidationError, match="at least 2"):
-        default_alpha_grid(1)
-
-
 # ------------------------------------ probability-1 gate against the scalar loop
 
 def _reference_refine_minimum(f, alphas, values):
@@ -673,14 +660,14 @@ def _reference_refine_minimum(f, alphas, values):
     return best_a, best_v
 
 
-def _reference_deterministic_gate(rho, phi, points_per_segment=20):
+def _reference_deterministic_gate(rho, phi):
     """The probability-1 gate with one scalar power_mean call per order and profile."""
     tgt = _target_profile(phi)
     family = pmax_mixed(rho, phi).family
     baseline = family.total_value
     if baseline >= 1.0 - catalysis.UNIT_TOL:
         raise PreconditionError("optimal probability is already 1; no catalyst is needed")
-    below, above = default_alpha_grid(points_per_segment)
+    below, above = ALPHAS_BELOW_ONE, ALPHAS_ABOVE_ONE
     flags = []
     weight_complete = family.total_weight >= 1.0 - catalysis.UNIT_TOL
     if not weight_complete:
@@ -722,7 +709,7 @@ def _tail_pair(tail):
 
 
 def _gate_corpus(overlapping_state, block_mixture, uniform_qubit_target):
-    """(name, rho, phi, points per segment) cases for the probability-1 gate."""
+    """(name, rho, phi) cases for the probability-1 gate."""
     rng = np.random.default_rng(3)
     cases = []
     for d in range(3, 9):                       # block states with singletons
@@ -760,8 +747,7 @@ def _gate_corpus(overlapping_state, block_mixture, uniform_qubit_target):
     # so only the first sampled minimum is the reference's
     rho = _block_diag_state(rng, [2, 1])
     cases.append(("tied-member", rho, maximal_pure_subspaces(rho)[0].state))
-    points = [2, 3, 5, 8, 13, 20, 20, 20, 50]
-    return [(name, rho, phi, points[i % len(points)]) for i, (name, rho, phi) in enumerate(cases)]
+    return cases
 
 
 def test_deterministic_gate_equals_the_scalar_loop(
@@ -769,15 +755,15 @@ def test_deterministic_gate_equals_the_scalar_loop(
 ):
     seen = Counter()
     corpus = _gate_corpus(overlapping_state, block_mixture, uniform_qubit_target)
-    for name, rho, phi, points in corpus:
+    for name, rho, phi in corpus:
         try:
-            want = _reference_deterministic_gate(rho, phi, points)
+            want = _reference_deterministic_gate(rho, phi)
         except PreconditionError:
             with pytest.raises(PreconditionError):
-                deterministic_gate(rho, phi, points)
+                deterministic_gate(rho, phi)
             seen["baseline one"] += 1
             continue
-        got = deterministic_gate(rho, phi, points)
+        got = deterministic_gate(rho, phi)
         assert got == want, name
         assert repr(got) == repr(want), name          # signed zeros included
         seen[f"verdict {want.verdict}"] += 1
@@ -795,12 +781,10 @@ def test_deterministic_gate_equals_the_scalar_loop(
             seen["below refined"] += math.isfinite(m.alpha_below_one)
             seen["above refined"] += math.isfinite(m.alpha_above_one)
             seen["n >= 8"] += len(m.indices) >= 8
-        seen[f"points {points}"] += 1
     wanted = ["baseline one", "verdict True", "verdict False", "weight flag", "zero entry",
               "below at -inf", "above at +inf", "zero margin", "below refined",
               "above refined", "n >= 8", "members share a padded length",
-              "members differ in padded length", "tied below-one minimum",
-              *(f"points {k}" for k in (2, 3, 5, 8, 13, 20, 50))]
+              "members differ in padded length", "tied below-one minimum"]
     assert all(seen[key] for key in wanted), seen
 
 

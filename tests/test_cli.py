@@ -198,8 +198,7 @@ def test_catalyst_gate_reports_what_the_library_gates_report(files, tmp_path, ca
     psi4 = write(tmp_path / "psi4.json", {"amplitudes": np.sqrt([0.4, 0.4, 0.1, 0.1]).tolist()})
     phi4 = write(tmp_path / "phi4.json", {"amplitudes": np.sqrt([0.5, 0.25, 0.25, 0]).tolist()})
     for state, target in ((psi4, phi4), (files["rho"], files["phi"]), (files["psi"], files["phi"])):
-        code, out, _ = run(capsys, "catalyst", "gate", state, target, "--json",
-                           "--alpha-points", "7")
+        code, out, _ = run(capsys, "catalyst", "gate", state, target, "--json")
         assert code == 0
         doc = json.loads(out)
         rho = parse_state(cli._load_doc(state), state)
@@ -209,7 +208,7 @@ def test_catalyst_gate_reports_what_the_library_gates_report(files, tmp_path, ca
         assert doc["enhancement"]["verdict"] == enh.verdict
         assert [r["margin"] for r in doc["enhancement"]["records"]] == [
             r.margin for r in enh.records]
-        det = deterministic_gate(rho, phi, 7)
+        det = deterministic_gate(rho, phi)
         assert doc["deterministic"]["verdict"] == det.verdict
         assert doc["deterministic"]["flags"] == list(det.flags)
         assert [(m["margin_below_one"], m["margin_above_one"], m["entropy_margin"])
@@ -378,12 +377,6 @@ def test_catalyst_search_clamps_the_dimension_at_the_grid(files, capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 0
     assert json.loads(out)["candidates_evaluated"] == 1
-
-
-def test_catalyst_gate_refuses_too_many_alpha_points(files, capsys):
-    code, _, err = run(capsys, "catalyst", "gate", files["rho"], files["phi"],
-                       "--alpha-points", str(10**12))
-    assert code == 2 and "grid points" in err
 
 
 def test_majorize_command(files, capsys):
@@ -838,6 +831,15 @@ def test_huge_amplitudes_are_refused_with_clean_stderr(tmp_path):
     assert done.stderr == "error: vector norm is 1.4142135623730951e+308, expected 1\n"
 
 
+def test_catalyst_gate_has_no_alpha_points_option(files):
+    # the probability-1 gate samples one fixed exponent grid
+    done = _cli_subprocess("catalyst", "gate", files["rho"], files["phi"], "--alpha-points", "4")
+    assert done.returncode == 2
+    assert done.stderr.startswith("usage: ")
+    assert "unrecognized arguments: --alpha-points 4" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 # ------------------------------------------------------- fuzzed JSON inputs
 
 _SCALARS = st.one_of(
@@ -906,7 +908,7 @@ _COMMANDS = [
     ["pmax", "S", "T", "--protocol", "OUT"],
     ["protocol", "S", "T", "OUT"],
     ["simulate", "P", "S", "--shots", "N", "--seed", "N"],
-    ["catalyst", "gate", "S", "T", "--alpha-points", "4"],
+    ["catalyst", "gate", "S", "T"],
     ["catalyst", "search", "S", "T", "--max-dim", "2", "--step", "0.25"],
     ["catalyst", "search", "S", "T", "--max-dim", "N", "--step", "0.25"],
     ["majorize", "S", "T"],

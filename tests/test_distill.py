@@ -1191,7 +1191,7 @@ def test_entries_at_or_below_support_tol_change_no_answer():
         assert got.p_max == want.p_max
         assert [y.ratio for y in got.per_subspace] == [y.ratio for y in want.per_subspace]
         assert _plan_entries(full_plan(rho, phi)) == _plan_entries(full_plan(rho, trimmed))
-        assert catalyst_gates(rho, phi, 5) == catalyst_gates(rho, trimmed, 5)
+        assert catalyst_gates(rho, phi) == catalyst_gates(rho, trimmed)
         assert catalyzed_pmax(rho, phi, (0.6, 0.4)) == catalyzed_pmax(rho, trimmed, (0.6, 0.4))
         assert search_catalyst(rho, phi, 3, 0.25) == search_catalyst(rho, trimmed, 3, 0.25)
 

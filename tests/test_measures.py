@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohdist import (
+    ALPHAS_ABOVE_ONE,
+    ALPHAS_BELOW_ONE,
     PureStateVector,
     ValidationError,
     coherence_rank,
-    default_alpha_grid,
     majorizes,
     min_profile_ratio,
     power_mean,
@@ -193,7 +194,7 @@ def _scalar_power_mean(w, alpha):
 
 def test_power_means_equal_the_scalar_evaluation():
     rng = np.random.default_rng(11)
-    below, above = default_alpha_grid(20)
+    below, above = ALPHAS_BELOW_ONE, ALPHAS_ABOVE_ONE
     special = [-math.inf, -1e-9, 0.0, 1e-9, 1.0, math.inf]
     for n in (1, 2, 3, 5, 8, 9, 16, 17, 33, 130):   # sums go pairwise from 8 entries
         rows = 0.5 * rng.dirichlet(np.ones(n), size=4) + 0.5 / n

@@ -52,6 +52,34 @@ def test_random_pure_state_support_is_exact():
         support = sorted(rng.choice(8, size=3, replace=False).tolist())
         psi = random_pure_state(rng, 8, support=support)
         assert list(psi.support()) == support
+    # an index array serves as well as a list
+    psi = random_pure_state(rng, 8, support=np.array([1, 6]))
+    assert psi.support() == (1, 6)
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: random_block_state(rng, 0),
+    lambda rng: random_mixture_state(rng, 0),
+    lambda rng: random_pure_state(rng, 0),
+    lambda rng: random_block_state(rng, -1),
+    lambda rng: random_mixture_state(rng, -1),
+    lambda rng: random_pure_state(rng, -1),
+    lambda rng: random_block_state(rng, 2.5),
+    lambda rng: random_mixture_state(rng, 2.5),
+    lambda rng: random_pure_state(rng, 2.5),
+    lambda rng: random_pure_state(rng, 3, [5]),
+    lambda rng: random_pure_state(rng, 3, [-1]),
+    lambda rng: random_pure_state(rng, 3, []),
+    lambda rng: random_pure_state(rng, 3, [0, 0]),
+    lambda rng: random_pure_state(rng, 3, [0.5]),
+], ids=["block-0", "mixture-0", "pure-0", "block-neg", "mixture-neg", "pure-neg",
+        "block-frac", "mixture-frac", "pure-frac", "support-past-dim", "support-negative",
+        "support-empty", "support-repeated", "support-frac"])
+def test_generators_refuse_bad_dimensions_and_supports_before_drawing(make):
+    rng = np.random.default_rng(6)
+    with pytest.raises(ValidationError):
+        make(rng)
+    assert rng.random() == np.random.default_rng(6).random()
 
 
 def test_random_mixture_state_is_valid():

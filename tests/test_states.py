@@ -141,17 +141,46 @@ def test_norm_of_huge_amplitudes_does_not_overflow(amps, norm):
 
 
 def test_norm_equals_the_unscaled_norm():
-    # near 1 the power-of-two scaling changes no bit, so the verdicts and the
-    # printed norms at the 1e-10 edge stay as they were
+    # near 1 the power-of-two scaling changes no bit: the verdict at the
+    # 1e-10 edge reads the unscaled squared norm, and the message prints the
+    # unscaled norm
     rng = np.random.default_rng(99)
     for _ in range(500):
         n = int(rng.integers(1, 40))
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
         v *= (1.0 + float(rng.choice([0.0, 5e-11, 2e-10]))) / np.linalg.norm(v)
         norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) <= 1e-10:
+        if abs(float((v * v.conj()).sum().real) - 1.0) <= 1e-10:
             PureStateVector(v)
         else:
             with pytest.raises(TraceNotOneError) as exc:
                 PureStateVector(v)
             assert str(exc.value) == f"vector norm is {norm!r}, expected 1"
+
+
+def test_pure_state_and_from_pure_accept_the_same_vectors():
+    # the unit-norm check reads the squared norm, the trace from_pure checks;
+    # a norm check refused at |norm - 1| > 1e-10, so vectors with squared
+    # norms within 2e-10 of 1 passed here and failed as sources
+    rng = np.random.default_rng(23)
+    verdicts = set()
+    for _ in range(2000):
+        n = int(rng.integers(1, 9))
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        v *= np.sqrt(1.0 + rng.uniform(-3e-10, 3e-10)) / np.linalg.norm(v)
+        try:
+            psi = PureStateVector(v)
+        except TraceNotOneError:
+            psi = None
+        try:
+            DensityMatrix(np.outer(v, v.conj()))   # what from_pure builds
+            as_source = True
+        except TraceNotOneError:
+            as_source = False
+        assert (psi is not None) == as_source, v
+        if psi is not None:
+            DensityMatrix.from_pure(psi)
+        verdicts.add(as_source)
+    assert verdicts == {True, False}
+    with pytest.raises(TraceNotOneError):
+        PureStateVector([1.000000000075, 0, 0])
