@@ -3,9 +3,15 @@
 All state exchange is JSON.  Complex numbers are [re, im] pairs; bare
 numbers are accepted on input as purely real.  Basis indices are 0-based.
 
-Exit codes: 0 success, 1 unreadable input (I/O, not UTF-8, not JSON), 2 failed
-validation, 3 incoherent target (nothing to distill), 4 violated
-precondition (e.g. deterministic catalyst search at probability 1).
+Each command returns its report, a JSON document and its text lines, and
+:func:`main` prints one of the two.  A failure prints ``error: <message>``
+on stderr and exits with the code of the first class in ``_EXIT_CODES``
+that it is an instance of: 1 ``OSError``, unreadable input (I/O, not
+UTF-8, not JSON); 3 ``IncoherentTargetError``, nothing to distill; 4
+``PreconditionError`` or ``RankDeficitError``, a violated precondition
+(e.g. deterministic catalyst search at probability 1); 2 any other
+``CohdistError``, failed validation.  0 is success, and argparse exits 2
+on a usage error.
 """
 
 from __future__ import annotations
@@ -47,6 +53,14 @@ EXIT_VALIDATION = 2
 EXIT_INCOHERENT_TARGET = 3
 EXIT_PRECONDITION = 4
 
+# a failure exits with the code of the first class here it is an instance of
+_EXIT_CODES = (
+    (OSError, EXIT_IO),
+    (IncoherentTargetError, EXIT_INCOHERENT_TARGET),
+    ((PreconditionError, RankDeficitError), EXIT_PRECONDITION),
+    (CohdistError, EXIT_VALIDATION),
+)
+
 
 def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
@@ -72,10 +86,6 @@ def _read_doc(path: str) -> tuple[dict, bool]:
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: top level must be a JSON object")
     return doc, "true" not in text and "false" not in text
-
-
-def _load_doc(path: str) -> dict:
-    return _read_doc(path)[0]
 
 
 def _real_in(node, path: str) -> float:
@@ -281,19 +291,22 @@ def _write_plan(path: str, plan: DistillationPlan) -> None:
         fh.write(json.dumps(plan_to_doc(plan)))
 
 
-def _emit(doc: dict, as_json: bool, text_lines: list[str]):
+def _emit(doc: dict, lines: list[str], as_json: bool) -> None:
     if as_json:
         print(json.dumps(doc, sort_keys=True, allow_nan=False))
     else:
-        for line in text_lines:
+        for line in lines:
             print(line)
 
 
 # ===========================================================================
-# commands
+# commands: each returns its report, a JSON document and its text lines
 # ===========================================================================
 
-def cmd_validate(args) -> int:
+Report = tuple[dict, list[str]]
+
+
+def cmd_validate(args) -> Report:
     doc, numeric = _read_doc(args.state)
     if "matrix" in doc:
         rho = parse_density(doc, args.state, numeric)
@@ -308,15 +321,10 @@ def cmd_validate(args) -> int:
         raise ValidationError(
             f"{args.state}: expected 'matrix', 'amplitudes' or 'weights'"
         )
-    _emit(
-        {"valid": True, "kind": kind, "dim": dim},
-        args.json,
-        [f"valid {kind} input, dimension {dim}"],
-    )
-    return EXIT_OK
+    return {"valid": True, "kind": kind, "dim": dim}, [f"valid {kind} input, dimension {dim}"]
 
 
-def cmd_subspaces(args) -> int:
+def cmd_subspaces(args) -> Report:
     rho = _state_file(args.state)
     subs = maximal_pure_subspaces(rho)
     # a unit coherence between two levels puts both in one subspace
@@ -341,8 +349,7 @@ def cmd_subspaces(args) -> int:
             f"  indices {list(s.indices)}  weight {_fmt(s.weight)}  profile [{profile}]"
         )
     lines.append(f"distillable (some rank-2 pure subspace): {str(distillable).lower()}")
-    _emit(doc, args.json, lines)
-    return EXIT_OK
+    return doc, lines
 
 
 def _pmax_doc(result) -> dict:
@@ -362,7 +369,7 @@ def _pmax_doc(result) -> dict:
     }
 
 
-def cmd_pmax(args) -> int:
+def cmd_pmax(args) -> Report:
     rho = _state_file(args.state)
     phi = _target_file(args.target)
     result = pmax_mixed(rho, phi)
@@ -381,11 +388,10 @@ def cmd_pmax(args) -> int:
         lines.append(f"protocol with {len(plan.branches)} branches -> {args.protocol}")
         doc["protocol_written"] = args.protocol
         doc["branches"] = len(plan.branches)
-    _emit(doc, args.json, lines)
-    return EXIT_OK
+    return doc, lines
 
 
-def cmd_protocol(args) -> int:
+def cmd_protocol(args) -> Report:
     rho = _state_file(args.state)
     phi = _target_file(args.target)
     plan = full_plan(rho, phi)
@@ -410,11 +416,10 @@ def cmd_protocol(args) -> int:
     lines.append(f"completeness gap: {_fmt(gap)}")
     lines.append(f"worst branch fidelity: {_fmt(check.worst_fidelity)}")
     lines.append(f"written to {args.out}")
-    _emit(doc, args.json, lines)
-    return EXIT_OK
+    return doc, lines
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> Report:
     if not 1 <= args.shots < 2**63:
         raise ValidationError(f"--shots must lie in [1, 2^63), got {args.shots}")
     if args.seed < 0:
@@ -425,7 +430,6 @@ def cmd_simulate(args) -> int:
     if plan.dim != rho.dim:
         raise ValidationError(f"{args.state}: dimension {rho.dim}, plan has {plan.dim}")
     result = simulate(plan, rho, shots=args.shots, seed=args.seed)
-    doc = _json_value(result)
     lines = [
         f"shots {result.shots}, seed {result.seed} ({result.rng_algorithm})",
         f"successes {result.successes}"
@@ -436,11 +440,10 @@ def cmd_simulate(args) -> int:
     for bid, count in result.per_branch_counts.items():
         lines.append(f"  {bid}: {count}")
     lines.append(f"  failure: {result.failure_count}")
-    _emit(doc, args.json, lines)
-    return EXIT_OK
+    return _json_value(result), lines
 
 
-def cmd_catalyst_gate(args) -> int:
+def cmd_catalyst_gate(args) -> Report:
     rho = _state_file(args.state)
     phi = _target_file(args.target)
     enh, det = catalyst_gates(rho, phi)
@@ -478,11 +481,10 @@ def cmd_catalyst_gate(args) -> int:
             )
         for flag in det.flags:
             lines.append(f"  flag: {flag}")
-    _emit(doc, args.json, lines)
-    return EXIT_OK
+    return doc, lines
 
 
-def cmd_catalyst_search(args) -> int:
+def cmd_catalyst_search(args) -> Report:
     rho = _state_file(args.state)
     phi = _target_file(args.target)
     report = search_catalyst(
@@ -492,7 +494,6 @@ def cmd_catalyst_search(args) -> int:
         grid_step=args.step,
         mode=args.mode,
     )
-    doc = _json_value(report)
     lines = [
         f"baseline p_max = {_fmt(report.baseline)}",
         f"candidates evaluated: {report.candidates_evaluated}",
@@ -504,29 +505,23 @@ def cmd_catalyst_search(args) -> int:
         )
     else:
         lines.append("no catalyst found on this grid")
-    _emit(doc, args.json, lines)
-    return EXIT_OK
+    return _json_value(report), lines
 
 
-def cmd_majorize(args) -> int:
-    p = parse_weights(_load_doc(args.p), args.p)
-    q = parse_weights(_load_doc(args.q), args.q)
-    p_under_q = majorizes(p, q)
-    q_under_p = majorizes(q, p)
+def cmd_majorize(args) -> Report:
+    p = parse_weights(_read_doc(args.p)[0], args.p)
+    q = parse_weights(_read_doc(args.q)[0], args.q)
     doc = {
-        "p_majorized_by_q": p_under_q,
-        "q_majorized_by_p": q_under_p,
+        "p_majorized_by_q": majorizes(p, q),
+        "q_majorized_by_p": majorizes(q, p),
         "entropy_p": shannon_entropy(p),
         "entropy_q": shannon_entropy(q),
     }
-    lines = [
-        f"p majorized by q: {str(p_under_q).lower()}",
-        f"q majorized by p: {str(q_under_p).lower()}",
-        f"entropy p = {_fmt(shannon_entropy(p))} nats,"
-        f" q = {_fmt(shannon_entropy(q))} nats",
+    return doc, [
+        f"p majorized by q: {str(doc['p_majorized_by_q']).lower()}",
+        f"q majorized by p: {str(doc['q_majorized_by_p']).lower()}",
+        f"entropy p = {_fmt(doc['entropy_p'])} nats, q = {_fmt(doc['entropy_q'])} nats",
     ]
-    _emit(doc, args.json, lines)
-    return EXIT_OK
 
 
 # ===========================================================================
@@ -541,72 +536,33 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_json(p):
+    def command(group, name, summary, func, positionals, options=None):
+        """Add a subcommand: its positionals, its options, then --json."""
+        p = group.add_parser(name, help=summary)
+        for dest in positionals.split():
+            p.add_argument(dest)
+        for flag, spec in (options or {}).items():
+            p.add_argument(flag, **spec)
         p.add_argument("--json", action="store_true", help="machine-readable output")
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("validate", help="validate a state file")
-    p.add_argument("state")
-    add_json(p)
-    p.set_defaults(func=cmd_validate)
+    command(sub, "validate", "validate a state file", cmd_validate, "state")
+    command(sub, "subspaces", "maximal pure subspaces of a state", cmd_subspaces, "state")
+    command(sub, "pmax", "maximal distillation probability", cmd_pmax, "state target",
+            {"--protocol": dict(metavar="OUT", help="also write the protocol file")})
+    command(sub, "protocol", "synthesize and store a protocol", cmd_protocol, "state target out")
+    command(sub, "simulate", "Monte Carlo run of a stored protocol", cmd_simulate, "protocol state",
+            {"--shots": dict(type=int, default=100000), "--seed": dict(type=int, default=0)})
 
-    p = sub.add_parser("subspaces", help="maximal pure subspaces of a state")
-    p.add_argument("state")
-    add_json(p)
-    p.set_defaults(func=cmd_subspaces)
+    catalyst = sub.add_parser("catalyst", help="catalyst gates and search")
+    csub = catalyst.add_subparsers(dest="subcommand", required=True)
+    command(csub, "gate", "catalyst existence tests: exact for raising the probability,"
+            " sampled over the power-mean order for reaching 1", cmd_catalyst_gate, "state target")
+    command(csub, "search", "simplex grid search for a catalyst", cmd_catalyst_search, "state target",
+            {"--max-dim": dict(type=int, default=2), "--step": dict(type=float, default=0.05),
+             "--mode": dict(choices=("probabilistic", "deterministic"), default="probabilistic")})
 
-    p = sub.add_parser("pmax", help="maximal distillation probability")
-    p.add_argument("state")
-    p.add_argument("target")
-    p.add_argument("--protocol", metavar="OUT", help="also write the protocol file")
-    add_json(p)
-    p.set_defaults(func=cmd_pmax)
-
-    p = sub.add_parser("protocol", help="synthesize and store a protocol")
-    p.add_argument("state")
-    p.add_argument("target")
-    p.add_argument("out")
-    add_json(p)
-    p.set_defaults(func=cmd_protocol)
-
-    p = sub.add_parser("simulate", help="Monte Carlo run of a stored protocol")
-    p.add_argument("protocol")
-    p.add_argument("state")
-    p.add_argument("--shots", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=0)
-    add_json(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("catalyst", help="catalyst gates and search")
-    csub = p.add_subparsers(dest="subcommand", required=True)
-
-    g = csub.add_parser(
-        "gate",
-        help="catalyst existence tests: exact for raising the probability,"
-        " sampled over the power-mean order for reaching 1",
-    )
-    g.add_argument("state")
-    g.add_argument("target")
-    add_json(g)
-    g.set_defaults(func=cmd_catalyst_gate)
-
-    s = csub.add_parser("search", help="simplex grid search for a catalyst")
-    s.add_argument("state")
-    s.add_argument("target")
-    s.add_argument("--max-dim", type=int, default=2)
-    s.add_argument("--step", type=float, default=0.05)
-    s.add_argument(
-        "--mode", choices=("probabilistic", "deterministic"),
-        default="probabilistic",
-    )
-    add_json(s)
-    s.set_defaults(func=cmd_catalyst_search)
-
-    p = sub.add_parser("majorize", help="compare two weight vectors")
-    p.add_argument("p")
-    p.add_argument("q")
-    add_json(p)
-    p.set_defaults(func=cmd_majorize)
-
+    command(sub, "majorize", "compare two weight vectors", cmd_majorize, "p q")
     return parser
 
 
@@ -619,19 +575,11 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
-    except OSError as exc:
+        _emit(*args.func(args), args.json)
+    except (OSError, CohdistError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except IncoherentTargetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCOHERENT_TARGET
-    except (PreconditionError, RankDeficitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except (ValidationError, CohdistError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -630,9 +630,9 @@ def verify_branch_outputs(
     """Recompute every branch output K rho K† and compare with the target.
 
     Passes when each branch output, normalized, has fidelity with |phi>
-    of at least 1 - 1e-9; a NaN fidelity (an overflowed entry) fails, and
-    is reported as ``worst_fidelity``.  Branches with vanishing probability
-    on this input are skipped.  With c_j the entry in column j, the weight is
+    of at least 1 - PROB_TOL (1e-9); a NaN fidelity (an overflowed entry)
+    fails, and is reported as ``worst_fidelity``.  Branches with vanishing
+    probability on this input are skipped.  With c_j the entry in column j, the weight is
     sum_j |c_j|^2 rho_jj and <phi|K rho K†|phi> = v† rho v for v = K†|phi>,
     which lives on the branch's used columns S, so only rho_SS is read.  A
     plan or target whose dimension differs from rho's is a
@@ -649,7 +649,7 @@ def verify_branch_outputs(
             continue
         fid = overlap / weight
         # every branch before passed, so a failing fidelity is the worst; NaN fails too
-        if not fid >= 1.0 - 1e-9:
+        if not fid >= 1.0 - PROB_TOL:
             return BranchCheck(False, b.branch_id, fid)
         worst = min(worst, fid)
     return BranchCheck(True, None, worst)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateStateError, DimensionTooLargeError, IncompletePlanError, ValidationError
-from .distill import DistillationPlan, _require_source_dim
+from .distill import PROB_TOL, DistillationPlan, _require_source_dim
 from .states import DensityMatrix, PureStateVector, SUPPORT_TOL
 from .subspaces import RANK1_TOL, PureSubspace
 
@@ -116,7 +116,7 @@ def simulate(
         raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
     _require_source_dim("plan", plan.dim, rho.dim)
     gap = plan.completeness_gap()
-    if not gap <= 1e-9:     # inf when a Kraus entry overflows when squared
+    if not gap <= PROB_TOL:     # inf when a Kraus entry overflows when squared
         raise IncompletePlanError(f"sum K†K exceeds identity by {gap:.3e}")
     probs = branch_probabilities(plan, rho)
     total = float(probs.sum())

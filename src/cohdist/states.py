@@ -116,11 +116,11 @@ class PureStateVector:
         scale = math.ldexp(1.0, max(math.frexp(peak)[1] - 1, 0))
         scaled = arr / scale
         # the squared norm, summed as the trace that DensityMatrix.from_pure
-        # checks, so that both accept the same vectors
-        squared = float((scaled * scaled.conj()).sum().real)
-        if abs(squared * scale * scale - 1.0) > TRACE_TOL:
-            norm = float(np.linalg.norm(scaled)) * scale
-            raise TraceNotOneError(f"vector norm is {norm!r}, expected 1")
+        # checks, so that both accept the same vectors; a Python float
+        # product overflows to inf without a warning
+        squared = float((scaled * scaled.conj()).sum().real) * scale * scale
+        if abs(squared - 1.0) > TRACE_TOL:
+            raise TraceNotOneError(f"squared vector norm is {squared!r}, expected 1 within {TRACE_TOL:g}")
         arr.flags.writeable = False
         object.__setattr__(self, "amplitudes", arr)
 

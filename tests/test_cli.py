@@ -32,7 +32,7 @@ from cohdist import (
     search_catalyst,
     validate_density,
 )
-from cohdist import cli, subspaces
+from cohdist import cli, errors, subspaces
 from cohdist.cli import main, parse_pure, parse_state, plan_from_doc, plan_to_doc
 
 
@@ -201,8 +201,8 @@ def test_catalyst_gate_reports_what_the_library_gates_report(files, tmp_path, ca
         code, out, _ = run(capsys, "catalyst", "gate", state, target, "--json")
         assert code == 0
         doc = json.loads(out)
-        rho = parse_state(cli._load_doc(state), state)
-        phi = parse_pure(cli._load_doc(target), target)
+        rho = parse_state(cli._read_doc(state)[0], state)
+        phi = parse_pure(cli._read_doc(target)[0], target)
         enh = enhancement_gate(rho, phi)
         assert doc["baseline"] == enh.baseline
         assert doc["enhancement"]["verdict"] == enh.verdict
@@ -296,8 +296,8 @@ def test_each_command_and_gate_enumerates_the_subspaces_once(files, monkeypatch,
         calls.clear()
         assert run(capsys, *argv)[0] == 0
         assert len(calls) == 1, argv
-    rho = parse_state(cli._load_doc(files["rho"]), files["rho"])
-    phi = parse_pure(cli._load_doc(files["phi"]), files["phi"])
+    rho = parse_state(cli._read_doc(files["rho"])[0], files["rho"])
+    phi = parse_pure(cli._read_doc(files["phi"])[0], files["phi"])
     for gate in (enhancement_gate, deterministic_gate, cohdist.catalyst_gates):
         calls.clear()
         gate(rho, phi)
@@ -464,6 +464,26 @@ def test_precondition_exit_code(tmp_path, capsys):
     assert code == 4
 
 
+
+_ERROR_CLASSES = [
+    cls for cls in vars(errors).values()
+    if isinstance(cls, type) and cls.__module__ == errors.__name__
+]
+# the documented exit codes; every other toolkit error is failed validation
+_EXIT_BY_ERROR = {OSError: 1, errors.IncoherentTargetError: 3,
+                  errors.PreconditionError: 4, errors.RankDeficitError: 4}
+
+
+@pytest.mark.parametrize("error", [OSError, *_ERROR_CLASSES], ids=lambda cls: cls.__name__)
+def test_every_failure_maps_to_its_exit_code(files, monkeypatch, capsys, error):
+    def fail(rho):
+        raise error("raised inside the command", *([-0.5] if error is errors.NotPSDError else []))
+
+    monkeypatch.setattr(cli, "maximal_pure_subspaces", fail)
+    code, out, err = run(capsys, "subspaces", files["rho"], "--json")
+    assert code == _EXIT_BY_ERROR.get(error, 2)
+    assert (out, err) == ("", "error: raised inside the command\n")
+
 def test_tampered_protocol_file_fails_validation(files, tmp_path, capsys):
     plan_path = str(tmp_path / "plan.json")
     run(capsys, "protocol", files["rho"], files["phi"], plan_path)
@@ -478,8 +498,8 @@ def test_tampered_protocol_file_fails_validation(files, tmp_path, capsys):
 
 
 def test_plan_files_are_compact_json_of_plan_to_doc(files, capsys):
-    rho = parse_state(cli._load_doc(files["rho"]), files["rho"])
-    phi = parse_pure(cli._load_doc(files["phi"]), files["phi"])
+    rho = parse_state(cli._read_doc(files["rho"])[0], files["rho"])
+    phi = parse_pure(cli._read_doc(files["phi"])[0], files["phi"])
     expected = plan_to_doc(full_plan(rho, phi))
     written = files["tmp"] / "plan.json"
     for argv in (["protocol", files["rho"], files["phi"], str(written)],
@@ -824,11 +844,12 @@ def test_json_output_is_compact_sorted_and_strict(files, capsys):
 
 
 def test_huge_amplitudes_are_refused_with_clean_stderr(tmp_path):
-    # the unscaled norm overflowed inside numpy and printed a RuntimeWarning
+    # the unscaled norm overflowed inside numpy and printed a RuntimeWarning;
+    # the squared norm past the float range is reported as inf
     huge = write(tmp_path / "huge.json", {"amplitudes": [1e308, -1e308]})
     done = _cli_subprocess("validate", huge)
     assert done.returncode == 2
-    assert done.stderr == "error: vector norm is 1.4142135623730951e+308, expected 1\n"
+    assert done.stderr == "error: squared vector norm is inf, expected 1 within 1e-10\n"
 
 
 def test_catalyst_gate_has_no_alpha_points_option(files):

@@ -129,33 +129,43 @@ def test_as_distribution_rejects_non_finite_weights(bad):
         as_distribution([bad, 1.0])
 
 
-@pytest.mark.parametrize("amps, norm", [
-    ([1e308, -1e308], "1.4142135623730951e+308"),
+@pytest.mark.parametrize("amps, squared", [
+    ([1e308, -1e308], "inf"),
     ([1.7e308, 1.7e308j], "inf"),
-    ([3 * 2.0**660, 4j * 2.0**660], repr(5 * 2.0**660)),
+    ([3 * 2.0**660, 4j * 2.0**660], "inf"),
+    ([3 * 2.0**500, 4j * 2.0**500], repr(25 * 2.0**1000)),
 ])
-def test_norm_of_huge_amplitudes_does_not_overflow(amps, norm):
-    # pytest turns numpy's overflow warning into an error
-    with pytest.raises(TraceNotOneError, match=re.escape(f"vector norm is {norm}, expected 1")):
+def test_norm_of_huge_amplitudes_does_not_overflow(amps, squared):
+    # pytest turns numpy's overflow warning into an error; a squared norm
+    # past the float range is reported as inf
+    message = f"squared vector norm is {squared}, expected 1 within 1e-10"
+    with pytest.raises(TraceNotOneError, match=re.escape(message)):
         PureStateVector(np.array(amps, dtype=complex))
 
 
 def test_norm_equals_the_unscaled_norm():
     # near 1 the power-of-two scaling changes no bit: the verdict at the
-    # 1e-10 edge reads the unscaled squared norm, and the message prints the
-    # unscaled norm
+    # 1e-10 edge and the message both read the unscaled squared norm
     rng = np.random.default_rng(99)
     for _ in range(500):
         n = int(rng.integers(1, 40))
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
         v *= (1.0 + float(rng.choice([0.0, 5e-11, 2e-10]))) / np.linalg.norm(v)
-        norm = float(np.linalg.norm(v))
-        if abs(float((v * v.conj()).sum().real) - 1.0) <= 1e-10:
+        squared = float((v * v.conj()).sum().real)
+        if abs(squared - 1.0) <= 1e-10:
             PureStateVector(v)
         else:
             with pytest.raises(TraceNotOneError) as exc:
                 PureStateVector(v)
-            assert str(exc.value) == f"vector norm is {norm!r}, expected 1"
+            assert str(exc.value) == f"squared vector norm is {squared!r}, expected 1 within 1e-10"
+
+
+def test_the_message_prints_the_squared_norm_the_check_compares():
+    # the norm 1 + 7.5e-11 reads as inside the 1e-10 tolerance; the squared
+    # norm 1 + 1.5e-10, which the check compares, does not
+    with pytest.raises(TraceNotOneError) as exc:
+        PureStateVector(np.array([1.000000000075, 0, 0], dtype=complex))
+    assert str(exc.value) == "squared vector norm is 1.00000000015, expected 1 within 1e-10"
 
 
 def test_pure_state_and_from_pure_accept_the_same_vectors():
