@@ -17,9 +17,10 @@ refinement step for all their brackets, each row raised only to its own
 bracket's probes, with the same values, bit for bit, as evaluating one
 member and one order at a time.  The search
 enumerates catalyst profiles on a simplex grid of at most ``GRID_CEILING``
-points and scores all candidates of one catalyst dimension in one array
-pass over rho's subspace profiles; the values equal a candidate-by-candidate
-evaluation through the plain distillation formulas bit for bit.
+points, built once per process (the grid depends on no input), and scores
+all candidates in one pass over the whole grid, in chunks, over rho's
+subspace profiles; the values equal a candidate-by-candidate evaluation
+through the plain distillation formulas bit for bit.
 
 Neither the gates nor the search decompose rho themselves: each reads one
 :func:`~cohdist.distill.pmax_mixed` result, which holds the maximal pure
@@ -31,6 +32,9 @@ gives both gate reports from one such result.
 
 from __future__ import annotations
 
+import bisect
+import functools
+import itertools
 import math
 import numbers
 from collections import Counter
@@ -363,43 +367,68 @@ def catalyst_gates(
 # catalyzed probability and grid search
 # ===========================================================================
 
-def _catalyzed_values(subspaces, tgt: np.ndarray, catalysts: np.ndarray) -> np.ndarray:
-    """P(rho (x) c -> phi (x) c) for every catalyst row c of ``catalysts``.
+def _row_chunks(grids, size: int):
+    """The rows of ``grids`` in order, ``size`` at a time, as (first row, chunk) pairs.
+
+    A chunk is zero-padded on the right to the widest grid it draws from.
+    """
+    starts = [0, *itertools.accumulate(len(grid) for grid in grids)]
+    for first in range(0, starts[-1], size):
+        last = min(first + size, starts[-1])
+        pieces = [grid[max(first - s, 0):last - s]
+                  for grid, s in zip(grids, starts) if s < last and first < s + len(grid)]
+        chunk = np.zeros((last - first, max(piece.shape[1] for piece in pieces)))
+        at = 0
+        for piece in pieces:
+            chunk[at:at + len(piece), :piece.shape[1]] = piece
+            at += len(piece)
+        yield first, chunk
+
+
+def _catalyzed_values(subspaces, tgt: np.ndarray, *grids: np.ndarray) -> np.ndarray:
+    """P(rho (x) c -> phi (x) c) for every catalyst row c of ``grids``, in order.
 
     The maximal pure subspaces of rho (x) |c><c| are exactly the products
     of rho's subspaces with the catalyst block (the catalyst is pure with
     full support), so the product instance keeps rho's clique structure
     and weights, and only the profiles become p (x) c.  All subspaces are
     scored for all rows in one :func:`min_profile_ratios` call per chunk
-    of at most ``ROW_CHUNK_ELEMENTS`` product entries (the kernel sorts, so
-    stored profiles serve).  A depth counts, and a source tail pins the
-    ratio to 0, by the support of the products, not their magnitude: each
-    catalyst row is first scaled by an exact power of two, which changes
-    no ratio.  Disjoint subspaces add their scores in index-set order, the
-    order :func:`optimize_disjoint_selection` adds in; subspaces sharing a
-    level (the tolerance edge) go through that selection row by row.
+    of at most ``ROW_CHUNK_ELEMENTS`` product entries; a chunk may span
+    several grids and is zero-padded to the widest catalyst in it, which
+    changes no bit (both tail sums gain the same leading zeros; the kernel
+    sorts, so stored profiles serve).  A depth counts, and a source tail
+    pins the ratio to 0, by the support of the products, not their
+    magnitude: each catalyst row is first scaled by an exact power of two,
+    which changes no ratio.  Disjoint subspaces add their scores in
+    index-set order, the order :func:`optimize_disjoint_selection` adds in;
+    subspaces sharing a level (the tolerance edge) go through that
+    selection row by row.
     """
     subspaces = sorted(subspaces, key=lambda s: s.indices)
     uses = Counter(j for s in subspaces for j in s.indices)
     disjoint = max(uses.values()) == 1
-    profiles = _padded_rows(s.profile for s in subspaces)
+    # profiles and target padded to one length n
+    profiles = _padded_rows((s.profile for s in subspaces), tgt.size)
+    n = profiles.shape[1]
+    target = _padded_rows([tgt], n)[0]
     weights = np.array([s.weight for s in subspaces])
-    k = catalysts.shape[1]
-    width = max(profiles.shape[1], tgt.size) * k
-    rows_per_chunk = max(1, ROW_CHUNK_ELEMENTS // (len(subspaces) * width))
-    out = np.empty(len(catalysts))
-    for start in range(0, len(catalysts), rows_per_chunk):
-        cat = catalysts[start:start + rows_per_chunk]
+    widest = max(grid.shape[1] for grid in grids)
+    rows_per_chunk = max(1, ROW_CHUNK_ELEMENTS // (len(subspaces) * n * widest))
+    out = np.empty(sum(len(grid) for grid in grids))
+    for start, cat in _row_chunks(grids, rows_per_chunk):
+        k = cat.shape[1]
         # scale each row by the power of two that puts its smallest positive entry in [1, 2),
         # capped well below overflow: ratios keep their bits, and every product of supported
-        # entries clears SUPPORT_TOL, so the kernel's cuts read the products' supports
-        low = np.where(cat > 0.0, cat, np.inf).min(axis=1)
-        shift = np.minimum(1 - np.frexp(low)[1], 1000 - np.frexp(cat.max(axis=1))[1])
-        cat = np.ldexp(cat, shift[:, None])
-        # products p (x) c, one stack per subspace, and the target's q (x) c
-        products = profiles[:, None, :, None] * cat[None, :, None, :]
-        targets = (tgt[None, :, None] * cat[:, None, :]).reshape(len(cat), -1)
-        ratios = min_profile_ratios(products.reshape(len(subspaces), len(cat), -1), targets)
+        # entries clears SUPPORT_TOL, so the kernel's cuts read the products' supports;
+        # the extremes are read column by column, from a column-major copy
+        columns = cat.T.copy()
+        low = np.where(columns > 0.0, columns, np.inf).min(axis=0)
+        shift = np.minimum(1 - np.frexp(low)[1], 1000 - np.frexp(columns.max(axis=0))[1])
+        # entry i * k + j of a product row is p_i c_j: each profile entry repeated k
+        # times against the catalyst row tiled n times
+        tiled = np.tile(np.ldexp(cat, shift[:, None]), n)
+        products = np.repeat(profiles, k, axis=1)[:, None, :] * tiled
+        ratios = min_profile_ratios(products, np.repeat(target, k) * tiled)
         scores = weights[:, None] * ratios
         if disjoint:
             total = np.zeros(len(cat))
@@ -471,14 +500,31 @@ def _grid_size(n: int, max_parts: int) -> int:
     return total
 
 
-def _catalyst_grids(max_dim: int, grid_step: float) -> list[np.ndarray]:
-    """Grid profiles as one N x k array per catalyst dimension k = 2..max_dim.
+@functools.lru_cache(maxsize=1)
+def _grid_table(n: int, max_parts: int) -> tuple[int, tuple[np.ndarray, ...]]:
+    """The grid size at 1 / n and, unless it passes ``GRID_CEILING``, the read-only grids.
+
+    Called with validated ints only: ``4.0 == 4`` and ``True == 1`` would
+    otherwise reach a cached entry.
+    """
+    size = _grid_size(n, max_parts)
+    if size > GRID_CEILING:
+        return size, ()
+    grids = tuple(_partitions(n, k) / n for k in range(2, max_parts + 1))
+    for grid in grids:
+        grid.flags.writeable = False
+    return size, grids
+
+
+def _catalyst_grids(max_dim: int, grid_step: float) -> tuple[np.ndarray, ...]:
+    """Grid profiles as one read-only N x k array per catalyst dimension k = 2..max_dim.
 
     ``max_dim`` must be an integer and ``grid_step`` a real number in
     (0, 0.5], which leaves out NaN and the infinities.  Dimensions above
     1 / grid_step have no positive grid profile and are skipped; a grid
     of more than ``GRID_CEILING`` profiles is refused before anything is
-    enumerated.
+    enumerated.  The arguments are checked on every call; the grids are
+    built once and kept for the last (n, max_parts) asked for.
     """
     if not isinstance(max_dim, numbers.Integral):
         raise ValidationError(f"max_dim must be an integer, got {max_dim!r}")
@@ -492,16 +538,16 @@ def _catalyst_grids(max_dim: int, grid_step: float) -> list[np.ndarray]:
         raise ValidationError(
             f"grid_step {grid_step!r} gives more than {GRID_CEILING} candidates"
         )
-    n = round(1.0 / grid_step)
+    n = int(round(1.0 / grid_step))
     if abs(n * grid_step - 1.0) > 1e-9:
         raise ValidationError("grid_step must divide 1")
-    max_parts = min(max_dim, n)
-    if _grid_size(n, max_parts) > GRID_CEILING:
+    size, grids = _grid_table(n, int(min(max_dim, n)))
+    if size > GRID_CEILING:
         raise ValidationError(
             f"max_dim {max_dim} at grid_step {grid_step!r} gives more than"
             f" {GRID_CEILING} candidates"
         )
-    return [_partitions(n, k) / n for k in range(2, max_parts + 1)]
+    return grids
 
 
 def catalyst_candidates(max_dim: int, grid_step: float) -> list[tuple[float, ...]]:
@@ -528,8 +574,10 @@ def search_catalyst(
     lexicographically smallest profile.  In "deterministic" mode the first
     candidate (scan order of :func:`catalyst_candidates`) reaching
     probability 1 within 1e-9 is returned; starting from baseline 1 is a
-    precondition violation.  The baseline is ``pmax_mixed(rho, phi).p_max``,
-    and all candidates of one dimension are scored in one array pass.
+    precondition violation.  The baseline is ``pmax_mixed(rho, phi).p_max``.
+    All candidates are scored in one pass over the whole grid, in chunks,
+    and the grid is built once per process; the answer is picked by index,
+    so only the few rows that can win become tuples.
     """
     if mode not in ("probabilistic", "deterministic"):
         raise ValidationError(f"unknown mode {mode!r}")
@@ -539,21 +587,36 @@ def search_catalyst(
         raise PreconditionError("baseline probability is already 1")
 
     grids = _catalyst_grids(max_dim, grid_step)
-    candidates = [tuple(row) for grid in grids for row in grid.tolist()]
-    achieved = [v for grid in grids for v in _catalyzed_values(mixed.all_subspaces, tgt, grid).tolist()]
+    achieved = _catalyzed_values(mixed.all_subspaces, tgt, *grids)
+    # candidate i is row i - starts[k] of grids[k]; only picked rows become tuples
+    starts = [0, *itertools.accumulate(len(grid) for grid in grids)]
 
-    best_c: tuple[float, ...] | None = None
+    def candidate(i: int) -> tuple[float, ...]:
+        k = bisect.bisect_right(starts, i) - 1
+        return tuple(grids[k][i - starts[k]].tolist())
+
     if mode == "deterministic":
-        hits = ((c, v) for c, v in zip(candidates, achieved) if v >= 1.0 - UNIT_TOL)
-        best_c, best_v = next(hits, (None, baseline))
-        found = best_c is not None
+        hits = np.flatnonzero(achieved >= 1.0 - UNIT_TOL).tolist()
+        found = bool(hits)
+        best_c, best_v = (candidate(hits[0]), float(achieved[hits[0]])) if found else (None, baseline)
     else:
-        best_v = -1.0
-        for c, v in zip(candidates, achieved):
-            if v > best_v + STRICT_TOL:
-                best_c, best_v = c, v
-            elif v > best_v - STRICT_TOL and (best_c is None or c < best_c):
-                best_c = c
+        # a record beats the last one by more than STRICT_TOL, so it is a
+        # strict running maximum; the first value is always one
+        best_v, last = -1.0, 0
+        earlier = np.fmax.accumulate(np.r_[-np.inf, achieved[:-1]])
+        for i in np.flatnonzero(achieved > earlier).tolist():
+            if achieved[i] > best_v + STRICT_TOL:
+                best_v, last = float(achieved[i]), i
+        # a later near-tie of the last record wins when lexicographically
+        # smaller; each grid ascends, so only its first one can
+        ties = achieved > best_v - STRICT_TOL
+        ties[:last + 1] = False
+        picks = [last]
+        for start, end in zip(starts, starts[1:]):
+            later = np.flatnonzero(ties[start:end])
+            if later.size:
+                picks.append(start + int(later[0]))
+        best_c = min(map(candidate, picks))
         found = best_v > baseline + UNIT_TOL
     return CatalystSearchReport(
         baseline=baseline,
@@ -561,5 +624,5 @@ def search_catalyst(
         found=bool(found),
         catalyst=best_c if found else None,
         achieved=best_v if found else baseline,
-        candidates_evaluated=len(candidates),
+        candidates_evaluated=len(achieved),
     )

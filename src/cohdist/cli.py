@@ -11,7 +11,8 @@ UTF-8, not JSON); 3 ``IncoherentTargetError``, nothing to distill; 4
 ``PreconditionError`` or ``RankDeficitError``, a violated precondition
 (e.g. deterministic catalyst search at probability 1); 2 any other
 ``CohdistError``, failed validation.  0 is success, and argparse exits 2
-on a usage error.
+on a usage error; options must be spelled in full, so a prefix of one
+is such an error.
 """
 
 from __future__ import annotations
@@ -532,13 +533,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cohdist",
         description="Probabilistic coherence distillation toolkit",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(group, name, summary, func, positionals, options=None):
         """Add a subcommand: its positionals, its options, then --json."""
-        p = group.add_parser(name, help=summary)
+        p = group.add_parser(name, help=summary, allow_abbrev=False)
         for dest in positionals.split():
             p.add_argument(dest)
         for flag, spec in (options or {}).items():
@@ -554,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     command(sub, "simulate", "Monte Carlo run of a stored protocol", cmd_simulate, "protocol state",
             {"--shots": dict(type=int, default=100000), "--seed": dict(type=int, default=0)})
 
-    catalyst = sub.add_parser("catalyst", help="catalyst gates and search")
+    catalyst = sub.add_parser("catalyst", help="catalyst gates and search", allow_abbrev=False)
     csub = catalyst.add_subparsers(dest="subcommand", required=True)
     command(csub, "gate", "catalyst existence tests: exact for raising the probability,"
             " sampled over the power-mean order for reaching 1", cmd_catalyst_gate, "state target")

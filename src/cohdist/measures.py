@@ -52,19 +52,33 @@ def _padded_rows(vectors, width: int = 0) -> np.ndarray:
 
 
 def _tail_sums(rows: np.ndarray, width: int) -> np.ndarray:
-    """Tail sums of every row (last axis), zero-padded to ``width`` columns.
+    """Tail sums of every row (last axis), zero-padded to ``width``, depth-major.
 
-    Column j holds the sum of the j + 1 smallest entries, so a row read
-    backwards is :func:`suffix_profile` of it.  ``np.cumsum`` adds in
-    sequence from the smallest entry, so the padding zeros add exactly 0:
-    a wider padding shifts the sums to the right and changes no value.
+    The result has the depth axis first: entry [j, ...] holds the sum of
+    the j + 1 smallest entries of a row, so a row's sums read backwards
+    are :func:`suffix_profile` of it.  The sums add in sequence from the
+    smallest entry, so the padding zeros add exactly 0: a wider padding
+    shifts the sums to deeper depths and changes no value.  Few vectors
+    accumulate in one call; many add one whole depth row at a time, which
+    gives the same sums bit for bit.
     """
-    out = np.zeros(rows.shape[:-1] + (width,))
-    out[..., :rows.shape[-1]] = rows
+    if rows.shape[-1] == width:
+        out = rows.copy()
+    else:
+        out = np.zeros(rows.shape[:-1] + (width,))
+        out[..., :rows.shape[-1]] = rows
     out.sort(axis=-1)
-    np.cumsum(out, axis=-1, out=out)
-    np.maximum(out, 0.0, out=out)
-    return out
+    lead = out.shape[:-1]
+    sums = out.reshape(math.prod(lead), width).T.copy()
+    # one accumulate call runs along the depth axis vector by vector, so it
+    # is cheaper than a Python loop over depths only for a few hundred vectors
+    if sums.shape[1] < 256:
+        np.add.accumulate(sums, axis=0, out=sums)
+    else:
+        for j in range(1, width):
+            sums[j] += sums[j - 1]
+    np.maximum(sums, 0.0, out=sums)
+    return sums.reshape((width, *lead))
 
 
 def min_profile_ratios(rows, target) -> np.ndarray:
@@ -74,17 +88,24 @@ def min_profile_ratios(rows, target) -> np.ndarray:
     is one weight vector, or a stack whose leading axes broadcast against
     those of ``rows`` (one target per row).  All vectors are zero-padded
     to a common length, and the result has the leading shape of the
-    broadcast.  Every entry equals a one-row evaluation bit for bit.
+    broadcast.  The tail-sum ratios form one depth-major array (depth on
+    the first axis): +inf at a depth where the target tail vanishes, 0.0
+    where a live target tail meets a vanishing source tail.  Its minimum,
+    with 1.0 as the initial value, runs over whole contiguous depth rows
+    rather than one short row per vector.  Every entry equals a one-row
+    evaluation bit for bit.
     """
     rows = np.asarray(rows, dtype=float)
     target = np.asarray(target, dtype=float)
     width = max(rows.shape[-1], target.shape[-1])
-    src, tgt = _tail_sums(rows, width), _tail_sums(target, width)
+    rank = max(rows.ndim, target.ndim)
+    # both stacks get the broadcast's rank behind the depth axis
+    src, tgt = (_tail_sums(v, width).reshape((width,) + (1,) * (rank - v.ndim) + v.shape[:-1])
+                for v in (rows, target))
     live = tgt > SUPPORT_TOL
-    # entries outside ``live`` are left unset and never read
-    best = np.divide(src, tgt, out=None, where=live).min(axis=-1, where=live, initial=1.0)
-    # a vanishing source tail against a live target tail pins the ratio to 0
-    return np.where(np.any(live & (src <= SUPPORT_TOL), axis=-1), 0.0, best)
+    ratios = np.divide(src, tgt, out=np.full(np.broadcast(src, tgt).shape, np.inf), where=live)
+    np.copyto(ratios, 0.0, where=live & (src <= SUPPORT_TOL))
+    return ratios.min(axis=0, initial=1.0)
 
 
 def min_profile_ratio(source_weights, target_weights) -> float:

@@ -630,6 +630,48 @@ def test_numpy_grid_arguments_are_accepted(canonical_catalysis_pair):
     assert got == search_catalyst(rho, phi, max_dim=3, grid_step=0.05)
 
 
+def test_cross_dimension_ties_pick_the_smallest_profile(canonical_catalysis_pair):
+    # the Jonathan-Plenio pair: 108 candidates of three dimensions score 1 within 1e-12
+    rho, phi = _canonical(canonical_catalysis_pair)
+    tgt = _target_profile(phi)
+    subs = maximal_pure_subspaces(rho)
+    ties = {}
+    for grid in catalysis._catalyst_grids(4, 0.02):
+        values = catalysis._catalyzed_values(subs, tgt, grid)
+        ties[grid.shape[1]] = [tuple(row) for row, v in zip(grid.tolist(), values) if v > 1.0 - 1e-12]
+    assert {k: len(rows) for k, rows in ties.items()} == {2: 2, 3: 17, 4: 89}
+    smallest = min(row for rows in ties.values() for row in rows)
+    assert smallest == (0.3, 0.3, 0.2, 0.2)
+    got = search_catalyst(rho, phi, 4, 0.02)
+    assert (got.found, got.catalyst, got.candidates_evaluated) == (True, smallest, 1153)
+    assert got.achieved == pytest.approx(1.0, abs=1e-12)
+    got = search_catalyst(rho, phi, 4, 0.02, "deterministic")
+    assert (got.found, got.catalyst) == (True, (0.6, 0.4))
+
+
+def test_grid_cache_validates_first_and_holds_read_only_grids(canonical_catalysis_pair):
+    rho, phi = _canonical(canonical_catalysis_pair)
+    catalyst_candidates(3, 0.25)
+    catalyst_candidates(4, 0.02)
+    # equal to cached keys under ==, so they must be refused before any lookup
+    for max_dim, step in ((3.0, 0.25), (True, 0.5), ("3", 0.25)):
+        with pytest.raises(ValidationError):
+            catalysis._catalyst_grids(max_dim, step)
+        with pytest.raises(ValidationError):
+            catalyst_candidates(max_dim, step)
+        with pytest.raises(ValidationError):
+            search_catalyst(rho, phi, max_dim, step)
+    for grid in catalysis._catalyst_grids(4, 0.02):
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0, 0] = 0.5
+    # one chunk spans rows of many widths
+    assert len(catalyst_candidates(20, 0.05)) == 626
+    for mode in ("probabilistic", "deterministic"):
+        got = search_catalyst(rho, phi, 20, 0.05, mode)
+        assert got == _reference_search(rho, phi, 20, 0.05, mode)
+
+
 def test_grid_size_counts_partitions_exactly():
     for n in range(2, 30):
         want = 0

@@ -861,6 +861,23 @@ def test_catalyst_gate_has_no_alpha_points_option(files):
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("majorize", "p", "q", "--jso"),
+    ("catalyst", "search", "rho", "phi", "--max", "3"),
+    ("catalyst", "gate", "rho", "phi", "--js"),
+    ("pmax", "rho", "phi", "--prot", "plan.json"),
+    ("--vers",),
+], ids=["majorize-jso", "search-max", "gate-js", "pmax-prot", "vers"])
+def test_option_prefixes_are_refused(files, argv):
+    # only full option spellings are accepted, so adding an option never breaks one
+    argv = [str(files["tmp"] / a) if a == "plan.json" else files.get(a, a) for a in argv]
+    done = _cli_subprocess(*argv)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("usage: ")
+    assert "Traceback" not in done.stderr
+
+
 # ------------------------------------------------------- fuzzed JSON inputs
 
 _SCALARS = st.one_of(

@@ -137,6 +137,34 @@ def test_min_profile_ratios_equal_the_scalar_loop():
         assert per_row.tolist() == [got]
 
 
+def test_min_profile_ratios_edge_shapes():
+    # no depth at all: every ratio is the empty minimum, 1
+    assert measures.min_profile_ratios(np.zeros((2, 0)), np.zeros(0)).tolist() == [1.0, 1.0]
+    # no rows: an empty result
+    assert measures.min_profile_ratios(np.zeros((0, 3)), [0.5, 0.5]).shape == (0,)
+    # one 1-d row: a 0-d result
+    one = measures.min_profile_ratios([0.5, 0.26, 0.24], [0.4, 0.35, 0.25])
+    assert np.shape(one) == () and float(one) == min_profile_ratio([0.5, 0.26, 0.24],
+                                                                   [0.4, 0.35, 0.25])
+    # a 3-d stack against one target per row keeps its leading shape
+    rng = np.random.default_rng(8)
+    stack = rng.dirichlet(np.ones(4), size=(2, 3))
+    targets = rng.dirichlet(np.ones(3), size=3)
+    got = measures.min_profile_ratios(stack, targets)
+    assert got.shape == (2, 3)
+    assert got.tolist() == [[min_profile_ratio(stack[i, j], targets[j]) for j in range(3)]
+                            for i in range(2)]
+    # enough rows to add the tail sums one depth at a time: the same bits
+    many = rng.dirichlet(np.ones(6), size=300)
+    many[::7, 3:] = 0.0
+    assert measures.min_profile_ratios(many, targets[0]).tolist() == [
+        min_profile_ratio(row, targets[0]) for row in many]
+    # a pinned ratio is +0.0, also where the vanishing source tail is -0.0
+    pinned = measures.min_profile_ratios([[1.0, -0.0], [1.0, 0.0]], [0.5, 0.5])
+    assert pinned.tolist() == [0.0, 0.0]
+    assert not np.signbit(pinned).any()
+
+
 def test_majorizes_uniform_is_bottom():
     u = np.ones(4) / 4
     assert majorizes(u, np.array([0.7, 0.1, 0.1, 0.1]))
