@@ -17,10 +17,10 @@ refinement step for all their brackets, each row raised only to its own
 bracket's probes, with the same values, bit for bit, as evaluating one
 member and one order at a time.  The search
 enumerates catalyst profiles on a simplex grid of at most ``GRID_CEILING``
-points, built once per process (the grid depends on no input), and scores
-all candidates in one pass over the whole grid, in chunks, over rho's
-subspace profiles; the values equal a candidate-by-candidate evaluation
-through the plain distillation formulas bit for bit.
+points, built afresh for each search, and scores all candidates in one
+pass over the whole grid, in chunks, over rho's subspace profiles; the
+values equal a candidate-by-candidate evaluation through the plain
+distillation formulas bit for bit.
 
 Neither the gates nor the search decompose rho themselves: each reads one
 :func:`~cohdist.distill.pmax_mixed` result, which holds the maximal pure
@@ -33,7 +33,6 @@ gives both gate reports from one such result.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
 import numbers
@@ -368,21 +367,25 @@ def catalyst_gates(
 # ===========================================================================
 
 def _row_chunks(grids, size: int):
-    """The rows of ``grids`` in order, ``size`` at a time, as (first row, chunk) pairs.
+    """The rows of ``grids`` in order, ``size`` at a time (the last chunk may hold fewer).
 
     A chunk is zero-padded on the right to the widest grid it draws from.
     """
-    starts = [0, *itertools.accumulate(len(grid) for grid in grids)]
-    for first in range(0, starts[-1], size):
-        last = min(first + size, starts[-1])
-        pieces = [grid[max(first - s, 0):last - s]
-                  for grid, s in zip(grids, starts) if s < last and first < s + len(grid)]
-        chunk = np.zeros((last - first, max(piece.shape[1] for piece in pieces)))
+    chunks, room = [[]], size
+    for grid in grids:
+        while len(grid):
+            if not room:
+                chunks.append([])
+                room = size
+            chunks[-1].append(grid[:room])
+            grid, room = grid[room:], room - len(chunks[-1][-1])
+    for pieces in chunks:
+        chunk = np.zeros((sum(map(len, pieces)), max(piece.shape[1] for piece in pieces)))
         at = 0
         for piece in pieces:
             chunk[at:at + len(piece), :piece.shape[1]] = piece
             at += len(piece)
-        yield first, chunk
+        yield chunk
 
 
 def _catalyzed_values(subspaces, tgt: np.ndarray, *grids: np.ndarray) -> np.ndarray:
@@ -414,8 +417,8 @@ def _catalyzed_values(subspaces, tgt: np.ndarray, *grids: np.ndarray) -> np.ndar
     weights = np.array([s.weight for s in subspaces])
     widest = max(grid.shape[1] for grid in grids)
     rows_per_chunk = max(1, ROW_CHUNK_ELEMENTS // (len(subspaces) * n * widest))
-    out = np.empty(sum(len(grid) for grid in grids))
-    for start, cat in _row_chunks(grids, rows_per_chunk):
+    out = []
+    for cat in _row_chunks(grids, rows_per_chunk):
         k = cat.shape[1]
         # scale each row by the power of two that puts its smallest positive entry in [1, 2),
         # capped well below overflow: ratios keep their bits, and every product of supported
@@ -434,12 +437,13 @@ def _catalyzed_values(subspaces, tgt: np.ndarray, *grids: np.ndarray) -> np.ndar
             total = np.zeros(len(cat))
             for score in scores:
                 total += score
-            out[start:start + len(cat)] = total
         else:
-            for row, values in enumerate(scores.T.tolist()):
-                scored = [(s.indices, s.weight, v) for s, v in zip(subspaces, values)]
-                out[start + row] = optimize_disjoint_selection(scored)[2]
-    return out
+            total = np.array([
+                optimize_disjoint_selection([(s.indices, s.weight, v) for s, v in zip(subspaces, values)])[2]
+                for values in scores.T.tolist()
+            ])
+        out.append(total)
+    return np.concatenate(out)
 
 
 def catalyzed_pmax(rho: DensityMatrix, phi: PureStateVector, catalyst) -> float:
@@ -456,25 +460,26 @@ def catalyzed_pmax(rho: DensityMatrix, phi: PureStateVector, catalyst) -> float:
 def _partitions(n: int, k: int) -> np.ndarray:
     """Descending positive integer partitions of n into k parts, one per row.
 
-    Built from the last part forwards: a part placed with ``left`` parts
-    still to come (itself included) is at least the part after it and
-    leaves room for ``left`` parts of its size.  Rows come back in
+    Built one column at a time from the first part: a part placed with
+    ``left`` parts still to come (itself included) is at most the part
+    before it, at least the mean of what is left to place, and leaves at
+    least 1 for each later part; the last part takes what is left.  Each
+    row's successors come in ascending order, so the rows come out in
     ascending lexicographic order.
     """
-    parts = np.arange(1, n // k + 1)[:, None]
-    total = parts[:, 0].copy()
-    for left in range(k - 1, 0, -1):
-        if left == 1:                   # the first part takes what is left
-            lo = hi = n - total
-        else:
-            lo, hi = parts[:, 0], (n - total) // left
+    columns = [np.arange(-(-n // k), n - k + 2)]
+    total = columns[0]
+    for left in range(k - 1, 1, -1):
+        rest = n - total
+        lo, hi = -(-rest // left), np.minimum(columns[-1], rest - left + 1)
         counts = hi - lo + 1
-        rows = np.repeat(np.arange(len(parts)), counts)
-        offsets = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        first = lo[rows] + offsets
-        parts = np.column_stack([first, parts[rows]])
-        total = total[rows] + first
-    return parts[np.lexsort(parts.T[::-1])]
+        rows = np.repeat(np.arange(len(total)), counts)
+        # the successors of row r run lo[r], lo[r] + 1, ..., hi[r]
+        part = np.arange(rows.size) - (np.cumsum(counts) - counts - lo)[rows]
+        columns = [column[rows] for column in columns] + [part]
+        total = total[rows] + part
+    columns.append(n - total)
+    return np.column_stack(columns)
 
 
 def _grid_size(n: int, max_parts: int) -> int:
@@ -500,31 +505,14 @@ def _grid_size(n: int, max_parts: int) -> int:
     return total
 
 
-@functools.lru_cache(maxsize=1)
-def _grid_table(n: int, max_parts: int) -> tuple[int, tuple[np.ndarray, ...]]:
-    """The grid size at 1 / n and, unless it passes ``GRID_CEILING``, the read-only grids.
-
-    Called with validated ints only: ``4.0 == 4`` and ``True == 1`` would
-    otherwise reach a cached entry.
-    """
-    size = _grid_size(n, max_parts)
-    if size > GRID_CEILING:
-        return size, ()
-    grids = tuple(_partitions(n, k) / n for k in range(2, max_parts + 1))
-    for grid in grids:
-        grid.flags.writeable = False
-    return size, grids
-
-
-def _catalyst_grids(max_dim: int, grid_step: float) -> tuple[np.ndarray, ...]:
-    """Grid profiles as one read-only N x k array per catalyst dimension k = 2..max_dim.
+def _catalyst_grids(max_dim: int, grid_step: float) -> list[np.ndarray]:
+    """Grid profiles as one N x k array per catalyst dimension k = 2..max_dim.
 
     ``max_dim`` must be an integer and ``grid_step`` a real number in
     (0, 0.5], which leaves out NaN and the infinities.  Dimensions above
     1 / grid_step have no positive grid profile and are skipped; a grid
     of more than ``GRID_CEILING`` profiles is refused before anything is
-    enumerated.  The arguments are checked on every call; the grids are
-    built once and kept for the last (n, max_parts) asked for.
+    enumerated.
     """
     if not isinstance(max_dim, numbers.Integral):
         raise ValidationError(f"max_dim must be an integer, got {max_dim!r}")
@@ -541,13 +529,13 @@ def _catalyst_grids(max_dim: int, grid_step: float) -> tuple[np.ndarray, ...]:
     n = int(round(1.0 / grid_step))
     if abs(n * grid_step - 1.0) > 1e-9:
         raise ValidationError("grid_step must divide 1")
-    size, grids = _grid_table(n, int(min(max_dim, n)))
-    if size > GRID_CEILING:
+    max_parts = min(max_dim, n)
+    if _grid_size(n, max_parts) > GRID_CEILING:
         raise ValidationError(
             f"max_dim {max_dim} at grid_step {grid_step!r} gives more than"
             f" {GRID_CEILING} candidates"
         )
-    return grids
+    return [_partitions(n, k) / n for k in range(2, max_parts + 1)]
 
 
 def catalyst_candidates(max_dim: int, grid_step: float) -> list[tuple[float, ...]]:
@@ -576,8 +564,8 @@ def search_catalyst(
     probability 1 within 1e-9 is returned; starting from baseline 1 is a
     precondition violation.  The baseline is ``pmax_mixed(rho, phi).p_max``.
     All candidates are scored in one pass over the whole grid, in chunks,
-    and the grid is built once per process; the answer is picked by index,
-    so only the few rows that can win become tuples.
+    and the answer is picked by index, so only the rows that can win
+    become tuples.
     """
     if mode not in ("probabilistic", "deterministic"):
         raise ValidationError(f"unknown mode {mode!r}")
@@ -588,7 +576,7 @@ def search_catalyst(
 
     grids = _catalyst_grids(max_dim, grid_step)
     achieved = _catalyzed_values(mixed.all_subspaces, tgt, *grids)
-    # candidate i is row i - starts[k] of grids[k]; only picked rows become tuples
+    # candidate i is row i - starts[k] of grids[k]
     starts = [0, *itertools.accumulate(len(grid) for grid in grids)]
 
     def candidate(i: int) -> tuple[float, ...]:

@@ -71,7 +71,8 @@ def _tail_sums(rows: np.ndarray, width: int) -> np.ndarray:
     lead = out.shape[:-1]
     sums = out.reshape(math.prod(lead), width).T.copy()
     # one accumulate call runs along the depth axis vector by vector, so it
-    # is cheaper than a Python loop over depths only for a few hundred vectors
+    # beats a Python loop over depths only for few vectors: at widths 4 to
+    # 40 the two cost the same somewhere between 192 and 384 vectors
     if sums.shape[1] < 256:
         np.add.accumulate(sums, axis=0, out=sums)
     else:

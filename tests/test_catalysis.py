@@ -609,7 +609,7 @@ def test_grid_above_the_ceiling_is_refused_before_enumeration():
 
 
 @pytest.mark.parametrize("max_dim, grid_step", [
-    (2.5, 0.1), ("3", 0.1), (None, 0.1), (3.0, 0.25),
+    (2.5, 0.1), ("3", 0.1), (None, 0.1), (3.0, 0.25), (True, 0.5),
     (3, "0.1"), (3, None), (3, 0.25j), (3, math.nan), (3, math.inf), (3, -math.inf),
 ])
 def test_badly_typed_grid_arguments_are_validation_errors(
@@ -649,23 +649,32 @@ def test_cross_dimension_ties_pick_the_smallest_profile(canonical_catalysis_pair
     assert (got.found, got.catalyst) == (True, (0.6, 0.4))
 
 
-def test_grid_cache_validates_first_and_holds_read_only_grids(canonical_catalysis_pair):
+def test_pick_by_index_follows_the_candidate_loop_on_planted_ties(
+    canonical_catalysis_pair, monkeypatch
+):
+    # scores drawn from a few levels, each also 4e-13 above and below, so
+    # records and near-ties fall in every dimension; the winning tie may sit
+    # in an earlier dimension than a later one
     rho, phi = _canonical(canonical_catalysis_pair)
-    catalyst_candidates(3, 0.25)
-    catalyst_candidates(4, 0.02)
-    # equal to cached keys under ==, so they must be refused before any lookup
-    for max_dim, step in ((3.0, 0.25), (True, 0.5), ("3", 0.25)):
-        with pytest.raises(ValidationError):
-            catalysis._catalyst_grids(max_dim, step)
-        with pytest.raises(ValidationError):
-            catalyst_candidates(max_dim, step)
-        with pytest.raises(ValidationError):
-            search_catalyst(rho, phi, max_dim, step)
-    for grid in catalysis._catalyst_grids(4, 0.02):
-        assert not grid.flags.writeable
-        with pytest.raises(ValueError):
-            grid[0, 0] = 0.5
-    # one chunk spans rows of many widths
+    candidates = catalyst_candidates(4, 0.1)
+    levels = np.array([0.96, 0.97, 0.98, 0.99])[:, None] + np.array([-4e-13, 0.0, 4e-13])
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        values = rng.choice(levels[:int(rng.integers(1, 5))].ravel(), size=len(candidates))
+        monkeypatch.setattr(catalysis, "_catalyzed_values", lambda *args: values.copy())
+        best_c, best_v = None, -1.0
+        for c, v in zip(candidates, values.tolist()):
+            if v > best_v + catalysis.STRICT_TOL:
+                best_c, best_v = c, v
+            elif v > best_v - catalysis.STRICT_TOL and c < best_c:
+                best_c = c
+        got = search_catalyst(rho, phi, 4, 0.1)
+        assert (got.found, got.catalyst, got.achieved) == (True, best_c, best_v)
+
+
+def test_search_over_chunks_of_many_widths_equals_the_candidate_loop(canonical_catalysis_pair):
+    # one chunk spans rows of 19 widths
+    rho, phi = _canonical(canonical_catalysis_pair)
     assert len(catalyst_candidates(20, 0.05)) == 626
     for mode in ("probabilistic", "deterministic"):
         got = search_catalyst(rho, phi, 20, 0.05, mode)
