@@ -61,7 +61,7 @@ from .errors import (
     ValidationError,
 )
 from .measures import _padded_rows, min_profile_ratio, min_profile_ratios
-from .states import DensityMatrix, PureStateVector, require_finite, support_profile
+from .states import DensityMatrix, PureStateVector, _as_array, require_finite, support_profile
 from .subspaces import (
     DisjointFamily,
     PureSubspace,
@@ -102,7 +102,7 @@ class StrictlyIncoherentKraus:
 
     @classmethod
     def from_matrix(cls, raw) -> "StrictlyIncoherentKraus":
-        mat = np.array(raw, dtype=complex)
+        mat = _as_array(raw, complex, "Kraus matrix")
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise NonSquareError(f"Kraus matrix must be square, got {mat.shape}")
         rows, cols = np.nonzero(mat)
@@ -381,84 +381,78 @@ def _permutation_split(x: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.nda
 
     Needs x sorted descending and p majorized by x.  The prefixes of the
     running point y's descending order whose sums match x's (tight sets)
-    cut the coordinates into blocks; block ``b`` owns x's positions from
+    cut the positions into blocks; block ``b`` owns x's positions from
     ``b`` on.  Each step takes the vertex v that gives every block its slice
     of x in y's order, moves y to y + t(y - v) with the largest t that keeps
     every block in its permutohedron, and emits v with weight t/(1+t) of
     what is left.  That makes a new set tight, so after at most n - 1 steps
-    every block is a singleton and y is the last vertex.  The probe that
-    settles t is the next y, so its in-block sort serves the next step too.
+    every block is a singleton and y is the last vertex.
+
+    The whole state lives in the sorted frame.  ``order`` lists the levels
+    by block, descending in y within one, ties by level; ``ys`` is y in that
+    order, so the vertex is x itself and a step moves ``ys`` along
+    ``ys - x``.  ``gap`` holds 0, then x's prefix sums minus those of
+    ``ys``, so the slack of position k in its block is
+    gap[k + 1] - gap[start[k]].  Each Newton probe ys + t * step is
+    re-sorted within the blocks, and the probe that settles t is the next
+    point: its sort becomes the next ``order`` and the gap it left gives
+    the next step's tight sets and its drift correction, with no second
+    sort or prefix sum.
     """
     n = x.size
     pos = np.arange(n)
     x_prefix = np.cumsum(x)
-    block = np.zeros(n, dtype=np.intp)     # per coordinate: first x position of its block
     cut = np.zeros(n + 1, dtype=bool)      # per position: a block starts here
     cut[0] = cut[n] = True
-    gap = np.zeros(n + 1)                  # 0, then x's prefix sums minus the sorted values'
+    start = np.zeros(n, dtype=np.intp)     # per position: first position of its block
+    gap = np.zeros(n + 1)
     rest, t = 1.0, 0.0
     weights: list[float] = []
     sigmas: list[np.ndarray] = []
 
-    def bounds():
-        """Per position: first and last position of its block."""
-        start = np.maximum.accumulate(pos * cut[:n])
-        end = np.minimum.accumulate(np.where(cut[1:], pos, n)[::-1])[::-1]
-        return start, end
-
-    def slack(sorted_vals, start):
-        """Per position: x's in-block prefix sum minus that of sorted_vals."""
-        np.subtract(x_prefix, sorted_vals.cumsum(), out=gap[1:])
-        return gap[1:] - gap[start]
-
-    def in_block_sort(vals, start):
-        """Coordinates by block, descending vals within one; the slack along them."""
-        order = np.lexsort((-vals, block))
-        return order, slack(vals[order], start)
-
-    y = p.astype(float)
-    order, y_slack = in_block_sort(y, block)    # one block so far: every start is 0
+    order = np.lexsort((-p,))              # one block so far; lexsort is stable, so ties by level
+    ys = p[order].astype(float)
+    np.subtract(x_prefix, ys.cumsum(), out=gap[1:])
     for _ in range(2 * n + 2):
         # y + t(y - v) is rounded to about (1 + t) * eps, hence the scaled tolerance
-        cut[1:n] |= y_slack[:-1] <= _SPLIT_TOL * (1.0 + t)
-        start, end = bounds()
-        block[order] = start
+        cut[1:n] |= gap[1:n] - gap[start[:-1]] <= _SPLIT_TOL * (1.0 + t)
+        start = np.maximum.accumulate(pos * cut[:n])
+        end = np.minimum.accumulate(np.where(cut[1:], pos, n)[::-1])[::-1]
         # give every block back the exact sum that rounding drifts
-        y_sorted = y[order]
-        y_sorted += slack(y_sorted, start)[end] / (end - start + 1)
-        y[order] = y_sorted
+        ys += (gap[end + 1] - gap[start]) / (end - start + 1)
         sigma = np.empty(n, dtype=np.intp)
         sigma[order] = pos
         sigmas.append(sigma)
-        step = np.where(start == end, 0.0, y_sorted - x)
+        step = np.where(start == end, 0.0, ys - x)
         if not step.any():
             weights.append(rest)
             return np.array(weights), np.array(sigmas)
         # singleton bound: every coordinate stays within its block's range of x
         moving = step != 0.0
-        room = np.where(step > 0, x[start] - y_sorted, y_sorted - x[end])[moving]
+        room = np.where(step > 0, x[start] - ys, ys - x[end])[moving]
         t = float((room / np.abs(step[moving])).min())
-        direction = step[sigma]
         inner = end != pos
         # Newton from the right on the concave smallest in-block top-k slack
         for _ in range(n + 2):
-            z = y + t * direction
-            order, y_slack = in_block_sort(z, start)
-            gaps = np.where(inner, y_slack, np.inf)
+            zs = ys + t * step
+            perm = np.lexsort((order, -zs, start))
+            np.subtract(x_prefix, zs[perm].cumsum(), out=gap[1:])
+            gaps = np.where(inner, gap[1:] - gap[start], np.inf)
             k = int(gaps.argmin())
             if gaps[k] >= -_SPLIT_TOL * (1.0 + t):
                 break
-            moved = direction[order].cumsum()
+            moved = step[perm].cumsum()
             t_next = t + gaps[k] / (moved[k] - (moved[start[k] - 1] if start[k] else 0.0))
             if not 0.0 <= t_next < t:
                 break
             t = t_next
         else:   # the last Newton step moved t past the last probe
-            z = y + t * direction
-            order, y_slack = in_block_sort(z, start)
+            zs = ys + t * step
+            perm = np.lexsort((order, -zs, start))
+            np.subtract(x_prefix, zs[perm].cumsum(), out=gap[1:])
         weights.append(rest * t / (1.0 + t))
         rest /= 1.0 + t
-        y = z
+        order, ys = order[perm], zs[perm]
     raise ProtocolSynthesisError("permutation split did not converge")
 
 
@@ -506,7 +500,11 @@ def _protocol(src, src_amps, tgt, tgt_amps) -> tuple[np.ndarray, tuple[np.ndarra
     # success operator on the intermediate state: slot u -> target index
     scale = float(np.sqrt(np.min(x[:m] / q[:m])))
 
-    # deterministic pre-processing: p = sum_a w[a] * x[sigma[a, t]]
+    # deterministic pre-processing: p = sum_a w[a] * x[sigma[a, t]].  Where x
+    # equals p, p needs none, and the split is not asked: on a flat profile
+    # whose sum is off 1 by more than about 1e-13 (a source is normalized only
+    # within TRACE_TOL) rounding can move its running point out of the
+    # permutohedron, and it then fails or returns extra branches
     if np.abs(x - p).max() <= 1e-13:
         weights, sigmas = np.ones(1), np.arange(n)[None, :]
     else:
@@ -514,11 +512,10 @@ def _protocol(src, src_amps, tgt, tgt_amps) -> tuple[np.ndarray, tuple[np.ndarra
 
     # branch a sends source level src[t] through slot sigma[a, t] to target
     # level tgt[sigma[a, t]]; slots past the target rank or with x = 0 carry
-    # nothing, and a branch without a carrying slot is left out
-    feeds = (sigmas < m) & (x[sigmas] > 0.0)
-    live = feeds.any(axis=1)
-    weights, sigmas = weights[live], sigmas[live]
-    branch, t = np.nonzero(feeds[live])
+    # nothing.  Every branch carries slot 0: x is sorted and sums to 1, so
+    # x[0] > 0, slot 0 lies below the target rank m, and every row sigma is
+    # a permutation, so some source level goes to slot 0.
+    branch, t = np.nonzero((sigmas < m) & (x[sigmas] > 0.0))
     slot = sigmas[branch, t]
     sqrt_x = np.sqrt(x)
     coeffs = (

@@ -49,10 +49,20 @@ def require_finite(arr: np.ndarray, what: str) -> None:
         raise ValidationError(f"{what} has a NaN or infinite entry")
 
 
+def _as_array(raw, dtype, what: str) -> np.ndarray:
+    """``np.array(raw, dtype=dtype)``; a ValidationError where numpy cannot convert ``raw``."""
+    try:
+        return np.array(raw, dtype=dtype)
+    except (TypeError, ValueError) as exc:     # ragged nesting, a string, a foreign object
+        raise ValidationError(f"{what} is not a numeric array: {exc}") from None
+
+
 def _as_complex_matrix(raw) -> np.ndarray:
-    arr = np.array(raw, dtype=complex)
+    arr = _as_array(raw, complex, "matrix")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NonSquareError(f"expected a square matrix, got shape {arr.shape}")
+    if arr.size == 0:
+        raise ValidationError(f"expected a nonempty square matrix, got shape {arr.shape}")
     require_finite(arr, "matrix")
     return arr
 
@@ -106,7 +116,7 @@ class PureStateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.amplitudes, dtype=complex)
+        arr = _as_array(self.amplitudes, complex, "amplitude vector")
         if arr.ndim != 1 or arr.size == 0:
             raise ValidationError(f"expected a nonempty 1-d vector, got shape {arr.shape}")
         require_finite(arr, "amplitude vector")
@@ -156,6 +166,9 @@ def validate_density(raw) -> DensityMatrix:
 
     Raises
     ------
+    ValidationError
+        for data that is not a nonempty numeric array, or has a NaN or an
+        infinite entry
     NonSquareError, NotHermitianError, NotPSDError, TraceNotOneError
     """
     return DensityMatrix(raw)
@@ -163,7 +176,7 @@ def validate_density(raw) -> DensityMatrix:
 
 def as_distribution(weights) -> np.ndarray:
     """Validate a probability vector: nonnegative entries summing to one."""
-    w = np.array(weights, dtype=float)
+    w = _as_array(weights, float, "weight vector")
     if w.ndim != 1 or w.size == 0:
         raise ValidationError(f"expected a nonempty 1-d weight vector, got shape {w.shape}")
     if w.min() < -TRACE_TOL:

@@ -383,8 +383,30 @@ def test_full_plan_matches_formula_on_random_mixtures():
         assert total == pytest.approx(res.p_max, abs=1e-9)
         assert plan.completeness_gap() <= 1e-9
         assert verify_branch_outputs(plan, rho, phi)
+        # every synthesized branch carries slot 0, so none is empty
+        assert all(b.kraus.columns.size > 0 for b in plan.branches)
         checked += 1
     assert checked == 40
+
+
+def test_full_plan_keeps_relabelling_and_phase_invariance():
+    # a permutation of the levels and diagonal phases are free unitaries, so
+    # they change neither p_max nor the number of branches, and the plan of
+    # the relabelled pair must still map every branch onto its target
+    rng = np.random.default_rng(7)
+    for case in range(300):
+        dim = int(rng.integers(2, 9))
+        rho = random_block_state(rng, dim)[0] if case % 2 else random_mixture_state(rng, dim)
+        m = int(rng.integers(2, dim + 1))
+        phi = random_pure_state(rng, dim, support=sorted(rng.choice(dim, size=m, replace=False).tolist()))
+        perm = rng.permutation(dim)
+        src_phase, tgt_phase = np.exp(2j * np.pi * rng.random((2, dim)))
+        moved = (src_phase[:, None] * rho.matrix * src_phase.conj()[None, :])[np.ix_(perm, perm)]
+        rho2, phi2 = DensityMatrix(moved), PureStateVector((tgt_phase * phi.amplitudes)[perm])
+        plan, plan2 = full_plan(rho, phi), full_plan(rho2, phi2)
+        assert abs(plan2.p_max - plan.p_max) <= 1e-12
+        assert len(plan2.branches) == len(plan.branches)
+        assert verify_branch_outputs(plan2, rho2, phi2)
 
 
 def test_full_plan_branch_ids_are_unique(block_mixture, uniform_qubit_target):
@@ -966,6 +988,18 @@ def test_the_identity_shortcut_is_what_the_split_returns(monkeypatch):
         weights, sigmas = _permutation_split(x, p)
         assert weights.tolist() == [1.0]
         assert sigmas.tolist() == [list(range(p.size))]
+
+
+def test_a_flat_source_inside_the_norm_tolerance_takes_one_identity_branch():
+    # 47 equal amplitudes of squared norm 1 - 4.5e-12, a valid state: x equals
+    # p within 1e-13, and _protocol takes the identity without asking the
+    # split, whose running point rounding moves out of the permutohedron here
+    n = 47
+    psi = PureStateVector(np.full(n, 0.14586499149756665))
+    phi = PureStateVector(np.full(n, np.sqrt(1 / n)))
+    (kraus, prob), = optimal_protocol(psi, phi)
+    assert kraus.columns.tolist() == kraus.rows.tolist() == list(range(n))
+    assert prob == pytest.approx(1.0, abs=1e-10)
 
 
 def _reference_protocol(psi, phi):

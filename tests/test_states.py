@@ -9,6 +9,7 @@ from cohdist import (
     NotHermitianError,
     NotPSDError,
     PureStateVector,
+    StrictlyIncoherentKraus,
     TraceNotOneError,
     ValidationError,
     as_distribution,
@@ -127,6 +128,21 @@ def test_pure_state_rejects_non_finite_amplitudes(bad):
 def test_as_distribution_rejects_non_finite_weights(bad):
     with pytest.raises(ValidationError):
         as_distribution([bad, 1.0])
+
+
+@pytest.mark.parametrize("build, raw, message", [
+    (validate_density, np.zeros((0, 0)), "nonempty square matrix"),
+    (validate_density, [[1, 2], [3]], "matrix is not a numeric array"),
+    (validate_density, [["a"]], "matrix is not a numeric array"),
+    (PureStateVector, ["x"], "amplitude vector is not a numeric array"),
+    (PureStateVector, [[1], [0, 1]], "amplitude vector is not a numeric array"),
+    (as_distribution, ["a"], "weight vector is not a numeric array"),
+    (StrictlyIncoherentKraus.from_matrix, [[0, 1], [1]], "Kraus matrix is not a numeric array"),
+])
+def test_malformed_arrays_are_validation_errors(build, raw, message):
+    # numpy's own conversion errors are ValueError or TypeError, not CohdistError
+    with pytest.raises(ValidationError, match=message):
+        build(raw)
 
 
 @pytest.mark.parametrize("amps, squared", [
