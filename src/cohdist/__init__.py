@@ -31,7 +31,6 @@ from .distill import (
     PlanBranch,
     StrictlyIncoherentKraus,
     SubspaceYield,
-    conversion_kraus,
     full_plan,
     optimal_protocol,
     pmax_mixed,
@@ -55,7 +54,6 @@ from .errors import (
     ValidationError,
 )
 from .measures import (
-    coherence_rank,
     majorizes,
     min_profile_ratio,
     min_profile_ratios,
@@ -69,17 +67,12 @@ from .measures import (
 from .oracles import (
     SimulationResult,
     branch_probabilities,
-    brute_subspaces,
-    random_block_state,
-    random_mixture_state,
-    random_pure_state,
     simulate,
 )
 from .states import (
     DensityMatrix,
     PureStateVector,
     as_distribution,
-    dephase,
     validate_density,
 )
 from .subspaces import (
@@ -99,10 +92,8 @@ __all__ = [
     "PureStateVector",
     "validate_density",
     "as_distribution",
-    "dephase",
     # measures
     "sorted_descending",
-    "coherence_rank",
     "suffix_profile",
     "min_profile_ratio",
     "min_profile_ratios",
@@ -128,7 +119,6 @@ __all__ = [
     "BranchCheck",
     "pmax_pure",
     "pmax_mixed",
-    "conversion_kraus",
     "optimal_protocol",
     "full_plan",
     "verify_branch_outputs",
@@ -147,13 +137,9 @@ __all__ = [
     "catalyst_candidates",
     "search_catalyst",
     # oracles
-    "brute_subspaces",
     "branch_probabilities",
     "simulate",
     "SimulationResult",
-    "random_pure_state",
-    "random_block_state",
-    "random_mixture_state",
     # errors
     "CohdistError",
     "ValidationError",

@@ -339,28 +339,6 @@ def pmax_pure(psi: PureStateVector, phi: PureStateVector) -> float:
                              support_profile(phi.probabilities())[1])
 
 
-def conversion_kraus(psi: PureStateVector, phi: PureStateVector) -> StrictlyIncoherentKraus:
-    """Single success operator at the largest admissible scale.
-
-    Aligns both support profiles by descending amplitude, divides target by
-    source amplitude entrywise and rescales so the largest coefficient has
-    unit modulus.  Its success probability is the smallest aligned ratio
-    min_t |psi_t / phi_t|^2, which multi-branch protocols can beat.  A
-    target whose dimension differs from psi's is a :class:`ValidationError`.
-    """
-    _require_source_dim("target", phi.dim, psi.dim)
-    src, _ = support_profile(psi.probabilities())
-    tgt, _ = support_profile(phi.probabilities())
-    if src.size < tgt.size:
-        raise RankDeficitError(
-            f"source coherence rank {src.size} below target rank {tgt.size}"
-        )
-    src = src[:tgt.size]
-    coeffs = phi.amplitudes[tgt] / psi.amplitudes[src]
-    scale = 1.0 / np.abs(coeffs).max()
-    return StrictlyIncoherentKraus._from_triples(psi.dim, tgt, src, scale * coeffs)
-
-
 def _intermediate_profile(p: np.ndarray, q: np.ndarray, prob: float) -> np.ndarray:
     """Sorted profile x with x >= prob*q entrywise (exactly) and p majorized by x."""
     prefix = np.cumsum(p)
@@ -379,9 +357,11 @@ def _intermediate_profile(p: np.ndarray, q: np.ndarray, prob: float) -> np.ndarr
 def _permutation_split(x: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Weights w and rows sigma with p[t] = sum_a w[a] * x[sigma[a, t]], at most n rows.
 
-    Needs x sorted descending and p majorized by x.  The prefixes of the
-    running point y's descending order whose sums match x's (tight sets)
-    cut the positions into blocks; block ``b`` owns x's positions from
+    Needs x sorted descending and p majorized by x, with equal sums within
+    ``_SPLIT_TOL``; outside that contract it may return extra rows or raise
+    :class:`ProtocolSynthesisError`.  The prefixes of the running point y's
+    descending order whose sums match x's (tight sets) cut the positions
+    into blocks; block ``b`` owns x's positions from
     ``b`` on.  Each step takes the vertex v that gives every block its slice
     of x in y's order, moves y to y + t(y - v) with the largest t that keeps
     every block in its permutohedron, and emits v with weight t/(1+t) of
@@ -431,6 +411,8 @@ def _permutation_split(x: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.nda
         moving = step != 0.0
         room = np.where(step > 0, x[start] - ys, ys - x[end])[moving]
         t = float((room / np.abs(step[moving])).min())
+        if not t > -1.0:    # far outside its block's range of x: p is not majorized by x
+            raise ProtocolSynthesisError(f"permutation split left the permutohedron (t = {t!r})")
         inner = end != pos
         # Newton from the right on the concave smallest in-block top-k slack
         for _ in range(n + 2):
@@ -500,15 +482,12 @@ def _protocol(src, src_amps, tgt, tgt_amps) -> tuple[np.ndarray, tuple[np.ndarra
     # success operator on the intermediate state: slot u -> target index
     scale = float(np.sqrt(np.min(x[:m] / q[:m])))
 
-    # deterministic pre-processing: p = sum_a w[a] * x[sigma[a, t]].  Where x
-    # equals p, p needs none, and the split is not asked: on a flat profile
-    # whose sum is off 1 by more than about 1e-13 (a source is normalized only
-    # within TRACE_TOL) rounding can move its running point out of the
-    # permutohedron, and it then fails or returns extra branches
-    if np.abs(x - p).max() <= 1e-13:
-        weights, sigmas = np.ones(1), np.arange(n)[None, :]
-    else:
-        weights, sigmas = _permutation_split(x, p)
+    # deterministic pre-processing: p = sum_a w[a] * x[sigma[a, t]].  x sums
+    # to 1, but p keeps the source's norm, which is 1 only within TRACE_TOL;
+    # the split needs equal sums within _SPLIT_TOL, so p is rescaled to x's
+    if abs(x.sum() - p.sum()) > _SPLIT_TOL:
+        p = p * (x.sum() / p.sum())
+    weights, sigmas = _permutation_split(x, p)
 
     # branch a sends source level src[t] through slot sigma[a, t] to target
     # level tgt[sigma[a, t]]; slots past the target rank or with x = 0 carry

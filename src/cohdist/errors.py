@@ -55,7 +55,11 @@ class RankDeficitError(CohdistError):
 
 
 class DimensionTooLargeError(CohdistError):
-    """Brute-force enumeration refused beyond its stated dimension cap."""
+    """Input dimension beyond a stated cap.
+
+    Public for work that caps its dimension.  No library call raises it
+    today; the test suite's brute-force subspace oracle does, above its cap.
+    """
 
 
 class IncompletePlanError(CohdistError):

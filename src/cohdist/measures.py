@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .states import PureStateVector, SUPPORT_TOL, as_distribution, require_finite, support_profile
+from .states import SUPPORT_TOL, as_distribution, require_finite
 
 MAJORIZATION_TOL = 1e-10
 
@@ -19,11 +19,6 @@ MAJORIZATION_TOL = 1e-10
 def sorted_descending(weights) -> np.ndarray:
     w = np.array(weights, dtype=float)
     return w[np.argsort(-w, kind="stable")]
-
-
-def coherence_rank(psi: PureStateVector) -> int:
-    """Number of amplitudes in :func:`~cohdist.states.support_profile`."""
-    return support_profile(psi.probabilities())[0].size
 
 
 def suffix_profile(weights) -> np.ndarray:

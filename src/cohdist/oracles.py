@@ -1,10 +1,9 @@
-"""Independent cross-checks: brute-force enumeration and Monte Carlo.
+"""Monte Carlo replay of a distillation plan.
 
-Nothing here reuses the clique machinery: the subspace enumerator tests
-every index subset directly against the rank-1 definition, and the
-simulator samples branch outcomes from the analytic branch distribution.
-Agreement between these oracles and the fast paths is what the test suite
-leans on.
+The simulator samples branch outcomes from the analytic branch
+distribution with a counter-based generator keyed by the seed, so a run is
+bit-reproducible.  ``cohdist simulate`` reports it; the brute-force
+subspace oracle and the random instance generators live in the test suite.
 """
 
 from __future__ import annotations
@@ -14,64 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateStateError, DimensionTooLargeError, IncompletePlanError, ValidationError
+from .errors import IncompletePlanError, ValidationError
 from .distill import PROB_TOL, DistillationPlan, _require_source_dim
-from .states import DensityMatrix, PureStateVector, SUPPORT_TOL
-from .subspaces import RANK1_TOL, PureSubspace
+from .states import DensityMatrix
 
-BRUTE_DIM_CAP = 16
 RNG_ALGORITHM = "Philox4x64"
 
-
-# ===========================================================================
-# exhaustive subspace enumeration
-# ===========================================================================
-
-def _pure_restriction(rho: DensityMatrix, idx: tuple[int, ...]) -> PureSubspace | None:
-    """The restriction to idx as a subspace, or None when it is not pure."""
-    sel = list(idx)
-    sub = rho.matrix[np.ix_(sel, sel)]
-    weight = float(np.real(np.trace(sub)))
-    vals, vecs = np.linalg.eigh(sub / weight)
-    if len(vals) > 1 and float(vals[-2]) > RANK1_TOL:
-        return None
-    vec = vecs[:, -1]
-    lead = np.argmax(np.abs(vec) > 1e-8)
-    vec = vec * np.conj(vec[lead] / abs(vec[lead]))
-    vec = vec / np.linalg.norm(vec)
-    return PureSubspace(idx, weight, np.abs(vec) ** 2, vec, rho.dim)
-
-
-def brute_subspaces(rho: DensityMatrix) -> list[PureSubspace]:
-    """All maximal pure subspaces by checking every index subset.
-
-    Exponential in dimension; refuses above BRUTE_DIM_CAP.  Output matches
-    the ordering of ``subspaces.maximal_pure_subspaces`` so the two can be
-    compared element by element.
-    """
-    if rho.dim > BRUTE_DIM_CAP:
-        raise DimensionTooLargeError(
-            f"brute force capped at dimension {BRUTE_DIM_CAP}, got {rho.dim}"
-        )
-    verts = [i for i in range(rho.dim) if rho.diagonal()[i] > SUPPORT_TOL]
-    if not verts:
-        raise DegenerateStateError("state has no strictly positive population")
-    pure_sets: list[tuple[int, ...]] = []
-    for mask in range(1, 1 << len(verts)):
-        idx = tuple(verts[b] for b in range(len(verts)) if mask >> b & 1)
-        if _pure_restriction(rho, idx) is not None:
-            pure_sets.append(idx)
-    maximal = [
-        s for s in pure_sets
-        if not any(set(s) < set(t) for t in pure_sets)
-    ]
-    maximal.sort(key=lambda s: (-len(s), s))
-    return [_pure_restriction(rho, idx) for idx in maximal]
-
-
-# ===========================================================================
-# Monte Carlo protocol simulation
-# ===========================================================================
 
 @dataclass(frozen=True)
 class SimulationResult:
@@ -140,88 +87,3 @@ def simulate(
         failure_count=int(counts[-1]),
     )
 
-
-# ===========================================================================
-# random instance generators
-# ===========================================================================
-# Each generator checks its arguments before any random draw, so a refused
-# call leaves ``rng`` where it was.
-
-def _is_index(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _require_dim(dim) -> None:
-    if not (_is_index(dim) and dim >= 1):
-        raise ValidationError(f"dim must be a positive integer, got {dim!r}")
-
-
-def random_pure_state(
-    rng: np.random.Generator, dim: int, support: list[int] | None = None
-) -> PureStateVector:
-    """Complex-Gaussian pure state, optionally confined to a support set.
-
-    ``dim`` must be a positive integer and ``support`` a nonempty sequence
-    of distinct indices in [0, dim); anything else is a :class:`ValidationError`.
-    """
-    _require_dim(dim)
-    if support is None:
-        support = list(range(dim))
-    elif not (0 < len(set(support)) == len(support)
-              and all(_is_index(i) and 0 <= i < dim for i in support)):
-        raise ValidationError(
-            f"support must be distinct indices in [0, {dim}), got {support!r}"
-        )
-    amps = np.zeros(dim, dtype=complex)
-    vec = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
-    # keep amplitudes bounded away from zero so the support is exact
-    mags = 0.15 + np.abs(vec)
-    amps[support] = mags * np.exp(1j * np.angle(vec))
-    amps /= np.linalg.norm(amps)
-    return PureStateVector(amps)
-
-
-def random_block_state(
-    rng: np.random.Generator, dim: int
-) -> tuple[DensityMatrix, list[tuple[int, ...]]]:
-    """Block-structured mixed state with known maximal pure subspaces.
-
-    Random disjoint index blocks each carry a pure coherent state; leftover
-    indices carry plain diagonal weight.  The returned ground truth lists
-    every block and singleton, ordered like the enumeration routines.
-    """
-    _require_dim(dim)
-    perm = list(rng.permutation(dim))
-    blocks: list[list[int]] = []
-    pos = 0
-    while pos < dim:
-        size = int(rng.integers(1, min(4, dim - pos) + 1))
-        blocks.append(sorted(perm[pos:pos + size]))
-        pos += size
-    weights = rng.dirichlet(np.ones(len(blocks))) * 0.9 + 0.1 / len(blocks)
-    weights /= weights.sum()
-    mat = np.zeros((dim, dim), dtype=complex)
-    for w, block in zip(weights, blocks):
-        psi = random_pure_state(rng, dim, support=block)
-        mat += w * np.outer(psi.amplitudes, psi.amplitudes.conj())
-    truth = sorted((tuple(b) for b in blocks), key=lambda s: (-len(s), s))
-    return DensityMatrix(mat), truth
-
-
-def random_mixture_state(rng: np.random.Generator, dim: int) -> DensityMatrix:
-    """Mixture of 1-3 random pure states plus optional diagonal noise."""
-    _require_dim(dim)
-    k = int(rng.integers(1, 4))
-    parts = []
-    for _ in range(k):
-        size = int(rng.integers(1, dim + 1))
-        support = sorted(rng.choice(dim, size=size, replace=False).tolist())
-        psi = random_pure_state(rng, dim, support=support)
-        parts.append(np.outer(psi.amplitudes, psi.amplitudes.conj()))
-    weights = rng.dirichlet(np.ones(k))
-    mat = sum(w * p for w, p in zip(weights, parts))
-    if rng.random() < 0.5:
-        lam = float(rng.uniform(0.05, 0.3))
-        noise = rng.dirichlet(np.ones(dim))
-        mat = (1.0 - lam) * mat + lam * np.diag(noise.astype(complex))
-    return DensityMatrix(mat)

@@ -188,11 +188,6 @@ def as_distribution(weights) -> np.ndarray:
     return w
 
 
-def dephase(rho: DensityMatrix) -> DensityMatrix:
-    """Apply the diagonal-keeping (fully dephasing) map."""
-    return DensityMatrix(np.diag(np.diag(rho.matrix)))
-
-
 def positive_diagonal_indices(rho: DensityMatrix) -> tuple[int, ...]:
     """Indices with rho_ii > SUPPORT_TOL; raises if there are none."""
     idx = tuple(np.flatnonzero(rho.diagonal() > SUPPORT_TOL).tolist())

@@ -20,15 +20,12 @@ from cohdist import (
     deterministic_gate,
     enhancement_gate,
     pmax_mixed,
-    random_block_state,
-    random_mixture_state,
     search_catalyst,
     validate_density,
 )
 from cohdist import catalysis
 from cohdist.cli import main
 from cohdist.measures import (
-    coherence_rank,
     min_profile_ratio,
     power_mean,
     shannon_entropy,
@@ -37,6 +34,7 @@ from cohdist.measures import (
 )
 from cohdist.states import SUPPORT_TOL, support_profile
 from cohdist.subspaces import maximal_pure_subspaces, optimize_disjoint_selection
+from reference_oracles import coherence_rank, random_block_state, random_mixture_state
 
 
 def _canonical(canonical_catalysis_pair):

@@ -26,14 +26,12 @@ from cohdist import (
     enhancement_gate,
     full_plan,
     pmax_mixed,
-    random_block_state,
-    random_mixture_state,
-    random_pure_state,
     search_catalyst,
     validate_density,
 )
 from cohdist import cli, errors, subspaces
 from cohdist.cli import main, parse_pure, parse_state, plan_from_doc, plan_to_doc
+from reference_oracles import random_block_state, random_mixture_state, random_pure_state
 
 
 def write(path, doc):

@@ -10,29 +10,26 @@ from cohdist import (
     NonSquareError,
     NotStrictlyIncoherentError,
     PureStateVector,
+    ProtocolSynthesisError,
     PureSubspace,
     RankDeficitError,
     StrictlyIncoherentKraus,
     ValidationError,
     catalyst_gates,
     catalyzed_pmax,
-    coherence_rank,
-    conversion_kraus,
     enhancement_gate,
     full_plan,
     majorizes,
     optimal_protocol,
     pmax_mixed,
     pmax_pure,
-    random_block_state,
-    random_mixture_state,
-    random_pure_state,
     search_catalyst,
     validate_density,
     verify_branch_outputs,
 )
 from cohdist.distill import (
     ENTRY_TOL,
+    PROB_TOL,
     BranchCheck,
     DistillationPlan,
     PlanBranch,
@@ -42,6 +39,13 @@ from cohdist.distill import (
 )
 from cohdist.measures import min_profile_ratio
 from cohdist.oracles import branch_probabilities, simulate
+from reference_oracles import (
+    coherence_rank,
+    conversion_kraus,
+    random_block_state,
+    random_mixture_state,
+    random_pure_state,
+)
 
 
 # ---------------------------------------------------------------- operators
@@ -960,9 +964,9 @@ def test_permutation_split_sorts_once_per_step(monkeypatch):
         assert ref_sorts == sorts + len(reference) - 1
 
 
-def test_the_identity_shortcut_is_what_the_split_returns(monkeypatch):
-    # _protocol takes one identity branch without calling the split when x
-    # equals p within 1e-13; on every such input the split gives exactly that
+def test_the_split_of_x_equal_to_p_is_one_identity_branch(monkeypatch):
+    # where the intermediate profile x equals the source profile p within
+    # 1e-13, the split returns exactly one identity branch of weight 1
     from cohdist import distill
 
     seen = []
@@ -1000,6 +1004,27 @@ def test_a_flat_source_inside_the_norm_tolerance_takes_one_identity_branch():
     (kraus, prob), = optimal_protocol(psi, phi)
     assert kraus.columns.tolist() == kraus.rows.tolist() == list(range(n))
     assert prob == pytest.approx(1.0, abs=1e-10)
+
+
+def test_a_split_whose_sums_differ_past_its_tolerance_is_a_synthesis_error():
+    # p sums to 1.5e-13 less than x: outside the split's contract, where its
+    # step bound reaches t = -1 and the weight t / (1 + t) divided by zero
+    x = np.array([0.5379999999999999, 0.426, 0.036])
+    with pytest.raises(ProtocolSynthesisError, match="permutohedron"):
+        _permutation_split(x, x - 5e-14)
+
+
+def test_a_flat_source_off_the_unit_norm_by_more_than_the_split_tolerance_is_synthesized():
+    # 21 equal amplitudes of squared norm 1 - 9.9e-12, a valid state: x and p
+    # differ by 4.7e-13, and p's sum is off x's by 9.9e-12, far past the
+    # split's 1e-13; the split then divided by zero
+    n = 21
+    psi = PureStateVector(np.full(n, 0.21821789023491017))
+    phi = PureStateVector(np.sqrt(np.full(n, 1 / n)))
+    branches = optimal_protocol(psi, phi)
+    assert sum(prob for _, prob in branches) == pytest.approx(pmax_pure(psi, phi), abs=PROB_TOL)
+    (kraus, prob), = branches
+    assert kraus.columns.tolist() == kraus.rows.tolist() == list(range(n))
 
 
 def _reference_protocol(psi, phi):

@@ -10,7 +10,6 @@ from cohdist import (
     ALPHAS_BELOW_ONE,
     PureStateVector,
     ValidationError,
-    coherence_rank,
     majorizes,
     min_profile_ratio,
     power_mean,
@@ -21,6 +20,7 @@ from cohdist import (
     tensor,
 )
 from cohdist import measures
+from reference_oracles import coherence_rank
 
 # distributions with a controllable number of slots; entries are either
 # exactly zero or bounded away from it, so tail ratios stay well conditioned

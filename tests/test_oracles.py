@@ -6,18 +6,15 @@ from cohdist import (
     IncompletePlanError,
     PureStateVector,
     branch_probabilities,
-    brute_subspaces,
     full_plan,
     maximal_pure_subspaces,
-    random_block_state,
-    random_mixture_state,
-    random_pure_state,
     ValidationError,
     simulate,
     validate_density,
 )
 from cohdist.distill import DistillationPlan, PlanBranch, StrictlyIncoherentKraus
 from cohdist.subspaces import A_ONE_TOL, RANK1_TOL, a_matrix
+from reference_oracles import brute_subspaces, random_block_state, random_mixture_state, random_pure_state
 
 
 def test_brute_subspaces_block_example(block_mixture):

@@ -13,10 +13,10 @@ from cohdist import (
     TraceNotOneError,
     ValidationError,
     as_distribution,
-    dephase,
     validate_density,
 )
 from cohdist.states import positive_diagonal_indices
+from reference_oracles import dephase
 
 
 def test_accepts_valid_density():

@@ -9,20 +9,17 @@ from cohdist import (
     PureStateVector,
     ValidationError,
     a_matrix,
-    brute_subspaces,
     has_rank2_subspace,
     maximal_pure_subspaces,
     optimize_disjoint_selection,
     pmax_mixed,
-    random_block_state,
-    random_mixture_state,
-    random_pure_state,
     validate_density,
 )
 from cohdist import subspaces
 from cohdist.cli import main
 from cohdist.states import positive_diagonal_indices
 from cohdist.subspaces import A_ONE_TOL
+from reference_oracles import brute_subspaces, random_block_state, random_mixture_state, random_pure_state
 
 
 def test_a_matrix_pure_state_is_all_ones():
