@@ -10,12 +10,15 @@ probability is exact (strict-inequality test on the smallest padded
 entries).  The gate for reaching probability 1 compares power means and
 entropies on one fixed exponent grid (``ALPHAS_BELOW_ONE``,
 ``ALPHAS_ABOVE_ONE``) with local refinement, so it is not exact: a sign
-change between grid points goes unseen.  Family members
+change between grid points goes unseen.  Refinement runs only while a
+margin is positive: a member fails once a margin reaches 0 or below, so
+such a margin and its order are a witness of the failure, not the
+minimum.  Family members
 of one padded length are stacked and checked once; their power means
 come from one kernel pass over the whole grid and then one pass per
-refinement step for all their brackets, each row raised only to its own
-bracket's probes, with the same values, bit for bit, as evaluating one
-member and one order at a time.  The search
+refinement step for all their brackets still refining, each row raised
+only to its own bracket's probes, with the same values, bit for bit, as
+evaluating one member and one order at a time.  The search
 enumerates catalyst profiles on a simplex grid of at most ``GRID_CEILING``
 points, built afresh for each search, and scores all candidates in one
 pass over the whole grid, in chunks, over rho's subspace profiles; the
@@ -24,7 +27,8 @@ distillation formulas bit for bit.
 
 Neither the gates nor the search decompose rho themselves: each reads one
 :func:`~cohdist.distill.pmax_mixed` result, which holds the maximal pure
-subspaces, the selected disjoint family and the baseline probability, and
+subspaces (enumerated once per state, which keeps them), the selected
+disjoint family and the baseline probability, and
 the target profile by pmax_mixed's rule, :func:`~cohdist.states.support_profile`;
 so the identity catalyst scores the baseline exactly.  :func:`catalyst_gates`
 gives both gate reports from one such result.
@@ -87,13 +91,18 @@ class EnhancementGateReport:
 
 @dataclass(frozen=True)
 class DeterministicGateMemberRecord:
-    """Per-family-member margins for the probability-1 catalyst test."""
+    """Per-family-member margins for the probability-1 catalyst test.
+
+    A positive margin is the refined minimum over its side's orders; a
+    margin at or below 0 is the first one found there, the sampled minimum
+    or a refinement probe below 0, and witnesses the failure.
+    """
 
     indices: tuple[int, ...]
-    margin_below_one: float      # min over alpha < 1 of A(source) - A(target)
-    alpha_below_one: float
-    margin_above_one: float      # min over alpha > 1 of A(target) - A(source)
-    alpha_above_one: float
+    margin_below_one: float      # min over alpha < 1 of A(source) - A(target), or a witness <= 0
+    alpha_below_one: float       # the order of that margin
+    margin_above_one: float      # min over alpha > 1 of A(target) - A(source), or a witness <= 0
+    alpha_above_one: float       # the order of that margin
     entropy_margin: float
     zero_entry_support: bool     # padded source profile carries a zero entry
     passes: bool
@@ -222,13 +231,18 @@ def _brackets(alphas, values: np.ndarray, first, second) -> list[list]:
 def _refine_minima(rows: np.ndarray, lows, highs, brackets) -> None:
     """Tighten sampled margin minima by repeated halving between neighbours, in place.
 
-    Only brackets with a finite best exponent are refined, each for at
-    most 40 halvings and until it is narrower than 1e-6, so a margin
-    never rises above the sampled minimum.  Each step is one kernel
-    call over the two rows of every bracket still refining, each row
-    raised only to its own bracket's two probes.
+    Only brackets with a finite best exponent and a positive margin are
+    refined, each for at most 40 halvings, until it is narrower than 1e-6
+    or its margin is no longer positive; a margin never rises above the
+    sampled minimum.  A member passes only on positive margins, so a
+    margin at or below 0 has decided its verdict: it is kept as found, a
+    witness of the failure, not the refined minimum.  Each step is one
+    kernel call over the two rows of every bracket still refining, each
+    row raised only to its own bracket's two probes; the kernel computes
+    each row on its own, so a bracket that stays positive takes the same
+    steps, bit for bit, whatever else is refining.
     """
-    active = [b for b in brackets if math.isfinite(b[1])]
+    active = [b for b in brackets if math.isfinite(b[1]) and b[3] > 0.0]
     for _ in range(40):
         if not active:
             break
@@ -246,7 +260,7 @@ def _refine_minima(rows: np.ndarray, lows, highs, brackets) -> None:
                 if margin < v:
                     a, v = alpha, margin
             b[:4] = (lo + a) / 2.0, a, (a + hi) / 2.0, v
-        active = [b for b in active if b[2] - b[0] >= 1e-6]
+        active = [b for b in active if b[2] - b[0] >= 1e-6 and b[3] > 0.0]
 
 
 def _group_margins(profiles, tgt: np.ndarray, n: int) -> list[tuple]:
@@ -254,8 +268,8 @@ def _group_margins(profiles, tgt: np.ndarray, n: int) -> list[tuple]:
 
     The members' padded profiles and the padded target are stacked and
     checked once; one kernel call evaluates the whole grid, and each
-    refinement step is one more.  Returns, per member, the refined
-    (alpha, margin) below and above one, the entropy margin and whether
+    refinement step is one more.  Returns, per member, the (alpha, margin)
+    below and above one that :func:`_refine_minima` leaves, the entropy margin and whether
     the padded profile carries a zero entry.
     """
     m = len(profiles)
@@ -524,7 +538,7 @@ def _catalyst_grids(max_dim: int, grid_step: float) -> list[np.ndarray]:
         raise ValidationError("grid_step must lie in (0, 0.5]")
     if grid_step * (2 * GRID_CEILING + 2) < 1.0:
         raise ValidationError(
-            f"grid_step {grid_step!r} gives more than {GRID_CEILING} candidates"
+            f"grid_step {float(grid_step)!r} gives more than {GRID_CEILING} candidates"
         )
     n = int(round(1.0 / grid_step))
     if abs(n * grid_step - 1.0) > 1e-9:
@@ -532,7 +546,7 @@ def _catalyst_grids(max_dim: int, grid_step: float) -> list[np.ndarray]:
     max_parts = min(max_dim, n)
     if _grid_size(n, max_parts) > GRID_CEILING:
         raise ValidationError(
-            f"max_dim {max_dim} at grid_step {grid_step!r} gives more than"
+            f"max_dim {max_dim} at grid_step {float(grid_step)!r} gives more than"
             f" {GRID_CEILING} candidates"
         )
     return [_partitions(n, k) / n for k in range(2, max_parts + 1)]

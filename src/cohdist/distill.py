@@ -110,9 +110,22 @@ class StrictlyIncoherentKraus:
 
     @classmethod
     def from_entries(cls, dim: int, entries) -> "StrictlyIncoherentKraus":
-        """Build from a sequence of (row, column, value) triples."""
-        rows, cols, values = zip(*entries) if entries else ((), (), ())
-        return cls._from_triples(dim, rows, cols, values)
+        """Build from a sequence of (row, column, value) triples.
+
+        Anything that is not such a sequence, with integer indices and
+        numeric values, is a ValidationError.
+        """
+        try:
+            triples = [tuple(entry) for entry in entries]
+        except TypeError:
+            raise ValidationError("Kraus entries must be a sequence of (row, column, value) triples") from None
+        if any(len(entry) != 3 for entry in triples):
+            raise ValidationError("Kraus entries must be (row, column, value) triples")
+        rows, cols, values = zip(*triples) if triples else ((), (), ())
+        index = _as_array((rows, cols), None, "Kraus row and column indices")
+        if index.ndim != 2:
+            raise ValidationError("Kraus row and column indices must be integers")
+        return cls._from_triples(dim, *index, _as_array(values, complex, "Kraus values"))
 
     @classmethod
     def _from_triples(cls, dim: int, rows, cols, values) -> "StrictlyIncoherentKraus":
@@ -348,7 +361,7 @@ def _intermediate_profile(p: np.ndarray, q: np.ndarray, prob: float) -> np.ndarr
         x[l] = max(prob * q[l], prefix[l] - run)
         run += x[l]
     x = np.sort(x)[::-1]
-    total = x.sum()
+    total = float(x.sum())
     if abs(total - 1.0) > 1e-9:
         raise ProtocolSynthesisError(f"intermediate profile sums to {total!r}")
     return x / total
@@ -471,7 +484,7 @@ def _protocol(src, src_amps, tgt, tgt_amps) -> tuple[np.ndarray, tuple[np.ndarra
     p = np.abs(src_amps) ** 2
     q = np.zeros(n)
     q[:m] = np.abs(tgt_amps) ** 2
-    prob = min_profile_ratio(p, q)
+    prob = float(min_profile_ratios([p], q)[0])
     if prob <= 0.0:
         raise RankDeficitError("conversion probability is zero")
 

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .states import SUPPORT_TOL, as_distribution, require_finite
+from .states import SUPPORT_TOL, _as_array, as_distribution, require_finite
 
 MAJORIZATION_TOL = 1e-10
 
@@ -90,6 +90,10 @@ def min_profile_ratios(rows, target) -> np.ndarray:
     with 1.0 as the initial value, runs over whole contiguous depth rows
     rather than one short row per vector.  Every entry equals a one-row
     evaluation bit for bit.
+
+    This is the unchecked batch kernel of the hot paths: it validates
+    nothing, and a NaN or negative entry passes through to the result.
+    :func:`min_profile_ratio` is the checked entry point.
     """
     rows = np.asarray(rows, dtype=float)
     target = np.asarray(target, dtype=float)
@@ -110,10 +114,24 @@ def min_profile_ratio(source_weights, target_weights) -> float:
     Profiles are zero-padded to a common length.  Depths where the target
     tail vanishes are skipped (ratio +inf); a vanishing source tail against
     a positive target tail pins the result to 0.  Result lies in [0, 1]
-    whenever both inputs are unit-sum.  This is :func:`min_profile_ratios`
-    on one row.
+    whenever both inputs are unit-sum.  Each input must be a nonempty 1-d
+    vector of finite nonnegative numbers; anything else is a
+    ValidationError.  This is :func:`min_profile_ratios` on one row.
     """
-    return float(min_profile_ratios([source_weights], target_weights)[0])
+    source = _checked_vector(source_weights, "source weight vector")
+    target = _checked_vector(target_weights, "target weight vector")
+    return float(min_profile_ratios([source], target)[0])
+
+
+def _checked_vector(weights, what: str) -> np.ndarray:
+    """``weights`` as a nonempty 1-d float array of finite nonnegative entries."""
+    w = _as_array(weights, float, what)
+    if w.ndim != 1 or w.size == 0:
+        raise ValidationError(f"expected a nonempty 1-d {what}, got shape {w.shape}")
+    require_finite(w, what)
+    if w.min() < 0.0:
+        raise ValidationError(f"negative weight {float(w.min())!r}")
+    return w
 
 
 def majorizes(p, q, *, tol: float = MAJORIZATION_TOL) -> bool:
@@ -211,9 +229,9 @@ def power_means(weights, alphas) -> np.ndarray:
     each root is a scalar float power, so every entry equals a separate
     evaluation at that order bit for bit.
     """
-    w = np.asarray(weights, dtype=float)
+    w = _as_array(weights, float, "weight vector")
     rows, lows, highs = _checked_rows(w)
-    orders = np.array(alphas, dtype=float)
+    orders = _as_array(alphas, float, "power-mean orders")
     if orders.ndim != 1:
         raise ValidationError(f"expected a 1-d sequence of orders, got shape {orders.shape}")
     if np.isnan(orders).any():
@@ -224,7 +242,7 @@ def power_means(weights, alphas) -> np.ndarray:
 
 def power_mean(weights, alpha: float) -> float:
     """Power mean A_alpha(w) of one vector: :func:`power_means` at one order."""
-    w = np.array(weights, dtype=float)
+    w = _as_array(weights, float, "weight vector")
     if w.ndim != 1:
         raise ValidationError(f"expected a nonempty 1-d vector, got shape {w.shape}")
     return float(power_means(w, [alpha])[0])
@@ -232,7 +250,7 @@ def power_mean(weights, alpha: float) -> float:
 
 def shannon_entropy(weights) -> float:
     """Shannon entropy in nats with the 0*log(0) = 0 convention."""
-    w = np.array(weights, dtype=float)
+    w = _as_array(weights, float, "weight vector")
     if w.ndim != 1 or w.size == 0:
         raise ValidationError("expected a nonnegative 1-d vector")
     require_finite(w, "weight vector")

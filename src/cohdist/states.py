@@ -72,7 +72,9 @@ class DensityMatrix:
     """Validated density matrix in the incoherent basis.
 
     Construction checks Hermiticity, positive semidefiniteness and unit
-    trace at the module tolerances; the stored array is read-only.
+    trace at the module tolerances; the stored array is read-only.  A state
+    also keeps its maximal pure subspaces once
+    :func:`~cohdist.subspaces.maximal_pure_subspaces` has enumerated them.
     """
 
     matrix: np.ndarray
@@ -180,7 +182,7 @@ def as_distribution(weights) -> np.ndarray:
     if w.ndim != 1 or w.size == 0:
         raise ValidationError(f"expected a nonempty 1-d weight vector, got shape {w.shape}")
     if w.min() < -TRACE_TOL:
-        raise ValidationError(f"negative weight {w.min()!r}")
+        raise ValidationError(f"negative weight {float(w.min())!r}")
     w = np.clip(w, 0.0, None)
     total = float(w.sum())
     if not abs(total - 1.0) <= TRACE_TOL:     # a NaN or infinite entry fails here

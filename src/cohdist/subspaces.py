@@ -209,7 +209,21 @@ def maximal_pure_subspaces(rho: DensityMatrix) -> list[PureSubspace]:
     sets.  Every returned restriction passes the rank-1 check (second
     eigenvalue at most RANK1_TOL).  Restrictions of one size are stacked
     and go through one ``eigh`` call.
+
+    A state is enumerated once: it keeps the result as a tuple of the
+    immutable subspaces, and every call returns a new list of them.  A
+    restriction that fails the rank-1 check is not kept, so every call on
+    that state raises the ValidationError again.
     """
+    kept = vars(rho).get("_pure_subspaces")
+    if kept is None:
+        # stored as functools.cached_property stores, past the frozen dataclass's __setattr__
+        kept = vars(rho)["_pure_subspaces"] = tuple(_enumerate(rho))
+    return list(kept)
+
+
+def _enumerate(rho: DensityMatrix) -> list[PureSubspace]:
+    """The maximal pure subspaces of ``rho``, computed; see :func:`maximal_pure_subspaces`."""
     cliques = _cliques(_unit_mask(rho), positive_diagonal_indices(rho))
     populations = rho.diagonal()
     out = []

@@ -19,11 +19,12 @@ from cohdist import (
     catalyzed_pmax,
     deterministic_gate,
     enhancement_gate,
+    full_plan,
     pmax_mixed,
     search_catalyst,
     validate_density,
 )
-from cohdist import catalysis
+from cohdist import catalysis, subspaces
 from cohdist.cli import main
 from cohdist.measures import (
     min_profile_ratio,
@@ -628,6 +629,13 @@ def test_numpy_grid_arguments_are_accepted(canonical_catalysis_pair):
     assert got == search_catalyst(rho, phi, max_dim=3, grid_step=0.05)
 
 
+def test_a_numpy_grid_step_is_named_as_a_plain_number():
+    with pytest.raises(ValidationError, match=r"^grid_step 1e-07 gives more than"):
+        catalyst_candidates(3, np.float64(1e-7))
+    with pytest.raises(ValidationError, match=r"^max_dim 40 at grid_step 0.01 gives more than"):
+        catalyst_candidates(np.int64(40), np.float64(0.01))
+
+
 def test_cross_dimension_ties_pick_the_smallest_profile(canonical_catalysis_pair):
     # the Jonathan-Plenio pair: 108 candidates of three dimensions score 1 within 1e-12
     rho, phi = _canonical(canonical_catalysis_pair)
@@ -689,11 +697,14 @@ def test_grid_size_counts_partitions_exactly():
 
 # ------------------------------------ probability-1 gate against the scalar loop
 
-def _reference_refine_minimum(f, alphas, values):
-    """The halving refinement, one side and one order at a time."""
+def _reference_refine_minimum(f, alphas, values, full=False):
+    """The halving refinement, one side and one order at a time.
+
+    It stops once the margin is at or below 0, unless ``full``.
+    """
     k = int(np.argmin(values))
     best_a, best_v = alphas[k], values[k]
-    if not math.isfinite(best_a):
+    if not math.isfinite(best_a) or not (full or best_v > 0.0):
         return best_a, best_v
     lo = alphas[k - 1] if k > 0 and math.isfinite(alphas[k - 1]) else best_a
     hi = alphas[k + 1] if k + 1 < len(alphas) and math.isfinite(alphas[k + 1]) else best_a
@@ -704,13 +715,16 @@ def _reference_refine_minimum(f, alphas, values):
                 best_v, best_a = v, probe
         lo = (lo + best_a) / 2.0
         hi = (best_a + hi) / 2.0
-        if hi - lo < 1e-6:
+        if hi - lo < 1e-6 or not (full or best_v > 0.0):
             break
     return best_a, best_v
 
 
-def _reference_deterministic_gate(rho, phi):
-    """The probability-1 gate with one scalar power_mean call per order and profile."""
+def _reference_deterministic_gate(rho, phi, full=False):
+    """The probability-1 gate with one scalar power_mean call per order and profile.
+
+    ``full`` refines every margin as far as it goes, past 0.
+    """
     tgt = _target_profile(phi)
     family = pmax_mixed(rho, phi).family
     baseline = family.total_value
@@ -735,8 +749,8 @@ def _reference_deterministic_gate(rho, phi):
 
         below_vals = [below_margin(a) for a in below]
         above_vals = [above_margin(a) for a in above]
-        a_lo, m_lo = _reference_refine_minimum(below_margin, list(below), below_vals)
-        a_hi, m_hi = _reference_refine_minimum(above_margin, list(above), above_vals)
+        a_lo, m_lo = _reference_refine_minimum(below_margin, list(below), below_vals, full)
+        a_hi, m_hi = _reference_refine_minimum(above_margin, list(above), above_vals, full)
         s_margin = shannon_entropy(p) - shannon_entropy(q)
         if zero_entry:
             flags.append(f"zero_entry_support:{s.indices}")
@@ -815,6 +829,20 @@ def test_deterministic_gate_equals_the_scalar_loop(
         got = deterministic_gate(rho, phi)
         assert got == want, name
         assert repr(got) == repr(want), name          # signed zeros included
+        # refinement past 0 moves no verdict: a positive margin is the full
+        # refinement's, and a witness lies between 0 and the refined minimum
+        full = _reference_deterministic_gate(rho, phi, full=True)
+        assert got.verdict == full.verdict, name
+        for m, f in zip(got.members, full.members):
+            assert m.passes == f.passes, name
+            for side in ("below_one", "above_one"):
+                pair = (getattr(m, f"margin_{side}"), getattr(m, f"alpha_{side}"))
+                full_pair = (getattr(f, f"margin_{side}"), getattr(f, f"alpha_{side}"))
+                if pair[0] > 0.0:
+                    assert repr(pair) == repr(full_pair), name
+                else:
+                    assert full_pair[0] <= pair[0] <= 0.0, name
+                    seen["witness above the refined minimum"] += pair[0] > full_pair[0]
         seen[f"verdict {want.verdict}"] += 1
         seen["weight flag"] += "family_weight_below_one" in want.flags
         target_rank = coherence_rank(phi)
@@ -833,7 +861,8 @@ def test_deterministic_gate_equals_the_scalar_loop(
     wanted = ["baseline one", "verdict True", "verdict False", "weight flag", "zero entry",
               "below at -inf", "above at +inf", "zero margin", "below refined",
               "above refined", "n >= 8", "members share a padded length",
-              "members differ in padded length", "tied below-one minimum"]
+              "members differ in padded length", "tied below-one minimum",
+              "witness above the refined minimum"]
     assert all(seen[key] for key in wanted), seen
 
 
@@ -856,6 +885,51 @@ def test_deterministic_gate_makes_one_kernel_pass_per_step_and_group(monkeypatch
     assert lengths == {3: 51, 5: 6}
     assert set(calls) == set(lengths)
     assert all(calls[n] <= 1 + 40 for n in lengths), calls
+
+
+def test_a_gate_whose_margins_are_all_at_most_zero_refines_nothing(monkeypatch):
+    # every member's profile majorizes the padded target, so every sampled
+    # minimum is below 0 and the verdict is decided by the grid pass alone;
+    # the below-one minima sit at finite orders, where refinement would start
+    mat = np.zeros((8, 8), dtype=complex)
+    for w, levels, probs in ((0.5, [0, 1, 2], [0.7, 0.2, 0.1]), (0.3, [3, 4, 5], [0.6, 0.3, 0.1]),
+                             (0.2, [6, 7], [0.9, 0.1])):
+        amps = np.sqrt(probs)
+        mat[np.ix_(levels, levels)] = w * np.outer(amps, amps)
+    rho = validate_density(mat)
+    phi = PureStateVector.from_probabilities(np.array([0.5, 0.3, 0.2, 0, 0, 0, 0, 0]))
+    calls = Counter()
+    kernel = catalysis._power_means_kernel
+
+    def counting(rows, *args):
+        calls[rows.shape[1]] += 1
+        return kernel(rows, *args)
+
+    monkeypatch.setattr(catalysis, "_power_means_kernel", counting)
+    rep = deterministic_gate(rho, phi)
+    assert not rep.verdict and len(rep.members) == 3
+    assert all(m.margin_below_one < 0.0 and m.margin_above_one < 0.0 for m in rep.members)
+    # sampled, finite orders: each witness is a grid point, not a refined one
+    assert all(math.isfinite(m.alpha_below_one) and m.alpha_below_one in ALPHAS_BELOW_ONE
+               for m in rep.members)
+    assert calls == {3: 1}
+
+
+def test_one_state_is_enumerated_once_across_the_catalyst_questions(
+    canonical_catalysis_pair, monkeypatch
+):
+    rho, phi = _canonical(canonical_catalysis_pair)
+    calls = []
+    cliques = subspaces._cliques
+    monkeypatch.setattr(subspaces, "_cliques", lambda *args: calls.append(1) or cliques(*args))
+    first = enhancement_gate(rho, phi)
+    deterministic_gate(rho, phi)
+    search_catalyst(rho, phi)
+    full_plan(rho, phi)
+    assert len(calls) == 1
+    # a fresh state with the same matrix enumerates again, to the same answer
+    assert enhancement_gate(DensityMatrix(rho.matrix), phi) == first
+    assert len(calls) == 2
 
 
 def test_deterministic_gate_sees_tiny_source_entries():

@@ -77,6 +77,14 @@ def test_validate_kinds(files, capsys):
         assert doc["valid"] and doc["kind"] == kind
 
 
+def test_a_negative_weight_is_reported_as_a_plain_number(files, capsys):
+    bad = write(files["tmp"] / "bad.json", {"weights": [1.5, -0.5]})
+    for argv in (("validate", bad), ("majorize", bad, files["q"]), ("majorize", files["p"], bad)):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err == "error: negative weight -0.5\n", argv
+
+
 def test_subspaces_command(files, capsys):
     code, out, _ = run(capsys, "subspaces", files["rho"], "--json")
     assert code == 0

@@ -721,6 +721,19 @@ def test_kraus_entries_need_integer_indices_in_range(dim, entries):
         StrictlyIncoherentKraus.from_entries(dim, entries)
 
 
+@pytest.mark.parametrize("entries", [
+    [(0, 0)],
+    [(0, 0, "a")],
+    [(0, 0, 1.0), (1, 1, 1.0, 7)],
+    [((0, 1), 0, 1.0)],
+    None,
+    [3],
+])
+def test_kraus_entries_that_are_not_numeric_triples_are_validation_errors(entries):
+    with pytest.raises(ValidationError):
+        StrictlyIncoherentKraus.from_entries(2, entries)
+
+
 def _random_plans(rng):
     """Plans from full_plan on random inputs, and plans of random monomials."""
     for _ in range(40):
@@ -1012,6 +1025,13 @@ def test_a_split_whose_sums_differ_past_its_tolerance_is_a_synthesis_error():
     x = np.array([0.5379999999999999, 0.426, 0.036])
     with pytest.raises(ProtocolSynthesisError, match="permutohedron"):
         _permutation_split(x, x - 5e-14)
+
+
+def test_an_intermediate_profile_off_unit_sum_names_its_sum_as_a_plain_number():
+    # a source of sum 2 leaves x = (1, 1)
+    with pytest.raises(ProtocolSynthesisError) as info:
+        _intermediate_profile(np.array([1.0, 1.0]), np.array([0.5, 0.5]), 1.0)
+    assert str(info.value) == "intermediate profile sums to 2.0"
 
 
 def test_a_flat_source_off_the_unit_norm_by_more_than_the_split_tolerance_is_synthesized():

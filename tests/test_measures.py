@@ -288,6 +288,34 @@ def test_power_mean_monotone_in_order(w, alpha):
     assert lo <= hi + 1e-9
 
 
+@pytest.mark.parametrize("source, target", [
+    ([math.nan, 1.0], [1.0]),
+    ([1.0], [math.inf]),
+    ([-1.0, 2.0], [1.0]),
+    ([1.0], [2.0, -1.0]),
+    (1.0, [1.0]),
+    ("ab", [1]),
+    ([], [1.0]),
+    ([[0.5, 0.5]], [1.0]),
+])
+def test_min_profile_ratio_refuses_what_is_not_a_finite_nonnegative_vector(source, target):
+    with pytest.raises(ValidationError):
+        min_profile_ratio(source, target)
+
+
+@pytest.mark.parametrize("weights, alpha", [(["a"], 2.0), ([0.5, 0.5], "x")])
+def test_power_mean_refuses_non_numeric_input(weights, alpha):
+    with pytest.raises(ValidationError, match="not a numeric array"):
+        power_mean(weights, alpha)
+    with pytest.raises(ValidationError, match="not a numeric array"):
+        power_means(weights, [alpha])
+
+
+def test_shannon_entropy_refuses_non_numeric_input():
+    with pytest.raises(ValidationError, match="not a numeric array"):
+        shannon_entropy(["a", 0.5])
+
+
 def test_shannon_entropy_known_values():
     assert shannon_entropy(np.array([1.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
     assert shannon_entropy(np.ones(3) / 3) == pytest.approx(math.log(3), abs=1e-12)

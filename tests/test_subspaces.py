@@ -431,6 +431,23 @@ def test_stacked_subspaces_match_one_eigh_per_clique(overlapping_state, block_mi
             assert not np.any(np.delete(amps, idx))
 
 
+def test_a_state_is_enumerated_once(monkeypatch, overlapping_state):
+    calls = []
+    cliques = subspaces._cliques
+    monkeypatch.setattr(subspaces, "_cliques", lambda *args: calls.append(1) or cliques(*args))
+    rho, _ = random_block_state(np.random.default_rng(5), 12)
+    for state in (rho, overlapping_state):
+        calls.clear()
+        runs = [maximal_pure_subspaces(state) for _ in range(3)]
+        assert len(calls) == 1
+        assert runs[0] == runs[1] == runs[2]
+        # each call hands out its own list of the kept subspaces
+        assert runs[0] is not runs[1]
+        assert all(a is b for a, b in zip(runs[0], runs[1]))
+        runs[0].clear()
+        assert maximal_pure_subspaces(state) == runs[1]
+
+
 def test_one_eigh_call_per_clique_size(monkeypatch):
     rng = np.random.default_rng(11)
     calls = []
@@ -468,3 +485,12 @@ def test_a_clique_that_is_not_rank1_is_refused(tmp_path):
     path.write_text(json.dumps(
         {"matrix": [[[z.real, z.imag] for z in row] for row in rho.matrix.tolist()]}))
     assert main(["subspaces", str(path)]) == 2
+
+
+def test_a_state_whose_clique_is_not_rank1_raises_on_every_call():
+    # a refused restriction is not kept as the state's answer
+    rho = _indefinite_clique_state()
+    phi = PureStateVector(np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2))
+    for call in (maximal_pure_subspaces, maximal_pure_subspaces, lambda r: pmax_mixed(r, phi)):
+        with pytest.raises(ValidationError, match=r"restriction to \(1, 2, 3\) not rank-1"):
+            call(rho)
