@@ -17,7 +17,6 @@ from .catalysis import (
     DeterministicGateReport,
     EnhancementGateReport,
     EnhancementRecord,
-    catalyst_candidates,
     catalyst_gates,
     catalyzed_pmax,
     deterministic_gate,
@@ -40,7 +39,6 @@ from .distill import (
 from .errors import (
     CohdistError,
     DegenerateStateError,
-    DimensionTooLargeError,
     IncoherentTargetError,
     IncompletePlanError,
     NonSquareError,
@@ -56,12 +54,8 @@ from .errors import (
 from .measures import (
     majorizes,
     min_profile_ratio,
-    min_profile_ratios,
     power_mean,
-    power_means,
     shannon_entropy,
-    sorted_descending,
-    suffix_profile,
     tensor,
 )
 from .oracles import (
@@ -76,7 +70,6 @@ from .states import (
     validate_density,
 )
 from .subspaces import (
-    CoherenceSupportGraph,
     DisjointFamily,
     PureSubspace,
     a_matrix,
@@ -93,18 +86,13 @@ __all__ = [
     "validate_density",
     "as_distribution",
     # measures
-    "sorted_descending",
-    "suffix_profile",
     "min_profile_ratio",
-    "min_profile_ratios",
     "majorizes",
     "tensor",
     "power_mean",
-    "power_means",
     "shannon_entropy",
     # subspaces
     "a_matrix",
-    "CoherenceSupportGraph",
     "PureSubspace",
     "DisjointFamily",
     "maximal_pure_subspaces",
@@ -134,7 +122,6 @@ __all__ = [
     "ALPHAS_BELOW_ONE",
     "ALPHAS_ABOVE_ONE",
     "catalyzed_pmax",
-    "catalyst_candidates",
     "search_catalyst",
     # oracles
     "branch_probabilities",
@@ -151,7 +138,6 @@ __all__ = [
     "DegenerateStateError",
     "IncoherentTargetError",
     "RankDeficitError",
-    "DimensionTooLargeError",
     "IncompletePlanError",
     "PreconditionError",
     "ProtocolSynthesisError",

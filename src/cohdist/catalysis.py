@@ -552,16 +552,6 @@ def _catalyst_grids(max_dim: int, grid_step: float) -> list[np.ndarray]:
     return [_partitions(n, k) / n for k in range(2, max_parts + 1)]
 
 
-def catalyst_candidates(max_dim: int, grid_step: float) -> list[tuple[float, ...]]:
-    """All sorted-descending positive grid profiles, k = 2..max_dim.
-
-    Scan order is dimension-major, then ascending lexicographic, which
-    fixes the meaning of "first hit" in deterministic searches.  A grid of
-    more than ``GRID_CEILING`` profiles raises ValidationError.
-    """
-    return [tuple(row) for grid in _catalyst_grids(max_dim, grid_step) for row in grid.tolist()]
-
-
 def search_catalyst(
     rho: DensityMatrix,
     phi: PureStateVector,
@@ -571,15 +561,18 @@ def search_catalyst(
 ) -> CatalystSearchReport:
     """Grid search for an explicit catalyst profile.
 
-    In "probabilistic" mode the best candidate is returned and counts as
-    found when it beats the baseline by more than 1e-9; ties prefer the
+    The candidates are the sorted-descending positive profiles with
+    k = 2..max_dim entries on the simplex grid of step ``grid_step``,
+    scanned dimension-major, then in ascending lexicographic order; a grid
+    of more than ``GRID_CEILING`` profiles raises ValidationError.  In
+    "probabilistic" mode the best candidate is returned and counts as found
+    when it beats the baseline by more than 1e-9; ties prefer the
     lexicographically smallest profile.  In "deterministic" mode the first
-    candidate (scan order of :func:`catalyst_candidates`) reaching
-    probability 1 within 1e-9 is returned; starting from baseline 1 is a
-    precondition violation.  The baseline is ``pmax_mixed(rho, phi).p_max``.
-    All candidates are scored in one pass over the whole grid, in chunks,
-    and the answer is picked by index, so only the rows that can win
-    become tuples.
+    candidate in scan order reaching probability 1 within 1e-9 is
+    returned; starting from baseline 1 is a precondition violation.  The
+    baseline is ``pmax_mixed(rho, phi).p_max``.  All candidates are scored
+    in one pass over the whole grid, in chunks, and the answer is picked by
+    index, so only the rows that can win become tuples.
     """
     if mode not in ("probabilistic", "deterministic"):
         raise ValidationError(f"unknown mode {mode!r}")

@@ -191,11 +191,6 @@ class StrictlyIncoherentKraus:
 
     matrix = property(reconstruct)
 
-    def apply(self, amplitudes: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.dim, dtype=complex)
-        out[self.rows] = self.coefficients * amplitudes[self.columns]
-        return out
-
 
 # ===========================================================================
 # plan containers

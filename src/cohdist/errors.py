@@ -54,14 +54,6 @@ class RankDeficitError(CohdistError):
     """Source coherence rank is below the target's; conversion probability 0."""
 
 
-class DimensionTooLargeError(CohdistError):
-    """Input dimension beyond a stated cap.
-
-    Public for work that caps its dimension.  No library call raises it
-    today; the test suite's brute-force subspace oracle does, above its cap.
-    """
-
-
 class IncompletePlanError(CohdistError):
     """Plan's Kraus operators overshoot completeness (sum K†K > I)."""
 

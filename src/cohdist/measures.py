@@ -1,7 +1,7 @@
 """Distribution-level coherence measures and order relations.
 
 All functions here work on plain nonnegative weight vectors (squared
-moduli); sorting is descending with stable tie order by original index.
+moduli).
 """
 
 from __future__ import annotations
@@ -14,24 +14,6 @@ from .errors import ValidationError
 from .states import SUPPORT_TOL, _as_array, as_distribution, require_finite
 
 MAJORIZATION_TOL = 1e-10
-
-
-def sorted_descending(weights) -> np.ndarray:
-    w = np.array(weights, dtype=float)
-    return w[np.argsort(-w, kind="stable")]
-
-
-def suffix_profile(weights) -> np.ndarray:
-    """Tail sums of the descending-sorted weights.
-
-    Entry ``l`` (0-based) is the total weight outside the ``l`` largest
-    entries' complement, i.e. sum of entries ``l..d-1`` after sorting.
-    Entry 0 equals the full total.
-    """
-    w = sorted_descending(weights)
-    out = np.cumsum(w[::-1])[::-1]
-    out[out < 0.0] = 0.0
-    return out
 
 
 def _padded_rows(vectors, width: int = 0) -> np.ndarray:
@@ -51,7 +33,7 @@ def _tail_sums(rows: np.ndarray, width: int) -> np.ndarray:
 
     The result has the depth axis first: entry [j, ...] holds the sum of
     the j + 1 smallest entries of a row, so a row's sums read backwards
-    are :func:`suffix_profile` of it.  The sums add in sequence from the
+    are its descending tail sums.  The sums add in sequence from the
     smallest entry, so the padding zeros add exactly 0: a wider padding
     shifts the sums to deeper depths and changes no value.  Few vectors
     accumulate in one call; many add one whole depth row at a time, which
@@ -142,8 +124,8 @@ def majorizes(p, q, *, tol: float = MAJORIZATION_TOL) -> bool:
     to a common length and must be valid distributions.
     """
     pw, qw = _padded_rows([as_distribution(p), as_distribution(q)])
-    ps = np.cumsum(sorted_descending(pw))
-    qs = np.cumsum(sorted_descending(qw))
+    ps = np.cumsum(np.sort(pw)[::-1])
+    qs = np.cumsum(np.sort(qw)[::-1])
     return bool(np.all(ps <= qs + tol))
 
 
@@ -211,41 +193,29 @@ def _power_means_kernel(rows: np.ndarray, lows, highs, orders: np.ndarray) -> li
     ]
 
 
-def power_means(weights, alphas) -> np.ndarray:
-    """Power means A_alpha(w) = (mean(w_i^alpha))^(1/alpha), all rows by all orders.
-
-    ``weights`` is one vector, giving a result of shape (len(alphas),), or
-    a 2-d stack of rows, giving shape (rows, len(alphas)).  Analytic
-    continuations: |alpha| <= 1e-8 is the geometric mean, alpha=+inf the
-    maximum entry, alpha=-inf the minimum entry.  Any zero entry makes
-    A_alpha = 0 for every alpha <= 0.  The averaging dimension is the full
-    row length including zero padding.  A mean of powers that overflows
-    (or underflows to 0) is taken again relative to the smallest entry
-    for alpha < 0, w_min * mean((w / w_min)^alpha)^(1/alpha), and
-    relative to the largest entry for alpha > 0,
-    w_max * mean((w / w_max)^alpha)^(1/alpha).
-
-    All powers come from one broadcast and the means from one reduction;
-    each root is a scalar float power, so every entry equals a separate
-    evaluation at that order bit for bit.
-    """
-    w = _as_array(weights, float, "weight vector")
-    rows, lows, highs = _checked_rows(w)
-    orders = _as_array(alphas, float, "power-mean orders")
-    if orders.ndim != 1:
-        raise ValidationError(f"expected a 1-d sequence of orders, got shape {orders.shape}")
-    if np.isnan(orders).any():
-        raise ValidationError("power-mean order is NaN")
-    result = np.array(_power_means_kernel(rows, lows, highs, orders))
-    return result if w.ndim == 2 else result[0]
-
-
 def power_mean(weights, alpha: float) -> float:
-    """Power mean A_alpha(w) of one vector: :func:`power_means` at one order."""
+    """Power mean A_alpha(w) = (mean(w_i^alpha))^(1/alpha) of one vector.
+
+    Analytic continuations: |alpha| <= 1e-8 is the geometric mean,
+    alpha=+inf the maximum entry, alpha=-inf the minimum entry.  Any zero
+    entry makes A_alpha = 0 for every alpha <= 0.  The averaging dimension
+    is the full vector length including zero padding.  A mean of powers
+    that overflows (or underflows to 0) is taken again relative to the
+    smallest entry for alpha < 0, w_min * mean((w / w_min)^alpha)^(1/alpha),
+    and relative to the largest entry for alpha > 0,
+    w_max * mean((w / w_max)^alpha)^(1/alpha).  ``weights`` must be a
+    nonempty 1-d vector of finite nonnegative numbers and ``alpha`` a
+    number that is not NaN; anything else is a ValidationError.
+    """
     w = _as_array(weights, float, "weight vector")
     if w.ndim != 1:
         raise ValidationError(f"expected a nonempty 1-d vector, got shape {w.shape}")
-    return float(power_means(w, [alpha])[0])
+    orders = _as_array([alpha], float, "power-mean orders")
+    if orders.ndim != 1:
+        raise ValidationError(f"expected one power-mean order, got {alpha!r}")
+    if np.isnan(orders).any():
+        raise ValidationError("power-mean order is NaN")
+    return _power_means_kernel(*_checked_rows(w), orders)[0][0]
 
 
 def shannon_entropy(weights) -> float:

@@ -143,14 +143,6 @@ class PureStateVector:
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
-    def support(self) -> tuple[int, ...]:
-        """Indices of :func:`support_profile`, ascending."""
-        return tuple(sorted(self.sorted_support()))
-
-    def sorted_support(self) -> tuple[int, ...]:
-        """Indices of :func:`support_profile`: by descending weight, ties by index."""
-        return tuple(support_profile(self.probabilities())[0].tolist())
-
     @classmethod
     def from_probabilities(cls, weights) -> "PureStateVector":
         """Real nonnegative-amplitude state with the given squared moduli."""

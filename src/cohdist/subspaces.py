@@ -22,12 +22,7 @@ from itertools import accumulate, groupby
 import numpy as np
 
 from .errors import ValidationError
-from .states import (
-    DensityMatrix,
-    PureStateVector,
-    SUPPORT_TOL,
-    positive_diagonal_indices,
-)
+from .states import DensityMatrix, SUPPORT_TOL, positive_diagonal_indices
 
 A_ONE_TOL = 1e-9        # |A_ij - 1| tolerance for a unit-coherence edge
 RANK1_TOL = 1e-9        # second eigenvalue ceiling for a pure restriction
@@ -132,29 +127,21 @@ def _bits(mask: int):
 
 @dataclass(frozen=True)
 class PureSubspace:
-    """One maximal pure subspace of a ``dim``-level state.
+    """One maximal pure subspace of a state.
 
     ``weight`` is tr(P rho P).  ``amplitudes`` holds the restricted pure
     state on ``indices``, its first sizeable entry real positive, and
-    ``profile`` its squared moduli.  ``state`` embeds it in all ``dim``
-    levels on each access.
+    ``profile`` its squared moduli.
     """
 
     indices: tuple[int, ...]
     weight: float
     profile: np.ndarray
     amplitudes: np.ndarray
-    dim: int
 
     @property
     def rank(self) -> int:
         return len(self.indices)
-
-    @property
-    def state(self) -> PureStateVector:
-        amps = np.zeros(self.dim, dtype=complex)
-        amps[list(self.indices)] = self.amplitudes
-        return PureStateVector(amps)
 
 
 def _cliques(unit: np.ndarray, verts: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -240,7 +227,7 @@ def _enumerate(rho: DensityMatrix) -> list[PureSubspace]:
         profiles = np.abs(amps) ** 2
         for arr in (profiles, amps):
             arr.flags.writeable = False
-        out += map(PureSubspace, run, weights.tolist(), profiles, amps, [rho.dim] * len(run))
+        out += map(PureSubspace, run, weights.tolist(), profiles, amps)
     return out
 
 

@@ -5,8 +5,10 @@ Nothing here reuses the clique machinery: the subspace enumerator tests
 every index subset directly against the rank-1 definition.  Agreement
 between it and :func:`cohdist.maximal_pure_subspaces` is what the subspace
 tests lean on.  The generators draw states with known structure, and the
-helpers give the single-operator conversion baseline, the dephased state
-and the coherence rank.  The package itself reads none of this.
+helpers give the single-operator conversion baseline, the dephased state,
+the coherence rank, tail-sum profiles, a subspace's d-length state and the
+catalyst search's candidates in scan order.  The package itself reads none
+of this.
 """
 
 from __future__ import annotations
@@ -15,12 +17,17 @@ import numbers
 
 import numpy as np
 
+from cohdist import catalysis
 from cohdist.distill import StrictlyIncoherentKraus, _require_source_dim
-from cohdist.errors import DegenerateStateError, DimensionTooLargeError, RankDeficitError, ValidationError
+from cohdist.errors import CohdistError, DegenerateStateError, RankDeficitError, ValidationError
 from cohdist.states import DensityMatrix, PureStateVector, SUPPORT_TOL, support_profile
 from cohdist.subspaces import RANK1_TOL, PureSubspace
 
 BRUTE_DIM_CAP = 16
+
+
+class DimensionTooLargeError(CohdistError):
+    """Input dimension beyond the brute-force oracle's cap."""
 
 
 # ===========================================================================
@@ -39,7 +46,7 @@ def _pure_restriction(rho: DensityMatrix, idx: tuple[int, ...]) -> PureSubspace 
     lead = np.argmax(np.abs(vec) > 1e-8)
     vec = vec * np.conj(vec[lead] / abs(vec[lead]))
     vec = vec / np.linalg.norm(vec)
-    return PureSubspace(idx, weight, np.abs(vec) ** 2, vec, rho.dim)
+    return PureSubspace(idx, weight, np.abs(vec) ** 2, vec)
 
 
 def brute_subspaces(rho: DensityMatrix) -> list[PureSubspace]:
@@ -189,3 +196,28 @@ def dephase(rho: DensityMatrix) -> DensityMatrix:
 def coherence_rank(psi: PureStateVector) -> int:
     """Number of amplitudes in :func:`~cohdist.states.support_profile`."""
     return support_profile(psi.probabilities())[0].size
+
+
+def suffix_profile(weights) -> np.ndarray:
+    """Tail sums of the descending-sorted weights.
+
+    Entry ``l`` (0-based) is the sum of entries ``l..d-1`` after sorting,
+    ties in index order, so entry 0 is the full total.
+    """
+    w = np.array(weights, dtype=float)
+    out = np.cumsum(w[np.argsort(-w, kind="stable")][::-1])[::-1]
+    out[out < 0.0] = 0.0
+    return out
+
+
+def subspace_state(subspace: PureSubspace, dim: int) -> PureStateVector:
+    """The subspace's pure state embedded in all ``dim`` levels."""
+    amps = np.zeros(dim, dtype=complex)
+    amps[list(subspace.indices)] = subspace.amplitudes
+    return PureStateVector(amps)
+
+
+def catalyst_candidates(max_dim, grid_step) -> list[tuple[float, ...]]:
+    """The catalyst search's grid profiles as tuples, in its scan order."""
+    grids = catalysis._catalyst_grids(max_dim, grid_step)
+    return [tuple(row) for grid in grids for row in grid.tolist()]

@@ -27,13 +27,18 @@ from cohdist import (
     search_catalyst,
     shannon_entropy,
     simulate,
-    suffix_profile,
     tensor,
     validate_density,
     verify_branch_outputs,
 )
 from cohdist.subspaces import a_matrix
-from reference_oracles import brute_subspaces, dephase, random_mixture_state, random_pure_state
+from reference_oracles import (
+    brute_subspaces,
+    dephase,
+    random_mixture_state,
+    random_pure_state,
+    suffix_profile,
+)
 
 
 def criterion(n, description):
@@ -239,7 +244,7 @@ def test_criterion_8_multibranch_witness():
     from reference_oracles import conversion_kraus
 
     k = conversion_kraus(psi, phi)
-    out = k.apply(psi.amplitudes)
+    out = k.reconstruct() @ psi.amplitudes
     single = float(np.vdot(out, out).real)
     assert abs(single - 0.26 / 0.35) <= 1e-9
     assert single < total - 0.05

@@ -14,7 +14,6 @@ from cohdist import (
     PreconditionError,
     PureStateVector,
     ValidationError,
-    catalyst_candidates,
     catalyst_gates,
     catalyzed_pmax,
     deterministic_gate,
@@ -30,12 +29,17 @@ from cohdist.measures import (
     min_profile_ratio,
     power_mean,
     shannon_entropy,
-    sorted_descending,
     tensor,
 )
 from cohdist.states import SUPPORT_TOL, support_profile
 from cohdist.subspaces import maximal_pure_subspaces, optimize_disjoint_selection
-from reference_oracles import coherence_rank, random_block_state, random_mixture_state
+from reference_oracles import (
+    catalyst_candidates,
+    coherence_rank,
+    random_block_state,
+    random_mixture_state,
+    subspace_state,
+)
 
 
 def _canonical(canonical_catalysis_pair):
@@ -286,7 +290,7 @@ def _reference_catalyzed(entries, target_profile, catalyst) -> float:
 
 def _entries(rho):
     """(indices, weight, sorted profile) of every maximal pure subspace of rho."""
-    return [(s.indices, s.weight, tuple(sorted_descending(s.profile).tolist()))
+    return [(s.indices, s.weight, tuple(np.sort(s.profile)[::-1].tolist()))
             for s in maximal_pure_subspaces(rho)]
 
 
@@ -492,7 +496,7 @@ def test_batched_scores_span_several_row_chunks():
 
 def _bound(profile, tgt):
     """Proved cap of any catalysed ratio: min(p_n/q_n, 1) at equal lengths, else 1 or 0."""
-    p = sorted_descending(profile)
+    p = np.sort(profile)[::-1]
     if p.size != tgt.size:
         return float(p.size > tgt.size)
     return min(p[-1] / tgt[-1], 1.0)
@@ -737,7 +741,7 @@ def _reference_deterministic_gate(rho, phi, full=False):
         flags.append("family_weight_below_one")
     members = []
     for s in family.members:
-        profile = sorted_descending(s.profile)
+        profile = np.sort(s.profile)[::-1]
         p, q = catalysis._padded_rows([profile, tgt])
         zero_entry = bool(p.min() <= SUPPORT_TOL)
 
@@ -809,7 +813,7 @@ def _gate_corpus(overlapping_state, block_mixture, uniform_qubit_target):
     # the target is a member's own state: that member's margins are all 0,
     # so only the first sampled minimum is the reference's
     rho = _block_diag_state(rng, [2, 1])
-    cases.append(("tied-member", rho, maximal_pure_subspaces(rho)[0].state))
+    cases.append(("tied-member", rho, subspace_state(maximal_pure_subspaces(rho)[0], rho.dim)))
     return cases
 
 

@@ -18,7 +18,6 @@ from cohdist import (
     DistillationPlan,
     PlanBranch,
     PureStateVector,
-    PureSubspace,
     StrictlyIncoherentKraus,
     ValidationError,
     catalyzed_pmax,
@@ -31,7 +30,7 @@ from cohdist import (
 )
 from cohdist import cli, errors, subspaces
 from cohdist.cli import main, parse_pure, parse_state, plan_from_doc, plan_to_doc
-from reference_oracles import random_block_state, random_mixture_state, random_pure_state
+from reference_oracles import random_block_state, random_mixture_state, random_pure_state, subspace_state
 
 
 def write(path, doc):
@@ -551,7 +550,7 @@ def test_writers_equal_the_per_entry_form():
     for rho in states:
         for s in subspaces.maximal_pure_subspaces(rho):
             got = cli._pairs_out(rho.dim, s.amplitudes, list(s.indices))
-            assert json.dumps(got) == json.dumps(_per_entry_pairs(s.state.amplitudes))
+            assert json.dumps(got) == json.dumps(_per_entry_pairs(subspace_state(s, rho.dim).amplitudes))
 
 
 def test_writers_read_only_the_stored_entries(files, tmp_path, monkeypatch, capsys):
@@ -564,7 +563,6 @@ def test_writers_read_only_the_stored_entries(files, tmp_path, monkeypatch, caps
     unit_mask = subspaces._unit_mask
     monkeypatch.setattr(StrictlyIncoherentKraus, "reconstruct", refuse)
     monkeypatch.setattr(StrictlyIncoherentKraus, "matrix", property(refuse))
-    monkeypatch.setattr(PureSubspace, "state", property(refuse))
     monkeypatch.setattr(subspaces, "_unit_mask", lambda rho: masks.append(rho) or unit_mask(rho))
     flat = write(tmp_path / "flat.json", {"matrix": [[0.5, 0.0], [0.0, 0.5]]})
     for state, distillable in ((files["rho"], True), (flat, False)):

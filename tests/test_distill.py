@@ -11,7 +11,6 @@ from cohdist import (
     NotStrictlyIncoherentError,
     PureStateVector,
     ProtocolSynthesisError,
-    PureSubspace,
     RankDeficitError,
     StrictlyIncoherentKraus,
     ValidationError,
@@ -38,6 +37,7 @@ from cohdist.distill import (
     _SPLIT_TOL,
 )
 from cohdist.measures import min_profile_ratio
+from cohdist.states import support_profile
 from cohdist.oracles import branch_probabilities, simulate
 from reference_oracles import (
     coherence_rank,
@@ -45,6 +45,7 @@ from reference_oracles import (
     random_block_state,
     random_mixture_state,
     random_pure_state,
+    subspace_state,
 )
 
 
@@ -162,7 +163,7 @@ def test_pmax_pure_zero_on_rank_deficit():
 def test_conversion_kraus_single_branch_is_suboptimal_on_witness(witness_pair):
     psi, phi = witness_pair
     k = conversion_kraus(psi, phi)
-    out = k.apply(psi.amplitudes)
+    out = k.reconstruct() @ psi.amplitudes
     succ = float(np.vdot(out, out).real)
     assert succ == pytest.approx(0.26 / 0.35, abs=1e-12)
     assert succ < pmax_pure(psi, phi) - 0.05
@@ -214,14 +215,14 @@ def test_optimal_protocol_agrees_with_formula_on_random_pairs():
         ))
         target = pmax_pure(psi, phi)
         branches = optimal_protocol(psi, phi)
-        assert len(branches) <= len(psi.sorted_support())
+        assert len(branches) <= len(support_profile(psi.probabilities())[0])
         total = sum(p for _, p in branches)
         assert total == pytest.approx(target, abs=1e-9)
         # each branch maps the source onto the target ray
         for k, p in branches:
             if p < 1e-14:
                 continue
-            out = k.apply(psi.amplitudes)
+            out = k.reconstruct() @ psi.amplitudes
             norm_sq = float(np.vdot(out, out).real)
             assert norm_sq == pytest.approx(p, abs=1e-9)
             fid = abs(np.vdot(phi.amplitudes, out)) ** 2 / norm_sq
@@ -674,8 +675,6 @@ def test_kraus_forms_match_the_column_scan():
             assert np.array_equal(diagonal, kept.sum(axis=0))
             assert np.array_equal(k.matrix, kept)
             assert np.array_equal(k.reconstruct(), kept)
-            amps = rng.normal(size=d) + 1j * rng.normal(size=d)
-            assert np.allclose(k.apply(amps), kept @ amps, rtol=0, atol=1e-12)
 
 
 def test_kraus_forms_reject_a_repeated_row_or_column():
@@ -776,7 +775,7 @@ def test_monomial_checks_match_dense_products():
 
 def _split_inputs(psi, phi):
     """optimal_protocol's sorted profiles p and q and intermediate profile x."""
-    src, tgt = psi.sorted_support(), phi.sorted_support()
+    src, tgt = (tuple(support_profile(v.probabilities())[0].tolist()) for v in (psi, phi))
     n, m = len(src), len(tgt)
     p = psi.probabilities()[list(src)]
     q = np.zeros(n)
@@ -786,7 +785,7 @@ def _split_inputs(psi, phi):
 
 def _reference_branch_entries(psi, phi):
     """optimal_protocol's branches built slot by slot, as (weight, entries)."""
-    src, tgt = psi.sorted_support(), phi.sorted_support()
+    src, tgt = (tuple(support_profile(v.probabilities())[0].tolist()) for v in (psi, phi))
     n, m = len(src), len(tgt)
     p, q, x = _split_inputs(psi, phi)
     scale = float(np.sqrt(np.min(x[:m] / q[:m])))
@@ -847,7 +846,7 @@ def test_protocol_entries_match_the_slot_loop():
             assert np.array_equal(kraus.rows, want.rows)
             scale = np.abs(want.coefficients).max()
             assert np.abs(kraus.coefficients - want.coefficients).max() <= 1e-15 * scale
-            out, want_out = kraus.apply(psi.amplitudes), want.apply(psi.amplitudes)
+            out, want_out = kraus.reconstruct() @ psi.amplitudes, want.reconstruct() @ psi.amplitudes
             assert np.abs(out - want_out).max() <= 1e-15 * np.abs(want_out).max()
 
 
@@ -1049,7 +1048,7 @@ def test_a_flat_source_off_the_unit_norm_by_more_than_the_split_tolerance_is_syn
 
 def _reference_protocol(psi, phi):
     """optimal_protocol with the reference split and one _from_triples call per branch."""
-    src, tgt = psi.sorted_support(), phi.sorted_support()
+    src, tgt = (tuple(support_profile(v.probabilities())[0].tolist()) for v in (psi, phi))
     n, m = len(src), len(tgt)
     p, q, x = _split_inputs(psi, phi)
     scale = float(np.sqrt(np.min(x[:m] / q[:m])))
@@ -1110,8 +1109,9 @@ def test_full_plan_equals_the_per_branch_build():
         want = []
         for mu, y in enumerate(pmax_mixed(rho, phi).per_subspace):
             if y.ratio > 0.0:
+                psi = subspace_state(y.subspace, rho.dim)
                 want += [(f"s{mu}.k{a}", k, y.subspace.weight * prob)
-                         for a, (k, prob) in enumerate(_reference_protocol(y.subspace.state, phi))]
+                         for a, (k, prob) in enumerate(_reference_protocol(psi, phi))]
         assert [(b.branch_id, b.probability) for b in plan.branches] == [(i, w) for i, _, w in want]
         for b, (_, k, _) in zip(plan.branches, want):
             _assert_same_factors(b.kraus, k)
@@ -1264,7 +1264,8 @@ def test_entries_at_or_below_support_tol_change_no_answer():
     for psi, phi, trimmed in _tiny_entry_pairs(1313, 40):
         rho = DensityMatrix.from_pure(psi)
         assert coherence_rank(phi) == coherence_rank(trimmed) == psi.dim - 1
-        assert phi.sorted_support() == trimmed.sorted_support()
+        assert np.array_equal(support_profile(phi.probabilities())[0],
+                              support_profile(trimmed.probabilities())[0])
         assert pmax_pure(psi, phi) == pmax_pure(psi, trimmed)
         got, want = pmax_mixed(rho, phi), pmax_mixed(rho, trimmed)
         assert got.p_max == want.p_max
@@ -1281,34 +1282,19 @@ def test_pure_answers_agree_on_targets_with_sub_threshold_entries():
         mixed = pmax_mixed(rho, phi)
         (y,) = mixed.per_subspace
         # the subspace's own state carries the profile pmax_mixed reads
-        assert pmax_pure(y.subspace.state, phi) == y.ratio
+        assert pmax_pure(subspace_state(y.subspace, rho.dim), phi) == y.ratio
         assert enhancement_gate(rho, phi).records[0].pure_pmax == y.ratio
         assert catalyzed_pmax(rho, phi, (1.0,)) == mixed.p_max
         # psi itself differs from the eigh vector's squared moduli in the last bits
         assert abs(pmax_pure(psi, phi) - y.ratio) <= 1e-14
 
 
-def test_full_plan_reads_each_subspace_in_place(monkeypatch, stack_calls):
+def test_full_plan_reads_each_subspace_in_place(stack_calls):
     rho, blocks = random_block_state(np.random.default_rng(404), 96)
     phi = random_pure_state(np.random.default_rng(405), 96, support=[3, 50, 77])
-    calls = {"state": 0, "sorted_support": 0}
-    state, sorted_support = PureSubspace.state, PureStateVector.sorted_support
-
-    def counted_state(s):
-        calls["state"] += 1
-        return state.fget(s)
-
-    def counted_sorted_support(psi):
-        calls["sorted_support"] += 1
-        return sorted_support(psi)
-
-    monkeypatch.setattr(PureSubspace, "state", property(counted_state))
-    monkeypatch.setattr(PureStateVector, "sorted_support", counted_sorted_support)
     plan = full_plan(rho, phi)
     assert sum(len(b) >= 3 for b in blocks) >= 10
     assert len({b.branch_id.split(".")[0] for b in plan.branches}) >= 10
-    assert calls["state"] == 0
-    assert calls["sorted_support"] <= 1
     # every subspace's entry table goes into one operator build for the whole plan
     assert stack_calls == [len(plan.branches)]
 

@@ -83,13 +83,48 @@ def test_every_cohdist_name_the_bench_workloads_read_resolves():
     assert [name for name in sorted(names) if not hasattr(cohdist, name)] == []
 
 
+def test_the_package_exports_exactly_the_public_surface():
+    # the four answers, their reports and errors, and the names the
+    # benchmark reads; internal kernels stay in their modules
+    exports = [
+        "__version__",
+        "DensityMatrix", "PureStateVector", "validate_density", "as_distribution",
+        "min_profile_ratio", "majorizes", "tensor", "power_mean", "shannon_entropy",
+        "a_matrix", "PureSubspace", "DisjointFamily", "maximal_pure_subspaces",
+        "optimize_disjoint_selection", "has_rank2_subspace",
+        "StrictlyIncoherentKraus", "PlanBranch", "DistillationPlan", "SubspaceYield",
+        "MixedPmaxResult", "BranchCheck", "pmax_pure", "pmax_mixed", "optimal_protocol",
+        "full_plan", "verify_branch_outputs",
+        "EnhancementRecord", "EnhancementGateReport", "DeterministicGateMemberRecord",
+        "DeterministicGateReport", "CatalystSearchReport", "enhancement_gate",
+        "deterministic_gate", "catalyst_gates", "ALPHAS_BELOW_ONE", "ALPHAS_ABOVE_ONE",
+        "catalyzed_pmax", "search_catalyst",
+        "branch_probabilities", "simulate", "SimulationResult",
+        "CohdistError", "ValidationError", "NonSquareError", "NotHermitianError", "NotPSDError",
+        "TraceNotOneError", "NotStrictlyIncoherentError", "DegenerateStateError",
+        "IncoherentTargetError", "RankDeficitError", "IncompletePlanError", "PreconditionError",
+        "ProtocolSynthesisError",
+    ]
+    assert len(exports) == 55
+    assert sorted(cohdist.__all__) == sorted(exports)
+    assert all(hasattr(cohdist, name) for name in exports)
+
+
 def test_the_test_machinery_lives_in_the_test_suite():
     # the brute-force oracle, the instance generators and the test-only
     # helpers come from tests/reference_oracles.py, not from the package
     import reference_oracles
 
     moved = ["brute_subspaces", "random_pure_state", "random_block_state", "random_mixture_state",
-             "conversion_kraus", "dephase", "coherence_rank"]
+             "conversion_kraus", "dephase", "coherence_rank", "suffix_profile", "catalyst_candidates",
+             "DimensionTooLargeError"]
     assert all(callable(getattr(reference_oracles, name)) for name in moved)
-    modules = [cohdist, cohdist.oracles, cohdist.distill, cohdist.measures, cohdist.states]
-    assert [(m.__name__, name) for m in modules for name in moved if hasattr(m, name)] == []
+    # wrappers that only the tests read are gone from the package
+    removed = [*moved, "sorted_descending", "power_means"]
+    modules = [cohdist, cohdist.catalysis, cohdist.distill, cohdist.errors, cohdist.measures,
+               cohdist.oracles, cohdist.states, cohdist.subspaces]
+    assert [(m.__name__, name) for m in modules for name in removed if hasattr(m, name)] == []
+    members = [(cohdist.PureSubspace, "state"), (cohdist.StrictlyIncoherentKraus, "apply"),
+               (cohdist.PureStateVector, "support"), (cohdist.PureStateVector, "sorted_support")]
+    assert [(cls.__name__, name) for cls, name in members if hasattr(cls, name)] == []
+    assert "dim" not in {f.name for f in dataclasses.fields(cohdist.PureSubspace)}

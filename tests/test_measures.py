@@ -13,14 +13,11 @@ from cohdist import (
     majorizes,
     min_profile_ratio,
     power_mean,
-    power_means,
     shannon_entropy,
-    sorted_descending,
-    suffix_profile,
     tensor,
 )
 from cohdist import measures
-from reference_oracles import coherence_rank
+from reference_oracles import coherence_rank, suffix_profile
 
 # distributions with a controllable number of slots; entries are either
 # exactly zero or bounded away from it, so tail ratios stay well conditioned
@@ -31,10 +28,6 @@ weight_vectors = st.integers(min_value=1, max_value=6).flatmap(
         max_size=d,
     ).filter(lambda w: sum(w) > 1e-3)
 ).map(lambda w: np.array(w) / np.sum(w))
-
-
-def test_sorted_descending_known():
-    assert np.allclose(sorted_descending([0.2, 0.5, 0.3]), [0.5, 0.3, 0.2])
 
 
 def test_suffix_profile_known():
@@ -220,6 +213,12 @@ def _scalar_power_mean(w, alpha):
     return float(m ** (1.0 / alpha))
 
 
+def _kernel(rows, alphas) -> np.ndarray:
+    """Power means of every row at every order, through the gates' kernel."""
+    orders = np.array(alphas, dtype=float)
+    return np.array(measures._power_means_kernel(*measures._checked_rows(rows), orders))
+
+
 def test_power_means_equal_the_scalar_evaluation():
     rng = np.random.default_rng(11)
     below, above = ALPHAS_BELOW_ONE, ALPHAS_ABOVE_ONE
@@ -228,16 +227,16 @@ def test_power_means_equal_the_scalar_evaluation():
         rows = 0.5 * rng.dirichlet(np.ones(n), size=4) + 0.5 / n
         rows[3, rng.integers(n)] = 0.0                 # a zero entry
         alphas = [*below, *above, *special, *rng.uniform(-40.0, 40.0, 30)]
-        got = power_means(rows, alphas)
+        got = _kernel(rows, alphas)
         assert got.shape == (4, len(alphas))
         want = [[_scalar_power_mean(row, a) for a in alphas] for row in rows]
         assert got.tolist() == want, n
-        assert power_means(rows[1], alphas).tolist() == want[1]
+        assert _kernel(rows[1], alphas)[0].tolist() == want[1]
         assert [power_mean(rows[3], a) for a in alphas] == want[3]
         # numpy squares, roots and inverts a scalar exponent 2, 0.5, -1 by
         # its own shortcuts, which may differ from the power in the last bit
         for alpha in (2.0, 0.5, -1.0):
-            for row, value in zip(rows, power_means(rows, [alpha])[:, 0]):
+            for row, value in zip(rows, _kernel(rows, [alpha])[:, 0]):
                 scalar = _scalar_power_mean(row, alpha)
                 assert abs(value - scalar) <= np.spacing(scalar), (n, alpha)
 
@@ -257,27 +256,32 @@ def test_power_mean_survives_overflowing_powers():
 def test_power_mean_rescales_positive_orders_at_the_largest_entry():
     # the mean of powers overflows (or underflows to 0) although A_alpha is finite
     assert power_mean([1e300, 1e300], 2.0) == 1e300
-    assert power_means([[1e300, 1e300], [1e200, 0.0]], [2.0, 40.0])[0].tolist() == [1e300, 1e300]
+    assert _kernel([[1e300, 1e300], [1e200, 0.0]], [2.0, 40.0])[0].tolist() == [1e300, 1e300]
     assert power_mean([1e-200, 0.0], 2.0) == pytest.approx(1e-200 / math.sqrt(2.0), rel=1e-15)
     assert power_mean([1e200, 0.0], 4.0) == pytest.approx(1e200 / 2.0 ** 0.25, rel=1e-15)
     assert power_mean([0.0, 0.0], 2.0) == 0.0
 
 
-def test_power_means_reject_non_finite_input():
+def test_power_mean_rejects_non_finite_input():
     with pytest.raises(ValidationError):
         power_mean([0.5, math.nan], 2.0)
     with pytest.raises(ValidationError):
+        power_mean([math.nan, 1.0], 1.0)
+    with pytest.raises(ValidationError):
         power_mean([0.5, 0.5], math.nan)
     with pytest.raises(ValidationError):
-        power_means([[0.5, math.inf]], [1.0])
-    with pytest.raises(ValidationError):
-        power_means([0.5, 0.5], [[1.0]])
-    with pytest.raises(ValidationError, match="1-d vector or 2-d stack"):
-        power_means(np.full((1, 2, 2), 0.25), [1.0])
+        power_mean([0.5, math.inf], 1.0)
+    with pytest.raises(ValidationError, match="not a numeric array"):
+        power_mean(["a"], 1.0)
+    with pytest.raises(ValidationError, match="one power-mean order"):
+        power_mean([0.5, 0.5], [[1.0]])
+    with pytest.raises(ValidationError, match="nonempty 1-d vector"):
+        power_mean([], 1.0)
     with pytest.raises(ValidationError, match="negative weight"):
-        power_means([1.5, -0.5], [1.0])
-    with pytest.raises(ValidationError, match="1-d vector"):
-        power_mean([[0.5, 0.5]], 1.0)
+        power_mean([-1.0, 2.0], 1.0)
+    for stacked in ([[0.5, 0.5]], np.full((1, 2, 2), 0.25)):
+        with pytest.raises(ValidationError, match="1-d vector"):
+            power_mean(stacked, 1.0)
 
 
 @given(weight_vectors, st.floats(min_value=-5, max_value=5, allow_nan=False))
@@ -307,8 +311,6 @@ def test_min_profile_ratio_refuses_what_is_not_a_finite_nonnegative_vector(sourc
 def test_power_mean_refuses_non_numeric_input(weights, alpha):
     with pytest.raises(ValidationError, match="not a numeric array"):
         power_mean(weights, alpha)
-    with pytest.raises(ValidationError, match="not a numeric array"):
-        power_means(weights, [alpha])
 
 
 def test_shannon_entropy_refuses_non_numeric_input():

@@ -15,7 +15,7 @@ from cohdist import (
     as_distribution,
     validate_density,
 )
-from cohdist.states import positive_diagonal_indices
+from cohdist.states import positive_diagonal_indices, support_profile
 from reference_oracles import dephase
 
 
@@ -68,13 +68,12 @@ def test_pure_state_requires_unit_norm():
 
 def test_pure_state_support_ignores_dead_levels():
     psi = PureStateVector(np.array([np.sqrt(0.7), 0.0, np.sqrt(0.3)], dtype=complex))
-    assert psi.support() == (0, 2)
-    assert psi.sorted_support() == (0, 2)
+    assert support_profile(psi.probabilities())[0].tolist() == [0, 2]
 
 
 def test_sorted_support_breaks_ties_by_index():
     psi = PureStateVector.from_probabilities(np.array([0.25, 0.5, 0.25]))
-    assert psi.sorted_support() == (1, 0, 2)
+    assert support_profile(psi.probabilities())[0].tolist() == [1, 0, 2]
 
 
 def test_from_probabilities_round_trip():

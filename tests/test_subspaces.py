@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cohdist import (
-    CoherenceSupportGraph,
     DensityMatrix,
     PureStateVector,
     ValidationError,
@@ -18,8 +17,14 @@ from cohdist import (
 from cohdist import subspaces
 from cohdist.cli import main
 from cohdist.states import positive_diagonal_indices
-from cohdist.subspaces import A_ONE_TOL
-from reference_oracles import brute_subspaces, random_block_state, random_mixture_state, random_pure_state
+from cohdist.subspaces import A_ONE_TOL, CoherenceSupportGraph
+from reference_oracles import (
+    brute_subspaces,
+    random_block_state,
+    random_mixture_state,
+    random_pure_state,
+    subspace_state,
+)
 
 
 def test_a_matrix_pure_state_is_all_ones():
@@ -154,7 +159,7 @@ def test_subspace_enumeration_on_block_state(block_mixture):
     assert [s.indices for s in subs] == [(0, 1), (2,)]
     assert subs[0].weight == pytest.approx(0.5, abs=1e-12)
     assert subs[1].weight == pytest.approx(0.5, abs=1e-12)
-    probs = subs[0].state.probabilities()
+    probs = subspace_state(subs[0], block_mixture.dim).probabilities()
     assert probs[0] == pytest.approx(0.9, abs=1e-12)
     assert probs[1] == pytest.approx(0.1, abs=1e-12)
 
@@ -200,9 +205,10 @@ def test_restricted_states_are_unit_norm():
     rng = np.random.default_rng(5)
     rho = random_mixture_state(rng, 6)
     for s in maximal_pure_subspaces(rho):
-        assert np.linalg.norm(s.state.amplitudes) == pytest.approx(1.0, abs=1e-10)
+        amps = subspace_state(s, rho.dim).amplitudes
+        assert np.linalg.norm(amps) == pytest.approx(1.0, abs=1e-10)
         off = [i for i in range(6) if i not in s.indices]
-        assert np.all(np.abs(s.state.amplitudes[off]) < 1e-12)
+        assert np.all(np.abs(amps[off]) < 1e-12)
 
 
 def test_disjoint_selection_prefers_value():
@@ -425,8 +431,8 @@ def test_stacked_subspaces_match_one_eigh_per_clique(overlapping_state, block_mi
             assert s.weight == pytest.approx(weight, rel=1e-15, abs=0.0)
             assert np.allclose(s.amplitudes, vec, rtol=0.0, atol=1e-12)
             assert np.array_equal(s.profile, np.abs(s.amplitudes) ** 2)
-            assert s.amplitudes.shape == (s.rank,) and s.dim == rho.dim
-            amps = s.state.amplitudes
+            assert s.amplitudes.shape == (s.rank,)
+            amps = subspace_state(s, rho.dim).amplitudes
             assert np.array_equal(amps[idx], s.amplitudes)
             assert not np.any(np.delete(amps, idx))
 
