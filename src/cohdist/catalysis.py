@@ -20,8 +20,9 @@ refinement step for all their brackets still refining, each row raised
 only to its own bracket's probes, with the same values, bit for bit, as
 evaluating one member and one order at a time.  The search
 enumerates catalyst profiles on a simplex grid of at most ``GRID_CEILING``
-points, built afresh for each search, and scores all candidates in one
-pass over the whole grid, in chunks, over rho's subspace profiles; the
+points, built afresh for each search as one zero-padded array in scan
+order, and scores all candidates in one pass over that array, in chunks
+of rows, over rho's subspace profiles; the
 values equal a candidate-by-candidate evaluation through the plain
 distillation formulas bit for bit.
 
@@ -36,8 +37,6 @@ gives both gate reports from one such result.
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
 import numbers
 from collections import Counter
@@ -380,40 +379,18 @@ def catalyst_gates(
 # catalyzed probability and grid search
 # ===========================================================================
 
-def _row_chunks(grids, size: int):
-    """The rows of ``grids`` in order, ``size`` at a time (the last chunk may hold fewer).
-
-    A chunk is zero-padded on the right to the widest grid it draws from.
-    """
-    chunks, room = [[]], size
-    for grid in grids:
-        while len(grid):
-            if not room:
-                chunks.append([])
-                room = size
-            chunks[-1].append(grid[:room])
-            grid, room = grid[room:], room - len(chunks[-1][-1])
-    for pieces in chunks:
-        chunk = np.zeros((sum(map(len, pieces)), max(piece.shape[1] for piece in pieces)))
-        at = 0
-        for piece in pieces:
-            chunk[at:at + len(piece), :piece.shape[1]] = piece
-            at += len(piece)
-        yield chunk
-
-
-def _catalyzed_values(subspaces, tgt: np.ndarray, *grids: np.ndarray) -> np.ndarray:
-    """P(rho (x) c -> phi (x) c) for every catalyst row c of ``grids``, in order.
+def _catalyzed_values(subspaces, tgt: np.ndarray, catalysts: np.ndarray) -> np.ndarray:
+    """P(rho (x) c -> phi (x) c) for every catalyst row c of ``catalysts``, in order.
 
     The maximal pure subspaces of rho (x) |c><c| are exactly the products
     of rho's subspaces with the catalyst block (the catalyst is pure with
     full support), so the product instance keeps rho's clique structure
     and weights, and only the profiles become p (x) c.  All subspaces are
     scored for all rows in one :func:`min_profile_ratios` call per chunk
-    of at most ``ROW_CHUNK_ELEMENTS`` product entries; a chunk may span
-    several grids and is zero-padded to the widest catalyst in it, which
-    changes no bit (both tail sums gain the same leading zeros; the kernel
-    sorts, so stored profiles serve).  A depth counts, and a source tail
+    of consecutive rows, at most ``ROW_CHUNK_ELEMENTS`` product entries.
+    A row may be zero-padded on the right, which changes no bit (both
+    tail sums gain the same leading zeros; the kernel sorts, so stored
+    profiles serve).  A depth counts, and a source tail
     pins the ratio to 0, by the support of the products, not their
     magnitude: each catalyst row is first scaled by an exact power of two,
     which changes no ratio.  Disjoint subspaces add their scores in
@@ -429,11 +406,11 @@ def _catalyzed_values(subspaces, tgt: np.ndarray, *grids: np.ndarray) -> np.ndar
     n = profiles.shape[1]
     target = _padded_rows([tgt], n)[0]
     weights = np.array([s.weight for s in subspaces])
-    widest = max(grid.shape[1] for grid in grids)
-    rows_per_chunk = max(1, ROW_CHUNK_ELEMENTS // (len(subspaces) * n * widest))
+    k = catalysts.shape[1]
+    rows_per_chunk = max(1, ROW_CHUNK_ELEMENTS // (len(subspaces) * n * k))
     out = []
-    for cat in _row_chunks(grids, rows_per_chunk):
-        k = cat.shape[1]
+    for start in range(0, len(catalysts), rows_per_chunk):
+        cat = catalysts[start:start + rows_per_chunk]
         # scale each row by the power of two that puts its smallest positive entry in [1, 2),
         # capped well below overflow: ratios keep their bits, and every product of supported
         # entries clears SUPPORT_TOL, so the kernel's cuts read the products' supports;
@@ -519,9 +496,11 @@ def _grid_size(n: int, max_parts: int) -> int:
     return total
 
 
-def _catalyst_grids(max_dim: int, grid_step: float) -> list[np.ndarray]:
-    """Grid profiles as one N x k array per catalyst dimension k = 2..max_dim.
+def _catalyst_grid(max_dim: int, grid_step: float) -> np.ndarray:
+    """Grid profiles as one N x K array in scan order, K = min(max_dim, 1 / grid_step).
 
+    The rows run dimension by dimension, k = 2..K, ascending
+    lexicographically within a dimension, each zero-padded on the right.
     ``max_dim`` must be an integer and ``grid_step`` a real number in
     (0, 0.5], which leaves out NaN and the infinities.  Dimensions above
     1 / grid_step have no positive grid profile and are skipped; a grid
@@ -544,12 +523,19 @@ def _catalyst_grids(max_dim: int, grid_step: float) -> list[np.ndarray]:
     if abs(n * grid_step - 1.0) > 1e-9:
         raise ValidationError("grid_step must divide 1")
     max_parts = min(max_dim, n)
-    if _grid_size(n, max_parts) > GRID_CEILING:
+    size = _grid_size(n, max_parts)
+    if size > GRID_CEILING:
         raise ValidationError(
             f"max_dim {max_dim} at grid_step {float(grid_step)!r} gives more than"
             f" {GRID_CEILING} candidates"
         )
-    return [_partitions(n, k) / n for k in range(2, max_parts + 1)]
+    grid = np.zeros((size, max_parts))
+    at = 0
+    for k in range(2, max_parts + 1):
+        parts = _partitions(n, k)
+        grid[at:at + len(parts), :k] = parts / n
+        at += len(parts)
+    return grid
 
 
 def search_catalyst(
@@ -570,9 +556,10 @@ def search_catalyst(
     lexicographically smallest profile.  In "deterministic" mode the first
     candidate in scan order reaching probability 1 within 1e-9 is
     returned; starting from baseline 1 is a precondition violation.  The
-    baseline is ``pmax_mixed(rho, phi).p_max``.  All candidates are scored
-    in one pass over the whole grid, in chunks, and the answer is picked by
-    index, so only the rows that can win become tuples.
+    baseline is ``pmax_mixed(rho, phi).p_max``.  The grid is one
+    zero-padded array in scan order, all of it scored in one pass, in
+    chunks of rows; the answer is picked by index, so only the rows that
+    can win become tuples, each the positive part of its row.
     """
     if mode not in ("probabilistic", "deterministic"):
         raise ValidationError(f"unknown mode {mode!r}")
@@ -581,14 +568,12 @@ def search_catalyst(
     if mode == "deterministic" and baseline >= 1.0 - UNIT_TOL:
         raise PreconditionError("baseline probability is already 1")
 
-    grids = _catalyst_grids(max_dim, grid_step)
-    achieved = _catalyzed_values(mixed.all_subspaces, tgt, *grids)
-    # candidate i is row i - starts[k] of grids[k]
-    starts = [0, *itertools.accumulate(len(grid) for grid in grids)]
+    grid = _catalyst_grid(max_dim, grid_step)
+    achieved = _catalyzed_values(mixed.all_subspaces, tgt, grid)
 
     def candidate(i: int) -> tuple[float, ...]:
-        k = bisect.bisect_right(starts, i) - 1
-        return tuple(grids[k][i - starts[k]].tolist())
+        row = grid[i]
+        return tuple(row[row > 0.0].tolist())
 
     if mode == "deterministic":
         hits = np.flatnonzero(achieved >= 1.0 - UNIT_TOL).tolist()
@@ -603,9 +588,11 @@ def search_catalyst(
             if achieved[i] > best_v + STRICT_TOL:
                 best_v, last = float(achieved[i]), i
         # a later near-tie of the last record wins when lexicographically
-        # smaller; each grid ascends, so only its first one can
+        # smaller; each dimension ascends, so only its first one can.
+        # Dimension j + 1 starts at the first row whose column j is positive
         ties = achieved > best_v - STRICT_TOL
         ties[:last + 1] = False
+        starts = [0, *(grid[:, 2:] > 0.0).argmax(axis=0).tolist(), len(grid)]
         picks = [last]
         for start, end in zip(starts, starts[1:]):
             later = np.flatnonzero(ties[start:end])

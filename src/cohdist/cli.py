@@ -46,7 +46,7 @@ from .errors import (
 from .measures import majorizes, shannon_entropy
 from .oracles import simulate
 from .states import DensityMatrix, PureStateVector, as_distribution, validate_density
-from .subspaces import a_matrix, maximal_pure_subspaces
+from .subspaces import a_matrix, has_rank2_subspace, maximal_pure_subspaces
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -328,8 +328,7 @@ def cmd_validate(args) -> Report:
 def cmd_subspaces(args) -> Report:
     rho = _state_file(args.state)
     subs = maximal_pure_subspaces(rho)
-    # a unit coherence between two levels puts both in one subspace
-    distillable = any(s.rank >= 2 for s in subs)
+    distillable = has_rank2_subspace(rho)
     doc = {
         "dim": rho.dim,
         "distillable": distillable,

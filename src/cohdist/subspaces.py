@@ -232,13 +232,15 @@ def _enumerate(rho: DensityMatrix) -> list[PureSubspace]:
 
 
 def has_rank2_subspace(rho: DensityMatrix) -> bool:
-    """True iff some pair of indices carries unit coherence (A_ij = 1).
+    """True iff some maximal pure subspace of ``rho`` has coherence rank >= 2.
 
-    Equivalent to: some pure coherent state of rank >= 2 is reachable from
-    ``rho`` with nonzero probability.
+    Reads the subspaces the state keeps (:func:`maximal_pure_subspaces`),
+    so it raises that function's ValidationError on a clique that fails
+    the rank-1 check.  Equivalent to: some pair of indices carries unit
+    coherence (A_ij = 1), so some pure coherent state of rank >= 2 is
+    reachable from ``rho`` with nonzero probability.
     """
-    unit = _unit_mask(rho)
-    return bool(np.count_nonzero(unit) > np.count_nonzero(unit.diagonal()))
+    return any(s.rank >= 2 for s in maximal_pure_subspaces(rho))
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,15 @@
 
     PYTHONPATH=src python tests/bit_corpus.py
 
-prints the hashes of six families: ``pmax_mixed`` results, ``full_plan``
+prints the hashes of seven families: ``pmax_mixed`` results, ``full_plan``
 entries and probabilities, enhancement gate reports, probability-1 gate
 verdicts and ``passes`` flags (the reports without their margins),
 probability-1 margins with their orders, and ``search_catalyst`` reports
-at max_dim 2, grid_step 0.05 in both modes.  Floats enter by ``repr``,
-which round-trips, and arrays by their bytes, so two trees give equal
-hashes only where every bit of these answers is equal.  An exception
-enters by its type name.
+in both modes at max_dim 2, grid_step 0.05 (a grid of one dimension) and
+at max_dim 4, grid_step 0.02 (three dimensions, 1153 profiles).  Floats
+enter by ``repr``, which round-trips, and arrays by their bytes, so two
+trees give equal hashes only where every bit of these answers is equal.
+An exception enters by its type name.
 
 The corpora:
 
@@ -41,7 +42,7 @@ from cohdist import (
 from reference_oracles import random_block_state, random_mixture_state, random_pure_state
 
 FAMILIES = ("pmax_mixed", "full_plan", "enhancement", "deterministic_verdicts",
-            "deterministic_margins", "search")
+            "deterministic_margins", "search", "search_dim4")
 _MARGIN_FIELDS = ("margin_below_one", "alpha_below_one", "margin_above_one", "alpha_above_one")
 
 
@@ -102,8 +103,8 @@ def _deterministic(rho, phi) -> tuple[str, str]:
     return repr((head, verdicts)), repr(margins)
 
 
-def _search(rho, phi) -> str:
-    return repr([_answer(lambda: repr(search_catalyst(rho, phi, 2, 0.05, mode)))
+def _search(rho, phi, max_dim, grid_step) -> str:
+    return repr([_answer(lambda: repr(search_catalyst(rho, phi, max_dim, grid_step, mode)))
                  for mode in ("probabilistic", "deterministic")])
 
 
@@ -129,7 +130,8 @@ def hashes(instances) -> dict[str, str]:
             "enhancement": _answer(lambda: repr(enhancement_gate(rho, phi))),
             "deterministic_verdicts": verdicts,
             "deterministic_margins": margins,
-            "search": _search(rho, phi),
+            "search": _search(rho, phi, 2, 0.05),
+            "search_dim4": _search(rho, phi, 4, 0.02),
         }
         for name in FAMILIES:
             digests[name].update(answers[name].encode() + b"\n")

@@ -20,7 +20,7 @@ import numpy as np
 from cohdist import catalysis
 from cohdist.distill import StrictlyIncoherentKraus, _require_source_dim
 from cohdist.errors import CohdistError, DegenerateStateError, RankDeficitError, ValidationError
-from cohdist.states import DensityMatrix, PureStateVector, SUPPORT_TOL, support_profile
+from cohdist.states import DensityMatrix, PureStateVector, SUPPORT_TOL, support_profile, validate_density
 from cohdist.subspaces import RANK1_TOL, PureSubspace
 
 BRUTE_DIM_CAP = 16
@@ -162,6 +162,14 @@ def random_mixture_state(rng: np.random.Generator, dim: int) -> DensityMatrix:
     return DensityMatrix(mat)
 
 
+def chain_state(n: int) -> DensityMatrix:
+    """The ``overlapping_state`` fixture extended to n levels of equal population:
+    n - 1 overlapping pairs."""
+    angles = np.arange(n) * np.sqrt(8e-10)
+    g = np.stack([np.cos(angles), np.sin(angles)], axis=1) / np.sqrt(n)
+    return validate_density((g @ g.T).astype(complex))
+
+
 # ===========================================================================
 # test-only helpers
 # ===========================================================================
@@ -218,6 +226,9 @@ def subspace_state(subspace: PureSubspace, dim: int) -> PureStateVector:
 
 
 def catalyst_candidates(max_dim, grid_step) -> list[tuple[float, ...]]:
-    """The catalyst search's grid profiles as tuples, in its scan order."""
-    grids = catalysis._catalyst_grids(max_dim, grid_step)
-    return [tuple(row) for grid in grids for row in grid.tolist()]
+    """The catalyst search's grid profiles as tuples, in its scan order.
+
+    Each is the positive part of its zero-padded grid row.
+    """
+    grid = catalysis._catalyst_grid(max_dim, grid_step)
+    return [tuple(v for v in row if v > 0.0) for row in grid.tolist()]

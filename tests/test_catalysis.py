@@ -35,6 +35,7 @@ from cohdist.states import SUPPORT_TOL, support_profile
 from cohdist.subspaces import maximal_pure_subspaces, optimize_disjoint_selection
 from reference_oracles import (
     catalyst_candidates,
+    chain_state,
     coherence_rank,
     random_block_state,
     random_mixture_state,
@@ -414,23 +415,16 @@ def _tiny_target(rng, rank, dim):
 
 
 def test_batched_scores_equal_the_candidate_loop(overlapping_state):
-    catalysts = catalysis._catalyst_grids(4, 0.1)
+    catalysts = catalysis._catalyst_grid(4, 0.1)
     for name, rho, phi in _corpus(overlapping_state):
         tgt = _target_profile(phi)
         entries = _entries(rho)
-        for grid in [np.ones((1, 1)), *catalysts]:
+        for grid in (np.ones((1, 1)), catalysts):
             got = catalysis._catalyzed_values(maximal_pure_subspaces(rho), tgt, grid).tolist()
-            want = [_reference_catalyzed(entries, tgt, row) for row in grid]
+            want = [_reference_catalyzed(entries, tgt, row[row > 0.0]) for row in grid]
             assert got == want, name
         cat = np.array([0.7, 0.2, 0.1])
         assert catalyzed_pmax(rho, phi, cat) == _reference_catalyzed(entries, tgt, cat), name
-
-
-def _chain_state(n):
-    """``overlapping_state`` extended to n levels of equal population: n - 1 overlapping pairs."""
-    angles = np.arange(n) * np.sqrt(8e-10)
-    g = np.stack([np.cos(angles), np.sin(angles)], axis=1) / np.sqrt(n)
-    return validate_density((g @ g.T).astype(complex))
 
 
 def _state_doc(rho):
@@ -441,7 +435,7 @@ def test_gate_and_search_baselines_are_the_pmax_mixed_value(overlapping_state, t
     cases = _corpus(overlapping_state)
     for n in (3, 5, 8):
         pair = PureStateVector.from_probabilities(np.r_[0.5, 0.5, np.zeros(n - 2)])
-        cases.append((f"chain{n}", _chain_state(n), pair))
+        cases.append((f"chain{n}", chain_state(n), pair))
     assert sum(pmax_mixed(rho, phi).overlap_adjusted for _, rho, phi in cases) >= 4
     state, target = tmp_path / "rho.json", tmp_path / "phi.json"
     for name, rho, phi in cases:
@@ -482,16 +476,39 @@ def test_overlapping_source_takes_the_selection_fallback(overlapping_state):
 
 
 def test_batched_scores_span_several_row_chunks():
+    # 499 profiles of one dimension in three chunks; then 184 profiles of
+    # 2-4 entries, 54 rows at a time: two chunks hold rows of two
+    # dimensions, and a chunk edge falls inside a dimension
     rng = np.random.default_rng(5)
-    d = 300
-    rho = _pure(rng.dirichlet(np.ones(d)))
-    phi = _target(rng, 5, d)
-    tgt = _target_profile(phi)
-    entries = _entries(rho)
-    (grid,) = catalysis._catalyst_grids(2, 0.001)
-    assert len(grid) * 2 * d > 2 * catalysis.ROW_CHUNK_ELEMENTS   # three chunks
-    got = catalysis._catalyzed_values(maximal_pure_subspaces(rho), tgt, grid).tolist()
-    assert got == [_reference_catalyzed(entries, tgt, row) for row in grid]
+    for d, max_dim, step, count, spanning in ((300, 2, 0.001, 3, 0), (600, 4, 0.04, 4, 2)):
+        rho = _pure(rng.dirichlet(np.ones(d)))
+        phi = _target(rng, 5, d)
+        tgt = _target_profile(phi)
+        entries = _entries(rho)
+        grid = catalysis._catalyst_grid(max_dim, step)
+        size = catalysis.ROW_CHUNK_ELEMENTS // (d * grid.shape[1])
+        dims = np.count_nonzero(grid, axis=1)
+        chunks = [set(dims[at:at + size].tolist()) for at in range(0, len(grid), size)]
+        assert len(chunks) == count and sum(len(held) > 1 for held in chunks) == spanning
+        assert any(dims[at - 1] == dims[at] for at in range(size, len(grid), size))
+        got = catalysis._catalyzed_values(maximal_pure_subspaces(rho), tgt, grid).tolist()
+        assert got == [_reference_catalyzed(entries, tgt, row[row > 0.0]) for row in grid]
+
+
+def test_the_grid_is_one_zero_padded_array_in_scan_order():
+    # dimension by dimension, ascending within one; the width stops at 1 / grid_step
+    for max_dim, step in [(2, 0.5), (3, 0.25), (4, 0.1), (5, 0.05), (7, 1 / 6), (9, 0.125),
+                          (10**6, 0.25)]:
+        n = round(1.0 / step)
+        width = min(max_dim, n)
+        want = [
+            [part / n for part in parts] + [0.0] * (width - k)
+            for k in range(2, width + 1)
+            for parts in sorted(_reference_partitions(n, k, n))
+        ]
+        grid = catalysis._catalyst_grid(max_dim, step)
+        assert grid.shape == (len(want), width)
+        assert grid.tolist() == want
 
 
 def _bound(profile, tgt):
@@ -645,10 +662,12 @@ def test_cross_dimension_ties_pick_the_smallest_profile(canonical_catalysis_pair
     rho, phi = _canonical(canonical_catalysis_pair)
     tgt = _target_profile(phi)
     subs = maximal_pure_subspaces(rho)
+    grid = catalysis._catalyst_grid(4, 0.02)
     ties = {}
-    for grid in catalysis._catalyst_grids(4, 0.02):
-        values = catalysis._catalyzed_values(subs, tgt, grid)
-        ties[grid.shape[1]] = [tuple(row) for row, v in zip(grid.tolist(), values) if v > 1.0 - 1e-12]
+    for row, v in zip(grid, catalysis._catalyzed_values(subs, tgt, grid)):
+        if v > 1.0 - 1e-12:
+            profile = tuple(row[row > 0.0].tolist())
+            ties.setdefault(len(profile), []).append(profile)
     assert {k: len(rows) for k, rows in ties.items()} == {2: 2, 3: 17, 4: 89}
     smallest = min(row for rows in ties.values() for row in rows)
     assert smallest == (0.3, 0.3, 0.2, 0.2)

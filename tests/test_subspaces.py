@@ -20,6 +20,7 @@ from cohdist.states import positive_diagonal_indices
 from cohdist.subspaces import A_ONE_TOL, CoherenceSupportGraph
 from reference_oracles import (
     brute_subspaces,
+    chain_state,
     random_block_state,
     random_mixture_state,
     random_pure_state,
@@ -199,6 +200,41 @@ def test_enumeration_is_permutation_covariant():
 def test_has_rank2_subspace(block_mixture):
     assert has_rank2_subspace(block_mixture)
     assert not has_rank2_subspace(validate_density(np.diag([0.5, 0.5])))
+
+
+def test_has_rank2_subspace_reads_the_kept_subspaces(monkeypatch):
+    # after pmax_mixed the state holds its subspaces: no unit mask is built again
+    masks = []
+    unit_mask = subspaces._unit_mask
+    monkeypatch.setattr(subspaces, "_unit_mask", lambda rho: masks.append(rho) or unit_mask(rho))
+    rng = np.random.default_rng(12)
+    phi = PureStateVector(np.array([1, 1, 0, 0, 0, 0], dtype=complex) / np.sqrt(2))
+    for rho in (random_block_state(rng, 6)[0], random_mixture_state(rng, 6)):
+        pmax_mixed(rho, phi)
+        assert len(masks) == 1
+        masks.clear()
+        has_rank2_subspace(rho)
+        assert masks == []
+
+
+def _mask_rule(rho):
+    """Some off-diagonal pair of the unit-coherence mask is set."""
+    unit = subspaces._unit_mask(rho)
+    return bool(np.count_nonzero(unit) > np.count_nonzero(unit.diagonal()))
+
+
+def test_has_rank2_subspace_agrees_with_the_unit_mask_rule(overlapping_state):
+    rng = np.random.default_rng(41)
+    states = [overlapping_state, *(chain_state(n) for n in (3, 5, 8)),
+              validate_density(np.diag([0.5, 0.3, 0.2]))]
+    for d in range(2, 9):
+        states += [random_block_state(rng, d)[0], random_mixture_state(rng, d)]
+    seen = set()
+    for rho in states:
+        want = _mask_rule(rho)
+        assert has_rank2_subspace(rho) is want
+        seen.add(want)
+    assert seen == {True, False}
 
 
 def test_restricted_states_are_unit_norm():
@@ -497,6 +533,7 @@ def test_a_state_whose_clique_is_not_rank1_raises_on_every_call():
     # a refused restriction is not kept as the state's answer
     rho = _indefinite_clique_state()
     phi = PureStateVector(np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2))
-    for call in (maximal_pure_subspaces, maximal_pure_subspaces, lambda r: pmax_mixed(r, phi)):
+    for call in (maximal_pure_subspaces, maximal_pure_subspaces, lambda r: pmax_mixed(r, phi),
+                 has_rank2_subspace):
         with pytest.raises(ValidationError, match=r"restriction to \(1, 2, 3\) not rank-1"):
             call(rho)
