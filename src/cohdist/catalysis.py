@@ -14,7 +14,7 @@ change between grid points goes unseen.  Refinement runs only while a
 margin is positive: a member fails once a margin reaches 0 or below, so
 such a margin and its order are a witness of the failure, not the
 minimum.  Family members
-of one padded length are stacked and checked once; their power means
+of one padded length are stacked once; their power means
 come from one kernel pass over the whole grid and then one pass per
 refinement step for all their brackets still refining, each row raised
 only to its own bracket's probes, with the same values, bit for bit, as
@@ -47,17 +47,15 @@ import numpy as np
 from .distill import MixedPmaxResult, pmax_mixed
 from .errors import IncoherentTargetError, PreconditionError, ValidationError
 from .measures import (
-    _checked_rows,
     _padded_rows,
     _power_means_kernel,
     min_profile_ratios,
     shannon_entropy,
 )
-from .states import DensityMatrix, PureStateVector, SUPPORT_TOL, as_distribution, support_profile
+from .states import BRACKET_TOL, GRID_STEP_TOL, PROB_TOL, SUPPORT_TOL, TIE_TOL
+from .states import DensityMatrix, PureStateVector, as_distribution, support_profile
 from .subspaces import optimize_disjoint_selection
 
-STRICT_TOL = 1e-12       # margin above which a strict inequality counts
-UNIT_TOL = 1e-9          # closeness to probability 1 / weight 1
 GRID_CEILING = 1_000_000         # most catalyst candidates one search scans
 ROW_CHUNK_ELEMENTS = 1 << 17     # most entries in one array of the candidate scoring
 
@@ -182,7 +180,7 @@ def _enhancement_report(tgt, mixed: MixedPmaxResult) -> EnhancementGateReport:
         margin = bound - pure
         records.append(
             EnhancementRecord(s.indices, pure, float(bound), float(margin),
-                              bool(margin > STRICT_TOL))
+                              bool(margin > TIE_TOL))
         )
     family_sets = mixed.family.index_sets()
     return EnhancementGateReport(
@@ -231,9 +229,9 @@ def _refine_minima(rows: np.ndarray, lows, highs, brackets) -> None:
     """Tighten sampled margin minima by repeated halving between neighbours, in place.
 
     Only brackets with a finite best exponent and a positive margin are
-    refined, each for at most 40 halvings, until it is narrower than 1e-6
-    or its margin is no longer positive; a margin never rises above the
-    sampled minimum.  A member passes only on positive margins, so a
+    refined, each for at most 40 halvings, until it is narrower than
+    BRACKET_TOL or its margin is no longer positive; a margin never rises
+    above the sampled minimum.  A member passes only on positive margins, so a
     margin at or below 0 has decided its verdict: it is kept as found, a
     witness of the failure, not the refined minimum.  Each step is one
     kernel call over the two rows of every bracket still refining, each
@@ -259,20 +257,21 @@ def _refine_minima(rows: np.ndarray, lows, highs, brackets) -> None:
                 if margin < v:
                     a, v = alpha, margin
             b[:4] = (lo + a) / 2.0, a, (a + hi) / 2.0, v
-        active = [b for b in active if b[2] - b[0] >= 1e-6 and b[3] > 0.0]
+        active = [b for b in active if b[2] - b[0] >= BRACKET_TOL and b[3] > 0.0]
 
 
 def _group_margins(profiles, tgt: np.ndarray, n: int) -> list[tuple]:
     """Gate margins of the family members whose padded length is ``n``.
 
-    The members' padded profiles and the padded target are stacked and
-    checked once; one kernel call evaluates the whole grid, and each
-    refinement step is one more.  Returns, per member, the (alpha, margin)
+    The members' padded profiles and the padded target are stacked once,
+    unchecked: the library built them as support profiles.  One kernel
+    call evaluates the whole grid, and each refinement step is one more.  Returns, per member, the (alpha, margin)
     below and above one that :func:`_refine_minima` leaves, the entropy margin and whether
     the padded profile carries a zero entry.
     """
     m = len(profiles)
-    rows, lows, highs = _checked_rows(_padded_rows([*profiles, tgt], n))
+    rows = _padded_rows([*profiles, tgt], n)
+    lows, highs = rows.min(axis=1).tolist(), rows.max(axis=1).tolist()
     alphas = np.array(ALPHAS_BELOW_ONE + ALPHAS_ABOVE_ONE)
     means = np.array(_power_means_kernel(rows, lows, highs, alphas))
     kb = len(ALPHAS_BELOW_ONE)
@@ -313,12 +312,12 @@ def deterministic_gate(rho: DensityMatrix, phi: PureStateVector) -> Deterministi
 
 def _deterministic_report(tgt, family) -> DeterministicGateReport:
     baseline = family.total_value
-    if baseline >= 1.0 - UNIT_TOL:
+    if baseline >= 1.0 - PROB_TOL:
         raise PreconditionError(
             "optimal probability is already 1; no catalyst is needed"
         )
     flags: list[str] = []
-    weight_complete = family.total_weight >= 1.0 - UNIT_TOL
+    weight_complete = family.total_weight >= 1.0 - PROB_TOL
     if not weight_complete:
         flags.append("family_weight_below_one")
 
@@ -520,7 +519,7 @@ def _catalyst_grid(max_dim: int, grid_step: float) -> np.ndarray:
             f"grid_step {float(grid_step)!r} gives more than {GRID_CEILING} candidates"
         )
     n = int(round(1.0 / grid_step))
-    if abs(n * grid_step - 1.0) > 1e-9:
+    if abs(n * grid_step - 1.0) > GRID_STEP_TOL:
         raise ValidationError("grid_step must divide 1")
     max_parts = min(max_dim, n)
     size = _grid_size(n, max_parts)
@@ -552,20 +551,20 @@ def search_catalyst(
     scanned dimension-major, then in ascending lexicographic order; a grid
     of more than ``GRID_CEILING`` profiles raises ValidationError.  In
     "probabilistic" mode the best candidate is returned and counts as found
-    when it beats the baseline by more than 1e-9; ties prefer the
-    lexicographically smallest profile.  In "deterministic" mode the first
-    candidate in scan order reaching probability 1 within 1e-9 is
-    returned; starting from baseline 1 is a precondition violation.  The
-    baseline is ``pmax_mixed(rho, phi).p_max``.  The grid is one
-    zero-padded array in scan order, all of it scored in one pass, in
-    chunks of rows; the answer is picked by index, so only the rows that
+    when it beats the baseline by more than PROB_TOL; values within TIE_TOL
+    tie, and ties prefer the lexicographically smallest profile.  In
+    "deterministic" mode the first candidate in scan order reaching
+    probability 1 within PROB_TOL is returned; starting from baseline 1 is
+    a precondition violation.  The baseline is ``pmax_mixed(rho, phi).p_max``.
+    The grid is one zero-padded array in scan order, all of it scored in
+    one pass, in chunks of rows; the answer is picked by index, so only the rows that
     can win become tuples, each the positive part of its row.
     """
     if mode not in ("probabilistic", "deterministic"):
         raise ValidationError(f"unknown mode {mode!r}")
     tgt, mixed = _instance(rho, phi)
     baseline = mixed.p_max
-    if mode == "deterministic" and baseline >= 1.0 - UNIT_TOL:
+    if mode == "deterministic" and baseline >= 1.0 - PROB_TOL:
         raise PreconditionError("baseline probability is already 1")
 
     grid = _catalyst_grid(max_dim, grid_step)
@@ -576,21 +575,21 @@ def search_catalyst(
         return tuple(row[row > 0.0].tolist())
 
     if mode == "deterministic":
-        hits = np.flatnonzero(achieved >= 1.0 - UNIT_TOL).tolist()
+        hits = np.flatnonzero(achieved >= 1.0 - PROB_TOL).tolist()
         found = bool(hits)
         best_c, best_v = (candidate(hits[0]), float(achieved[hits[0]])) if found else (None, baseline)
     else:
-        # a record beats the last one by more than STRICT_TOL, so it is a
+        # a record beats the last one by more than TIE_TOL, so it is a
         # strict running maximum; the first value is always one
         best_v, last = -1.0, 0
         earlier = np.fmax.accumulate(np.r_[-np.inf, achieved[:-1]])
         for i in np.flatnonzero(achieved > earlier).tolist():
-            if achieved[i] > best_v + STRICT_TOL:
+            if achieved[i] > best_v + TIE_TOL:
                 best_v, last = float(achieved[i]), i
         # a later near-tie of the last record wins when lexicographically
         # smaller; each dimension ascends, so only its first one can.
         # Dimension j + 1 starts at the first row whose column j is positive
-        ties = achieved > best_v - STRICT_TOL
+        ties = achieved > best_v - TIE_TOL
         ties[:last + 1] = False
         starts = [0, *(grid[:, 2:] > 0.0).argmax(axis=0).tolist(), len(grid)]
         picks = [last]
@@ -599,7 +598,7 @@ def search_catalyst(
             if later.size:
                 picks.append(start + int(later[0]))
         best_c = min(map(candidate, picks))
-        found = best_v > baseline + UNIT_TOL
+        found = best_v > baseline + PROB_TOL
     return CatalystSearchReport(
         baseline=baseline,
         mode=mode,

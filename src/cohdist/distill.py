@@ -61,6 +61,7 @@ from .errors import (
     ValidationError,
 )
 from .measures import _padded_rows, min_profile_ratio, min_profile_ratios
+from .states import BRANCH_WEIGHT_FLOOR, ENTRY_TOL, PROB_TOL, TIE_TOL, _SPLIT_TOL
 from .states import DensityMatrix, PureStateVector, _as_array, require_finite, support_profile
 from .subspaces import (
     DisjointFamily,
@@ -69,9 +70,6 @@ from .subspaces import (
     optimize_disjoint_selection,
 )
 
-ENTRY_TOL = 1e-12        # magnitude below which a matrix entry counts as zero
-PROB_TOL = 1e-9          # probability bookkeeping tolerance
-_SPLIT_TOL = 1e-13       # prefix slack that counts as tight in the permutation split
 _GATHER_CAP = 1 << 18    # entries of one replay gather (rho_SS blocks of many branches)
 
 
@@ -357,7 +355,7 @@ def _intermediate_profile(p: np.ndarray, q: np.ndarray, prob: float) -> np.ndarr
         run += x[l]
     x = np.sort(x)[::-1]
     total = float(x.sum())
-    if abs(total - 1.0) > 1e-9:
+    if abs(total - 1.0) > PROB_TOL:
         raise ProtocolSynthesisError(f"intermediate profile sums to {total!r}")
     return x / total
 
@@ -484,7 +482,7 @@ def _protocol(src, src_amps, tgt, tgt_amps) -> tuple[np.ndarray, tuple[np.ndarra
         raise RankDeficitError("conversion probability is zero")
 
     x = _intermediate_profile(p, q, prob)
-    if np.min(x[:m] - prob * q[:m]) < -1e-9:
+    if np.min(x[:m] - prob * q[:m]) < -PROB_TOL:
         raise ProtocolSynthesisError("intermediate profile violates its floor")
 
     # success operator on the intermediate state: slot u -> target index
@@ -552,7 +550,7 @@ def pmax_mixed(rho: DensityMatrix, phi: PureStateVector) -> MixedPmaxResult:
         family=DisjointFamily(tuple(y.subspace for y in per), weight, value),
         per_subspace=per,
         all_subspaces=tuple(subs),
-        overlap_adjusted=bool(naive > value + 1e-12),
+        overlap_adjusted=bool(naive > value + TIE_TOL),
     )
 
 
@@ -614,13 +612,13 @@ def verify_branch_outputs(
     """Recompute every branch output K rho K† and compare with the target.
 
     Passes when each branch output, normalized, has fidelity with |phi>
-    of at least 1 - PROB_TOL (1e-9); a NaN fidelity (an overflowed entry)
-    fails, and is reported as ``worst_fidelity``.  Branches with vanishing
-    probability on this input are skipped.  With c_j the entry in column j, the weight is
-    sum_j |c_j|^2 rho_jj and <phi|K rho K†|phi> = v† rho v for v = K†|phi>,
-    which lives on the branch's used columns S, so only rho_SS is read.  A
-    plan or target whose dimension differs from rho's is a
-    :class:`ValidationError`.
+    of at least 1 - PROB_TOL; a NaN fidelity (an overflowed entry) fails,
+    and is reported as ``worst_fidelity``.  Branches whose weight on this
+    input is at most BRANCH_WEIGHT_FLOOR are skipped.  With c_j the entry
+    in column j, the weight is sum_j |c_j|^2 rho_jj and
+    <phi|K rho K†|phi> = v† rho v for v = K†|phi>, which lives on the
+    branch's used columns S, so only rho_SS is read.  A plan or target
+    whose dimension differs from rho's is a :class:`ValidationError`.
     """
     _require_source_dim("plan", plan.dim, rho.dim)
     _require_source_dim("target", phi.dim, rho.dim)
@@ -629,7 +627,7 @@ def verify_branch_outputs(
     overlaps = stack.overlaps(rho.matrix, phi.amplitudes).tolist()
     worst = 1.0
     for b, weight, overlap in zip(plan.branches, weights, overlaps):
-        if weight <= 1e-15:
+        if weight <= BRANCH_WEIGHT_FLOOR:
             continue
         fid = overlap / weight
         # every branch before passed, so a failing fidelity is the worst; NaN fails too

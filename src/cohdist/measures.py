@@ -11,9 +11,8 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .states import SUPPORT_TOL, _as_array, as_distribution, require_finite
-
-MAJORIZATION_TOL = 1e-10
+from .states import GEOMETRIC_ORDER_TOL, MAJORIZATION_TOL, SUPPORT_TOL
+from .states import _as_array, as_distribution, require_finite
 
 
 def _padded_rows(vectors, width: int = 0) -> np.ndarray:
@@ -119,14 +118,16 @@ def _checked_vector(weights, what: str) -> np.ndarray:
 def majorizes(p, q, *, tol: float = MAJORIZATION_TOL) -> bool:
     """True iff ``p`` is majorized by ``q`` (written p < q).
 
-    Checks that every descending-order partial sum of ``p`` is at most the
-    matching partial sum of ``q``, within ``tol``; vectors are zero-padded
-    to a common length and must be valid distributions.
+    Checks that every descending-order partial sum of ``p``, divided by
+    p's total, is at most the matching partial sum of ``q`` divided by q's
+    total, within ``tol``; vectors are zero-padded to a common length and
+    must be valid distributions.  A valid total is 1 only within
+    TRACE_TOL, so two of them may differ by more than ``tol``; each vector
+    is read relative to its own.
     """
     pw, qw = _padded_rows([as_distribution(p), as_distribution(q)])
-    ps = np.cumsum(np.sort(pw)[::-1])
-    qs = np.cumsum(np.sort(qw)[::-1])
-    return bool(np.all(ps <= qs + tol))
+    ps, qs = (np.cumsum(np.sort(w)[::-1]) for w in (pw, qw))
+    return bool(np.all(ps / ps[-1] <= qs / qs[-1] + tol))
 
 
 def tensor(p, q) -> np.ndarray:
@@ -136,26 +137,11 @@ def tensor(p, q) -> np.ndarray:
     return np.outer(pw, qw).ravel()
 
 
-def _checked_rows(weights) -> tuple[np.ndarray, list[float], list[float]]:
-    """A 1-d vector or 2-d stack as finite nonnegative rows, with each row's min and max."""
-    w = np.asarray(weights, dtype=float)
-    if w.ndim not in (1, 2) or w.size == 0:
-        raise ValidationError(f"expected a nonempty 1-d vector or 2-d stack, got shape {w.shape}")
-    rows = np.atleast_2d(w)
-    require_finite(rows, "weight vector")
-    lows = rows.min(axis=1).tolist()
-    if min(lows) < 0.0:
-        raise ValidationError(f"negative weight {min(lows)!r}")
-    return rows, lows, rows.max(axis=1).tolist()
-
-
 def _power_mean_special(row: np.ndarray, lo: float, hi: float, alpha: float, m: float) -> float:
     """A_alpha(row) where the generic root does not apply; ``m`` is the mean of powers."""
     if math.isinf(alpha):
         return hi if alpha > 0 else lo
-    # below ~1e-8 the generic formula degenerates to 1.0 in floats; the
-    # geometric-mean limit is the accurate continuation there
-    if abs(alpha) <= 1e-8:
+    if abs(alpha) <= GEOMETRIC_ORDER_TOL:
         return 0.0 if lo <= 0.0 else float(np.exp(np.mean(np.log(row))))
     if alpha < 0.0:
         if lo <= 0.0:
@@ -186,7 +172,7 @@ def _power_means_kernel(rows: np.ndarray, lows, highs, orders: np.ndarray) -> li
     alphas = orders.tolist() if orders.ndim == 2 else [orders.tolist()] * n_rows
     inf = math.inf
     return [
-        [m ** (1.0 / a) if 0.0 < m < inf and 1e-8 < abs(a) < inf
+        [m ** (1.0 / a) if 0.0 < m < inf and GEOMETRIC_ORDER_TOL < abs(a) < inf
          else _power_mean_special(row, lo, hi, a, m)
          for a, m in zip(row_alphas, row_means)]
         for row, lo, hi, row_alphas, row_means in zip(rows, lows, highs, alphas, means)
@@ -196,35 +182,33 @@ def _power_means_kernel(rows: np.ndarray, lows, highs, orders: np.ndarray) -> li
 def power_mean(weights, alpha: float) -> float:
     """Power mean A_alpha(w) = (mean(w_i^alpha))^(1/alpha) of one vector.
 
-    Analytic continuations: |alpha| <= 1e-8 is the geometric mean,
-    alpha=+inf the maximum entry, alpha=-inf the minimum entry.  Any zero
-    entry makes A_alpha = 0 for every alpha <= 0.  The averaging dimension
-    is the full vector length including zero padding.  A mean of powers
-    that overflows (or underflows to 0) is taken again relative to the
-    smallest entry for alpha < 0, w_min * mean((w / w_min)^alpha)^(1/alpha),
+    Analytic continuations: |alpha| <= GEOMETRIC_ORDER_TOL is the
+    geometric mean, alpha=+inf the maximum entry, alpha=-inf the minimum
+    entry.  Any zero entry makes A_alpha = 0 for every alpha <= 0.  The
+    averaging dimension is the full vector length including zero padding.
+    A mean of powers that overflows (or underflows to 0) is taken again
+    relative to the smallest entry for alpha < 0,
+    w_min * mean((w / w_min)^alpha)^(1/alpha),
     and relative to the largest entry for alpha > 0,
     w_max * mean((w / w_max)^alpha)^(1/alpha).  ``weights`` must be a
     nonempty 1-d vector of finite nonnegative numbers and ``alpha`` a
     number that is not NaN; anything else is a ValidationError.
     """
-    w = _as_array(weights, float, "weight vector")
-    if w.ndim != 1:
-        raise ValidationError(f"expected a nonempty 1-d vector, got shape {w.shape}")
+    w = _checked_vector(weights, "weight vector")
     orders = _as_array([alpha], float, "power-mean orders")
     if orders.ndim != 1:
         raise ValidationError(f"expected one power-mean order, got {alpha!r}")
     if np.isnan(orders).any():
         raise ValidationError("power-mean order is NaN")
-    return _power_means_kernel(*_checked_rows(w), orders)[0][0]
+    return _power_means_kernel(w[None], [float(w.min())], [float(w.max())], orders)[0][0]
 
 
 def shannon_entropy(weights) -> float:
-    """Shannon entropy in nats with the 0*log(0) = 0 convention."""
-    w = _as_array(weights, float, "weight vector")
-    if w.ndim != 1 or w.size == 0:
-        raise ValidationError("expected a nonnegative 1-d vector")
-    require_finite(w, "weight vector")
-    if w.min() < 0.0:
-        raise ValidationError("expected a nonnegative 1-d vector")
+    """Shannon entropy in nats with the 0*log(0) = 0 convention.
+
+    ``weights`` must be a nonempty 1-d vector of finite nonnegative
+    numbers; anything else is a ValidationError.
+    """
+    w = _checked_vector(weights, "weight vector")
     pos = w[w > 0.0]
     return float(-(pos * np.log(pos)).sum())

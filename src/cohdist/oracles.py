@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IncompletePlanError, ValidationError
-from .distill import PROB_TOL, DistillationPlan, _require_source_dim
-from .states import DensityMatrix
+from .distill import DistillationPlan, _require_source_dim
+from .states import PROB_TOL, DensityMatrix
 
 RNG_ALGORITHM = "Philox4x64"
 

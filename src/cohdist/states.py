@@ -24,11 +24,49 @@ from .errors import (
 # ===========================================================================
 # tolerances (shared across modules)
 # ===========================================================================
+# Every tolerance of the package, and no other value below 1e-5, is written
+# here.  Each is absolute, on a quantity normalized to 1 (a trace, a
+# probability, a modulus or an exponent), and the comment names the
+# tolerances it must agree with.  Size caps are not tolerances and stay in
+# their modules: GRID_CEILING, ROW_CHUNK_ELEMENTS, _GATHER_CAP.
 
+# validation of states, vectors and weights
 HERMITIAN_TOL = 1e-10     # max |rho - rho†| entry
 PSD_FLOOR = -1e-10        # smallest admissible eigenvalue
 TRACE_TOL = 1e-10         # |tr(rho) - 1|, |norm(psi)^2 - 1|, |sum(w) - 1|
-SUPPORT_TOL = 1e-12       # squared-modulus threshold for "nonzero amplitude"
+SUPPORT_TOL = 1e-12       # squared modulus (population, weight, tail sum) at or below which it is zero
+# a modulus, where SUPPORT_TOL bounds a squared modulus, so the two stay apart
+ENTRY_TOL = 1e-12         # modulus at or below which a Kraus matrix entry counts as zero
+
+# pure subspaces
+A_ONE_TOL = 1e-9          # |A_ij - 1| for a unit-coherence edge
+# a two-level block whose |A_01 - 1| is eps has second eigenvalue about
+# 2ab eps <= eps / 2 (populations a + b = 1), so an edge within A_ONE_TOL
+# passes the rank-1 check while A_ONE_TOL / 2 <= RANK1_TOL
+RANK1_TOL = 1e-9          # second eigenvalue of a trace-1 restriction that counts as pure
+# a member's population exceeds SUPPORT_TOL, so its amplitude exceeds 1e-6;
+# this only keeps an amplitude that vanishes at the rank-1 edge from
+# fixing a phase by 0 / 0
+PHASE_LEAD_TOL = 1e-8     # modulus of the eigenvector amplitude whose phase is removed
+
+# probabilities
+# at least 10 TRACE_TOL, so the normalization error of a valid input never
+# decides an agreement check
+PROB_TOL = 1e-9           # agreement of probabilities and weights: totals, completeness, fidelity, reaching 1
+# far below PROB_TOL: values that tie never differ by a gain PROB_TOL counts
+TIE_TOL = 1e-12           # two probabilities closer than this tie (selections, strict margins, records)
+# partial sums are compared after each vector is divided by its own total:
+# two valid totals may differ by 2 TRACE_TOL, more than this slack
+MAJORIZATION_TOL = 1e-10  # slack of a partial-sum comparison of two distributions
+# below TRACE_TOL, so _protocol rescales p to x's sum before it splits
+_SPLIT_TOL = 1e-13        # prefix slack that counts as tight in the permutation split
+BRANCH_WEIGHT_FLOOR = 1e-15   # branch weight at or below which a replay skips the 0 / 0 fidelity
+
+# power means and the catalyst gates and search
+# below it the generic formula rounds to 1 in floats; the geometric mean is the limit
+GEOMETRIC_ORDER_TOL = 1e-8    # |alpha| at or below which the power mean is the geometric mean
+BRACKET_TOL = 1e-6        # order-bracket width at which the probability-1 gate stops refining
+GRID_STEP_TOL = 1e-9      # |n * grid_step - 1| of a catalyst grid step that divides 1
 
 
 def support_profile(weights) -> tuple[np.ndarray, np.ndarray]:

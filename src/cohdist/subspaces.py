@@ -22,11 +22,8 @@ from itertools import accumulate, groupby
 import numpy as np
 
 from .errors import ValidationError
-from .states import DensityMatrix, SUPPORT_TOL, positive_diagonal_indices
-
-A_ONE_TOL = 1e-9        # |A_ij - 1| tolerance for a unit-coherence edge
-RANK1_TOL = 1e-9        # second eigenvalue ceiling for a pure restriction
-_TIE_TOL = 1e-12
+from .states import A_ONE_TOL, PHASE_LEAD_TOL, RANK1_TOL, SUPPORT_TOL, TIE_TOL
+from .states import DensityMatrix, positive_diagonal_indices
 
 
 def a_matrix(rho: DensityMatrix) -> np.ndarray:
@@ -175,7 +172,7 @@ def _top_vectors(blocks: np.ndarray, cliques) -> np.ndarray:
     """Top eigenvectors of stacked trace-1 restrictions, checked to be rank-1.
 
     One ``eigh`` call covers the stack.  In each vector the first
-    amplitude above 1e-8 in modulus is made real positive.
+    amplitude above PHASE_LEAD_TOL in modulus is made real positive.
     """
     vals, vecs = np.linalg.eigh(blocks)
     for k in np.flatnonzero(vals[:, -2] > RANK1_TOL)[:1].tolist():
@@ -184,7 +181,7 @@ def _top_vectors(blocks: np.ndarray, cliques) -> np.ndarray:
             "input violates density-matrix invariants"
         )
     vec = vecs[:, :, -1]
-    lead = vec[np.arange(len(vec)), np.argmax(np.abs(vec) > 1e-8, axis=1)]
+    lead = vec[np.arange(len(vec)), np.argmax(np.abs(vec) > PHASE_LEAD_TOL, axis=1)]
     vec = vec * np.conj(lead / np.abs(lead))[:, None]
     return vec / np.linalg.norm(vec, axis=1, keepdims=True)
 
@@ -285,15 +282,15 @@ def optimize_disjoint_selection(
     stack = [(0, (), 0, 0.0, 0.0)]
     while stack:
         i, chosen, used, value, weight = stack.pop()
-        if value + tail_value[i] < best_value - _TIE_TOL:
+        if value + tail_value[i] < best_value - TIE_TOL:
             continue
         if i == len(shared):
             key = tuple(entries[k][0] for k in chosen)
-            tied = value > best_value - _TIE_TOL
+            tied = value > best_value - TIE_TOL
             if (
-                value > best_value + _TIE_TOL
-                or (tied and weight > best_weight + _TIE_TOL)
-                or (tied and weight > best_weight - _TIE_TOL
+                value > best_value + TIE_TOL
+                or (tied and weight > best_weight + TIE_TOL)
+                or (tied and weight > best_weight - TIE_TOL
                     and (best_key is None or key < best_key))
             ):
                 best_value, best_weight, best_key, best_chosen = value, weight, key, chosen

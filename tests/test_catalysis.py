@@ -31,7 +31,7 @@ from cohdist.measures import (
     shannon_entropy,
     tensor,
 )
-from cohdist.states import SUPPORT_TOL, support_profile
+from cohdist.states import PROB_TOL, SUPPORT_TOL, TIE_TOL, support_profile
 from cohdist.subspaces import maximal_pure_subspaces, optimize_disjoint_selection
 from reference_oracles import (
     catalyst_candidates,
@@ -324,23 +324,23 @@ def _reference_search(rho, phi, max_dim, grid_step, mode):
     tgt = _target_profile(phi)
     entries = _entries(rho)
     baseline = _reference_catalyzed(entries, tgt, (1.0,))
-    if mode == "deterministic" and baseline >= 1.0 - catalysis.UNIT_TOL:
+    if mode == "deterministic" and baseline >= 1.0 - PROB_TOL:
         raise PreconditionError("baseline probability is already 1")
     candidates = _reference_candidates(max_dim, grid_step)
     achieved = [_reference_catalyzed(entries, tgt, c) for c in candidates]
     count = len(candidates)
     if mode == "deterministic":
         for c, v in zip(candidates, achieved):
-            if v >= 1.0 - catalysis.UNIT_TOL:
+            if v >= 1.0 - PROB_TOL:
                 return CatalystSearchReport(baseline, mode, True, c, v, count)
         return CatalystSearchReport(baseline, mode, False, None, baseline, count)
     best_c, best_v = None, -1.0
     for c, v in zip(candidates, achieved):
-        if v > best_v + catalysis.STRICT_TOL:
+        if v > best_v + TIE_TOL:
             best_c, best_v = c, v
-        elif v > best_v - catalysis.STRICT_TOL and (best_c is None or c < best_c):
+        elif v > best_v - TIE_TOL and (best_c is None or c < best_c):
             best_c = c
-    found = best_v > baseline + catalysis.UNIT_TOL
+    found = best_v > baseline + PROB_TOL
     return CatalystSearchReport(
         baseline, mode, found, best_c if found else None,
         best_v if found else baseline, count,
@@ -444,7 +444,7 @@ def test_gate_and_search_baselines_are_the_pmax_mixed_value(overlapping_state, t
         assert catalyzed_pmax(rho, phi, np.array([1.0])) == want, name
         assert enhancement_gate(rho, phi).baseline == want, name
         assert search_catalyst(rho, phi, 2, 0.25).baseline == want, name
-        if want < 1.0 - catalysis.UNIT_TOL:
+        if want < 1.0 - PROB_TOL:
             assert deterministic_gate(rho, phi).baseline == want, name
             assert search_catalyst(rho, phi, 2, 0.25, "deterministic").baseline == want, name
         state.write_text(json.dumps(_state_doc(rho)))
@@ -693,9 +693,9 @@ def test_pick_by_index_follows_the_candidate_loop_on_planted_ties(
         monkeypatch.setattr(catalysis, "_catalyzed_values", lambda *args: values.copy())
         best_c, best_v = None, -1.0
         for c, v in zip(candidates, values.tolist()):
-            if v > best_v + catalysis.STRICT_TOL:
+            if v > best_v + TIE_TOL:
                 best_c, best_v = c, v
-            elif v > best_v - catalysis.STRICT_TOL and c < best_c:
+            elif v > best_v - TIE_TOL and c < best_c:
                 best_c = c
         got = search_catalyst(rho, phi, 4, 0.1)
         assert (got.found, got.catalyst, got.achieved) == (True, best_c, best_v)
@@ -751,11 +751,11 @@ def _reference_deterministic_gate(rho, phi, full=False):
     tgt = _target_profile(phi)
     family = pmax_mixed(rho, phi).family
     baseline = family.total_value
-    if baseline >= 1.0 - catalysis.UNIT_TOL:
+    if baseline >= 1.0 - PROB_TOL:
         raise PreconditionError("optimal probability is already 1; no catalyst is needed")
     below, above = ALPHAS_BELOW_ONE, ALPHAS_ABOVE_ONE
     flags = []
-    weight_complete = family.total_weight >= 1.0 - catalysis.UNIT_TOL
+    weight_complete = family.total_weight >= 1.0 - PROB_TOL
     if not weight_complete:
         flags.append("family_weight_below_one")
     members = []

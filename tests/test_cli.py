@@ -391,6 +391,16 @@ def test_majorize_command(files, capsys):
     assert doc["p_majorized_by_q"] and not doc["q_majorized_by_p"]
 
 
+def test_majorize_reads_each_vector_relative_to_its_own_total(tmp_path, capsys):
+    # sums 1 + 9.8e-11 and 1 - 9.8e-11, both valid: equal up to normalization
+    p = write(tmp_path / "p.json", {"weights": [0.500000000049, 0.500000000049]})
+    q = write(tmp_path / "q.json", {"weights": [0.499999999951, 0.499999999951]})
+    code, out, _ = run(capsys, "majorize", p, q, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["p_majorized_by_q"] is True and doc["q_majorized_by_p"] is True
+
+
 # ----------------------------------------------------------------- failures
 
 def test_missing_file_is_io_error(capsys):

@@ -215,8 +215,9 @@ def _scalar_power_mean(w, alpha):
 
 def _kernel(rows, alphas) -> np.ndarray:
     """Power means of every row at every order, through the gates' kernel."""
-    orders = np.array(alphas, dtype=float)
-    return np.array(measures._power_means_kernel(*measures._checked_rows(rows), orders))
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    lows, highs = rows.min(axis=1).tolist(), rows.max(axis=1).tolist()
+    return np.array(measures._power_means_kernel(rows, lows, highs, np.array(alphas, dtype=float)))
 
 
 def test_power_means_equal_the_scalar_evaluation():
@@ -275,12 +276,12 @@ def test_power_mean_rejects_non_finite_input():
         power_mean(["a"], 1.0)
     with pytest.raises(ValidationError, match="one power-mean order"):
         power_mean([0.5, 0.5], [[1.0]])
-    with pytest.raises(ValidationError, match="nonempty 1-d vector"):
+    with pytest.raises(ValidationError, match="nonempty 1-d weight vector"):
         power_mean([], 1.0)
     with pytest.raises(ValidationError, match="negative weight"):
         power_mean([-1.0, 2.0], 1.0)
     for stacked in ([[0.5, 0.5]], np.full((1, 2, 2), 0.25)):
-        with pytest.raises(ValidationError, match="1-d vector"):
+        with pytest.raises(ValidationError, match="nonempty 1-d weight vector"):
             power_mean(stacked, 1.0)
 
 
@@ -337,6 +338,7 @@ def test_shannon_entropy_bounds(w):
 def test_shannon_entropy_rejects_nan():
     with pytest.raises(ValidationError):
         shannon_entropy([0.5, math.nan])
-    for bad in ([[0.5, 0.5]], [1.5, -0.5]):
-        with pytest.raises(ValidationError, match="nonnegative 1-d vector"):
-            shannon_entropy(bad)
+    with pytest.raises(ValidationError, match="nonempty 1-d weight vector"):
+        shannon_entropy([[0.5, 0.5]])
+    with pytest.raises(ValidationError, match="negative weight -0.5"):
+        shannon_entropy([1.5, -0.5])

@@ -1,9 +1,12 @@
 """The README's library sketch runs as written and gives the values its comments state."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
+
+from test_tolerances import tolerance_table
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -37,3 +40,13 @@ def test_readme_library_sketch():
     assert catalyst == pytest.approx((0.6, 0.4), abs=1e-12)
     rate = values["simulate(plan, rho, shots=10**6, seed=7).empirical_probability"]
     assert rate == pytest.approx(0.8, abs=5e-3)
+
+
+def test_readme_lists_every_tolerance_with_its_value():
+    text = README.read_text()
+    table = tolerance_table()
+    missing = [name for name, (_, literal) in table.items() if f"| `{name}` | {literal} |" not in text]
+    assert missing == []
+    # every tolerance name the README mentions is a table entry
+    mentioned = set(re.findall(r"`(?:\w+\.)?([A-Z][A-Z0-9_]*_(?:TOL|FLOOR))`", text))
+    assert mentioned - set(table) == set()
