@@ -10,15 +10,16 @@ probability is exact (strict-inequality test on the smallest padded
 entries).  The gate for reaching probability 1 compares power means and
 entropies on one fixed exponent grid (``ALPHAS_BELOW_ONE``,
 ``ALPHAS_ABOVE_ONE``) with local refinement, so it is not exact: a sign
-change between grid points goes unseen.  Refinement runs only while a
-margin is positive: a member fails once a margin reaches 0 or below, so
-such a margin and its order are a witness of the failure, not the
-minimum.  Family members
-of one padded length are stacked once; their power means
-come from one kernel pass over the whole grid and then one pass per
-refinement step for all their brackets still refining, each row raised
-only to its own bracket's probes, with the same values, bit for bit, as
-evaluating one member and one order at a time.  The search
+change between grid points goes unseen.  One routine,
+:func:`_group_records`, does the whole gate for the family members of one
+padded length and returns their records: it stacks their profiles once,
+samples the whole grid in one kernel pass, and refines each member's
+smallest margin on either side of alpha = 1 with one more pass per
+step for all their brackets still refining, with the same values, bit for
+bit, as evaluating one member and one order at a time.  Refinement runs
+only while a margin is positive: a member fails once a margin reaches 0
+or below, so such a margin and its order are a witness of the failure,
+not the minimum.  The search
 enumerates catalyst profiles on a simplex grid of at most ``GRID_CEILING``
 points, built afresh for each search as one zero-padded array in scan
 order, and scores all candidates in one pass over that array, in chunks
@@ -208,84 +209,71 @@ ALPHAS_BELOW_ONE = tuple(sorted([
 ALPHAS_ABOVE_ONE = (*np.logspace(math.log10(1.01), math.log10(40.0), 20).tolist(), math.inf)
 
 
-def _brackets(alphas, values: np.ndarray, first, second) -> list[list]:
-    """One refinement bracket per row of ``values``, the margins sampled at ``alphas``.
+def _group_records(group, tgt: np.ndarray, n: int) -> list[DeterministicGateMemberRecord]:
+    """Gate records of the family members of padded length ``n``, in ``group`` order.
 
-    A bracket is [lo, best exponent, hi, best margin, first row, second
-    row]: it reaches to the finite neighbours of the row's first minimum
-    (an infinite neighbour leaves that end at the best exponent), and its
-    margin at an order is A(first row) - A(second row).
+    ``group`` holds each member's (indices, support profile).  The profiles
+    and the target are stacked once, zero-padded to n and unchecked: the
+    library built them as support profiles.  One kernel call samples the
+    whole grid.  Each member has one bracket per side of alpha = 1, its
+    margin at an order A(p) - A(q) below one and A(q) - A(p) above: it
+    starts at the first minimum of the sampled margins and reaches to that
+    order's finite neighbours (an infinite neighbour leaves that end at the
+    order).  A bracket with a finite order
+    and a positive margin is refined for at most 40 halvings, until it is
+    narrower than BRACKET_TOL or its margin is no longer positive: each
+    step probes the midpoints between its best order and either end, takes
+    a probe whose margin is strictly below the best one, first probe first,
+    and halves both ends toward the best order.  A member passes only on
+    positive margins, so a margin at or below 0 has decided its verdict and
+    is kept as found, a witness of the failure, not the refined minimum.
+    Each step is one kernel call over the two rows of every bracket still
+    refining, below-one brackets first, each row raised only to its own
+    bracket's two probes; the kernel computes each row on its own, so a
+    bracket takes the same steps, bit for bit, whatever else is refining.
     """
-    out = []
-    for k, row, f, s in zip(values.argmin(axis=1).tolist(), values.tolist(), first, second):
-        best_a = alphas[k]
-        lo = alphas[k - 1] if k > 0 and math.isfinite(alphas[k - 1]) else best_a
-        hi = alphas[k + 1] if k + 1 < len(alphas) and math.isfinite(alphas[k + 1]) else best_a
-        out.append([lo, best_a, hi, row[k], f, s])
-    return out
-
-
-def _refine_minima(rows: np.ndarray, lows, highs, brackets) -> None:
-    """Tighten sampled margin minima by repeated halving between neighbours, in place.
-
-    Only brackets with a finite best exponent and a positive margin are
-    refined, each for at most 40 halvings, until it is narrower than
-    BRACKET_TOL or its margin is no longer positive; a margin never rises
-    above the sampled minimum.  A member passes only on positive margins, so a
-    margin at or below 0 has decided its verdict: it is kept as found, a
-    witness of the failure, not the refined minimum.  Each step is one
-    kernel call over the two rows of every bracket still refining, each
-    row raised only to its own bracket's two probes; the kernel computes
-    each row on its own, so a bracket that stays positive takes the same
-    steps, bit for bit, whatever else is refining.
-    """
-    active = [b for b in brackets if math.isfinite(b[1]) and b[3] > 0.0]
-    for _ in range(40):
-        if not active:
-            break
-        sel = [i for b in active for i in b[4:]]
-        # both probes of a bracket come from its best exponent before the step
-        probes = [((lo + a) / 2.0, (a + hi) / 2.0) for lo, a, hi, *_ in active]
-        means = _power_means_kernel(
-            rows.take(sel, axis=0), [lows[i] for i in sel], [highs[i] for i in sel],
-            np.array([probe for probe in probes for _ in (0, 1)]),
-        )
-        for b, probe, first, second in zip(active, probes, means[0::2], means[1::2]):
-            lo, a, hi, v = b[:4]
-            for alpha, x, y in zip(probe, first, second):
-                margin = x - y
-                if margin < v:
-                    a, v = alpha, margin
-            b[:4] = (lo + a) / 2.0, a, (a + hi) / 2.0, v
-        active = [b for b in active if b[2] - b[0] >= BRACKET_TOL and b[3] > 0.0]
-
-
-def _group_margins(profiles, tgt: np.ndarray, n: int) -> list[tuple]:
-    """Gate margins of the family members whose padded length is ``n``.
-
-    The members' padded profiles and the padded target are stacked once,
-    unchecked: the library built them as support profiles.  One kernel
-    call evaluates the whole grid, and each refinement step is one more.  Returns, per member, the (alpha, margin)
-    below and above one that :func:`_refine_minima` leaves, the entropy margin and whether
-    the padded profile carries a zero entry.
-    """
+    indices, profiles = zip(*group)
     m = len(profiles)
     rows = _padded_rows([*profiles, tgt], n)
     lows, highs = rows.min(axis=1).tolist(), rows.max(axis=1).tolist()
-    alphas = np.array(ALPHAS_BELOW_ONE + ALPHAS_ABOVE_ONE)
-    means = np.array(_power_means_kernel(rows, lows, highs, alphas))
+    means = np.array(_power_means_kernel(rows, lows, highs, np.array(ALPHAS_BELOW_ONE + ALPHAS_ABOVE_ONE)))
     kb = len(ALPHAS_BELOW_ONE)
-    # below-one margins are A(p) - A(q), above-one margins A(q) - A(p)
-    sources, target = range(m), [m] * m
-    lower = _brackets(ALPHAS_BELOW_ONE, means[:m, :kb] - means[m, :kb], sources, target)
-    upper = _brackets(ALPHAS_ABOVE_ONE, means[m, kb:] - means[:m, kb:], target, sources)
-    _refine_minima(rows, lows, highs, lower + upper)
+    # bracket j < m is member j's below-one side and bracket m + j its
+    # above-one side; its margin is A(rows[first]) - A(rows[second])
+    pairs = [(j, m) for j in range(m)] + [(m, j) for j in range(m)]
+    lo, order, hi, margin = [], [], [], []
+    for alphas, values in ((ALPHAS_BELOW_ONE, means[:m, :kb] - means[m, :kb]),
+                           (ALPHAS_ABOVE_ONE, means[m, kb:] - means[:m, kb:])):
+        for k, row in zip(values.argmin(axis=1).tolist(), values.tolist()):
+            a = alphas[k]
+            lo.append(alphas[k - 1] if k > 0 and math.isfinite(alphas[k - 1]) else a)
+            order.append(a)
+            hi.append(alphas[k + 1] if k + 1 < len(alphas) and math.isfinite(alphas[k + 1]) else a)
+            margin.append(row[k])
+    active = [j for j in range(2 * m) if math.isfinite(order[j]) and margin[j] > 0.0]
+    for _ in range(40):
+        if not active:
+            break
+        sel = [i for j in active for i in pairs[j]]
+        probes = [((lo[j] + order[j]) / 2.0, (order[j] + hi[j]) / 2.0) for j in active]
+        step = _power_means_kernel(rows.take(sel, axis=0), [lows[i] for i in sel], [highs[i] for i in sel],
+                                   np.array([probe for probe in probes for _ in (0, 1)]))
+        for j, probe, first, second in zip(active, probes, step[0::2], step[1::2]):
+            for alpha, x, y in zip(probe, first, second):
+                if x - y < margin[j]:
+                    order[j], margin[j] = alpha, x - y
+            lo[j], hi[j] = (lo[j] + order[j]) / 2.0, (order[j] + hi[j]) / 2.0
+        active = [j for j in active if hi[j] - lo[j] >= BRACKET_TOL and margin[j] > 0.0]
     target_entropy = shannon_entropy(rows[m])
-    return [
-        (lo_b[1], lo_b[3], up_b[1], up_b[3],
-         shannon_entropy(rows[i]) - target_entropy, lows[i] <= SUPPORT_TOL)
-        for i, (lo_b, up_b) in enumerate(zip(lower, upper))
-    ]
+    records = []
+    for i in range(m):
+        entropy_margin = shannon_entropy(rows[i]) - target_entropy
+        passes = margin[i] > 0.0 and margin[m + i] > 0.0 and entropy_margin > 0.0
+        records.append(DeterministicGateMemberRecord(
+            indices[i], margin[i], order[i], margin[m + i], order[m + i],
+            entropy_margin, lows[i] <= SUPPORT_TOL, passes,
+        ))
+    return records
 
 
 def deterministic_gate(rho: DensityMatrix, phi: PureStateVector) -> DeterministicGateReport:
@@ -313,42 +301,17 @@ def deterministic_gate(rho: DensityMatrix, phi: PureStateVector) -> Deterministi
 def _deterministic_report(tgt, family) -> DeterministicGateReport:
     baseline = family.total_value
     if baseline >= 1.0 - PROB_TOL:
-        raise PreconditionError(
-            "optimal probability is already 1; no catalyst is needed"
-        )
-    flags: list[str] = []
+        raise PreconditionError("optimal probability is already 1; no catalyst is needed")
     weight_complete = family.total_weight >= 1.0 - PROB_TOL
-    if not weight_complete:
-        flags.append("family_weight_below_one")
-
+    flags = [] if weight_complete else ["family_weight_below_one"]
     # members of one padded length share every kernel call
-    groups: dict[int, list[int]] = {}
-    profiles = [support_profile(s.profile)[1] for s in family.members]
-    for i, profile in enumerate(profiles):
-        groups.setdefault(max(profile.size, tgt.size), []).append(i)
-    margins = [None] * len(profiles)
-    for n, indices in groups.items():
-        group = _group_margins([profiles[i] for i in indices], tgt, n)
-        for i, values in zip(indices, group):
-            margins[i] = values
-
-    members = []
-    for s, (a_lo, m_lo, a_hi, m_hi, s_margin, zero_entry) in zip(family.members, margins):
-        passes = m_lo > 0.0 and m_hi > 0.0 and s_margin > 0.0
-        if zero_entry:
-            flags.append(f"zero_entry_support:{s.indices}")
-        members.append(
-            DeterministicGateMemberRecord(
-                indices=s.indices,
-                margin_below_one=float(m_lo),
-                alpha_below_one=float(a_lo),
-                margin_above_one=float(m_hi),
-                alpha_above_one=float(a_hi),
-                entropy_margin=float(s_margin),
-                zero_entry_support=zero_entry,
-                passes=bool(passes),
-            )
-        )
+    groups: dict[int, list] = {}
+    for s in family.members:
+        profile = support_profile(s.profile)[1]
+        groups.setdefault(max(profile.size, tgt.size), []).append((s.indices, profile))
+    records = {r.indices: r for n, group in groups.items() for r in _group_records(group, tgt, n)}
+    members = [records[s.indices] for s in family.members]
+    flags += [f"zero_entry_support:{m.indices}" for m in members if m.zero_entry_support]
     verdict = weight_complete and all(m.passes for m in members)
     return DeterministicGateReport(
         verdict=bool(verdict),

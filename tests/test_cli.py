@@ -462,6 +462,13 @@ def test_schema_error_is_validation_error(tmp_path, capsys):
         assert f"{key}: expected a nonempty array" in err
 
 
+def test_a_matrix_row_that_is_not_an_array_is_refused(tmp_path, capsys):
+    bad = write(tmp_path / "bad.json", {"matrix": [[1, 0], 5]})
+    code, _, err = run(capsys, "validate", bad)
+    assert code == 2
+    assert err == f"error: {bad}.matrix[1]: expected an array\n"
+
+
 def test_incoherent_target_exit_code(files, tmp_path, capsys):
     flat = write(tmp_path / "flat.json", {"amplitudes": [1.0, 0, 0]})
     code, _, err = run(capsys, "pmax", files["rho"], flat)

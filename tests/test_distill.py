@@ -81,6 +81,12 @@ def test_kraus_rejects_non_finite_entries(bad):
         StrictlyIncoherentKraus.from_matrix(mat)
 
 
+def test_kraus_entries_with_nested_indices_are_refused():
+    # list-valued row and column indices stack to a 3-d index array
+    with pytest.raises(ValidationError, match="indices must be integers"):
+        StrictlyIncoherentKraus.from_entries(2, [([0], [1], 1.0)])
+
+
 def test_kraus_decomposition_factors():
     mat = np.array(
         [[0, 0.5j, 0], [0.7, 0, 0], [0, 0, 0]], dtype=complex

@@ -4,7 +4,9 @@ Every tolerance is a module-level float literal in ``states.py``; no other
 float literal below 1e-5 appears in ``src/``.  The relations the table's
 comments state are checked here, and the two tolerances that several
 sites read, ``TIE_TOL`` and ``PROB_TOL``, get a case just inside and one
-just outside their edge at every site.
+just outside their edge at every site; so do ``HERMITIAN_TOL``,
+``PSD_FLOOR``, ``GEOMETRIC_ORDER_TOL``, ``GRID_STEP_TOL`` and
+``BRACKET_TOL`` at their one site each.
 """
 
 import ast
@@ -18,11 +20,14 @@ from cohdist import (
     DensityMatrix,
     DistillationPlan,
     IncompletePlanError,
+    NotHermitianError,
+    NotPSDError,
     PlanBranch,
     PreconditionError,
     ProtocolSynthesisError,
     PureStateVector,
     StrictlyIncoherentKraus,
+    ValidationError,
     catalysis,
     deterministic_gate,
     distill,
@@ -35,6 +40,7 @@ from cohdist import (
     optimize_disjoint_selection,
     pmax_mixed,
     pmax_pure,
+    power_mean,
     search_catalyst,
     simulate,
     states,
@@ -43,10 +49,15 @@ from cohdist import (
     verify_branch_outputs,
 )
 from cohdist.distill import _intermediate_profile
+from cohdist.catalysis import ALPHAS_ABOVE_ONE, ALPHAS_BELOW_ONE
 from cohdist.states import (
     A_ONE_TOL,
+    GEOMETRIC_ORDER_TOL,
+    GRID_STEP_TOL,
+    HERMITIAN_TOL,
     MAJORIZATION_TOL,
     PROB_TOL,
+    PSD_FLOOR,
     RANK1_TOL,
     TIE_TOL,
     TRACE_TOL,
@@ -422,3 +433,98 @@ def test_search_gain_edge(monkeypatch, baseline_08, k):
     _scored(monkeypatch, [baseline + k * PROB_TOL, 0.0, 0.0])
     rep = search_catalyst(rho, phi, 3, 0.25)
     assert rep.found is (k == OUTSIDE)
+
+
+# ------------------------------------------------- single-site edges
+
+
+@pytest.mark.parametrize("k", [INSIDE, OUTSIDE])
+def test_hermitian_edge(k):
+    mat = np.array([[0.5, 0.3], [0.3 + k * HERMITIAN_TOL, 0.5]])
+    if k == INSIDE:
+        rho = validate_density(mat)
+        assert rho.matrix[0, 1] == rho.matrix[1, 0]
+    else:
+        with pytest.raises(NotHermitianError):
+            validate_density(mat)
+
+
+@pytest.mark.parametrize("k", [INSIDE, OUTSIDE])
+def test_psd_floor_edge(k):
+    # eigenvalues 1 + e and -e, trace 1
+    e = -k * PSD_FLOOR
+    mat = np.array([[0.5, 0.5 + e], [0.5 + e, 0.5]])
+    assert np.linalg.eigvalsh(mat)[0] == pytest.approx(-e, rel=1e-6)
+    if k == INSIDE:
+        validate_density(mat)
+    else:
+        with pytest.raises(NotPSDError):
+            validate_density(mat)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("k", [INSIDE, OUTSIDE])
+def test_geometric_order_edge(k, sign):
+    # within the tolerance the mean is the geometric mean; outside it the
+    # generic root, whose rounding already moves it off that mean
+    w = np.array([0.5, 0.3, 0.2])
+    alpha = sign * k * GEOMETRIC_ORDER_TOL
+    generic = float(np.add.reduce(w ** alpha) / w.size) ** (1.0 / alpha)
+    geometric = power_mean(w, 0.0)
+    assert generic != geometric
+    assert power_mean(w, alpha) == (geometric if k == INSIDE else generic)
+
+
+@pytest.mark.parametrize("k", [INSIDE, OUTSIDE])
+def test_grid_step_edge(k):
+    step = (1.0 + k * GRID_STEP_TOL) / 10
+    assert abs(10 * step - 1.0) == pytest.approx(k * GRID_STEP_TOL, rel=1e-6)
+    if k == INSIDE:
+        assert np.array_equal(catalysis._catalyst_grid(3, step), catalysis._catalyst_grid(3, 0.1))
+    else:
+        with pytest.raises(ValidationError, match="grid_step must divide 1"):
+            catalysis._catalyst_grid(3, step)
+
+
+def _bracket_widths(steps: int) -> list[float]:
+    """Widths of the Jonathan-Plenio brackets after ``steps`` halvings.
+
+    Their best orders are the grid points next to alpha = 1 and never move,
+    and neither has a finite neighbour toward 1, so each step halves both
+    ends toward the order.
+    """
+    widths = []
+    for lo, a, hi in ((ALPHAS_BELOW_ONE[-2], ALPHAS_BELOW_ONE[-1], ALPHAS_BELOW_ONE[-1]),
+                      (ALPHAS_ABOVE_ONE[0], ALPHAS_ABOVE_ONE[0], ALPHAS_ABOVE_ONE[1])):
+        for _ in range(steps):
+            lo, hi = (lo + a) / 2.0, (a + hi) / 2.0
+        widths.append(hi - lo)
+    return widths
+
+
+@pytest.mark.parametrize("steps", [1, 6, 17])
+@pytest.mark.parametrize("side", [math.inf, -math.inf])
+def test_bracket_width_edge(monkeypatch, steps, side):
+    # the gate stops once every bracket is narrower than BRACKET_TOL: a
+    # tolerance just above the widest bracket after `steps` halvings stops it
+    # there, one just below takes one more step for that bracket alone
+    rho = DensityMatrix.from_pure(PureStateVector.from_probabilities([0.4, 0.4, 0.1, 0.1]))
+    phi = PureStateVector.from_probabilities([0.5, 0.25, 0.25, 0.0])
+    width = max(_bracket_widths(steps))
+    monkeypatch.setattr(catalysis, "BRACKET_TOL", math.nextafter(width, side))
+    calls = []
+    kernel = catalysis._power_means_kernel
+
+    def counting(rows, *args):
+        calls.append(rows.shape[0])
+        return kernel(rows, *args)
+
+    monkeypatch.setattr(catalysis, "_power_means_kernel", counting)
+    member, = deterministic_gate(rho, phi).members
+    assert (member.alpha_below_one, member.alpha_above_one) == (ALPHAS_BELOW_ONE[-1], ALPHAS_ABOVE_ONE[0])
+    assert member.passes
+    # the grid pass over both rows, then two rows for each bracket still refining
+    if side > 0:
+        assert calls == [2] + [4] * steps
+    else:
+        assert calls == [2] + [4] * steps + [2]
