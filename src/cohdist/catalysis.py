@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +54,6 @@ from .measures import (
 )
 from .states import BRACKET_TOL, GRID_STEP_TOL, PROB_TOL, SUPPORT_TOL, TIE_TOL
 from .states import DensityMatrix, PureStateVector, as_distribution, support_profile
-from .subspaces import optimize_disjoint_selection
 
 GRID_CEILING = 1_000_000         # most catalyst candidates one search scans
 ROW_CHUNK_ELEMENTS = 1 << 17     # most entries in one array of the candidate scoring
@@ -80,8 +78,8 @@ class EnhancementRecord:
 class EnhancementGateReport:
     """Existence verdict for a probability-raising catalyst."""
 
-    verdict: bool                       # any subspace passes (full clique list)
-    family_verdict: bool                # any selected-family member passes
+    verdict: bool                       # any subspace passes
+    family_verdict: bool                # equals verdict: the family holds every subspace
     records: tuple[EnhancementRecord, ...]
     family_index_sets: tuple[tuple[int, ...], ...]
     baseline: float
@@ -158,9 +156,9 @@ def enhancement_gate(rho: DensityMatrix, phi: PureStateVector) -> EnhancementGat
         pmax(p -> q)  <  min(p_n / q_n, 1),
 
     with the conventions bound = 1 when q_n = 0 and bound = 0 when
-    p_n = 0 < q_n.  The headline verdict is the existential over the full
-    clique list; the selected disjoint family's existential is reported
-    alongside.
+    p_n = 0 < q_n.  The verdict is the existential over all subspaces.
+    They are disjoint, so the selected family holds every one of them, and
+    ``family_verdict``, its existential, equals the verdict.
     """
     return _enhancement_report(*_instance(rho, phi))
 
@@ -183,14 +181,12 @@ def _enhancement_report(tgt, mixed: MixedPmaxResult) -> EnhancementGateReport:
             EnhancementRecord(s.indices, pure, float(bound), float(margin),
                               bool(margin > TIE_TOL))
         )
-    family_sets = mixed.family.index_sets()
+    verdict = any(r.enhanceable for r in records)
     return EnhancementGateReport(
-        verdict=any(r.enhanceable for r in records),
-        family_verdict=any(
-            r.enhanceable for r in records if r.indices in family_sets
-        ),
+        verdict=verdict,
+        family_verdict=verdict,
         records=tuple(records),
-        family_index_sets=family_sets,
+        family_index_sets=mixed.family.index_sets(),
         baseline=mixed.p_max,
     )
 
@@ -290,9 +286,11 @@ def deterministic_gate(rho: DensityMatrix, phi: PureStateVector) -> Deterministi
 
     where A_alpha is the power mean over the common padded dimension and
     S the Shannon entropy.  The family must also cover the whole state
-    (total weight 1); a shortfall is reported as a flag and fails the
-    gate, as does a zero entry in a padded source profile (which zeroes
-    every A_alpha with alpha <= 0).
+    (total weight 1).  It holds every maximal pure subspace, so it falls
+    short only by the populations at or below SUPPORT_TOL, which no
+    subspace holds; a shortfall is reported as a flag and fails the gate,
+    as does a zero entry in a padded source profile (which zeroes every
+    A_alpha with alpha <= 0).
     """
     tgt, mixed = _instance(rho, phi)
     return _deterministic_report(tgt, mixed.family)
@@ -346,8 +344,8 @@ def _catalyzed_values(subspaces, tgt: np.ndarray, catalysts: np.ndarray) -> np.n
 
     The maximal pure subspaces of rho (x) |c><c| are exactly the products
     of rho's subspaces with the catalyst block (the catalyst is pure with
-    full support), so the product instance keeps rho's clique structure
-    and weights, and only the profiles become p (x) c.  All subspaces are
+    full support), so the product instance keeps rho's partition and
+    weights, and only the profiles become p (x) c.  All subspaces are
     scored for all rows in one :func:`min_profile_ratios` call per chunk
     of consecutive rows, at most ``ROW_CHUNK_ELEMENTS`` product entries.
     A row may be zero-padded on the right, which changes no bit (both
@@ -355,14 +353,11 @@ def _catalyzed_values(subspaces, tgt: np.ndarray, catalysts: np.ndarray) -> np.n
     profiles serve).  A depth counts, and a source tail
     pins the ratio to 0, by the support of the products, not their
     magnitude: each catalyst row is first scaled by an exact power of two,
-    which changes no ratio.  Disjoint subspaces add their scores in
-    index-set order, the order :func:`optimize_disjoint_selection` adds in;
-    subspaces sharing a level (the tolerance edge) go through that
-    selection row by row.
+    which changes no ratio.  The subspaces are disjoint and add their
+    scores in index-set order, the order
+    :func:`~cohdist.subspaces.optimize_disjoint_selection` adds in.
     """
     subspaces = sorted(subspaces, key=lambda s: s.indices)
-    uses = Counter(j for s in subspaces for j in s.indices)
-    disjoint = max(uses.values()) == 1
     # profiles and target padded to one length n
     profiles = _padded_rows((s.profile for s in subspaces), tgt.size)
     n = profiles.shape[1]
@@ -385,16 +380,9 @@ def _catalyzed_values(subspaces, tgt: np.ndarray, catalysts: np.ndarray) -> np.n
         tiled = np.tile(np.ldexp(cat, shift[:, None]), n)
         products = np.repeat(profiles, k, axis=1)[:, None, :] * tiled
         ratios = min_profile_ratios(products, np.repeat(target, k) * tiled)
-        scores = weights[:, None] * ratios
-        if disjoint:
-            total = np.zeros(len(cat))
-            for score in scores:
-                total += score
-        else:
-            total = np.array([
-                optimize_disjoint_selection([(s.indices, s.weight, v) for s, v in zip(subspaces, values)])[2]
-                for values in scores.T.tolist()
-            ])
+        total = np.zeros(len(cat))
+        for score in weights[:, None] * ratios:
+            total += score
         out.append(total)
     return np.concatenate(out)
 

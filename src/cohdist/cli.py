@@ -355,7 +355,6 @@ def cmd_subspaces(args) -> Report:
 def _pmax_doc(result) -> dict:
     return {
         "p_max": result.p_max,
-        "overlap_adjusted": result.overlap_adjusted,
         "family": [list(s) for s in result.family.index_sets()],
         "per_subspace": [
             {
@@ -379,8 +378,6 @@ def cmd_pmax(args) -> Report:
             f"  subspace {list(y.subspace.indices)}: weight {_fmt(y.subspace.weight)}"
             f" x ratio {_fmt(y.ratio)} = {_fmt(y.achieved)}"
         )
-    if result.overlap_adjusted:
-        lines.append("note: overlapping subspaces forced a disjoint selection")
     doc = _pmax_doc(result)
     if args.protocol:
         plan = _build_plan(rho, phi, result)

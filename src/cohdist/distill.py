@@ -61,7 +61,7 @@ from .errors import (
     ValidationError,
 )
 from .measures import _padded_rows, min_profile_ratio, min_profile_ratios
-from .states import BRANCH_WEIGHT_FLOOR, ENTRY_TOL, PROB_TOL, TIE_TOL, _SPLIT_TOL
+from .states import BRANCH_WEIGHT_FLOOR, ENTRY_TOL, PROB_TOL, _SPLIT_TOL
 from .states import DensityMatrix, PureStateVector, _as_array, require_finite, support_profile
 from .subspaces import (
     DisjointFamily,
@@ -220,7 +220,6 @@ class MixedPmaxResult:
     family: DisjointFamily
     per_subspace: tuple[SubspaceYield, ...]
     all_subspaces: tuple[PureSubspace, ...]
-    overlap_adjusted: bool    # True when overlapping cliques forced a choice
 
 
 @dataclass(frozen=True)
@@ -525,11 +524,12 @@ def _protocol(src, src_amps, tgt, tgt_amps) -> tuple[np.ndarray, tuple[np.ndarra
 def pmax_mixed(rho: DensityMatrix, phi: PureStateVector) -> MixedPmaxResult:
     """Maximal distillation probability from a mixed state.
 
-    Decomposes rho into its maximal pure subspaces, selects the best
-    pairwise-disjoint family, and adds up weight-scaled pure conversion
-    probabilities.  ``overlap_adjusted`` flags inputs where overlapping
-    subspaces made the selection strict.  A target whose dimension differs
-    from rho's is a :class:`ValidationError`.
+    Decomposes rho into its maximal pure subspaces, which partition the
+    populated levels, and adds up their weight-scaled pure conversion
+    probabilities in index-set order; ``family`` holds every subspace in
+    that order.  A target whose dimension differs from rho's is a
+    :class:`ValidationError`, and so is a unit-coherence component that
+    fails the rank-1 check (:func:`~cohdist.subspaces.maximal_pure_subspaces`).
     """
     _require_source_dim("target", phi.dim, rho.dim)
     tgt = support_profile(phi.probabilities())[1]
@@ -544,13 +544,11 @@ def pmax_mixed(rho: DensityMatrix, phi: PureStateVector) -> MixedPmaxResult:
         [(y.subspace.indices, y.subspace.weight, y.achieved) for y in yields]
     )
     per = tuple(yields[i] for i in chosen)
-    naive = sum(y.achieved for y in yields)
     return MixedPmaxResult(
         p_max=value,
         family=DisjointFamily(tuple(y.subspace for y in per), weight, value),
         per_subspace=per,
         all_subspaces=tuple(subs),
-        overlap_adjusted=bool(naive > value + TIE_TOL),
     )
 
 

@@ -54,7 +54,7 @@ PHASE_LEAD_TOL = 1e-8     # modulus of the eigenvector amplitude whose phase is 
 # decides an agreement check
 PROB_TOL = 1e-9           # agreement of probabilities and weights: totals, completeness, fidelity, reaching 1
 # far below PROB_TOL: values that tie never differ by a gain PROB_TOL counts
-TIE_TOL = 1e-12           # two probabilities closer than this tie (selections, strict margins, records)
+TIE_TOL = 1e-12           # two probabilities closer than this tie (strict margins, records)
 # partial sums are compared after each vector is divided by its own total:
 # two valid totals may differ by 2 TRACE_TOL, more than this slack
 MAJORIZATION_TOL = 1e-10  # slack of a partial-sum comparison of two distributions

@@ -6,23 +6,24 @@ matrix this happens exactly when the normalized modulus matrix
 
     A_ij = |rho_ij| / sqrt(rho_ii * rho_jj)      (0 when a population is 0)
 
-equals 1 on every pair inside the subset, so the maximal pure subspaces
-are the maximal cliques of the graph with edges {i, j : A_ij = 1}.  On a
-PSD matrix unit coherence is an equivalence relation (Cauchy-Schwarz
-equality means parallel Gram vectors), so the cliques partition the
-populated levels; only coherences at the tolerance edge make them overlap.
+equals 1 on every pair inside the subset.  On a PSD matrix unit coherence
+is an equivalence relation (Cauchy-Schwarz equality means parallel Gram
+vectors), so the maximal pure subspaces are the connected components of
+the graph with edges {i, j : A_ij = 1}, and they partition the populated
+levels.  Within A_ONE_TOL unit coherence is not transitive: at the
+tolerance edge a component need not be a clique.  Each component is
+checked to be rank-1 as a whole, and one that is not is refused.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, groupby
+from itertools import groupby
 
 import numpy as np
 
 from .errors import ValidationError
-from .states import A_ONE_TOL, PHASE_LEAD_TOL, RANK1_TOL, SUPPORT_TOL, TIE_TOL
+from .states import A_ONE_TOL, PHASE_LEAD_TOL, RANK1_TOL, SUPPORT_TOL
 from .states import DensityMatrix, positive_diagonal_indices
 
 
@@ -63,13 +64,8 @@ class CoherenceSupportGraph:
 
     @classmethod
     def from_state(cls, rho: DensityMatrix) -> "CoherenceSupportGraph":
-        return cls._from_mask(_unit_mask(rho), positive_diagonal_indices(rho))
-
-    @classmethod
-    def _from_mask(cls, unit: np.ndarray, verts) -> "CoherenceSupportGraph":
-        """The graph of ``unit`` on ``verts``, a union of its components."""
-        verts = np.asarray(verts, dtype=int)
-        unit = unit[verts]
+        verts = np.array(positive_diagonal_indices(rho))
+        unit = _unit_mask(rho)[verts]
         unit[np.arange(len(verts)), verts] = False
         # np.nonzero lists the columns row by row, so cut them at the row ends
         cols = np.split(np.nonzero(unit)[1], np.cumsum(unit.sum(axis=1))[:-1])
@@ -82,8 +78,8 @@ class CoherenceSupportGraph:
         Vertex sets are Python ints used as bitsets (bit i for the i-th
         smallest vertex), and the search keeps its frames on an explicit
         stack, so a clique of any size is found without recursion.
-        :func:`maximal_pure_subspaces` passes only the components that are
-        not cliques here.
+        :func:`maximal_pure_subspaces` reads components, not cliques, and
+        does not call it.
         """
         verts = sorted(self.vertices)
         pos = {v: i for i, v in enumerate(verts)}
@@ -141,34 +137,42 @@ class PureSubspace:
         return len(self.indices)
 
 
-def _cliques(unit: np.ndarray, verts: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The maximal cliques of the unit-coherence graph, sorted by size desc then indices.
+def _components(unit: np.ndarray, verts: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The connected components of the unit-coherence graph, sorted by size desc then indices.
 
     Each populated level is labelled by the first member of its closed
     neighbourhood.  A label's levels form a clique component when all
     their rows of ``unit`` equal the label's row and that row holds just
     them; those components are read off in one pass.  Only the remaining
-    levels (coherences at the tolerance edge) go to Bron-Kerbosch.
+    levels (coherences at the tolerance edge) are relabelled by min-label
+    propagation with pointer jumping, until each holds its component's
+    first member.
     """
     v = np.array(verts)
     rows = unit[v]
     label = rows.argmax(axis=1)
     differs = np.bincount(label, ~(rows == unit[label]).all(axis=1), minlength=len(unit))
     size = np.bincount(label, minlength=len(unit))
-    whole = (differs[label] == 0) & (rows.sum(axis=1) == size[label])
-    # disjoint cliques of one size compare by their first members
+    rest = np.flatnonzero((differs[label] > 0) | (rows.sum(axis=1) != size[label]))
+    if rest.size:
+        # positions into rest, each pointing at a level of its own component
+        edges, at = rows[rest][:, v[rest]], np.arange(rest.size)
+        while True:
+            low = np.where(edges, at, rest.size).min(axis=1)
+            low = low[low]
+            if np.array_equal(low, at):
+                break
+            at = low
+        label[rest] = v[rest][at]
+        size = np.bincount(label, minlength=len(unit))
+    # disjoint components of one size compare by their first members
     order = np.lexsort((v, label, -size[label]))
-    order = order[whole[order]]
     members, label = v[order].tolist(), label[order]
     cuts = [0, *(np.flatnonzero(label[1:] != label[:-1]) + 1).tolist(), len(members)]
-    found = [tuple(members[a:b]) for a, b in zip(cuts, cuts[1:]) if a < b]
-    if not whole.all():
-        found += CoherenceSupportGraph._from_mask(unit, v[~whole]).maximal_cliques()
-        found.sort(key=lambda c: (-len(c), c))
-    return found
+    return [tuple(members[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
-def _top_vectors(blocks: np.ndarray, cliques) -> np.ndarray:
+def _top_vectors(blocks: np.ndarray, components) -> np.ndarray:
     """Top eigenvectors of stacked trace-1 restrictions, checked to be rank-1.
 
     One ``eigh`` call covers the stack.  In each vector the first
@@ -177,8 +181,8 @@ def _top_vectors(blocks: np.ndarray, cliques) -> np.ndarray:
     vals, vecs = np.linalg.eigh(blocks)
     for k in np.flatnonzero(vals[:, -2] > RANK1_TOL)[:1].tolist():
         raise ValidationError(
-            f"restriction to {cliques[k]} not rank-1 (second eigenvalue {vals[k, -2]:.3e}); "
-            "input violates density-matrix invariants"
+            f"restriction to {components[k]} not rank-1 (second eigenvalue {vals[k, -2]:.3e}); "
+            "no pure subspace spans this unit-coherence component"
         )
     vec = vecs[:, :, -1]
     lead = vec[np.arange(len(vec)), np.argmax(np.abs(vec) > PHASE_LEAD_TOL, axis=1)]
@@ -189,10 +193,12 @@ def _top_vectors(blocks: np.ndarray, cliques) -> np.ndarray:
 def maximal_pure_subspaces(rho: DensityMatrix) -> list[PureSubspace]:
     """Enumerate all maximal pure subspaces of ``rho``.
 
-    Output is sorted by descending coherence rank, then lexicographic index
-    sets.  Every returned restriction passes the rank-1 check (second
-    eigenvalue at most RANK1_TOL).  Restrictions of one size are stacked
-    and go through one ``eigh`` call.
+    They are the components of the unit-coherence graph, sorted by
+    descending coherence rank, then lexicographic index sets.  Every
+    component's restriction must pass the rank-1 check (second eigenvalue
+    at most RANK1_TOL); one that fails raises ValidationError naming the
+    component and its second eigenvalue.  Restrictions of one size are
+    stacked and go through one ``eigh`` call.
 
     A state is enumerated once: it keeps the result as a tuple of the
     immutable subspaces, and every call returns a new list of them.  A
@@ -208,11 +214,11 @@ def maximal_pure_subspaces(rho: DensityMatrix) -> list[PureSubspace]:
 
 def _enumerate(rho: DensityMatrix) -> list[PureSubspace]:
     """The maximal pure subspaces of ``rho``, computed; see :func:`maximal_pure_subspaces`."""
-    cliques = _cliques(_unit_mask(rho), positive_diagonal_indices(rho))
+    components = _components(_unit_mask(rho), positive_diagonal_indices(rho))
     populations = rho.diagonal()
     out = []
-    # cliques come sorted by size, so each size is one run
-    for r, run in groupby(cliques, key=len):
+    # components come sorted by size, so each size is one run
+    for r, run in groupby(components, key=len):
         run = list(run)
         idx = np.array(run)
         weights = populations[idx].sum(axis=1)
@@ -232,8 +238,8 @@ def has_rank2_subspace(rho: DensityMatrix) -> bool:
     """True iff some maximal pure subspace of ``rho`` has coherence rank >= 2.
 
     Reads the subspaces the state keeps (:func:`maximal_pure_subspaces`),
-    so it raises that function's ValidationError on a clique that fails
-    the rank-1 check.  Equivalent to: some pair of indices carries unit
+    so it raises that function's ValidationError on a component that
+    fails the rank-1 check.  Equivalent to: some pair of indices carries unit
     coherence (A_ij = 1), so some pure coherent state of rank >= 2 is
     reachable from ``rho`` with nonzero probability.
     """
@@ -255,53 +261,19 @@ class DisjointFamily:
 def optimize_disjoint_selection(
     entries: list[tuple[tuple[int, ...], float, float]],
 ) -> tuple[tuple[int, ...], float, float]:
-    """Exact maximum-value selection of pairwise-disjoint index sets.
+    """The maximum-value selection of pairwise-disjoint index sets: all of them.
 
     ``entries`` holds (indices, weight, value) triples with positive weight
-    and nonnegative value.  Returns positions of the chosen entries, in
-    ascending order of their index sets, plus their total weight and value.
-    Ties on value prefer larger total weight, then the lexicographically
-    smallest tuple of index sets, so the result is deterministic.
-
-    An entry that shares no index with another is always taken.  Unit
-    coherence is transitive, so only entries sharing a level at the
-    tolerance edge go through the branch-and-bound search (tail-sum bound).
-    That search is one loop over an explicit stack of frames, with each
-    entry's levels as an int bitmask, so it has no recursion limit; a long
-    chain of overlapping entries still costs exponential time.
+    and nonnegative value, such as the maximal pure subspaces, which
+    partition the populated levels.  Returns the positions of every entry,
+    in ascending order of their index sets, plus their total weight and
+    value, each added left to right in that order.  Entries that share a
+    level raise ValidationError.
     """
-    order = sorted(range(len(entries)), key=lambda i: entries[i][0])
-    uses = Counter(j for idx, _, _ in entries for j in idx)
-    shared = [i for i in order if any(uses[j] > 1 for j in entries[i][0])]
-    tail_value = [*accumulate(entries[i][2] for i in reversed(shared))][::-1] + [0.0]
-    masks = [sum(1 << j for j in entries[i][0]) for i in shared]
-    best_value, best_weight, best_key, best_chosen = -1.0, -1.0, None, ()
-    # a frame: position in shared, chosen entries, used levels, value, weight;
-    # "leave it out" is pushed before "take it", so frames pop in depth-first
-    # order, taking first, and every prune test sees the same best result
-    stack = [(0, (), 0, 0.0, 0.0)]
-    while stack:
-        i, chosen, used, value, weight = stack.pop()
-        if value + tail_value[i] < best_value - TIE_TOL:
-            continue
-        if i == len(shared):
-            key = tuple(entries[k][0] for k in chosen)
-            tied = value > best_value - TIE_TOL
-            if (
-                value > best_value + TIE_TOL
-                or (tied and weight > best_weight + TIE_TOL)
-                or (tied and weight > best_weight - TIE_TOL
-                    and (best_key is None or key < best_key))
-            ):
-                best_value, best_weight, best_key, best_chosen = value, weight, key, chosen
-            continue
-        _, w, v = entries[shared[i]]
-        stack.append((i + 1, chosen, used, value, weight))
-        if not used & masks[i]:
-            stack.append((i + 1, chosen + (shared[i],), used | masks[i], value + v, weight + w))
-    dropped = set(shared) - set(best_chosen)
-    chosen = tuple(i for i in order if i not in dropped)
-    # left-to-right sums in index-set order, the order a full search adds in
+    levels = [j for idx, _, _ in entries for j in idx]
+    if len(set(levels)) < len(levels):
+        raise ValidationError("entries share a level; maximal pure subspaces are disjoint")
+    chosen = tuple(sorted(range(len(entries)), key=lambda i: entries[i][0]))
     weight = value = 0.0
     for i in chosen:
         weight += entries[i][1]

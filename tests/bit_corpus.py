@@ -7,7 +7,9 @@ entries and probabilities, enhancement gate reports, probability-1 gate
 verdicts and ``passes`` flags (the reports without their margins),
 probability-1 margins with their orders, and ``search_catalyst`` reports
 in both modes at max_dim 2, grid_step 0.05 (a grid of one dimension) and
-at max_dim 4, grid_step 0.02 (three dimensions, 1153 profiles).  Floats
+at max_dim 4, grid_step 0.02 (three dimensions, 1153 profiles).  An eighth
+family, ``edge``, hashes the ``pmax_mixed`` result, the ``full_plan`` and
+the enhancement gate report of seven tolerance-edge states.  Floats
 enter by ``repr``, which round-trips, and arrays by their bytes, so two
 trees give equal hashes only where every bit of these answers is equal.
 An exception enters by its type name.
@@ -20,7 +22,11 @@ The corpora:
   of p and the target has squared moduli q;
 * 400 mixed states from one ``np.random.default_rng(17)``, block and
   mixture states in turn, d = 3-9, each with a random pure target of
-  coherence rank 2-4 (at most d).
+  coherence rank 2-4 (at most d);
+* the edge states: ``overlapping_state`` with the uniform qubit target,
+  the Moon-Moser states of 6, 9 and 12 levels with the uniform rank-4
+  target, and the chains of 3, 4 and 5 levels with the uniform qubit
+  target.  The 5-level chain is refused.
 """
 
 from __future__ import annotations
@@ -39,7 +45,15 @@ from cohdist import (
     pmax_mixed,
     search_catalyst,
 )
-from reference_oracles import random_block_state, random_mixture_state, random_pure_state
+from reference_oracles import (
+    chain_state,
+    edge_state,
+    moon_moser_graph,
+    overlapping_state,
+    random_block_state,
+    random_mixture_state,
+    random_pure_state,
+)
 
 FAMILIES = ("pmax_mixed", "full_plan", "enhancement", "deterministic_verdicts",
             "deterministic_margins", "search", "search_dim4")
@@ -70,6 +84,17 @@ def mixed_states(count: int = 400) -> list[tuple[DensityMatrix, PureStateVector]
     return out
 
 
+def _uniform(rank: int, dim: int) -> PureStateVector:
+    return PureStateVector.from_probabilities(np.r_[np.full(rank, 1.0 / rank), np.zeros(dim - rank)])
+
+
+def edge_states() -> list[tuple[DensityMatrix, PureStateVector]]:
+    out = [(overlapping_state(), _uniform(2, 3))]
+    out += [(edge_state(moon_moser_graph(n)), _uniform(4, n)) for n in (6, 9, 12)]
+    out += [(chain_state(n), _uniform(2, n)) for n in (3, 4, 5)]
+    return out
+
+
 def corpus(pairs: int = 300, states: int = 400) -> list[tuple[DensityMatrix, PureStateVector]]:
     """The first ``pairs`` pure pairs and the first ``states`` mixed states."""
     return pure_pairs(pairs) + mixed_states(states)
@@ -84,8 +109,7 @@ def _pmax(rho, phi) -> str:
     r = pmax_mixed(rho, phi)
     subs = [(s.indices, repr(s.weight), _array(s.profile), _array(s.amplitudes)) for s in r.all_subspaces]
     per = [(y.subspace.indices, repr(y.ratio), repr(y.achieved)) for y in r.per_subspace]
-    return repr((repr(r.p_max), r.family.index_sets(), repr(r.family.total_weight),
-                 per, subs, r.overlap_adjusted))
+    return repr((repr(r.p_max), r.family.index_sets(), repr(r.family.total_weight), per, subs))
 
 
 def _plan(rho, phi) -> str:
@@ -138,8 +162,19 @@ def hashes(instances) -> dict[str, str]:
     return {name: d.hexdigest() for name, d in digests.items()}
 
 
+def edge_hash(instances) -> str:
+    """The SHA-256 of the ``edge`` family over ``instances``, (rho, phi) pairs in order."""
+    digest = hashlib.sha256()
+    for rho, phi in instances:
+        answers = [_answer(lambda: _pmax(rho, phi)), _answer(lambda: _plan(rho, phi)),
+                   _answer(lambda: repr(enhancement_gate(rho, phi)))]
+        digest.update(repr(answers).encode() + b"\n")
+    return digest.hexdigest()
+
+
 if __name__ == "__main__":
     instances = corpus()
     for name, digest in hashes(instances).items():
         print(f"{name:24} {digest}")
+    print(f"{'edge':24} {edge_hash(edge_states())}")
     print(f"{'instances':24} {len(instances)}", file=sys.stderr)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cohdist import DensityMatrix, PureStateVector, StrictlyIncoherentKraus, validate_density
+import reference_oracles
 
 
 @pytest.fixture
@@ -36,19 +37,8 @@ def uniform_qubit_target():
 
 @pytest.fixture
 def overlapping_state():
-    """Borderline coherences that yield two overlapping pure subspaces.
-
-    Gram vectors at tiny relative angles put the (0,1) and (1,2) coherences
-    inside the unit tolerance while (0,2) stays outside, so the maximal
-    subspaces share level 1 and a disjoint choice must drop one of them.
-    """
-    theta = np.sqrt(2 * 4e-10)
-    pops = np.array([0.4, 0.35, 0.25])
-    angles = np.array([0.0, theta, 2 * theta])
-    g = np.sqrt(pops)[:, None] * np.stack(
-        [np.cos(angles), np.sin(angles)], axis=1
-    )
-    return validate_density((g @ g.T).astype(complex))
+    """Three levels whose unit graph is the path 0 - 1 - 2: one component, not a clique."""
+    return reference_oracles.overlapping_state()
 
 
 @pytest.fixture

@@ -1,8 +1,8 @@
 """Reference machinery for the test suite: a brute-force subspace oracle,
 seeded random instances and test-only helpers.
 
-Nothing here reuses the clique machinery: the subspace enumerator tests
-every index subset directly against the rank-1 definition.  Agreement
+Nothing here reuses the component machinery: the subspace enumerator
+tests every index subset directly against the rank-1 definition.  Agreement
 between it and :func:`cohdist.maximal_pure_subspaces` is what the subspace
 tests lean on.  The generators draw states with known structure, and the
 helpers give the single-operator conversion baseline, the dephased state,
@@ -21,7 +21,7 @@ from cohdist import catalysis
 from cohdist.distill import StrictlyIncoherentKraus, _require_source_dim
 from cohdist.errors import CohdistError, DegenerateStateError, RankDeficitError, ValidationError
 from cohdist.states import DensityMatrix, PureStateVector, SUPPORT_TOL, support_profile, validate_density
-from cohdist.subspaces import RANK1_TOL, PureSubspace
+from cohdist.subspaces import A_ONE_TOL, RANK1_TOL, PureSubspace
 
 BRUTE_DIM_CAP = 16
 
@@ -63,14 +63,15 @@ def brute_subspaces(rho: DensityMatrix) -> list[PureSubspace]:
     verts = [i for i in range(rho.dim) if rho.diagonal()[i] > SUPPORT_TOL]
     if not verts:
         raise DegenerateStateError("state has no strictly positive population")
-    pure_sets: list[tuple[int, ...]] = []
-    for mask in range(1, 1 << len(verts)):
-        idx = tuple(verts[b] for b in range(len(verts)) if mask >> b & 1)
-        if _pure_restriction(rho, idx) is not None:
-            pure_sets.append(idx)
+    pure = np.array([
+        mask for mask in range(1, 1 << len(verts))
+        if _pure_restriction(rho, tuple(verts[b] for b in range(len(verts)) if mask >> b & 1))
+    ], dtype=np.int64)
+    # a pure set is maximal when no other pure set holds all of its levels
     maximal = [
-        s for s in pure_sets
-        if not any(set(s) < set(t) for t in pure_sets)
+        tuple(verts[b] for b in range(len(verts)) if mask >> b & 1)
+        for mask in pure.tolist()
+        if np.count_nonzero(pure & mask == mask) == 1
     ]
     maximal.sort(key=lambda s: (-len(s), s))
     return [_pure_restriction(rho, idx) for idx in maximal]
@@ -162,12 +163,71 @@ def random_mixture_state(rng: np.random.Generator, dim: int) -> DensityMatrix:
     return DensityMatrix(mat)
 
 
+def overlapping_state() -> DensityMatrix:
+    """Borderline coherences: the unit graph on three levels is a path, not a clique.
+
+    Gram vectors at tiny relative angles put the (0,1) and (1,2) coherences
+    inside the unit tolerance while (0,2) stays outside.  The one component
+    (0, 1, 2) passes the rank-1 check (second eigenvalue about 5e-10).
+    """
+    theta = np.sqrt(2 * 4e-10)
+    pops = np.array([0.4, 0.35, 0.25])
+    angles = np.array([0.0, theta, 2 * theta])
+    g = np.sqrt(pops)[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    return validate_density((g @ g.T).astype(complex))
+
+
 def chain_state(n: int) -> DensityMatrix:
-    """The ``overlapping_state`` fixture extended to n levels of equal population:
-    n - 1 overlapping pairs."""
+    """``overlapping_state`` extended to n levels of equal population: a path
+    of n - 1 unit edges, whose component fails the rank-1 check from n = 5 on."""
     angles = np.arange(n) * np.sqrt(8e-10)
     g = np.stack([np.cos(angles), np.sin(angles)], axis=1) / np.sqrt(n)
     return validate_density((g @ g.T).astype(complex))
+
+
+def edge_state(graph) -> DensityMatrix:
+    """A state of equal populations whose unit-coherence graph is ``graph``.
+
+    ``graph`` is a symmetric boolean adjacency matrix.  Distinct components
+    get orthogonal Gram vectors.  Within a component the Gram matrix is
+    M = J - a (J - I) - b B, with B the non-edges, so 1 - A_ij is a =
+    0.99 A_ONE_TOL on an edge and a + b, just past A_ONE_TOL, on a non-edge.
+    With b = a / (2 max(1, lambda_max(B))), M stays positive semidefinite
+    and every component passes the rank-1 check.  The complement of n / 3
+    disjoint triangles (:func:`moon_moser_graph`) gives the most maximal
+    cliques.
+    """
+    adj = np.array(graph, dtype=bool)
+    n = len(adj)
+    label = np.arange(n)
+    for _ in range(n):
+        label = np.array([label[adj[i] | (np.arange(n) == i)].min() for i in range(n)])
+    gram = np.zeros((n, n))
+    for c in np.unique(label):
+        members = np.flatnonzero(label == c)
+        non_edges = ~adj[np.ix_(members, members)] & ~np.eye(members.size, dtype=bool)
+        a = 0.99 * A_ONE_TOL
+        b = a / (2.0 * max(1.0, float(np.linalg.eigvalsh(non_edges.astype(float)).max())))
+        gram[np.ix_(members, members)] = 1.0 - a * (members[:, None] != members) - b * non_edges
+    return validate_density((gram / n).astype(complex))
+
+
+def moon_moser_graph(n: int) -> np.ndarray:
+    """The complement of n / 3 disjoint triangles: 3^(n/3) maximal cliques."""
+    group = np.arange(n) // 3
+    return group[:, None] != group
+
+
+def dust_state(levels: int) -> DensityMatrix:
+    """A pure qubit of profile (0.6, 0.4) beside ``levels`` diagonal levels of population SUPPORT_TOL.
+
+    Those populations count as zero, so no maximal pure subspace holds them
+    and the subspaces' total weight falls short of 1 by levels * SUPPORT_TOL.
+    """
+    amps = np.sqrt(np.array([0.6, 0.4]) * (1.0 - levels * SUPPORT_TOL))
+    mat = np.diag(np.r_[0.0, 0.0, np.full(levels, SUPPORT_TOL)]).astype(complex)
+    mat[:2, :2] = np.outer(amps, amps)
+    return validate_density(mat)
 
 
 # ===========================================================================

@@ -37,6 +37,7 @@ from reference_oracles import (
     catalyst_candidates,
     chain_state,
     coherence_rank,
+    dust_state,
     random_block_state,
     random_mixture_state,
     subspace_state,
@@ -116,6 +117,14 @@ def test_enhancement_gate_canonical(canonical_catalysis_pair):
     assert rec.bound == pytest.approx(1.0, abs=1e-12)
 
 
+def test_enhancement_family_verdict_is_the_verdict(overlapping_state):
+    # the maximal pure subspaces are disjoint, so the family is every one of them
+    for name, rho, phi in _corpus(overlapping_state):
+        rep = enhancement_gate(rho, phi)
+        assert rep.family_index_sets == tuple(sorted(r.indices for r in rep.records)), name
+        assert rep.family_verdict is rep.verdict, name
+
+
 def test_enhancement_gate_witness_bound(witness_pair):
     psi, phi = witness_pair
     rep = enhancement_gate(DensityMatrix.from_pure(psi), phi)
@@ -163,9 +172,12 @@ def test_deterministic_gate_requires_subunit_baseline():
         deterministic_gate(DensityMatrix.from_pure(psi), psi)
 
 
-def test_deterministic_gate_flags_incomplete_weight(overlapping_state):
-    phi = PureStateVector(np.array([1, 1, 0], dtype=complex) / np.sqrt(2))
-    rep = deterministic_gate(overlapping_state, phi)
+def test_deterministic_gate_flags_incomplete_weight():
+    # 1100 levels at SUPPORT_TOL hold 1.1e-9 of the trace, which no subspace holds
+    rho = dust_state(1100)
+    phi = PureStateVector.from_probabilities(np.r_[0.5, 0.5, np.zeros(1100)])
+    rep = deterministic_gate(rho, phi)
+    assert rep.total_weight == pytest.approx(1.0 - 1.1e-9, abs=1e-15)
     assert not rep.verdict
     assert not rep.weight_complete
     assert "family_weight_below_one" in rep.flags
@@ -395,7 +407,7 @@ def _corpus(overlapping_state):
     for d in (3, 4, 5):                         # random mixtures
         cases.append((f"mix{d}", random_mixture_state(rng, d), _target(rng, 2, d)))
     phi = PureStateVector(np.array([1, 1, 0], dtype=complex) / np.sqrt(2))
-    cases.append(("overlap", overlapping_state, phi))  # shared-level fallback
+    cases.append(("overlap", overlapping_state, phi))  # a component that is not a clique
     cases.append(("overlap-r3", overlapping_state, _target(rng, 3, 3)))
     # a target entry in (0, SUPPORT_TOL], outside the support of every answer
     for d in (3, 4, 5, 6):
@@ -433,10 +445,19 @@ def _state_doc(rho):
 
 def test_gate_and_search_baselines_are_the_pmax_mixed_value(overlapping_state, tmp_path, capsys):
     cases = _corpus(overlapping_state)
-    for n in (3, 5, 8):
+    for n in (3, 4, 5, 8):
         pair = PureStateVector.from_probabilities(np.r_[0.5, 0.5, np.zeros(n - 2)])
         cases.append((f"chain{n}", chain_state(n), pair))
-    assert sum(pmax_mixed(rho, phi).overlap_adjusted for _, rho, phi in cases) >= 4
+    # from five levels on, the chain's component is not rank-1: every question refuses it
+    for name, rho, phi in cases[-2:]:
+        for ask in (pmax_mixed, enhancement_gate, deterministic_gate, lambda r, p: search_catalyst(r, p, 2, 0.25)):
+            with pytest.raises(ValidationError, match="not rank-1"):
+                ask(rho, phi)
+    del cases[-2:]
+    # the overlap and short-chain cases hold a component that is not a clique
+    edge = [name for name, rho, _ in cases if any(
+        not subspaces._unit_mask(rho)[np.ix_(s.indices, s.indices)].all() for s in maximal_pure_subspaces(rho))]
+    assert edge == ["overlap", "overlap-r3", "chain3", "chain4"]
     state, target = tmp_path / "rho.json", tmp_path / "phi.json"
     for name, rho, phi in cases:
         want = pmax_mixed(rho, phi).p_max
@@ -467,12 +488,6 @@ def test_catalyst_gates_return_both_gate_reports(overlapping_state):
         assert det == want, name
         seen.add(det is None)
     assert seen == {True, False}
-
-
-def test_overlapping_source_takes_the_selection_fallback(overlapping_state):
-    entries = _entries(overlapping_state)
-    levels = [j for idx, _, _ in entries for j in idx]
-    assert len(levels) > len(set(levels))
 
 
 def test_batched_scores_span_several_row_chunks():
@@ -819,7 +834,9 @@ def _gate_corpus(overlapping_state, block_mixture, uniform_qubit_target):
         q = np.array([0.5, 0.25, 0.25 - tail, tail])
         cases.append((f"near-jp{i}", _pure(p), PureStateVector.from_probabilities(q)))
     phi = PureStateVector(np.array([1, 1, 0], dtype=complex) / np.sqrt(2))
-    cases.append(("overlap", overlapping_state, phi))        # flagged weight
+    cases.append(("overlap", overlapping_state, phi))        # baseline one
+    dust = PureStateVector.from_probabilities(np.r_[0.5, 0.5, np.zeros(1100)])
+    cases.append(("dust", dust_state(1100), dust))           # flagged weight
     cases.append(("zero-entry", block_mixture, uniform_qubit_target))
     cases += [(f"tail{t}", *_tail_pair(t)) for t in (1e-6, 1e-4)]   # minimum at -inf
     # equal largest entries: the above-one minimum is exactly 0 at +inf
@@ -943,8 +960,8 @@ def test_one_state_is_enumerated_once_across_the_catalyst_questions(
 ):
     rho, phi = _canonical(canonical_catalysis_pair)
     calls = []
-    cliques = subspaces._cliques
-    monkeypatch.setattr(subspaces, "_cliques", lambda *args: calls.append(1) or cliques(*args))
+    components = subspaces._components
+    monkeypatch.setattr(subspaces, "_components", lambda *args: calls.append(1) or components(*args))
     first = enhancement_gate(rho, phi)
     deterministic_gate(rho, phi)
     search_catalyst(rho, phi)

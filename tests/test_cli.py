@@ -30,7 +30,13 @@ from cohdist import (
 )
 from cohdist import cli, errors, subspaces
 from cohdist.cli import main, parse_pure, parse_state, plan_from_doc, plan_to_doc
-from reference_oracles import random_block_state, random_mixture_state, random_pure_state, subspace_state
+from reference_oracles import (
+    chain_state,
+    random_block_state,
+    random_mixture_state,
+    random_pure_state,
+    subspace_state,
+)
 
 
 def write(path, doc):
@@ -101,6 +107,7 @@ def test_pmax_command_text_and_json(files, capsys):
     doc = json.loads(out)
     assert doc["p_max"] == pytest.approx(0.1, abs=1e-9)
     assert doc["family"] == [[0, 1], [2]]
+    assert set(doc) == {"p_max", "family", "per_subspace"}
 
 
 def test_protocol_roundtrip_and_simulate(files, capsys):
@@ -151,12 +158,21 @@ def test_protocol_and_simulate_with_a_tiny_target_entry(tmp_path, capsys):
     assert json.loads(out)["analytic_probability"] == pytest.approx(doc["p_max"], abs=1e-9)
 
 
-def test_pmax_text_notes_a_forced_disjoint_selection(overlapping_state, tmp_path, capsys):
+def test_validate_accepts_a_state_whose_component_a_question_refuses(overlapping_state, tmp_path, capsys):
+    # chain_state(6) is a valid density matrix, but its one unit-coherence
+    # component fails the rank-1 check, so no pure subspace answer exists
+    chain = write(tmp_path / "chain.json", {"matrix": chain_state(6).matrix.real.tolist()})
+    phi = write(tmp_path / "phi.json", {"amplitudes": [0.7071067811865476, 0.7071067811865476, 0, 0, 0, 0]})
+    assert run(capsys, "validate", chain)[0] == 0
+    for argv in (("subspaces", chain), ("pmax", chain, phi)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "restriction to (0, 1, 2, 3, 4, 5) not rank-1" in err and "Traceback" not in err
+    # the path 0 - 1 - 2 at the edge is one component, and it is rank-1
     state = write(tmp_path / "rho.json", {"matrix": overlapping_state.matrix.real.tolist()})
-    target = write(tmp_path / "phi.json", {"amplitudes": [0.7071067811865476, 0.7071067811865476, 0]})
-    code, out, _ = run(capsys, "pmax", state, target)
+    code, out, _ = run(capsys, "subspaces", state, "--json")
     assert code == 0
-    assert out.endswith("\nnote: overlapping subspaces forced a disjoint selection\n")
+    assert [s["indices"] for s in json.loads(out)["subspaces"]] == [[0, 1, 2]]
 
 
 def test_pmax_can_write_protocol(files, capsys):

@@ -293,7 +293,6 @@ def test_pmax_mixed_block_example(block_mixture, uniform_qubit_target):
     assert res.p_max == pytest.approx(0.1, abs=1e-9)
     assert res.family.index_sets() == ((0, 1), (2,))
     assert res.family.total_weight == pytest.approx(1.0, abs=1e-12)
-    assert not res.overlap_adjusted
     yields = {y.subspace.indices: y.achieved for y in res.per_subspace}
     assert yields[(0, 1)] == pytest.approx(0.1, abs=1e-12)
     assert yields[(2,)] == 0.0
@@ -302,16 +301,6 @@ def test_pmax_mixed_block_example(block_mixture, uniform_qubit_target):
 def test_pmax_mixed_rejects_incoherent_target(block_mixture):
     with pytest.raises(IncoherentTargetError):
         pmax_mixed(block_mixture, PureStateVector(np.array([1, 0, 0], dtype=complex)))
-
-
-def test_pmax_mixed_flags_overlap(overlapping_state):
-    phi = PureStateVector(np.array([1, 1, 0], dtype=complex) / np.sqrt(2))
-    res = pmax_mixed(overlapping_state, phi)
-    assert res.overlap_adjusted
-    assert [s.indices for s in res.all_subspaces] == [(0, 1), (1, 2)]
-    # (0,1) carries weight 0.75 and yield 0.7, beating (1,2) at 0.5
-    assert res.family.index_sets() == ((0, 1),)
-    assert res.p_max == pytest.approx(0.7, abs=1e-6)
 
 
 def test_pmax_mixed_pair_plus_forty_levels_is_closed_form():
@@ -330,7 +319,6 @@ def test_pmax_mixed_pair_plus_forty_levels_is_closed_form():
     assert res.p_max == pytest.approx(0.55 * 0.3 / 0.4, abs=1e-12)
     assert len(res.family.members) == 41
     assert res.family.total_weight == pytest.approx(1.0, abs=1e-12)
-    assert not res.overlap_adjusted
 
 
 def test_full_plan_rejects_dimension_mismatch(block_mixture):
@@ -365,8 +353,7 @@ def test_pmax_mixed_linear_over_disjoint_blocks(uniform_qubit_target):
         res = pmax_mixed(rho, phi)
         expect = sum(y.achieved for y in res.per_subspace)
         assert res.p_max == pytest.approx(expect, abs=1e-9)
-        assert not res.overlap_adjusted
-
+    
 
 def test_pure_source_reduces_to_pure_formula(witness_pair):
     psi, phi = witness_pair

@@ -17,6 +17,8 @@ from cohdist.states import support_profile
 from reference_oracles import (
     DimensionTooLargeError,
     brute_subspaces,
+    edge_state,
+    moon_moser_graph,
     random_block_state,
     random_mixture_state,
     random_pure_state,
@@ -215,11 +217,32 @@ def test_brute_and_clique_methods_agree_broadly():
 
 def test_brute_and_clique_rules_part_at_the_tolerance_edge(overlapping_state):
     # unit coherence within A_ONE_TOL is not transitive at the 1e-9 edge, so
-    # the cliques overlap; the whole restriction passes the rank-1 test
+    # the maximal cliques (0, 1) and (1, 2) overlap and the clique rule parted
+    # from the brute oracle here; the component (0, 1, 2) passes the rank-1
+    # test as a whole, and the component rule agrees with the oracle
     a = a_matrix(overlapping_state)
     assert abs(a[0, 1] - 1) <= A_ONE_TOL and abs(a[1, 2] - 1) <= A_ONE_TOL
     assert abs(a[0, 2] - 1) > A_ONE_TOL
-    assert [s.indices for s in maximal_pure_subspaces(overlapping_state)] == [(0, 1), (1, 2)]
+    assert [s.indices for s in maximal_pure_subspaces(overlapping_state)] == [(0, 1, 2)]
     assert [s.indices for s in brute_subspaces(overlapping_state)] == [(0, 1, 2)]
     second = np.linalg.eigvalsh(overlapping_state.matrix)[-2]
     assert second == pytest.approx(5.0e-10, rel=0.01) and second <= RANK1_TOL
+
+
+def test_edge_states_realize_their_graphs_at_the_tolerance_edge():
+    # 1 - A_ij is 0.99 A_ONE_TOL on an edge and just past A_ONE_TOL on a
+    # non-edge inside a component; other components are orthogonal
+    rng = np.random.default_rng(26)
+    graphs = [moon_moser_graph(n) for n in (3, 6, 12)]
+    for _ in range(20):
+        n = int(rng.integers(1, 13))
+        upper = np.triu(rng.random((n, n)) < rng.uniform(0.05, 0.6), 1)
+        graphs.append(upper | upper.T)
+    for graph in graphs:
+        rho = edge_state(graph)
+        gap = 1.0 - a_matrix(rho)
+        off = ~np.eye(len(graph), dtype=bool)
+        assert np.array_equal(np.abs(gap) <= A_ONE_TOL, graph | ~off)
+        assert np.all(gap[graph] > 0.98 * A_ONE_TOL)
+        assert np.all((gap[off & ~graph] > 1.01 * A_ONE_TOL))
+        assert np.linalg.eigvalsh(rho.matrix).min() > -1e-15

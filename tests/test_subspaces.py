@@ -1,17 +1,25 @@
 import json
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cohdist import (
     DensityMatrix,
+    PreconditionError,
     PureStateVector,
     ValidationError,
     a_matrix,
+    catalyst_gates,
+    deterministic_gate,
+    enhancement_gate,
+    full_plan,
     has_rank2_subspace,
     maximal_pure_subspaces,
     optimize_disjoint_selection,
     pmax_mixed,
+    search_catalyst,
     validate_density,
 )
 from cohdist import subspaces
@@ -21,6 +29,9 @@ from cohdist.subspaces import A_ONE_TOL, CoherenceSupportGraph
 from reference_oracles import (
     brute_subspaces,
     chain_state,
+    edge_state,
+    moon_moser_graph,
+    overlapping_state,
     random_block_state,
     random_mixture_state,
     random_pure_state,
@@ -225,7 +236,7 @@ def _mask_rule(rho):
 
 def test_has_rank2_subspace_agrees_with_the_unit_mask_rule(overlapping_state):
     rng = np.random.default_rng(41)
-    states = [overlapping_state, *(chain_state(n) for n in (3, 5, 8)),
+    states = [overlapping_state, *(chain_state(n) for n in (3, 4)),
               validate_density(np.diag([0.5, 0.3, 0.2]))]
     for d in range(2, 9):
         states += [random_block_state(rng, d)[0], random_mixture_state(rng, d)]
@@ -235,6 +246,10 @@ def test_has_rank2_subspace_agrees_with_the_unit_mask_rule(overlapping_state):
         assert has_rank2_subspace(rho) is want
         seen.add(want)
     assert seen == {True, False}
+    # a longer chain's one component is not rank-1, so there is no answer to agree with
+    for n in (5, 8):
+        with pytest.raises(ValidationError, match="not rank-1"):
+            has_rank2_subspace(chain_state(n))
 
 
 def test_restricted_states_are_unit_norm():
@@ -245,31 +260,6 @@ def test_restricted_states_are_unit_norm():
         assert np.linalg.norm(amps) == pytest.approx(1.0, abs=1e-10)
         off = [i for i in range(6) if i not in s.indices]
         assert np.all(np.abs(amps[off]) < 1e-12)
-
-
-def test_disjoint_selection_prefers_value():
-    entries = [
-        ((0, 1), 0.5, 0.3),
-        ((1, 2), 0.5, 0.4),
-        ((3,), 0.2, 0.1),
-    ]
-    chosen, weight, value = optimize_disjoint_selection(entries)
-    assert chosen == (1, 2)
-    assert value == pytest.approx(0.5)
-    assert weight == pytest.approx(0.7)
-
-
-def test_disjoint_selection_value_tie_prefers_weight():
-    entries = [((0, 1), 0.3, 0.25), ((0, 2), 0.6, 0.25)]
-    chosen, weight, _ = optimize_disjoint_selection(entries)
-    assert chosen == (1,)
-    assert weight == pytest.approx(0.6)
-
-
-def test_disjoint_selection_full_tie_prefers_lexicographic():
-    entries = [((1, 2), 0.5, 0.25), ((0, 1), 0.5, 0.25)]
-    chosen, _, _ = optimize_disjoint_selection(entries)
-    assert chosen == (1,)
 
 
 def _reference_selection(entries):
@@ -322,17 +312,17 @@ def _reference_selection(entries):
 
 
 def _random_entries(rng):
-    """Entries over a few levels, with overlaps, zero values and ties.
+    """Disjoint entries over a few levels, in random order, with zero values and ties.
 
     Every other set draws dyadic weights and ratios, so that equal values
-    and weights (the tie rules) come up often; the rest are continuous.
+    and weights come up often; the rest are continuous.
     """
-    levels = int(rng.integers(2, 11))
+    levels = rng.permutation(int(rng.integers(2, 11))).tolist()
     dyadic = bool(rng.integers(2))
     entries = []
-    for _ in range(int(rng.integers(1, 10))):
-        size = int(rng.integers(1, min(3, levels) + 1))
-        idx = tuple(sorted(int(i) for i in rng.choice(levels, size, replace=False)))
+    while levels:
+        size = int(rng.integers(1, min(3, len(levels)) + 1))
+        idx, levels = tuple(sorted(levels[:size])), levels[size:]
         if dyadic:
             weight = int(rng.integers(1, 9)) / 16
             ratio = int(rng.integers(0, 5)) / 4
@@ -344,32 +334,31 @@ def _random_entries(rng):
 
 
 def test_disjoint_selection_matches_global_search():
+    # on disjoint entries, the maximal pure subspaces' case, the exhaustive
+    # search takes every entry, as the selection does, in the same order
     rng = np.random.default_rng(20261018)
-    overlapping = 0
     for _ in range(3000):
         entries = _random_entries(rng)
-        levels = [j for idx, _, _ in entries for j in idx]
-        overlapping += len(levels) != len(set(levels))
         assert optimize_disjoint_selection(entries) == _reference_selection(entries)
-    assert overlapping > 1000
 
 
 def test_disjoint_selection_takes_isolated_entries_without_search():
     # 60 isolated zero-value entries would take 2^60 steps to branch on
-    entries = [((0, 1), 0.4, 0.2), ((1, 2), 0.3, 0.25)]
+    entries = [((1, 2), 0.3, 0.25), ((0,), 0.4, 0.2)]
     entries += [((k,), 0.005, 0.0) for k in range(3, 63)]
     chosen, weight, value = optimize_disjoint_selection(entries)
-    assert chosen == (1,) + tuple(range(2, 62))
-    assert value == pytest.approx(0.25)
-    assert weight == pytest.approx(0.6)
+    assert chosen == (1, 0) + tuple(range(2, 62))
+    assert value == pytest.approx(0.45)
+    assert weight == pytest.approx(1.0)
 
 
 def test_disjoint_selection_of_1200_entries_sharing_one_level():
-    # the recursive search went one frame deeper per shared entry and raised RecursionError
+    # maximal pure subspaces are disjoint, so entries that share a level are refused
     values = np.random.default_rng(1200).uniform(0.0, 1.0 / 1200, 1200)
     entries = [((0, k + 1), 1.0 / 1200, v) for k, v in enumerate(values.tolist())]
-    best = int(np.argmax(values))
-    assert optimize_disjoint_selection(entries) == ((best,), 1.0 / 1200, values[best])
+    for shared in (entries, [((0, 1), 0.5, 0.3), ((1, 2), 0.5, 0.4)]):
+        with pytest.raises(ValidationError, match="share a level"):
+            optimize_disjoint_selection(shared)
 
 
 def _star_state(n):
@@ -390,30 +379,24 @@ def _star_state(n):
 
 
 def test_pmax_mixed_on_a_1201_level_star():
-    # 1200 maximal subspaces share level 0; the recursive selection raised RecursionError
+    # 1200 maximal cliques share level 0; the recursive selection over them
+    # raised RecursionError.  The star is one component, and it is rank-1
     rho, pops = _star_state(1201)
     target = np.zeros(1201)
     target[:2] = np.sqrt(0.5)
     result = pmax_mixed(rho, PureStateVector(target))
-    assert len(result.all_subspaces) == 1200
-    assert result.family.index_sets() == ((0, 1200),)
-    assert result.overlap_adjusted
-    # each pair {0, i} converts with probability 2 min(p_0, p_i) / (p_0 + p_i)
-    assert result.p_max == pytest.approx(2 * pops[1200], rel=1e-8)
+    assert [s.indices for s in result.all_subspaces] == [tuple(range(1201))]
+    assert result.family.index_sets() == (tuple(range(1201)),)
+    # its profile is the populations, and the uniform qubit target takes all of it
+    assert np.allclose(result.all_subspaces[0].profile, pops, rtol=0.0, atol=1e-9)
+    assert result.p_max == pytest.approx(1.0, abs=1e-9)
 
 
 # ------------------------------------------- one-pass decomposition
 
-def _chain_state(n):
-    """Gram vectors at successive angles just inside the unit tolerance: overlapping pairs."""
-    angles = np.arange(n) * np.sqrt(8e-10)
-    g = np.stack([np.cos(angles), np.sin(angles)], axis=1) / np.sqrt(n)
-    return validate_density((g @ g.T).astype(complex))
-
-
 def _decomposition_corpus(overlapping_state, block_mixture):
     rng = np.random.default_rng(1018)
-    states = [overlapping_state, block_mixture, _chain_state(5)]
+    states = [overlapping_state, block_mixture, chain_state(4)]
     states += [random_block_state(rng, d)[0] for d in (2, 3, 5, 8, 17, 64)]
     states += [random_mixture_state(rng, d) for d in (2, 3, 4, 6, 8) for _ in range(4)]
     states += [DensityMatrix.from_pure(random_pure_state(rng, d)) for d in (2, 5, 40)]
@@ -421,27 +404,37 @@ def _decomposition_corpus(overlapping_state, block_mixture):
 
 
 def test_cliques_match_bron_kerbosch_on_the_whole_graph(overlapping_state, block_mixture):
+    # where every component is a clique, the components are the maximal
+    # cliques; at the tolerance edge each component is the union of its cliques
+    edge = 0
     for rho in _decomposition_corpus(overlapping_state, block_mixture):
-        cliques = subspaces._cliques(subspaces._unit_mask(rho), positive_diagonal_indices(rho))
-        assert cliques == _reference_cliques(CoherenceSupportGraph.from_state(rho))
+        components = subspaces._components(subspaces._unit_mask(rho), positive_diagonal_indices(rho))
+        cliques = _reference_cliques(CoherenceSupportGraph.from_state(rho))
+        if components != cliques:
+            edge += 1
+            union = sorted({tuple(sorted({j for c in cliques if set(c) & set(comp) for j in c}))
+                            for comp in components}, key=lambda c: (-len(c), c))
+            assert components == union
+    assert edge == 2
 
 
-def test_only_components_that_are_not_cliques_reach_bron_kerbosch(monkeypatch):
-    # a 1100-level clique next to an overlapping chain: the clique must be
-    # read off the mask, since Bron-Kerbosch would recurse once per member
-    chain = _chain_state(4).matrix
+def test_a_clique_beside_a_chain_reaches_no_clique_search(monkeypatch):
+    # a 1100-level clique next to a 4-level chain: the clique is read off the
+    # mask in one pass and the chain is one component, with no Bron-Kerbosch
+    chain = chain_state(4).matrix
     big = DensityMatrix.from_pure(random_pure_state(np.random.default_rng(3), 1100)).matrix
     mat = np.zeros((1104, 1104), dtype=complex)
     mat[:1100, :1100] = big / 2
     mat[1100:, 1100:] = chain / 2
     rho = validate_density(mat)
-    seen = []
-    search = CoherenceSupportGraph.maximal_cliques
-    monkeypatch.setattr(CoherenceSupportGraph, "maximal_cliques",
-                        lambda g: seen.append(g.vertices) or search(g))
-    cliques = subspaces._cliques(subspaces._unit_mask(rho), positive_diagonal_indices(rho))
-    assert seen == [(1100, 1101, 1102, 1103)]
-    assert cliques == [tuple(range(1100)), (1100, 1101), (1101, 1102), (1102, 1103)]
+    monkeypatch.setattr(CoherenceSupportGraph, "maximal_cliques", _no_clique_search)
+    components = subspaces._components(subspaces._unit_mask(rho), positive_diagonal_indices(rho))
+    assert components == [tuple(range(1100)), (1100, 1101, 1102, 1103)]
+    assert [s.indices for s in maximal_pure_subspaces(rho)] == components
+
+
+def _no_clique_search(graph):
+    raise AssertionError("an answer path ran the clique search")
 
 
 def _reference_subspace(rho, indices):
@@ -460,6 +453,9 @@ def _reference_subspace(rho, indices):
 
 
 def test_stacked_subspaces_match_one_eigh_per_clique(overlapping_state, block_mixture):
+    for n in (5, 8):
+        with pytest.raises(ValidationError, match="not rank-1"):
+            maximal_pure_subspaces(chain_state(n))
     for rho in _decomposition_corpus(overlapping_state, block_mixture):
         for s in maximal_pure_subspaces(rho):
             idx = list(s.indices)
@@ -475,8 +471,8 @@ def test_stacked_subspaces_match_one_eigh_per_clique(overlapping_state, block_mi
 
 def test_a_state_is_enumerated_once(monkeypatch, overlapping_state):
     calls = []
-    cliques = subspaces._cliques
-    monkeypatch.setattr(subspaces, "_cliques", lambda *args: calls.append(1) or cliques(*args))
+    components = subspaces._components
+    monkeypatch.setattr(subspaces, "_components", lambda *args: calls.append(1) or components(*args))
     rho, _ = random_block_state(np.random.default_rng(5), 12)
     for state in (rho, overlapping_state):
         calls.clear()
@@ -537,3 +533,119 @@ def test_a_state_whose_clique_is_not_rank1_raises_on_every_call():
                  has_rank2_subspace):
         with pytest.raises(ValidationError, match=r"restriction to \(1, 2, 3\) not rank-1"):
             call(rho)
+
+
+# ------------------------------------------- tolerance-edge states
+
+def _uniform_target(rank, dim):
+    return PureStateVector.from_probabilities(np.r_[np.full(rank, 1.0 / rank), np.zeros(dim - rank)])
+
+
+def _elapsed(call):
+    start = time.perf_counter()
+    call()
+    return time.perf_counter() - start
+
+
+def test_edge_graphs_give_the_brute_oracle_subspaces():
+    # any graph is a unit-coherence graph at the edge; its components are the
+    # maximal pure subspaces wherever none is refused
+    kept = []
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))))
+    def check(drawn):
+        n, pairs = drawn
+        graph = np.zeros((n, n), dtype=bool)
+        for i, j in pairs:
+            graph[i, j] = graph[j, i] = i != j
+        rho = edge_state(graph)
+        try:
+            start = time.perf_counter()
+            fast = maximal_pure_subspaces(rho)
+            assert time.perf_counter() - start < 0.25
+        except ValidationError:
+            return
+        slow = brute_subspaces(rho)
+        assert [s.indices for s in fast] == [s.indices for s in slow]
+        for a, b in zip(fast, slow):
+            assert a.weight == pytest.approx(b.weight, abs=1e-12)
+        cliques = [graph[np.ix_(s.indices, s.indices)].sum() == s.rank * (s.rank - 1) for s in fast]
+        kept.append((graph.any(), not all(cliques), len(fast)))
+
+    check()
+    # kept graphs include one with an edge, one with a component that is not
+    # a clique, and one with several components
+    assert any(edge for edge, _, _ in kept) and any(path for _, path, _ in kept)
+    assert any(count > 1 for _, _, count in kept)
+
+
+def test_moon_moser_9_reaches_a_uniform_rank4_target():
+    # every maximal clique has rank 3, so the clique rule answered 0; the one
+    # component, the whole support, is pure and reaches the target surely
+    rho = edge_state(moon_moser_graph(9))
+    assert [s.indices for s in brute_subspaces(rho)] == [tuple(range(9))]
+    result = pmax_mixed(rho, _uniform_target(4, 9))
+    assert [s.indices for s in result.all_subspaces] == [tuple(range(9))]
+    assert result.p_max == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [21, 45])
+def test_moon_moser_states_take_bounded_time(n, tmp_path, capsys):
+    # 3^(n/3) maximal cliques: 2187 at n = 21, 1.4e7 at n = 45
+    rho = edge_state(moon_moser_graph(n))
+    phi = _uniform_target(2, n)
+    assert _elapsed(lambda: pmax_mixed(rho, phi)) < 0.5
+    assert pmax_mixed(rho, phi).family.index_sets() == (tuple(range(n)),)
+    state, target = tmp_path / "rho.json", tmp_path / "phi.json"
+    state.write_text(json.dumps({"matrix": rho.matrix.real.tolist()}))
+    target.write_text(json.dumps({"amplitudes": phi.amplitudes.real.tolist()}))
+    codes = []
+    assert _elapsed(lambda: codes.append(main(["pmax", str(state), str(target)]))) < 0.5
+    assert codes == [0]
+    capsys.readouterr()
+
+
+def test_a_200_level_chain_is_refused_quickly(tmp_path, capsys):
+    # the chain's one component is not rank-1 from five levels on
+    rho, phi = chain_state(200), _uniform_target(2, 200)
+    with pytest.raises(ValidationError, match=r"restriction to \(0, 1, .*, 199\) not rank-1"):
+        start = time.perf_counter()
+        pmax_mixed(rho, phi)
+    assert time.perf_counter() - start < 0.05
+    state, target = tmp_path / "rho.json", tmp_path / "phi.json"
+    state.write_text(json.dumps({"matrix": rho.matrix.real.tolist()}))
+    target.write_text(json.dumps({"amplitudes": phi.amplitudes.real.tolist()}))
+    assert main(["pmax", str(state), str(target)]) == 2
+    err = capsys.readouterr().err
+    assert "not rank-1" in err and "Traceback" not in err
+
+
+def test_a_catalyst_search_on_a_28_level_chain_is_refused_quickly():
+    # the selection ran once per grid row here: 15.7 s for the 1153 rows
+    rho, phi = chain_state(28), _uniform_target(2, 28)
+    with pytest.raises(ValidationError, match="not rank-1"):
+        start = time.perf_counter()
+        search_catalyst(rho, phi, 4, 0.02)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("case", ["overlap", "moon-moser-12", "block"])
+def test_no_answer_path_runs_a_clique_search(case, monkeypatch):
+    rho, phi = {
+        "overlap": lambda: (overlapping_state(), _uniform_target(3, 3)),
+        "moon-moser-12": lambda: (edge_state(moon_moser_graph(12)), _uniform_target(4, 12)),
+        "block": lambda: (random_block_state(np.random.default_rng(4), 8)[0], _uniform_target(2, 8)),
+    }[case]()
+    monkeypatch.setattr(CoherenceSupportGraph, "maximal_cliques", _no_clique_search)
+    baseline = pmax_mixed(rho, phi).p_max
+    assert full_plan(rho, phi).p_max == baseline
+    assert enhancement_gate(rho, phi).baseline == baseline
+    enhancement, deterministic = catalyst_gates(rho, phi)
+    if deterministic is None:
+        with pytest.raises(PreconditionError):
+            deterministic_gate(rho, phi)
+    else:
+        assert deterministic == deterministic_gate(rho, phi)
+    assert search_catalyst(rho, phi, 3, 0.1).baseline == baseline

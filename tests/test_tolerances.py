@@ -37,7 +37,6 @@ from cohdist import (
     maximal_pure_subspaces,
     measures,
     optimal_protocol,
-    optimize_disjoint_selection,
     pmax_mixed,
     pmax_pure,
     power_mean,
@@ -59,10 +58,12 @@ from cohdist.states import (
     PROB_TOL,
     PSD_FLOOR,
     RANK1_TOL,
+    SUPPORT_TOL,
     TIE_TOL,
     TRACE_TOL,
     _SPLIT_TOL,
 )
+from reference_oracles import dust_state
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cohdist"
 
@@ -192,22 +193,6 @@ INSIDE, OUTSIDE = 0.5, 2.0     # multiples of the tolerance under test
 
 
 @pytest.mark.parametrize("k", [INSIDE, OUTSIDE])
-def test_selection_value_tie_edge(k):
-    # a larger value by more than TIE_TOL wins; within it, the
-    # lexicographically smaller index set does (equal weights)
-    entries = [((0, 1), 0.5, 0.3), ((1, 2), 0.5, 0.3 + k * TIE_TOL)]
-    chosen, _, _ = optimize_disjoint_selection(entries)
-    assert chosen == ((0,) if k == INSIDE else (1,))
-
-
-@pytest.mark.parametrize("k", [INSIDE, OUTSIDE])
-def test_selection_weight_tie_edge(k):
-    entries = [((0, 1), 0.5, 0.3), ((1, 2), 0.5 + k * TIE_TOL, 0.3)]
-    chosen, _, _ = optimize_disjoint_selection(entries)
-    assert chosen == ((0,) if k == INSIDE else (1,))
-
-
-@pytest.mark.parametrize("k", [INSIDE, OUTSIDE])
 def test_enhancement_margin_edge(k):
     # q = (0.5, 0.3, 0.2) and p with p_3 / q_3 = 0.9 and a tail ratio at
     # depth 2 of 0.9 - m: pmax = 0.9 - m under the bound 0.9, margin m
@@ -218,19 +203,6 @@ def test_enhancement_margin_edge(k):
     record, = enhancement_gate(rho, phi).records
     assert record.margin == pytest.approx(m, rel=1e-3)
     assert record.enhanceable is (k == OUTSIDE)
-
-
-@pytest.mark.parametrize("k", [INSIDE, OUTSIDE])
-def test_overlap_adjusted_edge(monkeypatch, block_mixture, uniform_qubit_target, k):
-    # the selection's value falls short of the plain sum by k TIE_TOL
-    select = distill.optimize_disjoint_selection
-
-    def short(entries):
-        chosen, weight, value = select(entries)
-        return chosen, weight, value - k * TIE_TOL
-
-    monkeypatch.setattr(distill, "optimize_disjoint_selection", short)
-    assert pmax_mixed(block_mixture, uniform_qubit_target).overlap_adjusted is (k == OUTSIDE)
 
 
 def _scored(monkeypatch, values):
@@ -405,14 +377,11 @@ def test_probability_one_precondition_edge(k):
 
 @pytest.mark.parametrize("k", [INSIDE, OUTSIDE])
 def test_family_weight_edge(k):
-    # Gram vectors at tiny angles: (0, 1) and (1, 2) are unit coherent, (0, 2)
-    # is not, so the family keeps (0, 1) and misses level 2's k PROB_TOL
-    theta = math.sqrt(2 * 4e-10)
-    pops = np.array([0.6, 0.4 - k * PROB_TOL, k * PROB_TOL])
-    angles = np.array([0.0, theta, 2 * theta])
-    g = np.sqrt(pops)[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    rho = validate_density(g @ g.T)
-    phi = PureStateVector.from_probabilities([0.5, 0.5, 0.0])
+    # k * 1000 levels at SUPPORT_TOL hold k PROB_TOL of the trace; no subspace
+    # holds a population at or below SUPPORT_TOL, so the family misses it
+    levels = round(k * PROB_TOL / SUPPORT_TOL)
+    rho = dust_state(levels)
+    phi = PureStateVector.from_probabilities(np.r_[0.5, 0.5, np.zeros(levels)])
     assert pmax_mixed(rho, phi).family.index_sets() == ((0, 1),)
     report = deterministic_gate(rho, phi)
     assert report.weight_complete is (k == INSIDE)
