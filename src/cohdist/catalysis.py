@@ -339,7 +339,7 @@ def catalyst_gates(
 # catalyzed probability and grid search
 # ===========================================================================
 
-def _catalyzed_values(subspaces, tgt: np.ndarray, catalysts: np.ndarray) -> np.ndarray:
+def _catalyzed_values(members, tgt: np.ndarray, catalysts: np.ndarray) -> np.ndarray:
     """P(rho (x) c -> phi (x) c) for every catalyst row c of ``catalysts``, in order.
 
     The maximal pure subspaces of rho (x) |c><c| are exactly the products
@@ -353,18 +353,26 @@ def _catalyzed_values(subspaces, tgt: np.ndarray, catalysts: np.ndarray) -> np.n
     profiles serve).  A depth counts, and a source tail
     pins the ratio to 0, by the support of the products, not their
     magnitude: each catalyst row is first scaled by an exact power of two,
-    which changes no ratio.  The subspaces are disjoint and add their
-    scores in index-set order, the order
-    :func:`~cohdist.subspaces.optimize_disjoint_selection` adds in.
+    which changes no ratio.  ``members`` are the subspaces of the disjoint
+    family, in its index-set order, and add their scores in that order, the
+    order :func:`~cohdist.subspaces.optimize_disjoint_selection` adds in.
+    A member whose profile has fewer entries above SUPPORT_TOL than the
+    target (support_profile's rule) scores exactly 0 against every
+    catalyst: past its products' support, a live target tail meets a
+    vanishing source tail.  Such members are left out, which changes no
+    bit of a sum.
     """
-    subspaces = sorted(subspaces, key=lambda s: s.indices)
     # profiles and target padded to one length n
-    profiles = _padded_rows((s.profile for s in subspaces), tgt.size)
+    profiles = _padded_rows((s.profile for s in members), tgt.size)
+    weights = np.array([s.weight for s in members])
+    scoring = np.count_nonzero(profiles > SUPPORT_TOL, axis=1) >= tgt.size
+    if not scoring.any():
+        return np.zeros(len(catalysts))
+    profiles, weights = profiles[scoring], weights[scoring]
     n = profiles.shape[1]
     target = _padded_rows([tgt], n)[0]
-    weights = np.array([s.weight for s in subspaces])
     k = catalysts.shape[1]
-    rows_per_chunk = max(1, ROW_CHUNK_ELEMENTS // (len(subspaces) * n * k))
+    rows_per_chunk = max(1, ROW_CHUNK_ELEMENTS // (len(weights) * n * k))
     out = []
     for start in range(0, len(catalysts), rows_per_chunk):
         cat = catalysts[start:start + rows_per_chunk]
@@ -395,7 +403,7 @@ def catalyzed_pmax(rho: DensityMatrix, phi: PureStateVector, catalyst) -> float:
     """
     tgt, mixed = _instance(rho, phi)
     cat = as_distribution(catalyst)
-    return float(_catalyzed_values(mixed.all_subspaces, tgt, cat[None, :])[0])
+    return float(_catalyzed_values(mixed.family.members, tgt, cat[None, :])[0])
 
 
 def _partitions(n: int, k: int) -> np.ndarray:
@@ -519,7 +527,7 @@ def search_catalyst(
         raise PreconditionError("baseline probability is already 1")
 
     grid = _catalyst_grid(max_dim, grid_step)
-    achieved = _catalyzed_values(mixed.all_subspaces, tgt, grid)
+    achieved = _catalyzed_values(mixed.family.members, tgt, grid)
 
     def candidate(i: int) -> tuple[float, ...]:
         row = grid[i]

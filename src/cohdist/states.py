@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .errors import (
 # here.  Each is absolute, on a quantity normalized to 1 (a trace, a
 # probability, a modulus or an exponent), and the comment names the
 # tolerances it must agree with.  Size caps are not tolerances and stay in
-# their modules: GRID_CEILING, ROW_CHUNK_ELEMENTS, _GATHER_CAP.
+# their modules: DENSE_PSD_MAX_DIM, GRID_CEILING, ROW_CHUNK_ELEMENTS, _GATHER_CAP.
 
 # validation of states, vectors and weights
 HERMITIAN_TOL = 1e-10     # max |rho - rho†| entry
@@ -67,6 +68,11 @@ BRANCH_WEIGHT_FLOOR = 1e-15   # branch weight at or below which a replay skips t
 GEOMETRIC_ORDER_TOL = 1e-8    # |alpha| at or below which the power mean is the geometric mean
 BRACKET_TOL = 1e-6        # order-bracket width at which the probability-1 gate stops refining
 GRID_STEP_TOL = 1e-9      # |n * grid_step - 1| of a catalyst grid step that divides 1
+
+
+# at or below this many levels one dense eigvalsh over the whole matrix is
+# faster than labelling the blocks of its nonzero pattern (measured crossover)
+DENSE_PSD_MAX_DIM = 40
 
 
 def support_profile(weights) -> tuple[np.ndarray, np.ndarray]:
@@ -113,19 +119,28 @@ class DensityMatrix:
     trace at the module tolerances; the stored array is read-only.  A state
     also keeps its maximal pure subspaces once
     :func:`~cohdist.subspaces.maximal_pure_subspaces` has enumerated them.
+
+    PSD_FLOOR bounds the smallest eigenvalue of each block of the exact
+    nonzero pattern of the symmetrized matrix (its connected components).
+    A Hermitian matrix is, up to a permutation of levels, the direct sum of
+    those blocks, so its spectrum is the union of theirs, and the smallest
+    block eigenvalue is the smallest eigenvalue of the whole matrix.  Up to
+    DENSE_PSD_MAX_DIM levels, and where one block covers every level, one
+    dense ``eigvalsh`` computes it directly.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         arr = _as_complex_matrix(self.matrix)
-        herm_gap = np.abs(arr - arr.conj().T).max()
+        ct = arr.conj().T
+        herm_gap = np.abs(arr - ct).max()
         if herm_gap > HERMITIAN_TOL:
             raise NotHermitianError(
                 f"matrix is not Hermitian: max |rho - rho†| = {herm_gap:.3e}"
             )
-        arr = 0.5 * (arr + arr.conj().T)   # symmetrize validated input
-        eig_min = float(np.linalg.eigvalsh(arr).min())
+        arr = 0.5 * (arr + ct)   # symmetrize validated input
+        eig_min = _min_eigenvalue(arr)
         if not eig_min >= PSD_FLOOR:    # also rejects a NaN from overflow
             raise NotPSDError(
                 f"matrix is not PSD: min eigenvalue = {eig_min:.3e}", eig_min
@@ -147,6 +162,72 @@ class DensityMatrix:
     @classmethod
     def from_pure(cls, psi: "PureStateVector") -> "DensityMatrix":
         return cls(np.outer(psi.amplitudes, psi.amplitudes.conj()))
+
+
+def _components(mask: np.ndarray, verts) -> list[tuple[int, ...]]:
+    """The connected components of the graph ``mask`` on ``verts``, sorted by size desc then indices.
+
+    ``mask`` is a symmetric boolean d x d adjacency, True on the diagonal at
+    each of ``verts`` and False in every other row and column.  Each level
+    is labelled by the first member of its closed neighbourhood.  A label's
+    levels form a clique component when all their rows of ``mask`` equal
+    the label's row and that row holds just them; those components are
+    read off in one pass.  Only the remaining levels are relabelled by
+    min-label propagation with pointer jumping, until each holds its
+    component's first member.
+    """
+    v = np.array(verts)
+    rows = mask[v]
+    label = rows.argmax(axis=1)
+    differs = np.bincount(label, ~(rows == mask[label]).all(axis=1), minlength=len(mask))
+    size = np.bincount(label, minlength=len(mask))
+    rest = np.flatnonzero((differs[label] > 0) | (rows.sum(axis=1) != size[label]))
+    if rest.size:
+        # positions into rest, each pointing at a level of its own component
+        edges, at = rows[rest][:, v[rest]], np.arange(rest.size)
+        while True:
+            low = np.where(edges, at, rest.size).min(axis=1)
+            low = low[low]
+            if np.array_equal(low, at):
+                break
+            at = low
+        label[rest] = v[rest][at]
+        size = np.bincount(label, minlength=len(mask))
+    # disjoint components of one size compare by their first members
+    order = np.lexsort((v, label, -size[label]))
+    members, label = v[order].tolist(), label[order]
+    cuts = [0, *(np.flatnonzero(label[1:] != label[:-1]) + 1).tolist(), len(members)]
+    return [tuple(members[a:b]) for a, b in zip(cuts, cuts[1:])]
+
+
+def _min_eigenvalue(arr: np.ndarray) -> float:
+    """Smallest eigenvalue of the exactly Hermitian ``arr``, block by block.
+
+    The blocks are the components of the exact nonzero pattern (``arr !=
+    0``, diagonal included).  Blocks of one size are stacked into one
+    ``eigvalsh`` call, and a singleton block is its diagonal entry.  Up to
+    DENSE_PSD_MAX_DIM levels, or when one block holds every level, one
+    dense call on ``arr`` itself does it.  A NaN from an overflowing block
+    is the result.
+    """
+    d = len(arr)
+    if d > DENSE_PSD_MAX_DIM:
+        # arr != 0, read off the real and imaginary flags of each entry as one
+        # uint16 (arr is C-contiguous), several times faster than a complex compare
+        pattern = (arr.view(float) != 0).view(np.uint16) != 0
+        np.fill_diagonal(pattern, True)
+        components = _components(pattern, np.arange(d))
+        if len(components[0]) < d:
+            # components come sorted by size, so each size is one run
+            lows = []
+            for r, run in groupby(components, key=len):
+                idx = np.array(list(run))
+                if r == 1:
+                    lows.append(arr.real[idx[:, 0], idx[:, 0]].min())
+                else:
+                    lows.append(np.linalg.eigvalsh(arr[idx[:, :, None], idx[:, None, :]]).min())
+            return float(np.min(lows))   # np.min keeps a NaN, where Python's min may drop it
+    return float(np.linalg.eigvalsh(arr).min())
 
 
 @dataclass(frozen=True)

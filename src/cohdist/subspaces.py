@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .states import A_ONE_TOL, PHASE_LEAD_TOL, RANK1_TOL, SUPPORT_TOL
-from .states import DensityMatrix, positive_diagonal_indices
+from .states import DensityMatrix, _components, positive_diagonal_indices
 
 
 def a_matrix(rho: DensityMatrix) -> np.ndarray:
@@ -135,41 +135,6 @@ class PureSubspace:
     @property
     def rank(self) -> int:
         return len(self.indices)
-
-
-def _components(unit: np.ndarray, verts: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The connected components of the unit-coherence graph, sorted by size desc then indices.
-
-    Each populated level is labelled by the first member of its closed
-    neighbourhood.  A label's levels form a clique component when all
-    their rows of ``unit`` equal the label's row and that row holds just
-    them; those components are read off in one pass.  Only the remaining
-    levels (coherences at the tolerance edge) are relabelled by min-label
-    propagation with pointer jumping, until each holds its component's
-    first member.
-    """
-    v = np.array(verts)
-    rows = unit[v]
-    label = rows.argmax(axis=1)
-    differs = np.bincount(label, ~(rows == unit[label]).all(axis=1), minlength=len(unit))
-    size = np.bincount(label, minlength=len(unit))
-    rest = np.flatnonzero((differs[label] > 0) | (rows.sum(axis=1) != size[label]))
-    if rest.size:
-        # positions into rest, each pointing at a level of its own component
-        edges, at = rows[rest][:, v[rest]], np.arange(rest.size)
-        while True:
-            low = np.where(edges, at, rest.size).min(axis=1)
-            low = low[low]
-            if np.array_equal(low, at):
-                break
-            at = low
-        label[rest] = v[rest][at]
-        size = np.bincount(label, minlength=len(unit))
-    # disjoint components of one size compare by their first members
-    order = np.lexsort((v, label, -size[label]))
-    members, label = v[order].tolist(), label[order]
-    cuts = [0, *(np.flatnonzero(label[1:] != label[:-1]) + 1).tolist(), len(members)]
-    return [tuple(members[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
 def _top_vectors(blocks: np.ndarray, components) -> np.ndarray:

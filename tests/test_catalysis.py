@@ -432,11 +432,47 @@ def test_batched_scores_equal_the_candidate_loop(overlapping_state):
         tgt = _target_profile(phi)
         entries = _entries(rho)
         for grid in (np.ones((1, 1)), catalysts):
-            got = catalysis._catalyzed_values(maximal_pure_subspaces(rho), tgt, grid).tolist()
+            members = pmax_mixed(rho, phi).family.members
+            got = catalysis._catalyzed_values(members, tgt, grid).tolist()
             want = [_reference_catalyzed(entries, tgt, row[row > 0.0]) for row in grid]
             assert got == want, name
         cat = np.array([0.7, 0.2, 0.1])
         assert catalyzed_pmax(rho, phi, cat) == _reference_catalyzed(entries, tgt, cat), name
+
+
+def test_subspaces_shorter_than_the_target_score_zero_for_every_catalyst(monkeypatch):
+    # blocks of at most 2 levels against a rank-3 target: every subspace is
+    # left out of the scoring, and the search reports 0 for every candidate
+    rng = np.random.default_rng(41)
+    rho = _block_diag_state(rng, [2, 1, 2, 2, 1])
+    phi = _target(rng, 3, 8)
+    tgt = _target_profile(phi)
+    grid = catalysis._catalyst_grid(4, 0.05)
+    members = pmax_mixed(rho, phi).family.members
+    entries = _entries(rho)
+    scored = []
+    kernel = catalysis.min_profile_ratios
+    monkeypatch.setattr(catalysis, "min_profile_ratios", lambda *a: scored.append(1) or kernel(*a))
+    got = catalysis._catalyzed_values(members, tgt, grid)
+    assert got.tolist() == [0.0] * len(grid) and not scored
+    assert got.tolist() == [_reference_catalyzed(entries, tgt, row[row > 0.0]) for row in grid]
+    rep = search_catalyst(rho, phi, 4, 0.05)
+    assert (rep.baseline, rep.found, rep.achieved, rep.candidates_evaluated) == (0.0, False, 0.0, len(grid))
+    # one 3-level block beside them scores, and the short ones add nothing
+    rho = _block_diag_state(rng, [2, 3, 1, 2])
+    members = pmax_mixed(rho, phi).family.members
+    got = catalysis._catalyzed_values(members, tgt, grid).tolist()
+    assert got == [_reference_catalyzed(_entries(rho), tgt, row[row > 0.0]) for row in grid]
+    assert max(got) > 0.0
+    # a level populated just above SUPPORT_TOL in a state of trace 1 + 9e-11
+    # has a profile entry at or below it: by the support rule the profile is
+    # shorter than the rank-3 target, as the enhancement gate's bound 0 says
+    v = np.sqrt([0.6, 0.4 + 9e-11, 1.00000000001e-12])
+    rho = DensityMatrix(np.outer(v, v))
+    phi = PureStateVector.from_probabilities([0.5, 0.3, 0.2])
+    assert maximal_pure_subspaces(rho)[0].profile.min() <= SUPPORT_TOL
+    assert enhancement_gate(rho, phi).records[0].bound == 0.0
+    assert catalyzed_pmax(rho, phi, [0.625, 0.375]) == 0.0
 
 
 def _state_doc(rho):

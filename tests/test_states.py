@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -15,7 +16,8 @@ from cohdist import (
     as_distribution,
     validate_density,
 )
-from cohdist.states import positive_diagonal_indices, support_profile
+from cohdist import states
+from cohdist.states import PSD_FLOOR, positive_diagonal_indices, support_profile
 from reference_oracles import dephase
 
 
@@ -209,3 +211,189 @@ def test_pure_state_and_from_pure_accept_the_same_vectors():
     assert verdicts == {True, False}
     with pytest.raises(TraceNotOneError):
         PureStateVector([1.000000000075, 0, 0])
+
+
+# ------------------------------------------------- PSD check block by block
+
+
+def _sizes(dim, singletons):
+    """``singletons`` blocks of size 1, then sizes 2, 3, 4, 2, ... filling ``dim`` levels."""
+    sizes = [1] * singletons
+    while sum(sizes) < dim:
+        sizes.append(min(2 + len(sizes) % 3, dim - sum(sizes)))
+    return sizes
+
+
+def _blocks(rng, sizes, rank=None):
+    """Trace-1 direct sum of random PSD blocks of ``sizes`` on shuffled levels.
+
+    Each block is a sum of ``rank`` (default: a random rank) per-block outer
+    products.  Returns the matrix and the blocks' level arrays.
+    """
+    dim = sum(sizes)
+    perm = rng.permutation(dim)
+    mat = np.zeros((dim, dim), dtype=complex)
+    blocks, at = [], 0
+    for w, size in zip(rng.dirichlet(np.ones(len(sizes))), sizes):
+        idx = perm[at:at + size]
+        at += size
+        r = rank or int(rng.integers(1, size + 1))
+        g = rng.normal(size=(size, r)) + 1j * rng.normal(size=(size, r))
+        block = g @ g.conj().T
+        mat[np.ix_(idx, idx)] = w * block / np.trace(block).real
+        blocks.append(idx)
+    return mat, blocks
+
+
+def _spoil(mat, idx, depth):
+    """``mat`` with eigenvalue -``depth`` in the block on ``idx`` (two levels or more).
+
+    The block's lowest eigenvalue moves to -``depth`` and its top eigenvalue
+    rises by as much, so the trace is kept.
+    """
+    bad = mat.copy()
+    vals, vecs = np.linalg.eigh(mat[np.ix_(idx, idx)])
+    low = vecs[:, 0]
+    bad[np.ix_(idx, idx)] += -(vals[0] + depth) * np.outer(low, low.conj())
+    bad[np.ix_(idx, idx)] += (vals[0] + depth) * np.outer(vecs[:, -1], vecs[:, -1].conj())
+    return bad
+
+
+def test_psd_is_checked_one_stack_per_block_size(monkeypatch):
+    # a benchmark-shaped block state: no eigvalsh call sees more than the
+    # largest block, and each block size takes one call
+    rng = np.random.default_rng(256)
+    sizes = _sizes(256, 14)
+    mat, _ = _blocks(rng, sizes, rank=1)
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+    validate_density(mat)
+    assert shapes
+    assert max(s[-1] for s in shapes) <= max(sizes)
+    assert len({s[-1] for s in shapes}) == len(shapes)
+    assert all(s[-2:] == (s[-1], s[-1]) for s in shapes)
+
+
+def test_one_block_covering_every_level_takes_one_dense_call(monkeypatch):
+    rng = np.random.default_rng(7)
+    dim = states.DENSE_PSD_MAX_DIM + 9
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    v /= np.linalg.norm(v)
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+    validate_density(np.outer(v, v.conj()))
+    assert shapes == [(dim, dim)]
+
+
+def test_a_non_psd_block_among_psd_blocks_is_refused():
+    rng = np.random.default_rng(11)
+    dim = states.DENSE_PSD_MAX_DIM + 24
+    mat, blocks = _blocks(rng, _sizes(dim, 5))
+    bad = _spoil(mat, blocks[-2], 1e-4)
+    with pytest.raises(NotPSDError) as err:
+        validate_density(bad)
+    dense = np.linalg.eigvalsh(0.5 * (bad + bad.conj().T)).min()
+    assert abs(err.value.min_eigenvalue - dense) <= 1e-12
+    assert err.value.min_eigenvalue == pytest.approx(-1e-4, rel=1e-9)
+
+
+def test_a_coherence_on_an_empty_level_is_refused():
+    # rho_ii = 0 with rho_ij != 0: the 2 x 2 block [[0, c], [c, p]] has a negative eigenvalue
+    rng = np.random.default_rng(12)
+    dim = states.DENSE_PSD_MAX_DIM + 8
+    mat, blocks = _blocks(rng, _sizes(dim, 6))
+    (i,), (j,) = blocks[0], blocks[1]
+    mat[j, j] += mat[i, i]
+    mat[i, i] = 0.0
+    mat[i, j] = mat[j, i] = 1e-3
+    with pytest.raises(NotPSDError) as err:
+        validate_density(mat)
+    assert err.value.min_eigenvalue < -1e-7
+
+
+@pytest.mark.parametrize("spoiled", [False, True])
+def test_verdicts_match_on_both_sides_of_the_dense_threshold(spoiled):
+    # one layout at d = threshold (one dense call) and with one empty level more (blocks)
+    rng = np.random.default_rng(13)
+    dim = states.DENSE_PSD_MAX_DIM
+    mat, blocks = _blocks(rng, _sizes(dim, 4))
+    if spoiled:
+        mat = _spoil(mat, blocks[5], 3e-6)
+    wider = np.zeros((dim + 1, dim + 1), dtype=complex)
+    wider[:dim, :dim] = mat
+    lows = []
+    for m in (mat, wider):
+        try:
+            validate_density(m)
+            lows.append(None)
+        except NotPSDError as err:
+            lows.append(err.min_eigenvalue)
+    if spoiled:
+        assert lows[0] == pytest.approx(-3e-6, rel=1e-9)
+        assert abs(lows[0] - lows[1]) <= 1e-12
+    else:
+        assert lows == [None, None]
+
+
+def test_a_huge_coherence_in_one_block_is_refused_without_a_warning():
+    # the eigenvalues of [[a, 1e300], [1e300, b]] are about +-1e300; warnings are errors here
+    rng = np.random.default_rng(14)
+    for dim in (states.DENSE_PSD_MAX_DIM, states.DENSE_PSD_MAX_DIM + 16):
+        mat, blocks = _blocks(rng, _sizes(dim, 3))
+        i, j = blocks[3][:2]
+        mat[i, j] = mat[j, i] = 1e300
+        with pytest.raises(NotPSDError) as err:
+            validate_density(mat)
+        assert err.value.min_eigenvalue == pytest.approx(-1e300, rel=1e-9)
+
+
+def test_an_overflowing_block_is_refused_as_nan():
+    # 1e308 + 1e308 overflows in the symmetrization; the block's NaN
+    # eigenvalue is the minimum, whichever block size comes last
+    rng = np.random.default_rng(15)
+    dim = states.DENSE_PSD_MAX_DIM + 16
+    mat, blocks = _blocks(rng, _sizes(dim, 3))
+    i, j = blocks[3][:2]
+    mat[i, j] = mat[j, i] = 1e308
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NotPSDError) as err:
+        validate_density(mat)
+    assert math.isnan(err.value.min_eigenvalue)
+
+
+def test_block_minima_equal_the_dense_minimum():
+    # about 200 seeded block and mixture states across the dense threshold;
+    # the spectra are on a trace-1 scale, so 1e-12 is relative to it
+    rng = np.random.default_rng(16)
+    cases = []
+    for dim in [*range(30, 51), 64, 96, 128, 256] * 8 + [512, 1024]:
+        sizes = _sizes(dim, int(rng.integers(0, dim // 4 + 1)))
+        mat, blocks = _blocks(rng, sizes)
+        if rng.random() < 0.3:
+            # a mixture on some levels: a larger component beside the blocks
+            idx = np.concatenate(blocks[-4:])
+            g = rng.normal(size=(idx.size, 2)) + 1j * rng.normal(size=(idx.size, 2))
+            mix = g @ g.conj().T
+            mat[np.ix_(idx, idx)] = mix * np.trace(mat[np.ix_(idx, idx)]).real / np.trace(mix).real
+        if rng.random() < 0.5:
+            wide = [b for b in blocks if b.size > 1]
+            mat = _spoil(mat, wide[int(rng.integers(len(wide)))], 10 ** rng.uniform(-9, -2))
+        cases.append(mat)
+    for dim in (36, 48, 80):
+        v = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        mix = v @ v.conj().T
+        cases.append(mix / np.trace(mix).real)
+    verdicts = set()
+    for mat in cases:
+        sym = 0.5 * (mat + mat.conj().T)
+        want = np.linalg.eigvalsh(sym).min()
+        assert abs(states._min_eigenvalue(sym) - want) <= 1e-12
+        try:
+            validate_density(mat)
+            accepted = True
+        except NotPSDError:
+            accepted = False
+        assert accepted == (want >= PSD_FLOOR)
+        verdicts.add(accepted)
+    assert len(cases) >= 200 and verdicts == {True, False}

@@ -420,15 +420,21 @@ def test_hermitian_edge(k):
 
 @pytest.mark.parametrize("k", [INSIDE, OUTSIDE])
 def test_psd_floor_edge(k):
-    # eigenvalues 1 + e and -e, trace 1
+    # eigenvalues 1 + e and -e, trace 1; then the block at weight 1/2 on
+    # levels 3 and 17 of a state checked block by block
     e = -k * PSD_FLOOR
     mat = np.array([[0.5, 0.5 + e], [0.5 + e, 0.5]])
-    assert np.linalg.eigvalsh(mat)[0] == pytest.approx(-e, rel=1e-6)
-    if k == INSIDE:
-        validate_density(mat)
-    else:
-        with pytest.raises(NotPSDError):
-            validate_density(mat)
+    dim = states.DENSE_PSD_MAX_DIM + 8
+    embedded = np.diag(np.full(dim, 0.5 / (dim - 2))).astype(complex)
+    embedded[np.ix_([3, 17], [3, 17])] = [[0.25, 0.25 + e], [0.25 + e, 0.25]]
+    embedded[5, 9] = embedded[9, 5] = 0.5 / (dim - 2)     # a rank-1 pair beside it
+    for m in (mat, embedded):
+        assert np.linalg.eigvalsh(m)[0] == pytest.approx(-e, rel=1e-6)
+        if k == INSIDE:
+            validate_density(m)
+        else:
+            with pytest.raises(NotPSDError):
+                validate_density(m)
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
