@@ -14,9 +14,12 @@ change between grid points goes unseen.  One routine,
 :func:`_group_records`, does the whole gate for the family members of one
 padded length and returns their records: it stacks their profiles once,
 samples the whole grid in one kernel pass, and refines each member's
-smallest margin on either side of alpha = 1 with one more pass per
-step for all their brackets still refining, with the same values, bit for
-bit, as evaluating one member and one order at a time.  Refinement runs
+smallest margin on either side of alpha = 1 in rounds.  In a round every
+bracket still refining lists its remaining halvings as if no probe won,
+one more kernel pass evaluates all those schedules, and the halvings are
+replayed over the values in order; a bracket whose probe wins goes on in
+the next round.  The values equal, bit for bit, evaluating one member and
+one order at a time.  Refinement runs
 only while a margin is positive: a member fails once a margin reaches 0
 or below, so such a margin and its order are a witness of the failure,
 not the minimum.  The search
@@ -46,12 +49,7 @@ import numpy as np
 
 from .distill import MixedPmaxResult, pmax_mixed
 from .errors import IncoherentTargetError, PreconditionError, ValidationError
-from .measures import (
-    _padded_rows,
-    _power_means_kernel,
-    min_profile_ratios,
-    shannon_entropy,
-)
+from .measures import _padded_rows, _power_means_kernel, min_profile_ratios
 from .states import BRACKET_TOL, GRID_STEP_TOL, PROB_TOL, SUPPORT_TOL, TIE_TOL
 from .states import DensityMatrix, PureStateVector, as_distribution, support_profile
 
@@ -165,10 +163,10 @@ def enhancement_gate(rho: DensityMatrix, phi: PureStateVector) -> EnhancementGat
 
 def _enhancement_report(tgt, mixed: MixedPmaxResult) -> EnhancementGateReport:
     records = []
-    subs = mixed.all_subspaces
-    # pmax_mixed's ratios, from the same rows
-    ratios = min_profile_ratios(_padded_rows(s.profile for s in subs), tgt).tolist()
-    for s, pure in zip(subs, ratios):
+    # pmax_mixed's ratio of each subspace; the family holds every one of them
+    ratios = {y.subspace.indices: y.ratio for y in mixed.per_subspace}
+    for s in mixed.all_subspaces:
+        pure = ratios[s.indices]
         # support profiles have no entry at or below SUPPORT_TOL, so a
         # smallest padded entry vanishes exactly on the shorter profile
         profile = support_profile(s.profile)[1]
@@ -223,10 +221,19 @@ def _group_records(group, tgt: np.ndarray, n: int) -> list[DeterministicGateMemb
     and halves both ends toward the best order.  A member passes only on
     positive margins, so a margin at or below 0 has decided its verdict and
     is kept as found, a witness of the failure, not the refined minimum.
-    Each step is one kernel call over the two rows of every bracket still
-    refining, below-one brackets first, each row raised only to its own
-    bracket's two probes; the kernel computes each row on its own, so a
-    bracket takes the same steps, bit for bit, whatever else is refining.
+
+    The halvings run in rounds.  In a round every bracket still refining
+    lists its whole remaining schedule, the probes of each step as if none
+    won, and one kernel call evaluates all the schedules, two rows per
+    bracket, below-one brackets first, each row raised only to its own
+    bracket's probes.  A probe equal to the bracket's order is left out:
+    its margin is the best one, which the strict comparison never takes.
+    The round then replays the steps in order over those values; a bracket
+    whose probe wins halves toward its new order, ends that step and, if
+    it is still refining, builds a new schedule in the next round.  The
+    kernel computes each row at each order on its own, so every bracket
+    takes the same steps, bit for bit, as refining it alone, one kernel
+    call per step.
     """
     indices, profiles = zip(*group)
     m = len(profiles)
@@ -246,24 +253,47 @@ def _group_records(group, tgt: np.ndarray, n: int) -> list[DeterministicGateMemb
             order.append(a)
             hi.append(alphas[k + 1] if k + 1 < len(alphas) and math.isfinite(alphas[k + 1]) else a)
             margin.append(row[k])
+    halvings = [0] * (2 * m)
     active = [j for j in range(2 * m) if math.isfinite(order[j]) and margin[j] > 0.0]
-    for _ in range(40):
-        if not active:
-            break
+    while active:
+        # each bracket's remaining steps, as if no probe won: its probes per step
+        schedules = []
+        for j in active:
+            a, left, right, steps = order[j], lo[j], hi[j], []
+            for _ in range(40 - halvings[j]):
+                left, right = (left + a) / 2.0, (a + right) / 2.0
+                steps.append([probe for probe in (left, right) if probe != a])
+                if right - left < BRACKET_TOL:
+                    break
+            schedules.append(steps)
+        probes = [[probe for step in steps for probe in step] for steps in schedules]
+        # pad every schedule to one width with its last probe; the replay reads no padding
+        width = max(map(len, probes))
+        orders = np.array([p + p[-1:] * (width - len(p)) for p in probes for _ in (0, 1)])
         sel = [i for j in active for i in pairs[j]]
-        probes = [((lo[j] + order[j]) / 2.0, (order[j] + hi[j]) / 2.0) for j in active]
-        step = _power_means_kernel(rows.take(sel, axis=0), [lows[i] for i in sel], [highs[i] for i in sel],
-                                   np.array([probe for probe in probes for _ in (0, 1)]))
-        for j, probe, first, second in zip(active, probes, step[0::2], step[1::2]):
-            for alpha, x, y in zip(probe, first, second):
-                if x - y < margin[j]:
-                    order[j], margin[j] = alpha, x - y
-            lo[j], hi[j] = (lo[j] + order[j]) / 2.0, (order[j] + hi[j]) / 2.0
-        active = [j for j in active if hi[j] - lo[j] >= BRACKET_TOL and margin[j] > 0.0]
-    target_entropy = shannon_entropy(rows[m])
+        values = _power_means_kernel(rows.take(sel, axis=0), [lows[i] for i in sel],
+                                     [highs[i] for i in sel], orders)
+        refining = []
+        for j, steps, first, second in zip(active, schedules, values[0::2], values[1::2]):
+            at = 0
+            for step in steps:
+                won = False
+                for alpha in step:
+                    if first[at] - second[at] < margin[j]:
+                        order[j], margin[j], won = alpha, first[at] - second[at], True
+                    at += 1
+                lo[j], hi[j] = (lo[j] + order[j]) / 2.0, (order[j] + hi[j]) / 2.0
+                halvings[j] += 1
+                if won:
+                    break
+            if won and hi[j] - lo[j] >= BRACKET_TOL and margin[j] > 0.0 and halvings[j] < 40:
+                refining.append(j)
+        active = refining
+    # the entropies of the support profiles, the positive entries of the rows
+    target_entropy = float(-(tgt * np.log(tgt)).sum())
     records = []
     for i in range(m):
-        entropy_margin = shannon_entropy(rows[i]) - target_entropy
+        entropy_margin = float(-(profiles[i] * np.log(profiles[i])).sum()) - target_entropy
         passes = margin[i] > 0.0 and margin[m + i] > 0.0 and entropy_margin > 0.0
         records.append(DeterministicGateMemberRecord(
             indices[i], margin[i], order[i], margin[m + i], order[m + i],

@@ -278,12 +278,17 @@ def plan_from_doc(doc: dict, path: str, numeric: bool = False) -> DistillationPl
 def _json_value(value):
     """A report as JSON data: a dataclass as an object of its fields, a tuple
     or list as an array, an infinite float as the string "inf" / "-inf"."""
-    if dataclasses.is_dataclass(value):
-        return {f.name: _json_value(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    # the leaves first: most values of a report are numbers
+    if isinstance(value, float):
+        if math.isinf(value):
+            return "inf" if value > 0 else "-inf"
+        return value
+    if value is None or isinstance(value, (int, str)):
+        return value
     if isinstance(value, (tuple, list)):
         return [_json_value(v) for v in value]
-    if isinstance(value, float) and math.isinf(value):
-        return "inf" if value > 0 else "-inf"
+    if dataclasses.is_dataclass(value):
+        return {f.name: _json_value(getattr(value, f.name)) for f in dataclasses.fields(value)}
     return value
 
 

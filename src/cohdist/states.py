@@ -134,18 +134,21 @@ class DensityMatrix:
     def __post_init__(self):
         arr = _as_complex_matrix(self.matrix)
         ct = arr.conj().T
-        herm_gap = np.abs(arr - ct).max()
-        if herm_gap > HERMITIAN_TOL:
-            raise NotHermitianError(
-                f"matrix is not Hermitian: max |rho - rho†| = {herm_gap:.3e}"
-            )
-        arr = 0.5 * (arr + ct)   # symmetrize validated input
-        eig_min = _min_eigenvalue(arr)
-        if not eig_min >= PSD_FLOOR:    # also rejects a NaN from overflow
-            raise NotPSDError(
-                f"matrix is not PSD: min eigenvalue = {eig_min:.3e}", eig_min
-            )
-        tr = float(arr.trace().real)
+        # an entry near the float range may overflow to inf or NaN below; the
+        # checks then refuse the matrix, so numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            herm_gap = np.abs(arr - ct).max()
+            if herm_gap > HERMITIAN_TOL:
+                raise NotHermitianError(
+                    f"matrix is not Hermitian: max |rho - rho†| = {herm_gap:.3e}"
+                )
+            arr = 0.5 * (arr + ct)   # symmetrize validated input
+            eig_min = _min_eigenvalue(arr)
+            if not eig_min >= PSD_FLOOR:    # also rejects a NaN from overflow
+                raise NotPSDError(
+                    f"matrix is not PSD: min eigenvalue = {eig_min:.3e}", eig_min
+                )
+            tr = float(arr.trace().real)
         if abs(tr - 1.0) > TRACE_TOL:
             raise TraceNotOneError(f"trace is {tr!r}, expected 1")
         arr.flags.writeable = False
@@ -208,7 +211,7 @@ def _min_eigenvalue(arr: np.ndarray) -> float:
     ``eigvalsh`` call, and a singleton block is its diagonal entry.  Up to
     DENSE_PSD_MAX_DIM levels, or when one block holds every level, one
     dense call on ``arr`` itself does it.  A NaN from an overflowing block
-    is the result.
+    is the result, and so is an eigensolver that does not converge on one.
     """
     d = len(arr)
     if d > DENSE_PSD_MAX_DIM:
@@ -225,9 +228,18 @@ def _min_eigenvalue(arr: np.ndarray) -> float:
                 if r == 1:
                     lows.append(arr.real[idx[:, 0], idx[:, 0]].min())
                 else:
-                    lows.append(np.linalg.eigvalsh(arr[idx[:, :, None], idx[:, None, :]]).min())
+                    lows.append(_lowest_eigenvalue(arr[idx[:, :, None], idx[:, None, :]]))
             return float(np.min(lows))   # np.min keeps a NaN, where Python's min may drop it
-    return float(np.linalg.eigvalsh(arr).min())
+    return float(_lowest_eigenvalue(arr))
+
+
+def _lowest_eigenvalue(blocks: np.ndarray) -> float:
+    """Smallest eigenvalue of a stack of Hermitian blocks, NaN where ``eigvalsh``
+    does not converge: on an inf or NaN entry in a block of three or more levels."""
+    try:
+        return np.linalg.eigvalsh(blocks).min()
+    except np.linalg.LinAlgError:
+        return math.nan
 
 
 @dataclass(frozen=True)

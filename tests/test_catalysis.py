@@ -942,9 +942,9 @@ def test_deterministic_gate_equals_the_scalar_loop(
     assert all(seen[key] for key in wanted), seen
 
 
-def test_deterministic_gate_makes_one_kernel_pass_per_step_and_group(monkeypatch):
-    # members of one padded length share the grid pass and every refinement
-    # step, so the number of kernel calls does not grow with the family
+def test_deterministic_gate_makes_one_kernel_pass_per_round_and_group(monkeypatch):
+    # members of one padded length share the grid pass and every round of
+    # refinement, so the number of kernel calls does not grow with the family
     rng = np.random.default_rng(8)
     rho = _block_diag_state(rng, [1] + [2] * 30 + [3] * 20 + [5] * 6)
     phi = _target(rng, 3, rho.dim)
@@ -959,8 +959,88 @@ def test_deterministic_gate_makes_one_kernel_pass_per_step_and_group(monkeypatch
     rep = deterministic_gate(rho, phi)
     lengths = Counter(max(len(m.indices), 3) for m in rep.members)
     assert lengths == {3: 51, 5: 6}
-    assert set(calls) == set(lengths)
-    assert all(calls[n] <= 1 + 40 for n in lengths), calls
+    # both groups refine brackets, and no probe wins (every order is a grid
+    # point), so each group takes one round: the grid pass and one schedule pass
+    refined = Counter(max(len(m.indices), 3) for m in rep.members for side in ("below_one", "above_one")
+                      if getattr(m, f"margin_{side}") > 0.0 and math.isfinite(getattr(m, f"alpha_{side}")))
+    assert set(refined) == set(lengths)
+    grid = set(ALPHAS_BELOW_ONE + ALPHAS_ABOVE_ONE)
+    assert all({m.alpha_below_one, m.alpha_above_one} <= grid for m in rep.members)
+    assert calls == {n: 2 for n in lengths}, calls
+
+
+def test_the_jonathan_plenio_gate_makes_one_grid_pass_and_one_schedule_pass(
+    canonical_catalysis_pair, monkeypatch
+):
+    # both brackets take 18 halvings to reach BRACKET_TOL and no probe wins,
+    # so one kernel call evaluates both whole schedules
+    rho, phi = _canonical(canonical_catalysis_pair)
+    shapes = []
+    kernel = catalysis._power_means_kernel
+
+    def recording(rows, lows, highs, orders):
+        shapes.append(orders.shape)
+        return kernel(rows, lows, highs, orders)
+
+    monkeypatch.setattr(catalysis, "_power_means_kernel", recording)
+    member, = deterministic_gate(rho, phi).members
+    assert member.passes
+    assert (member.alpha_below_one, member.alpha_above_one) == (ALPHAS_BELOW_ONE[-1], ALPHAS_ABOVE_ONE[0])
+    # the grid for both rows, then each bracket's two rows with one probe per halving
+    assert shapes == [(len(ALPHAS_BELOW_ONE + ALPHAS_ABOVE_ONE),), (4, 18)]
+
+
+def _dipped_kernel(kernel, target, dip):
+    """``kernel`` with the below-one margin against ``target`` scaled by ``dip(alpha)``.
+
+    A row that ends in a positive entry is a source; its mean at each
+    order in (0, 1) is moved toward the target's, so the margin
+    A(source) - A(target) becomes about ``dip(alpha)`` times itself.  Every
+    other mean is the kernel's.
+    """
+    def dipped(rows, lows, highs, orders):
+        out = kernel(rows, lows, highs, orders)
+        for i, row in enumerate(rows):
+            if row[-1] > 0.0:
+                alphas = orders[i] if orders.ndim == 2 else orders
+                reference = kernel(target[None], [0.0], [float(target.max())], alphas)[0]
+                out[i] = [t + (x - t) * dip(a) if 0.0 < a < 1.0 else x
+                          for a, x, t in zip(alphas.tolist(), out[i], reference)]
+        return out
+    return dipped
+
+
+def test_a_probe_that_wins_starts_a_new_round(canonical_catalysis_pair, monkeypatch):
+    # no measured input has a probe win, so a dip between the grid points 0.78
+    # and 0.99 is cut into the Jonathan-Plenio below-one margin, in the gate
+    # and in the one-order-at-a-time reference alike: the margin stays
+    # positive, a probe inside the dip beats the sampled minimum at 0.99, and
+    # the refinement follows the dip down over several rounds
+    rho, phi = _canonical(canonical_catalysis_pair)
+    target = catalysis._padded_rows([support_profile(phi.probabilities())[1]], rho.dim)[0]
+
+    def dip(a):
+        return 1.0 - 0.85 * max(0.0, 1.0 - ((a - 0.968) / 0.015) ** 2)
+
+    kernel = catalysis._power_means_kernel
+    dipped = _dipped_kernel(kernel, target, dip)
+    calls = []
+
+    def counting(rows, *args):
+        calls.append(rows.shape[0])
+        return dipped(rows, *args)
+
+    monkeypatch.setattr(catalysis, "_power_means_kernel", counting)
+    monkeypatch.setattr("cohdist.measures._power_means_kernel", dipped)
+    want = _reference_deterministic_gate(rho, phi)
+    got = deterministic_gate(rho, phi)
+    assert got == want and repr(got) == repr(want)
+    member, = got.members
+    assert member.passes and 0.0 < member.margin_below_one
+    assert 0.953 < member.alpha_below_one < 0.983 and member.alpha_above_one == ALPHAS_ABOVE_ONE[0]
+    # the grid pass, one schedule pass for both brackets, then rounds for the
+    # below-one bracket alone, one after each step whose probe won
+    assert calls[:2] == [2, 4] and len(calls) >= 4 and set(calls[2:]) == {2}, calls
 
 
 def test_a_gate_whose_margins_are_all_at_most_zero_refines_nothing(monkeypatch):

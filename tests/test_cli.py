@@ -889,6 +889,17 @@ def test_huge_amplitudes_are_refused_with_clean_stderr(tmp_path):
     assert done.stderr == "error: squared vector norm is inf, expected 1 within 1e-10\n"
 
 
+def test_an_overflowing_coherence_is_refused_with_clean_stderr(tmp_path):
+    # 1e308 + 1e308 overflows in the symmetrization and eigvalsh does not
+    # converge on the 8 levels: the refusal is one error line, exit 2
+    mat = np.diag(np.full(8, 0.125))
+    mat[2, 5] = mat[5, 2] = 1e308
+    huge = write(tmp_path / "huge.json", {"matrix": mat.tolist()})
+    done = _cli_subprocess("validate", huge)
+    assert done.returncode == 2
+    assert done.stderr == "error: matrix is not PSD: min eigenvalue = nan\n"
+
+
 def test_catalyst_gate_has_no_alpha_points_option(files):
     # the probability-1 gate samples one fixed exponent grid
     done = _cli_subprocess("catalyst", "gate", files["rho"], files["phi"], "--alpha-points", "4")

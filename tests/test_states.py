@@ -362,6 +362,33 @@ def test_an_overflowing_block_is_refused_as_nan():
     assert math.isnan(err.value.min_eigenvalue)
 
 
+def _diagonal_with_huge_pair(dim, levels):
+    """A diagonal state of ``dim`` equal populations with a 1e308 coherence on
+    ``levels[:2]``; a third level joins their block through a small coherence."""
+    mat = np.diag(np.full(dim, 1.0 / dim)).astype(complex)
+    i, j, *rest = levels
+    mat[i, j] = mat[j, i] = 1e308
+    for k in rest:
+        mat[j, k] = mat[k, j] = 0.01 / dim
+    return mat
+
+
+@pytest.mark.parametrize("dim, levels", [
+    (3, (0, 1)),                                       # dense
+    (8, (2, 5)),                                       # dense
+    (states.DENSE_PSD_MAX_DIM + 8, (3, 17)),           # a 2-level block
+    (states.DENSE_PSD_MAX_DIM + 8, (3, 17, 20)),       # a 3-level block
+])
+def test_an_overflowing_coherence_is_refused_as_nan_without_a_warning(dim, levels):
+    # 1e308 + 1e308 overflows in the symmetrization; eigvalsh does not
+    # converge on a dense matrix or block of three or more levels and returns
+    # NaN on two, and either way the refusal is NotPSDError with a NaN
+    # eigenvalue; warnings are errors here
+    with pytest.raises(NotPSDError) as err:
+        validate_density(_diagonal_with_huge_pair(dim, levels))
+    assert math.isnan(err.value.min_eigenvalue)
+
+
 def test_block_minima_equal_the_dense_minimum():
     # about 200 seeded block and mixture states across the dense threshold;
     # the spectra are on a trace-1 scale, so 1e-12 is relative to it

@@ -5,8 +5,9 @@ float literal below 1e-5 appears in ``src/``.  The relations the table's
 comments state are checked here, and the two tolerances that several
 sites read, ``TIE_TOL`` and ``PROB_TOL``, get a case just inside and one
 just outside their edge at every site; so do ``HERMITIAN_TOL``,
-``PSD_FLOOR``, ``GEOMETRIC_ORDER_TOL``, ``GRID_STEP_TOL`` and
-``BRACKET_TOL`` at their one site each.
+``PSD_FLOOR``, ``RANK1_TOL``, ``PHASE_LEAD_TOL``, ``BRANCH_WEIGHT_FLOOR``,
+``GEOMETRIC_ORDER_TOL``, ``GRID_STEP_TOL`` and ``BRACKET_TOL`` at their one
+site each.
 """
 
 import ast
@@ -51,10 +52,12 @@ from cohdist.distill import _intermediate_profile
 from cohdist.catalysis import ALPHAS_ABOVE_ONE, ALPHAS_BELOW_ONE
 from cohdist.states import (
     A_ONE_TOL,
+    BRANCH_WEIGHT_FLOOR,
     GEOMETRIC_ORDER_TOL,
     GRID_STEP_TOL,
     HERMITIAN_TOL,
     MAJORIZATION_TOL,
+    PHASE_LEAD_TOL,
     PROB_TOL,
     PSD_FLOOR,
     RANK1_TOL,
@@ -437,6 +440,65 @@ def test_psd_floor_edge(k):
                 validate_density(m)
 
 
+def _fan_state(dim: int, theta: float) -> np.ndarray:
+    """rho_ij = cos((i - j) theta) / dim: unit vectors fanned by theta in a plane.
+
+    Neighbouring levels have A = cos(theta), so every level is in one
+    unit-coherence component while 1 - cos(theta) <= A_ONE_TOL, and the
+    trace-1 matrix has rank 2.
+    """
+    steps = np.arange(dim)
+    return np.cos((steps[:, None] - steps[None, :]) * theta) / dim
+
+
+@pytest.mark.parametrize("k", [INSIDE, OUTSIDE])
+def test_rank1_edge(k):
+    # five levels fanned so that the second eigenvalue is k RANK1_TOL: the
+    # second eigenvalue grows as theta^2, so theta is scaled from a trial fan
+    trial = 1e-5
+    second = np.linalg.eigvalsh(_fan_state(5, trial))[-2]
+    theta = trial * math.sqrt(k * RANK1_TOL / second)
+    mat = _fan_state(5, theta)
+    assert 1 - math.cos(theta) <= A_ONE_TOL
+    assert np.linalg.eigvalsh(mat)[-2] == pytest.approx(k * RANK1_TOL, rel=1e-6)
+    rho = validate_density(mat)
+    if k == INSIDE:
+        assert [s.indices for s in maximal_pure_subspaces(rho)] == [(0, 1, 2, 3, 4)]
+    else:
+        with pytest.raises(ValidationError, match="not rank-1"):
+            maximal_pure_subspaces(rho)
+
+
+@pytest.mark.parametrize("k", [INSIDE, OUTSIDE])
+def test_phase_lead_edge(k):
+    # a rank-1 block whose first amplitude has modulus k PHASE_LEAD_TOL: above
+    # the tolerance that amplitude is made real positive, below it the next one
+    small = k * PHASE_LEAD_TOL
+    v = np.array([small * np.exp(0.7j), math.sqrt(1 - small ** 2) * np.exp(-1.1j)])
+    vec, = subspaces._top_vectors(np.outer(v, v.conj())[None], [(0, 1)])
+    assert abs(vec[0]) == pytest.approx(small, rel=1e-6)
+    # the amplitudes keep their relative phase, 1.8 rad, and the lead one has phase 0
+    phases = np.angle(vec).tolist()
+    want = [0.0, -1.8] if k == OUTSIDE else [1.8, 0.0]
+    assert phases == pytest.approx(want, abs=1e-6)
+
+
+@pytest.mark.parametrize("k", [INSIDE, OUTSIDE])
+def test_branch_weight_floor_edge(k):
+    # the branch onto level 1 carries weight k BRANCH_WEIGHT_FLOOR and an output
+    # orthogonal to phi: the replay skips it at or below the floor, else fails on it
+    w = k * BRANCH_WEIGHT_FLOOR
+    rho = validate_density(np.diag([1 - w, w]))
+    phi = PureStateVector([1.0, 0.0])
+    branches = tuple(PlanBranch(name, StrictlyIncoherentKraus.from_matrix(np.diag(d)), p)
+                     for name, d, p in (("keep", [1.0, 0.0], 1 - w), ("flip", [0.0, 1.0], w)))
+    check = verify_branch_outputs(DistillationPlan(2, 1.0, branches, ((0,), (1,))), rho, phi)
+    if k == INSIDE:
+        assert (check.ok, check.worst_fidelity) == (True, 1.0)
+    else:
+        assert (check.ok, check.failed_branch_id, check.worst_fidelity) == (False, "flip", 0.0)
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 @pytest.mark.parametrize("k", [INSIDE, OUTSIDE])
 def test_geometric_order_edge(k, sign):
@@ -461,20 +523,23 @@ def test_grid_step_edge(k):
             catalysis._catalyst_grid(3, step)
 
 
-def _bracket_widths(steps: int) -> list[float]:
-    """Widths of the Jonathan-Plenio brackets after ``steps`` halvings.
+def _bracket_halvings(steps: int) -> list[tuple[list[float], float]]:
+    """The probes and the width of each Jonathan-Plenio bracket after ``steps`` halvings.
 
     Their best orders are the grid points next to alpha = 1 and never move,
     and neither has a finite neighbour toward 1, so each step halves both
-    ends toward the order.
+    ends toward the order, and the probe on that side is the order itself,
+    which the gate leaves out.
     """
-    widths = []
+    out = []
     for lo, a, hi in ((ALPHAS_BELOW_ONE[-2], ALPHAS_BELOW_ONE[-1], ALPHAS_BELOW_ONE[-1]),
                       (ALPHAS_ABOVE_ONE[0], ALPHAS_ABOVE_ONE[0], ALPHAS_ABOVE_ONE[1])):
+        probes = []
         for _ in range(steps):
             lo, hi = (lo + a) / 2.0, (a + hi) / 2.0
-        widths.append(hi - lo)
-    return widths
+            probes.append(lo if lo != a else hi)
+        out.append((probes, hi - lo))
+    return out
 
 
 @pytest.mark.parametrize("steps", [1, 6, 17])
@@ -485,21 +550,24 @@ def test_bracket_width_edge(monkeypatch, steps, side):
     # there, one just below takes one more step for that bracket alone
     rho = DensityMatrix.from_pure(PureStateVector.from_probabilities([0.4, 0.4, 0.1, 0.1]))
     phi = PureStateVector.from_probabilities([0.5, 0.25, 0.25, 0.0])
-    width = max(_bracket_widths(steps))
-    monkeypatch.setattr(catalysis, "BRACKET_TOL", math.nextafter(width, side))
+    widths = [width for _, width in _bracket_halvings(steps)]
+    monkeypatch.setattr(catalysis, "BRACKET_TOL", math.nextafter(max(widths), side))
     calls = []
     kernel = catalysis._power_means_kernel
 
-    def counting(rows, *args):
-        calls.append(rows.shape[0])
-        return kernel(rows, *args)
+    def recording(rows, lows, highs, orders):
+        calls.append(orders)
+        return kernel(rows, lows, highs, orders)
 
-    monkeypatch.setattr(catalysis, "_power_means_kernel", counting)
+    monkeypatch.setattr(catalysis, "_power_means_kernel", recording)
     member, = deterministic_gate(rho, phi).members
     assert (member.alpha_below_one, member.alpha_above_one) == (ALPHAS_BELOW_ONE[-1], ALPHAS_ABOVE_ONE[0])
     assert member.passes
-    # the grid pass over both rows, then two rows for each bracket still refining
-    if side > 0:
-        assert calls == [2] + [4] * steps
-    else:
-        assert calls == [2] + [4] * steps + [2]
+    # the grid pass, then one pass over the two rows of each bracket, each row
+    # given its bracket's probes, one per halving, padded with the last one
+    _, schedules = calls
+    received = [list(dict.fromkeys(row)) for row in schedules.tolist()]
+    assert received[0] == received[1] and received[2] == received[3]
+    halvings = [steps + (side < 0 and width == max(widths)) for width in widths]
+    assert [received[0], received[2]] == [_bracket_halvings(h)[i][0] for i, h in enumerate(halvings)]
+    assert sorted(halvings) == [steps, steps + (side < 0)]
