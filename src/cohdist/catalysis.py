@@ -35,8 +35,12 @@ Neither the gates nor the search decompose rho themselves: each reads one
 subspaces (enumerated once per state, which keeps them), the selected
 disjoint family and the baseline probability, and
 the target profile by pmax_mixed's rule, :func:`~cohdist.states.support_profile`;
-so the identity catalyst scores the baseline exactly.  :func:`catalyst_gates`
-gives both gate reports from one such result.
+so the identity catalyst scores the baseline exactly.  A subspace's profile
+obeys that rule from enumeration on, so the gates, the search and pmax_mixed
+read the same entries.  A gate call sorts each subspace's support profile
+once, in ``per_subspace`` (index-set) order, and both reports walk that one
+list: enhancement records and probability-1 members come in index-set
+order.  :func:`catalyst_gates` gives both gate reports from one such result.
 """
 
 from __future__ import annotations
@@ -77,9 +81,7 @@ class EnhancementGateReport:
     """Existence verdict for a probability-raising catalyst."""
 
     verdict: bool                       # any subspace passes
-    family_verdict: bool                # equals verdict: the family holds every subspace
     records: tuple[EnhancementRecord, ...]
-    family_index_sets: tuple[tuple[int, ...], ...]
     baseline: float
 
 
@@ -140,6 +142,13 @@ def _instance(rho: DensityMatrix, phi: PureStateVector) -> tuple[np.ndarray, Mix
     return tgt, pmax_mixed(rho, phi)
 
 
+def _gate_instance(rho: DensityMatrix, phi: PureStateVector) -> tuple[np.ndarray, MixedPmaxResult, list]:
+    """:func:`_instance` and every subspace's support profile, sorted once, in
+    ``per_subspace`` (index-set) order; both gate reports walk this one list."""
+    tgt, mixed = _instance(rho, phi)
+    return tgt, mixed, [support_profile(y.subspace.profile)[1] for y in mixed.per_subspace]
+
+
 # ===========================================================================
 # enhancement gate (raising the optimal probability)
 # ===========================================================================
@@ -154,37 +163,32 @@ def enhancement_gate(rho: DensityMatrix, phi: PureStateVector) -> EnhancementGat
         pmax(p -> q)  <  min(p_n / q_n, 1),
 
     with the conventions bound = 1 when q_n = 0 and bound = 0 when
-    p_n = 0 < q_n.  The verdict is the existential over all subspaces.
-    They are disjoint, so the selected family holds every one of them, and
-    ``family_verdict``, its existential, equals the verdict.
+    p_n = 0 < q_n.  p is the subspace's support profile, the entries pmax
+    reads, and pmax(p -> q) is ``pmax_mixed``'s ratio of the subspace.  The
+    verdict is the existential over all subspaces; the records come in
+    index-set order, the order of ``per_subspace`` and of the
+    probability-1 members.
     """
-    return _enhancement_report(*_instance(rho, phi))
+    return _enhancement_report(*_gate_instance(rho, phi))
 
 
-def _enhancement_report(tgt, mixed: MixedPmaxResult) -> EnhancementGateReport:
+def _enhancement_report(tgt, mixed: MixedPmaxResult, profiles) -> EnhancementGateReport:
     records = []
-    # pmax_mixed's ratio of each subspace; the family holds every one of them
-    ratios = {y.subspace.indices: y.ratio for y in mixed.per_subspace}
-    for s in mixed.all_subspaces:
-        pure = ratios[s.indices]
+    for y, profile in zip(mixed.per_subspace, profiles):
         # support profiles have no entry at or below SUPPORT_TOL, so a
         # smallest padded entry vanishes exactly on the shorter profile
-        profile = support_profile(s.profile)[1]
         if profile.size != tgt.size:
             bound = float(profile.size > tgt.size)
         else:
             bound = min(profile[-1] / tgt[-1], 1.0)
-        margin = bound - pure
+        margin = bound - y.ratio
         records.append(
-            EnhancementRecord(s.indices, pure, float(bound), float(margin),
+            EnhancementRecord(y.subspace.indices, y.ratio, float(bound), float(margin),
                               bool(margin > TIE_TOL))
         )
-    verdict = any(r.enhanceable for r in records)
     return EnhancementGateReport(
-        verdict=verdict,
-        family_verdict=verdict,
+        verdict=any(r.enhanceable for r in records),
         records=tuple(records),
-        family_index_sets=mixed.family.index_sets(),
         baseline=mixed.p_max,
     )
 
@@ -320,25 +324,25 @@ def deterministic_gate(rho: DensityMatrix, phi: PureStateVector) -> Deterministi
     short only by the populations at or below SUPPORT_TOL, which no
     subspace holds; a shortfall is reported as a flag and fails the gate,
     as does a zero entry in a padded source profile (which zeroes every
-    A_alpha with alpha <= 0).
+    A_alpha with alpha <= 0).  p is the member's support profile, the
+    entries pmax reads, and the members come in index-set order.
     """
-    tgt, mixed = _instance(rho, phi)
-    return _deterministic_report(tgt, mixed.family)
+    return _deterministic_report(*_gate_instance(rho, phi))
 
 
-def _deterministic_report(tgt, family) -> DeterministicGateReport:
-    baseline = family.total_value
+def _deterministic_report(tgt, mixed: MixedPmaxResult, profiles) -> DeterministicGateReport:
+    baseline = mixed.p_max
     if baseline >= 1.0 - PROB_TOL:
         raise PreconditionError("optimal probability is already 1; no catalyst is needed")
+    family = mixed.family
     weight_complete = family.total_weight >= 1.0 - PROB_TOL
     flags = [] if weight_complete else ["family_weight_below_one"]
     # members of one padded length share every kernel call
     groups: dict[int, list] = {}
-    for s in family.members:
-        profile = support_profile(s.profile)[1]
-        groups.setdefault(max(profile.size, tgt.size), []).append((s.indices, profile))
+    for y, profile in zip(mixed.per_subspace, profiles):
+        groups.setdefault(max(profile.size, tgt.size), []).append((y.subspace.indices, profile))
     records = {r.indices: r for n, group in groups.items() for r in _group_records(group, tgt, n)}
-    members = [records[s.indices] for s in family.members]
+    members = [records[y.subspace.indices] for y in mixed.per_subspace]
     flags += [f"zero_entry_support:{m.indices}" for m in members if m.zero_entry_support]
     verdict = weight_complete and all(m.passes for m in members)
     return DeterministicGateReport(
@@ -356,11 +360,12 @@ def catalyst_gates(
 ) -> tuple[EnhancementGateReport, DeterministicGateReport | None]:
     """The :func:`enhancement_gate` and :func:`deterministic_gate` reports from one
     :func:`~cohdist.distill.pmax_mixed` call; the second is None where the
-    baseline is already 1, where :func:`deterministic_gate` raises."""
-    tgt, mixed = _instance(rho, phi)
-    enhancement = _enhancement_report(tgt, mixed)
+    baseline is already 1, where :func:`deterministic_gate` raises.  Both
+    reports walk one list of support profiles, sorted once per subspace."""
+    instance = _gate_instance(rho, phi)
+    enhancement = _enhancement_report(*instance)
     try:
-        return enhancement, _deterministic_report(tgt, mixed.family)
+        return enhancement, _deterministic_report(*instance)
     except PreconditionError:
         return enhancement, None
 
@@ -386,16 +391,17 @@ def _catalyzed_values(members, tgt: np.ndarray, catalysts: np.ndarray) -> np.nda
     which changes no ratio.  ``members`` are the subspaces of the disjoint
     family, in its index-set order, and add their scores in that order, the
     order :func:`~cohdist.subspaces.optimize_disjoint_selection` adds in.
-    A member whose profile has fewer entries above SUPPORT_TOL than the
-    target (support_profile's rule) scores exactly 0 against every
-    catalyst: past its products' support, a live target tail meets a
-    vanishing source tail.  Such members are left out, which changes no
-    bit of a sum.
+    A subspace profile obeys the support rule (an entry at or below
+    SUPPORT_TOL is 0.0), so a member scores the entries every other answer
+    reads.  A member with fewer nonzero entries than the target's support
+    scores exactly 0 against every catalyst: past its products' support, a
+    live target tail meets a vanishing source tail.  Such members are left
+    out, which changes no bit of a sum.
     """
     # profiles and target padded to one length n
     profiles = _padded_rows((s.profile for s in members), tgt.size)
     weights = np.array([s.weight for s in members])
-    scoring = np.count_nonzero(profiles > SUPPORT_TOL, axis=1) >= tgt.size
+    scoring = np.count_nonzero(profiles, axis=1) >= tgt.size
     if not scoring.any():
         return np.zeros(len(catalysts))
     profiles, weights = profiles[scoring], weights[scoring]

@@ -31,7 +31,6 @@ from .catalysis import catalyst_gates, search_catalyst
 from .distill import (
     DistillationPlan,
     _assemble_plan,
-    _build_plan,
     full_plan,
     pmax_mixed,
     verify_branch_outputs,
@@ -385,7 +384,7 @@ def cmd_pmax(args) -> Report:
         )
     doc = _pmax_doc(result)
     if args.protocol:
-        plan = _build_plan(rho, phi, result)
+        plan = full_plan(rho, phi)
         _write_plan(args.protocol, plan)
         lines.append(f"protocol with {len(plan.branches)} branches -> {args.protocol}")
         doc["protocol_written"] = args.protocol
@@ -449,14 +448,9 @@ def cmd_catalyst_gate(args) -> Report:
     rho = _state_file(args.state)
     phi = _target_file(args.target)
     enh, det = catalyst_gates(rho, phi)
-    doc = {
-        "baseline": enh.baseline,
-        "enhancement": {
-            "verdict": enh.verdict,
-            "family_verdict": enh.family_verdict,
-            "records": _json_value(enh.records),
-        },
-    }
+    # both parts report the same baseline, once, at the top level
+    doc = {"baseline": enh.baseline, "enhancement": _json_value(enh)}
+    del doc["enhancement"]["baseline"]
     lines = [
         f"baseline p_max = {_fmt(enh.baseline)}",
         f"catalyst can raise probability: {str(enh.verdict).lower()}",
@@ -471,7 +465,7 @@ def cmd_catalyst_gate(args) -> Report:
         lines.append("catalyst can reach probability 1: not applicable (already 1)")
     else:
         doc["deterministic"] = _json_value(det)
-        del doc["deterministic"]["baseline"]  # reported once, at the top level
+        del doc["deterministic"]["baseline"]
         lines.append(f"catalyst can reach probability 1: {str(det.verdict).lower()}")
         for m in det.members:
             lines.append(

@@ -546,7 +546,7 @@ def pmax_mixed(rho: DensityMatrix, phi: PureStateVector) -> MixedPmaxResult:
     per = tuple(yields[i] for i in chosen)
     return MixedPmaxResult(
         p_max=value,
-        family=DisjointFamily(tuple(y.subspace for y in per), weight, value),
+        family=DisjointFamily(tuple(y.subspace for y in per), weight),
         per_subspace=per,
         all_subspaces=tuple(subs),
     )
@@ -559,11 +559,7 @@ def full_plan(rho: DensityMatrix, phi: PureStateVector) -> DistillationPlan:
     input columns of every branch live inside its own subspace, so the
     combined operator family stays complete.
     """
-    return _build_plan(rho, phi, pmax_mixed(rho, phi))
-
-
-def _build_plan(rho: DensityMatrix, phi: PureStateVector, mixed: MixedPmaxResult) -> DistillationPlan:
-    """The :func:`full_plan` of ``mixed = pmax_mixed(rho, phi)``."""
+    mixed = pmax_mixed(rho, phi)
     tgt, _ = support_profile(phi.probabilities())
     tgt_amps = phi.amplitudes[tgt]
     ids: list[str] = []

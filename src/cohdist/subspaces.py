@@ -124,7 +124,10 @@ class PureSubspace:
 
     ``weight`` is tr(P rho P).  ``amplitudes`` holds the restricted pure
     state on ``indices``, its first sizeable entry real positive, and
-    ``profile`` its squared moduli.
+    ``profile`` its squared moduli under the support rule
+    (:func:`~cohdist.states.support_profile`): an entry at or below
+    SUPPORT_TOL is 0.0, so every probability, plan, gate and search reads
+    the same entries.  The amplitudes keep every entry.
     """
 
     indices: tuple[int, ...]
@@ -193,6 +196,8 @@ def _enumerate(rho: DensityMatrix) -> list[PureSubspace]:
             blocks = rho.matrix[idx[:, :, None], idx[:, None, :]] / weights[:, None, None]
             amps = _top_vectors(blocks, run)
         profiles = np.abs(amps) ** 2
+        # the support rule, applied once here: every answer reads these entries
+        profiles[profiles <= SUPPORT_TOL] = 0.0
         for arr in (profiles, amps):
             arr.flags.writeable = False
         out += map(PureSubspace, run, weights.tolist(), profiles, amps)
@@ -213,11 +218,10 @@ def has_rank2_subspace(rho: DensityMatrix) -> bool:
 
 @dataclass(frozen=True)
 class DisjointFamily:
-    """Pairwise-disjoint subspace selection with its objective value."""
+    """Pairwise-disjoint subspace selection with its total weight."""
 
     members: tuple[PureSubspace, ...]
     total_weight: float
-    total_value: float
 
     def index_sets(self) -> tuple[tuple[int, ...], ...]:
         return tuple(s.indices for s in self.members)

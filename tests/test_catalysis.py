@@ -112,17 +112,9 @@ def test_enhancement_gate_canonical(canonical_catalysis_pair):
     rho, phi = _canonical(canonical_catalysis_pair)
     rep = enhancement_gate(rho, phi)
     assert rep.baseline == pytest.approx(0.8, abs=1e-12)
-    assert rep.verdict and rep.family_verdict
+    assert rep.verdict
     (rec,) = [r for r in rep.records if len(r.indices) == 4]
     assert rec.bound == pytest.approx(1.0, abs=1e-12)
-
-
-def test_enhancement_family_verdict_is_the_verdict(overlapping_state):
-    # the maximal pure subspaces are disjoint, so the family is every one of them
-    for name, rho, phi in _corpus(overlapping_state):
-        rep = enhancement_gate(rho, phi)
-        assert rep.family_index_sets == tuple(sorted(r.indices for r in rep.records)), name
-        assert rep.family_verdict is rep.verdict, name
 
 
 def test_enhancement_gate_witness_bound(witness_pair):
@@ -149,6 +141,69 @@ def test_enhancement_gate_rank_deficit_is_negative():
     rep = enhancement_gate(DensityMatrix.from_pure(psi), phi)
     assert rep.baseline == 0.0
     assert not rep.verdict  # no catalyst repairs missing coherence rank
+
+
+def test_a_profile_entry_at_the_support_edge_moves_no_answer():
+    # a valid pure source of trace 1 + 9e-11 whose last level holds
+    # 1.00000000001e-12: its profile entry falls at or below SUPPORT_TOL, and
+    # the search, both gates, pmax_mixed and full_plan all read it as 0
+    src = [0.7308590538100181, 0.6451518012948017, 0.22258106439757372,
+           0.00904801694521622, 1.000000000005e-06]
+    tgt = [0.8985117475580091, 0.42522113965724745, 0.09288850035719301,
+           0.05688012298014109, 0.0]
+    rho = DensityMatrix.from_pure(PureStateVector(np.array(src, dtype=complex)))
+    phi = PureStateVector(np.array(tgt, dtype=complex))
+    mixed = pmax_mixed(rho, phi)
+    subspace, = mixed.all_subspaces
+    assert subspace.profile[-1] == 0.0 and abs(subspace.amplitudes[-1]) > 0.0
+    assert not search_catalyst(rho, phi, 3, 0.05).found
+    enhancement, deterministic = catalyst_gates(rho, phi)
+    record, = enhancement.records
+    assert record.margin == 0.0 and not enhancement.verdict and not deterministic.verdict
+    plan = full_plan(rho, phi)
+    assert abs(sum(b.probability for b in plan.branches) - mixed.p_max) <= 1e-13
+
+
+def _two_blocks():
+    """Pure blocks on (0, 1) and (2, 3, 4), a rank-2 target: baseline 0.92."""
+    a, b = np.sqrt([0.24, 0.16]), np.sqrt([0.3, 0.18, 0.12])
+    mat = np.zeros((5, 5))
+    mat[:2, :2], mat[2:, 2:] = np.outer(a, a), np.outer(b, b)
+    return validate_density(mat), PureStateVector.from_probabilities([0.5, 0.5, 0, 0, 0])
+
+
+def test_gate_reports_list_the_subspaces_in_index_set_order():
+    # size order puts (2, 3, 4) first; every report lists (0, 1) first
+    rho, phi = _two_blocks()
+    mixed = pmax_mixed(rho, phi)
+    assert [s.indices for s in mixed.all_subspaces] == [(2, 3, 4), (0, 1)]
+    want = [(0, 1), (2, 3, 4)]
+    assert [y.subspace.indices for y in mixed.per_subspace] == want
+    enhancement, deterministic = catalyst_gates(rho, phi)
+    assert [r.indices for r in enhancement.records] == want
+    assert [m.indices for m in deterministic.members] == want
+    assert enhancement == enhancement_gate(rho, phi)
+    assert deterministic == deterministic_gate(rho, phi)
+
+
+def test_catalyst_gates_sort_each_support_profile_once(monkeypatch):
+    calls = []
+    original = catalysis.support_profile
+
+    def counting(weights):
+        calls.append(weights)
+        return original(weights)
+
+    monkeypatch.setattr(catalysis, "support_profile", counting)
+    rng = np.random.default_rng(29)
+    cases = [_two_blocks(), (_block_diag_state(rng, [2, 1, 3, 1, 2]), _target(rng, 2, 9))]
+    for rho, phi in cases:
+        subspace_count = len(pmax_mixed(rho, phi).all_subspaces)
+        calls.clear()
+        enhancement, deterministic = catalyst_gates(rho, phi)
+        assert deterministic is not None
+        # the target once, then each subspace once, shared by both reports
+        assert len(calls) == 1 + subspace_count
 
 
 # ------------------------------------------------------- deterministic gate
@@ -800,8 +855,8 @@ def _reference_deterministic_gate(rho, phi, full=False):
     ``full`` refines every margin as far as it goes, past 0.
     """
     tgt = _target_profile(phi)
-    family = pmax_mixed(rho, phi).family
-    baseline = family.total_value
+    mixed = pmax_mixed(rho, phi)
+    family, baseline = mixed.family, mixed.p_max
     if baseline >= 1.0 - PROB_TOL:
         raise PreconditionError("optimal probability is already 1; no catalyst is needed")
     below, above = ALPHAS_BELOW_ONE, ALPHAS_ABOVE_ONE

@@ -254,7 +254,7 @@ def test_report_json_keys_are_the_report_fields(files, tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert set(doc) == {"baseline", "enhancement", "deterministic"}
-    assert set(doc["enhancement"]) == {"verdict", "family_verdict", "records"}
+    assert set(doc["enhancement"]) == {"verdict", "records"}
     assert doc["enhancement"]["records"]
     for record in doc["enhancement"]["records"]:
         assert set(record) == {"indices", "pure_pmax", "bound", "margin", "enhanceable"}
@@ -307,16 +307,27 @@ def _count_enumerations(monkeypatch) -> list:
 
 def test_each_command_and_gate_enumerates_the_subspaces_once(files, monkeypatch, capsys):
     calls = _count_enumerations(monkeypatch)
+    enumerations = []
+    original = subspaces._enumerate
+
+    def enumerating(rho):
+        enumerations.append(rho)
+        return original(rho)
+
+    monkeypatch.setattr(subspaces, "_enumerate", enumerating)
     plan_path = str(files["tmp"] / "plan.json")
+    # pmax --protocol reads the subspaces the state keeps a second time, in full_plan
     commands = [
-        ["pmax", files["rho"], files["phi"], "--protocol", plan_path],
-        ["catalyst", "gate", files["rho"], files["phi"]],
-        ["catalyst", "search", files["rho"], files["phi"]],
+        (["pmax", files["rho"], files["phi"], "--protocol", plan_path], 2),
+        (["catalyst", "gate", files["rho"], files["phi"]], 1),
+        (["catalyst", "search", files["rho"], files["phi"]], 1),
     ]
-    for argv in commands:
+    for argv, reads in commands:
         calls.clear()
+        enumerations.clear()
         assert run(capsys, *argv)[0] == 0
-        assert len(calls) == 1, argv
+        assert len(enumerations) == 1, argv
+        assert len(calls) == reads and calls[0] is calls[-1], argv
     rho = parse_state(cli._read_doc(files["rho"])[0], files["rho"])
     phi = parse_pure(cli._read_doc(files["phi"])[0], files["phi"])
     for gate in (enhancement_gate, deterministic_gate, cohdist.catalyst_gates):
