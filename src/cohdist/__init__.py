@@ -38,7 +38,6 @@ from .distill import (
 )
 from .errors import (
     CohdistError,
-    DegenerateStateError,
     IncoherentTargetError,
     IncompletePlanError,
     NonSquareError,
@@ -135,7 +134,6 @@ __all__ = [
     "NotPSDError",
     "TraceNotOneError",
     "NotStrictlyIncoherentError",
-    "DegenerateStateError",
     "IncoherentTargetError",
     "RankDeficitError",
     "IncompletePlanError",

@@ -9,20 +9,13 @@ Two gates are provided.  The enhancement gate for raising the optimal
 probability is exact (strict-inequality test on the smallest padded
 entries).  The gate for reaching probability 1 compares power means and
 entropies on one fixed exponent grid (``ALPHAS_BELOW_ONE``,
-``ALPHAS_ABOVE_ONE``) with local refinement, so it is not exact: a sign
-change between grid points goes unseen.  One routine,
-:func:`_group_records`, does the whole gate for the family members of one
-padded length and returns their records: it stacks their profiles once,
-samples the whole grid in one kernel pass, and refines each member's
-smallest margin on either side of alpha = 1 in rounds.  In a round every
-bracket still refining lists its remaining halvings as if no probe won,
-one more kernel pass evaluates all those schedules, and the halvings are
-replayed over the values in order; a bracket whose probe wins goes on in
-the next round.  The values equal, bit for bit, evaluating one member and
-one order at a time.  Refinement runs
-only while a margin is positive: a member fails once a margin reaches 0
-or below, so such a margin and its order are a witness of the failure,
-not the minimum.  The search
+``ALPHAS_ABOVE_ONE``), so it is sampled, not exact: a sign change between
+grid points goes unseen.  One routine, :func:`_group_records`, does the
+whole gate for the family members of one padded length and returns their
+records: it stacks their profiles once, samples the whole grid in one
+kernel pass, and reports each member's smallest sampled margin on either
+side of alpha = 1 with its grid order.  The values equal, bit for bit,
+evaluating one member and one order at a time.  The search
 enumerates catalyst profiles on a simplex grid of at most ``GRID_CEILING``
 points, built afresh for each search as one zero-padded array in scan
 order, and scores all candidates in one pass over that array, in chunks
@@ -54,7 +47,7 @@ import numpy as np
 from .distill import MixedPmaxResult, pmax_mixed
 from .errors import IncoherentTargetError, PreconditionError, ValidationError
 from .measures import _padded_rows, _power_means_kernel, min_profile_ratios
-from .states import BRACKET_TOL, GRID_STEP_TOL, PROB_TOL, SUPPORT_TOL, TIE_TOL
+from .states import GRID_STEP_TOL, PROB_TOL, SUPPORT_TOL, TIE_TOL
 from .states import DensityMatrix, PureStateVector, as_distribution, support_profile
 
 GRID_CEILING = 1_000_000         # most catalyst candidates one search scans
@@ -89,15 +82,14 @@ class EnhancementGateReport:
 class DeterministicGateMemberRecord:
     """Per-family-member margins for the probability-1 catalyst test.
 
-    A positive margin is the refined minimum over its side's orders; a
-    margin at or below 0 is the first one found there, the sampled minimum
-    or a refinement probe below 0, and witnesses the failure.
+    Each margin is the first minimum of its side's sampled margins, and
+    its order the grid order where that minimum sits.
     """
 
     indices: tuple[int, ...]
-    margin_below_one: float      # min over alpha < 1 of A(source) - A(target), or a witness <= 0
+    margin_below_one: float      # min over sampled alpha < 1 of A(source) - A(target)
     alpha_below_one: float       # the order of that margin
-    margin_above_one: float      # min over alpha > 1 of A(target) - A(source), or a witness <= 0
+    margin_above_one: float      # min over sampled alpha > 1 of A(target) - A(source)
     alpha_above_one: float       # the order of that margin
     entropy_margin: float
     zero_entry_support: bool     # padded source profile carries a zero entry
@@ -213,86 +205,24 @@ def _group_records(group, tgt: np.ndarray, n: int) -> list[DeterministicGateMemb
     ``group`` holds each member's (indices, support profile).  The profiles
     and the target are stacked once, zero-padded to n and unchecked: the
     library built them as support profiles.  One kernel call samples the
-    whole grid.  Each member has one bracket per side of alpha = 1, its
-    margin at an order A(p) - A(q) below one and A(q) - A(p) above: it
-    starts at the first minimum of the sampled margins and reaches to that
-    order's finite neighbours (an infinite neighbour leaves that end at the
-    order).  A bracket with a finite order
-    and a positive margin is refined for at most 40 halvings, until it is
-    narrower than BRACKET_TOL or its margin is no longer positive: each
-    step probes the midpoints between its best order and either end, takes
-    a probe whose margin is strictly below the best one, first probe first,
-    and halves both ends toward the best order.  A member passes only on
-    positive margins, so a margin at or below 0 has decided its verdict and
-    is kept as found, a witness of the failure, not the refined minimum.
-
-    The halvings run in rounds.  In a round every bracket still refining
-    lists its whole remaining schedule, the probes of each step as if none
-    won, and one kernel call evaluates all the schedules, two rows per
-    bracket, below-one brackets first, each row raised only to its own
-    bracket's probes.  A probe equal to the bracket's order is left out:
-    its margin is the best one, which the strict comparison never takes.
-    The round then replays the steps in order over those values; a bracket
-    whose probe wins halves toward its new order, ends that step and, if
-    it is still refining, builds a new schedule in the next round.  The
-    kernel computes each row at each order on its own, so every bracket
-    takes the same steps, bit for bit, as refining it alone, one kernel
-    call per step.
+    whole grid.  A member's margin at an order is A(p) - A(q) below one
+    and A(q) - A(p) above; on each side its record holds the first minimum
+    of the sampled margins and the grid order where it sits.
     """
     indices, profiles = zip(*group)
     m = len(profiles)
     rows = _padded_rows([*profiles, tgt], n)
-    lows, highs = rows.min(axis=1).tolist(), rows.max(axis=1).tolist()
-    means = np.array(_power_means_kernel(rows, lows, highs, np.array(ALPHAS_BELOW_ONE + ALPHAS_ABOVE_ONE)))
+    lows = rows.min(axis=1).tolist()
+    means = np.array(_power_means_kernel(rows, lows, rows.max(axis=1).tolist(),
+                                         np.array(ALPHAS_BELOW_ONE + ALPHAS_ABOVE_ONE)))
     kb = len(ALPHAS_BELOW_ONE)
-    # bracket j < m is member j's below-one side and bracket m + j its
-    # above-one side; its margin is A(rows[first]) - A(rows[second])
-    pairs = [(j, m) for j in range(m)] + [(m, j) for j in range(m)]
-    lo, order, hi, margin = [], [], [], []
+    # entry i is member i's below-one side and entry m + i its above-one side
+    margin, order = [], []
     for alphas, values in ((ALPHAS_BELOW_ONE, means[:m, :kb] - means[m, :kb]),
                            (ALPHAS_ABOVE_ONE, means[m, kb:] - means[:m, kb:])):
-        for k, row in zip(values.argmin(axis=1).tolist(), values.tolist()):
-            a = alphas[k]
-            lo.append(alphas[k - 1] if k > 0 and math.isfinite(alphas[k - 1]) else a)
-            order.append(a)
-            hi.append(alphas[k + 1] if k + 1 < len(alphas) and math.isfinite(alphas[k + 1]) else a)
-            margin.append(row[k])
-    halvings = [0] * (2 * m)
-    active = [j for j in range(2 * m) if math.isfinite(order[j]) and margin[j] > 0.0]
-    while active:
-        # each bracket's remaining steps, as if no probe won: its probes per step
-        schedules = []
-        for j in active:
-            a, left, right, steps = order[j], lo[j], hi[j], []
-            for _ in range(40 - halvings[j]):
-                left, right = (left + a) / 2.0, (a + right) / 2.0
-                steps.append([probe for probe in (left, right) if probe != a])
-                if right - left < BRACKET_TOL:
-                    break
-            schedules.append(steps)
-        probes = [[probe for step in steps for probe in step] for steps in schedules]
-        # pad every schedule to one width with its last probe; the replay reads no padding
-        width = max(map(len, probes))
-        orders = np.array([p + p[-1:] * (width - len(p)) for p in probes for _ in (0, 1)])
-        sel = [i for j in active for i in pairs[j]]
-        values = _power_means_kernel(rows.take(sel, axis=0), [lows[i] for i in sel],
-                                     [highs[i] for i in sel], orders)
-        refining = []
-        for j, steps, first, second in zip(active, schedules, values[0::2], values[1::2]):
-            at = 0
-            for step in steps:
-                won = False
-                for alpha in step:
-                    if first[at] - second[at] < margin[j]:
-                        order[j], margin[j], won = alpha, first[at] - second[at], True
-                    at += 1
-                lo[j], hi[j] = (lo[j] + order[j]) / 2.0, (order[j] + hi[j]) / 2.0
-                halvings[j] += 1
-                if won:
-                    break
-            if won and hi[j] - lo[j] >= BRACKET_TOL and margin[j] > 0.0 and halvings[j] < 40:
-                refining.append(j)
-        active = refining
+        k = values.argmin(axis=1)
+        margin += values[np.arange(m), k].tolist()
+        order += [alphas[i] for i in k.tolist()]
     # the entropies of the support profiles, the positive entries of the rows
     target_entropy = float(-(tgt * np.log(tgt)).sum())
     records = []
@@ -325,7 +255,10 @@ def deterministic_gate(rho: DensityMatrix, phi: PureStateVector) -> Deterministi
     subspace holds; a shortfall is reported as a flag and fails the gate,
     as does a zero entry in a padded source profile (which zeroes every
     A_alpha with alpha <= 0).  p is the member's support profile, the
-    entries pmax reads, and the members come in index-set order.
+    entries pmax reads, and the members come in index-set order.  A
+    member's record gives, on each side of alpha = 1, its smallest sampled
+    margin and the grid order where it first sits; the members of one
+    padded length share one power-mean kernel call.
     """
     return _deterministic_report(*_gate_instance(rho, phi))
 
@@ -337,7 +270,7 @@ def _deterministic_report(tgt, mixed: MixedPmaxResult, profiles) -> Deterministi
     family = mixed.family
     weight_complete = family.total_weight >= 1.0 - PROB_TOL
     flags = [] if weight_complete else ["family_weight_below_one"]
-    # members of one padded length share every kernel call
+    # members of one padded length share one kernel call
     groups: dict[int, list] = {}
     for y, profile in zip(mixed.per_subspace, profiles):
         groups.setdefault(max(profile.size, tgt.size), []).append((y.subspace.indices, profile))

@@ -42,10 +42,6 @@ class NotStrictlyIncoherentError(ValidationError):
     """Kraus matrix has more than one nonzero entry in some row or column."""
 
 
-class DegenerateStateError(CohdistError):
-    """State has no usable support (no strictly positive diagonal entry)."""
-
-
 class IncoherentTargetError(CohdistError):
     """Target state has coherence rank 1; distillation to it is free."""
 

@@ -160,22 +160,20 @@ def _power_means_kernel(rows: np.ndarray, lows, highs, orders: np.ndarray) -> li
     """Power means of checked rows, without validation, as one list per row.
 
     ``rows`` is a finite nonnegative 2-d stack, ``lows`` and ``highs``
-    its row minima and maxima as floats.  ``orders`` holds either one
-    1-d sequence of orders for every row or, as a 2-d array, one row of
-    orders per row; either way row i of the result holds A_alpha(rows[i])
-    at row i's orders.
+    its row minima and maxima as floats, and ``orders`` a 1-d array of
+    orders; row i of the result holds A_alpha(rows[i]) at every order.
     """
-    n_rows, n = rows.shape
+    n = rows.shape[1]
     # the exponent keeps stride 0 along each row, as a scalar exponent has
     with np.errstate(over="ignore", divide="ignore"):
-        means = (np.add.reduce(rows[:, None, :] ** orders[..., None], axis=-1) / n).tolist()
-    alphas = orders.tolist() if orders.ndim == 2 else [orders.tolist()] * n_rows
+        means = (np.add.reduce(rows[:, None, :] ** orders[:, None], axis=-1) / n).tolist()
+    alphas = orders.tolist()
     inf = math.inf
     return [
         [m ** (1.0 / a) if 0.0 < m < inf and GEOMETRIC_ORDER_TOL < abs(a) < inf
          else _power_mean_special(row, lo, hi, a, m)
-         for a, m in zip(row_alphas, row_means)]
-        for row, lo, hi, row_alphas, row_means in zip(rows, lows, highs, alphas, means)
+         for a, m in zip(alphas, row_means)]
+        for row, lo, hi, row_means in zip(rows, lows, highs, means)
     ]
 
 

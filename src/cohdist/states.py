@@ -65,7 +65,6 @@ BRANCH_WEIGHT_FLOOR = 1e-15   # branch weight at or below which a replay skips t
 # power means and the catalyst gates and search
 # below it the generic formula rounds to 1 in floats; the geometric mean is the limit
 GEOMETRIC_ORDER_TOL = 1e-8    # |alpha| at or below which the power mean is the geometric mean
-BRACKET_TOL = 1e-6        # order-bracket width at which the probability-1 gate stops refining
 GRID_STEP_TOL = 1e-9      # |n * grid_step - 1| of a catalyst grid step that divides 1
 
 

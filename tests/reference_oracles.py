@@ -19,7 +19,7 @@ import numpy as np
 
 from cohdist import catalysis
 from cohdist.distill import StrictlyIncoherentKraus, _require_source_dim
-from cohdist.errors import CohdistError, DegenerateStateError, RankDeficitError, ValidationError
+from cohdist.errors import CohdistError, RankDeficitError, ValidationError
 from cohdist.states import DensityMatrix, PureStateVector, SUPPORT_TOL, support_profile, validate_density
 from cohdist.subspaces import A_ONE_TOL, RANK1_TOL, PureSubspace
 
@@ -28,6 +28,10 @@ BRUTE_DIM_CAP = 16
 
 class DimensionTooLargeError(CohdistError):
     """Input dimension beyond the brute-force oracle's cap."""
+
+
+class DegenerateStateError(CohdistError):
+    """State has no usable support (no strictly positive diagonal entry)."""
 
 
 # ===========================================================================

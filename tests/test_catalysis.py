@@ -826,33 +826,39 @@ def test_grid_size_counts_partitions_exactly():
 
 # ------------------------------------ probability-1 gate against the scalar loop
 
-def _reference_refine_minimum(f, alphas, values, full=False):
-    """The halving refinement, one side and one order at a time.
+def _reference_refine_minimum(f, alphas, values, steps=40):
+    """The first sampled minimum refined by halvings, one order at a time.
 
-    It stops once the margin is at or below 0, unless ``full``.
+    A finite order's bracket reaches to its finite grid neighbours; each
+    step probes the midpoints between the best order and either end, takes
+    a probe strictly below the best margin, and halves both ends toward the
+    best order, for at most ``steps`` steps or until the bracket is
+    narrower than 1e-6.  Refinement only lowers a margin, so it bounds the
+    sampled one; with no steps the result is the sampled minimum.
     """
     k = int(np.argmin(values))
     best_a, best_v = alphas[k], values[k]
-    if not math.isfinite(best_a) or not (full or best_v > 0.0):
+    if not math.isfinite(best_a):
         return best_a, best_v
     lo = alphas[k - 1] if k > 0 and math.isfinite(alphas[k - 1]) else best_a
     hi = alphas[k + 1] if k + 1 < len(alphas) and math.isfinite(alphas[k + 1]) else best_a
-    for _ in range(40):
+    for _ in range(steps):
         for probe in ((lo + best_a) / 2.0, (best_a + hi) / 2.0):
             v = f(probe)
             if v < best_v:
                 best_v, best_a = v, probe
         lo = (lo + best_a) / 2.0
         hi = (best_a + hi) / 2.0
-        if hi - lo < 1e-6 or not (full or best_v > 0.0):
+        if hi - lo < 1e-6:
             break
     return best_a, best_v
 
 
-def _reference_deterministic_gate(rho, phi, full=False):
+def _reference_deterministic_gate(rho, phi, refine=False):
     """The probability-1 gate with one scalar power_mean call per order and profile.
 
-    ``full`` refines every margin as far as it goes, past 0.
+    Each margin is the first sampled minimum, or with ``refine`` that
+    minimum refined in full, past 0.
     """
     tgt = _target_profile(phi)
     mixed = pmax_mixed(rho, phi)
@@ -878,8 +884,9 @@ def _reference_deterministic_gate(rho, phi, full=False):
 
         below_vals = [below_margin(a) for a in below]
         above_vals = [above_margin(a) for a in above]
-        a_lo, m_lo = _reference_refine_minimum(below_margin, list(below), below_vals, full)
-        a_hi, m_hi = _reference_refine_minimum(above_margin, list(above), above_vals, full)
+        steps = 40 if refine else 0
+        a_lo, m_lo = _reference_refine_minimum(below_margin, list(below), below_vals, steps)
+        a_hi, m_hi = _reference_refine_minimum(above_margin, list(above), above_vals, steps)
         s_margin = shannon_entropy(p) - shannon_entropy(q)
         if zero_entry:
             flags.append(f"zero_entry_support:{s.indices}")
@@ -960,20 +967,16 @@ def test_deterministic_gate_equals_the_scalar_loop(
         got = deterministic_gate(rho, phi)
         assert got == want, name
         assert repr(got) == repr(want), name          # signed zeros included
-        # refinement past 0 moves no verdict: a positive margin is the full
-        # refinement's, and a witness lies between 0 and the refined minimum
-        full = _reference_deterministic_gate(rho, phi, full=True)
+        # refining each sampled minimum in full, past 0, moves no verdict, and
+        # a sampled margin is never below the refined one
+        full = _reference_deterministic_gate(rho, phi, refine=True)
         assert got.verdict == full.verdict, name
         for m, f in zip(got.members, full.members):
             assert m.passes == f.passes, name
             for side in ("below_one", "above_one"):
-                pair = (getattr(m, f"margin_{side}"), getattr(m, f"alpha_{side}"))
-                full_pair = (getattr(f, f"margin_{side}"), getattr(f, f"alpha_{side}"))
-                if pair[0] > 0.0:
-                    assert repr(pair) == repr(full_pair), name
-                else:
-                    assert full_pair[0] <= pair[0] <= 0.0, name
-                    seen["witness above the refined minimum"] += pair[0] > full_pair[0]
+                margin, refined = getattr(m, f"margin_{side}"), getattr(f, f"margin_{side}")
+                assert refined <= margin, name
+                seen["witness above the refined minimum"] += refined < margin <= 0.0
         seen[f"verdict {want.verdict}"] += 1
         seen["weight flag"] += "family_weight_below_one" in want.flags
         target_rank = coherence_rank(phi)
@@ -986,116 +989,64 @@ def test_deterministic_gate_equals_the_scalar_loop(
             seen["above at +inf"] += m.alpha_above_one == math.inf
             seen["zero margin"] += m.margin_above_one == 0.0
             seen["tied below-one minimum"] += m.margin_below_one == 0.0
-            seen["below refined"] += math.isfinite(m.alpha_below_one)
-            seen["above refined"] += math.isfinite(m.alpha_above_one)
+            seen["below at a finite order"] += math.isfinite(m.alpha_below_one)
+            seen["above at a finite order"] += math.isfinite(m.alpha_above_one)
             seen["n >= 8"] += len(m.indices) >= 8
     wanted = ["baseline one", "verdict True", "verdict False", "weight flag", "zero entry",
-              "below at -inf", "above at +inf", "zero margin", "below refined",
-              "above refined", "n >= 8", "members share a padded length",
+              "below at -inf", "above at +inf", "zero margin", "below at a finite order",
+              "above at a finite order", "n >= 8", "members share a padded length",
               "members differ in padded length", "tied below-one minimum",
               "witness above the refined minimum"]
     assert all(seen[key] for key in wanted), seen
 
 
-def test_deterministic_gate_makes_one_kernel_pass_per_round_and_group(monkeypatch):
-    # members of one padded length share the grid pass and every round of
-    # refinement, so the number of kernel calls does not grow with the family
-    rng = np.random.default_rng(8)
-    rho = _block_diag_state(rng, [1] + [2] * 30 + [3] * 20 + [5] * 6)
-    phi = _target(rng, 3, rho.dim)
-    calls = Counter()
-    kernel = catalysis._power_means_kernel
-
-    def counting(rows, *args):
-        calls[rows.shape[1]] += 1
-        return kernel(rows, *args)
-
-    monkeypatch.setattr(catalysis, "_power_means_kernel", counting)
-    rep = deterministic_gate(rho, phi)
-    lengths = Counter(max(len(m.indices), 3) for m in rep.members)
-    assert lengths == {3: 51, 5: 6}
-    # both groups refine brackets, and no probe wins (every order is a grid
-    # point), so each group takes one round: the grid pass and one schedule pass
-    refined = Counter(max(len(m.indices), 3) for m in rep.members for side in ("below_one", "above_one")
-                      if getattr(m, f"margin_{side}") > 0.0 and math.isfinite(getattr(m, f"alpha_{side}")))
-    assert set(refined) == set(lengths)
-    grid = set(ALPHAS_BELOW_ONE + ALPHAS_ABOVE_ONE)
-    assert all({m.alpha_below_one, m.alpha_above_one} <= grid for m in rep.members)
-    assert calls == {n: 2 for n in lengths}, calls
-
-
-def test_the_jonathan_plenio_gate_makes_one_grid_pass_and_one_schedule_pass(
+def test_deterministic_gate_makes_one_kernel_call_per_padded_length(
     canonical_catalysis_pair, monkeypatch
 ):
-    # both brackets take 18 halvings to reach BRACKET_TOL and no probe wins,
-    # so one kernel call evaluates both whole schedules
-    rho, phi = _canonical(canonical_catalysis_pair)
-    shapes = []
+    # members of one padded length share the one grid pass, so the number of
+    # kernel calls does not grow with the family, and every call samples the
+    # whole grid at once
+    calls = []
     kernel = catalysis._power_means_kernel
 
     def recording(rows, lows, highs, orders):
-        shapes.append(orders.shape)
+        calls.append((rows.shape[1], orders.shape))
         return kernel(rows, lows, highs, orders)
 
     monkeypatch.setattr(catalysis, "_power_means_kernel", recording)
-    member, = deterministic_gate(rho, phi).members
+    grid = ALPHAS_BELOW_ONE + ALPHAS_ABOVE_ONE
+    member, = deterministic_gate(*_canonical(canonical_catalysis_pair)).members
     assert member.passes
     assert (member.alpha_below_one, member.alpha_above_one) == (ALPHAS_BELOW_ONE[-1], ALPHAS_ABOVE_ONE[0])
-    # the grid for both rows, then each bracket's two rows with one probe per halving
-    assert shapes == [(len(ALPHAS_BELOW_ONE + ALPHAS_ABOVE_ONE),), (4, 18)]
+    assert [shape for _, shape in calls] == [(len(grid),)] == [(63,)]
+    calls.clear()
+    rng = np.random.default_rng(8)
+    rho = _block_diag_state(rng, [1] + [2] * 30 + [3] * 20 + [5] * 6)
+    rep = deterministic_gate(rho, _target(rng, 3, rho.dim))
+    assert Counter(max(len(m.indices), 3) for m in rep.members) == {3: 51, 5: 6}
+    assert all({m.alpha_below_one, m.alpha_above_one} <= set(grid) for m in rep.members)
+    assert Counter(n for n, _ in calls) == {3: 1, 5: 1}
+    assert {shape for _, shape in calls} == {(len(grid),)}
 
 
-def _dipped_kernel(kernel, target, dip):
-    """``kernel`` with the below-one margin against ``target`` scaled by ``dip(alpha)``.
-
-    A row that ends in a positive entry is a source; its mean at each
-    order in (0, 1) is moved toward the target's, so the margin
-    A(source) - A(target) becomes about ``dip(alpha)`` times itself.  Every
-    other mean is the kernel's.
-    """
-    def dipped(rows, lows, highs, orders):
-        out = kernel(rows, lows, highs, orders)
-        for i, row in enumerate(rows):
-            if row[-1] > 0.0:
-                alphas = orders[i] if orders.ndim == 2 else orders
-                reference = kernel(target[None], [0.0], [float(target.max())], alphas)[0]
-                out[i] = [t + (x - t) * dip(a) if 0.0 < a < 1.0 else x
-                          for a, x, t in zip(alphas.tolist(), out[i], reference)]
-        return out
-    return dipped
-
-
-def test_a_probe_that_wins_starts_a_new_round(canonical_catalysis_pair, monkeypatch):
-    # no measured input has a probe win, so a dip between the grid points 0.78
-    # and 0.99 is cut into the Jonathan-Plenio below-one margin, in the gate
-    # and in the one-order-at-a-time reference alike: the margin stays
-    # positive, a probe inside the dip beats the sampled minimum at 0.99, and
-    # the refinement follows the dip down over several rounds
-    rho, phi = _canonical(canonical_catalysis_pair)
-    target = catalysis._padded_rows([support_profile(phi.probabilities())[1]], rho.dim)[0]
-
-    def dip(a):
-        return 1.0 - 0.85 * max(0.0, 1.0 - ((a - 0.968) / 0.015) ** 2)
-
-    kernel = catalysis._power_means_kernel
-    dipped = _dipped_kernel(kernel, target, dip)
-    calls = []
-
-    def counting(rows, *args):
-        calls.append(rows.shape[0])
-        return dipped(rows, *args)
-
-    monkeypatch.setattr(catalysis, "_power_means_kernel", counting)
-    monkeypatch.setattr("cohdist.measures._power_means_kernel", dipped)
-    want = _reference_deterministic_gate(rho, phi)
+def test_a_margin_the_refinement_lowered_is_the_sampled_minimum():
+    # the halving refinement moved this below-one margin off the grid, to
+    # 2.5558404092851372e-05 at alpha = -19.752833545757134; the gate reports
+    # the sampled minimum at its grid order, and the verdict stays yes
+    p = (0.45836016704046223, 0.23227798560099444, 0.1667188250918158, 0.14264302226672754)
+    q = (0.5058510524105878, 0.18155113493630096, 0.17002495962462014, 0.1425728530284911)
+    rho = DensityMatrix.from_pure(PureStateVector.from_probabilities(p))
+    phi = PureStateVector.from_probabilities(q)
     got = deterministic_gate(rho, phi)
-    assert got == want and repr(got) == repr(want)
+    assert got == _reference_deterministic_gate(rho, phi)
     member, = got.members
-    assert member.passes and 0.0 < member.margin_below_one
-    assert 0.953 < member.alpha_below_one < 0.983 and member.alpha_above_one == ALPHAS_ABOVE_ONE[0]
-    # the grid pass, one schedule pass for both brackets, then rounds for the
-    # below-one bracket alone, one after each step whose probe won
-    assert calls[:2] == [2, 4] and len(calls) >= 4 and set(calls[2:]) == {2}, calls
+    assert got.verdict and member.passes
+    assert (member.margin_below_one, member.alpha_below_one) == (
+        pytest.approx(4.3667454486612245e-05, rel=1e-9), -16.70689648350562)
+    assert member.alpha_below_one in ALPHAS_BELOW_ONE
+    refined, = _reference_deterministic_gate(rho, phi, refine=True).members
+    assert refined.margin_below_one == pytest.approx(2.5558404092851372e-05, rel=1e-9)
+    assert refined.alpha_below_one == pytest.approx(-19.752833545757134, rel=1e-12)
 
 
 def test_a_gate_whose_margins_are_all_at_most_zero_refines_nothing(monkeypatch):

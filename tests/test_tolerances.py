@@ -6,8 +6,7 @@ comments state are checked here, and the two tolerances that several
 sites read, ``TIE_TOL`` and ``PROB_TOL``, get a case just inside and one
 just outside their edge at every site; so do ``HERMITIAN_TOL``,
 ``PSD_FLOOR``, ``RANK1_TOL``, ``PHASE_LEAD_TOL``, ``BRANCH_WEIGHT_FLOOR``,
-``GEOMETRIC_ORDER_TOL``, ``GRID_STEP_TOL`` and ``BRACKET_TOL`` at their one
-site each.
+``GEOMETRIC_ORDER_TOL`` and ``GRID_STEP_TOL`` at their one site each.
 """
 
 import ast
@@ -49,7 +48,6 @@ from cohdist import (
     verify_branch_outputs,
 )
 from cohdist.distill import _intermediate_profile
-from cohdist.catalysis import ALPHAS_ABOVE_ONE, ALPHAS_BELOW_ONE
 from cohdist.states import (
     A_ONE_TOL,
     BRANCH_WEIGHT_FLOOR,
@@ -118,7 +116,7 @@ def test_no_float_literal_below_1e_5_outside_the_table():
 def test_the_table_holds_every_tolerance_once():
     table = tolerance_table()
     assert all(0.0 < abs(value) < 1e-5 for value, _ in table.values())
-    assert len(table) == 16     # 22 values in five modules before the table
+    assert len(table) == 15     # 22 values in five modules before the table
     for name, (value, _) in table.items():
         assert getattr(states, name) == value
 
@@ -521,53 +519,3 @@ def test_grid_step_edge(k):
     else:
         with pytest.raises(ValidationError, match="grid_step must divide 1"):
             catalysis._catalyst_grid(3, step)
-
-
-def _bracket_halvings(steps: int) -> list[tuple[list[float], float]]:
-    """The probes and the width of each Jonathan-Plenio bracket after ``steps`` halvings.
-
-    Their best orders are the grid points next to alpha = 1 and never move,
-    and neither has a finite neighbour toward 1, so each step halves both
-    ends toward the order, and the probe on that side is the order itself,
-    which the gate leaves out.
-    """
-    out = []
-    for lo, a, hi in ((ALPHAS_BELOW_ONE[-2], ALPHAS_BELOW_ONE[-1], ALPHAS_BELOW_ONE[-1]),
-                      (ALPHAS_ABOVE_ONE[0], ALPHAS_ABOVE_ONE[0], ALPHAS_ABOVE_ONE[1])):
-        probes = []
-        for _ in range(steps):
-            lo, hi = (lo + a) / 2.0, (a + hi) / 2.0
-            probes.append(lo if lo != a else hi)
-        out.append((probes, hi - lo))
-    return out
-
-
-@pytest.mark.parametrize("steps", [1, 6, 17])
-@pytest.mark.parametrize("side", [math.inf, -math.inf])
-def test_bracket_width_edge(monkeypatch, steps, side):
-    # the gate stops once every bracket is narrower than BRACKET_TOL: a
-    # tolerance just above the widest bracket after `steps` halvings stops it
-    # there, one just below takes one more step for that bracket alone
-    rho = DensityMatrix.from_pure(PureStateVector.from_probabilities([0.4, 0.4, 0.1, 0.1]))
-    phi = PureStateVector.from_probabilities([0.5, 0.25, 0.25, 0.0])
-    widths = [width for _, width in _bracket_halvings(steps)]
-    monkeypatch.setattr(catalysis, "BRACKET_TOL", math.nextafter(max(widths), side))
-    calls = []
-    kernel = catalysis._power_means_kernel
-
-    def recording(rows, lows, highs, orders):
-        calls.append(orders)
-        return kernel(rows, lows, highs, orders)
-
-    monkeypatch.setattr(catalysis, "_power_means_kernel", recording)
-    member, = deterministic_gate(rho, phi).members
-    assert (member.alpha_below_one, member.alpha_above_one) == (ALPHAS_BELOW_ONE[-1], ALPHAS_ABOVE_ONE[0])
-    assert member.passes
-    # the grid pass, then one pass over the two rows of each bracket, each row
-    # given its bracket's probes, one per halving, padded with the last one
-    _, schedules = calls
-    received = [list(dict.fromkeys(row)) for row in schedules.tolist()]
-    assert received[0] == received[1] and received[2] == received[3]
-    halvings = [steps + (side < 0 and width == max(widths)) for width in widths]
-    assert [received[0], received[2]] == [_bracket_halvings(h)[i][0] for i, h in enumerate(halvings)]
-    assert sorted(halvings) == [steps, steps + (side < 0)]
