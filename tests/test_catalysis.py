@@ -1000,12 +1000,13 @@ def test_deterministic_gate_equals_the_scalar_loop(
     assert all(seen[key] for key in wanted), seen
 
 
-def test_deterministic_gate_makes_one_kernel_call_per_padded_length(
-    canonical_catalysis_pair, monkeypatch
-):
+def test_deterministic_gate_makes_one_kernel_pass_per_round_and_group(monkeypatch):
     # members of one padded length share the one grid pass, so the number of
-    # kernel calls does not grow with the family, and every call samples the
-    # whole grid at once
+    # kernel calls does not grow with the family; with no refinement there is
+    # one round, and every call samples the whole grid at once
+    rng = np.random.default_rng(8)
+    rho = _block_diag_state(rng, [1] + [2] * 30 + [3] * 20 + [5] * 6)
+    phi = _target(rng, 3, rho.dim)
     calls = []
     kernel = catalysis._power_means_kernel
 
@@ -1014,19 +1015,34 @@ def test_deterministic_gate_makes_one_kernel_call_per_padded_length(
         return kernel(rows, lows, highs, orders)
 
     monkeypatch.setattr(catalysis, "_power_means_kernel", recording)
+    rep = deterministic_gate(rho, phi)
+    lengths = Counter(max(len(m.indices), 3) for m in rep.members)
+    assert lengths == {3: 51, 5: 6}
     grid = ALPHAS_BELOW_ONE + ALPHAS_ABOVE_ONE
-    member, = deterministic_gate(*_canonical(canonical_catalysis_pair)).members
+    assert all({m.alpha_below_one, m.alpha_above_one} <= set(grid) for m in rep.members)
+    assert Counter(n for n, _ in calls) == {n: 1 for n in lengths}, calls
+    assert {shape for _, shape in calls} == {(len(grid),)}
+
+
+def test_the_jonathan_plenio_gate_makes_one_grid_pass_and_one_schedule_pass(
+    canonical_catalysis_pair, monkeypatch
+):
+    # the grid pass evaluates both rows at every grid order, and it is the
+    # only kernel call: the sampled minima are reported as they are, so no
+    # bracket schedule follows it
+    rho, phi = _canonical(canonical_catalysis_pair)
+    shapes = []
+    kernel = catalysis._power_means_kernel
+
+    def recording(rows, lows, highs, orders):
+        shapes.append(orders.shape)
+        return kernel(rows, lows, highs, orders)
+
+    monkeypatch.setattr(catalysis, "_power_means_kernel", recording)
+    member, = deterministic_gate(rho, phi).members
     assert member.passes
     assert (member.alpha_below_one, member.alpha_above_one) == (ALPHAS_BELOW_ONE[-1], ALPHAS_ABOVE_ONE[0])
-    assert [shape for _, shape in calls] == [(len(grid),)] == [(63,)]
-    calls.clear()
-    rng = np.random.default_rng(8)
-    rho = _block_diag_state(rng, [1] + [2] * 30 + [3] * 20 + [5] * 6)
-    rep = deterministic_gate(rho, _target(rng, 3, rho.dim))
-    assert Counter(max(len(m.indices), 3) for m in rep.members) == {3: 51, 5: 6}
-    assert all({m.alpha_below_one, m.alpha_above_one} <= set(grid) for m in rep.members)
-    assert Counter(n for n, _ in calls) == {3: 1, 5: 1}
-    assert {shape for _, shape in calls} == {(len(grid),)}
+    assert shapes == [(len(ALPHAS_BELOW_ONE + ALPHAS_ABOVE_ONE),)] == [(63,)]
 
 
 def test_a_margin_the_refinement_lowered_is_the_sampled_minimum():
